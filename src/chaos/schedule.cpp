@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -453,14 +455,45 @@ std::vector<std::string> split_tokens(const std::string& line) {
 }
 
 double parse_number(const std::string& tok, std::size_t line, const char* what) {
+  double value = 0.0;
   try {
     std::size_t used = 0;
-    const double value = std::stod(tok, &used);
+    value = std::stod(tok, &used);
     if (used != tok.size()) fail_at(line, std::string("bad ") + what + " '" + tok + "'");
-    return value;
   } catch (const std::logic_error&) {
     fail_at(line, std::string("bad ") + what + " '" + tok + "'");
   }
+  // stod accepts "nan" and "inf"; a NaN time or delay defeats every ordered
+  // comparison downstream (the schedule sort, the engine's bucket index).
+  if (!std::isfinite(value)) {
+    fail_at(line, std::string(what) + " must be a finite number, got '" + tok + "'");
+  }
+  return value;
+}
+
+/// A non-negative whole number that fits an int (node index, pair id).
+int parse_int(const std::string& tok, std::size_t line, const char* what) {
+  const double value = parse_number(tok, line, what);
+  if (value < 0.0) fail_at(line, std::string(what) + " must be >= 0");
+  if (value != std::floor(value) ||
+      value > static_cast<double>(std::numeric_limits<int>::max())) {
+    fail_at(line, std::string(what) + " must be a whole number below 2^31, got '" +
+                      tok + "'");
+  }
+  return static_cast<int>(value);
+}
+
+double parse_probability(const std::string& tok, std::size_t line, const char* what) {
+  const double value = parse_number(tok, line, what);
+  if (value < 0.0 || value > 1.0) fail_at(line, std::string(what) + " must be in [0,1]");
+  return value;
+}
+
+/// A duration or delay: negative values would schedule before now().
+double parse_seconds(const std::string& tok, std::size_t line, const char* what) {
+  const double value = parse_number(tok, line, what);
+  if (value < 0.0) fail_at(line, std::string(what) + " must be >= 0");
+  return value;
 }
 
 NodeRole parse_role(const std::string& tok, std::size_t line) {
@@ -481,15 +514,14 @@ void parse_target(const std::vector<std::string>& tokens, std::size_t& pos,
     return;
   }
   if (pos >= tokens.size()) fail_at(line, "expected a node index");
-  index = static_cast<int>(parse_number(tokens[pos++], line, "node index"));
-  if (index < 0) fail_at(line, "node index must be >= 0");
+  index = parse_int(tokens[pos++], line, "node index");
 }
 
 /// Parse an optional trailing "#id"; returns 0 when absent.
 int parse_pair(const std::vector<std::string>& tokens, std::size_t& pos,
                std::size_t line) {
   if (pos >= tokens.size() || tokens[pos][0] != '#') return 0;
-  const int id = static_cast<int>(parse_number(tokens[pos].substr(1), line, "pair id"));
+  const int id = parse_int(tokens[pos].substr(1), line, "pair id");
   ++pos;
   return id;
 }
@@ -508,13 +540,12 @@ FaultSchedule parse_script(const std::string& text) {
 
     if (tokens[0] == "duration") {
       if (tokens.size() < 2) fail_at(line_no, "duration needs a value");
-      schedule.duration = parse_number(tokens[1], line_no, "duration");
+      schedule.duration = parse_seconds(tokens[1], line_no, "duration");
       continue;
     }
 
     FaultAction action;
-    action.at = parse_number(tokens[0], line_no, "time");
-    if (action.at < 0.0) fail_at(line_no, "time must be >= 0");
+    action.at = parse_seconds(tokens[0], line_no, "time");
     if (tokens.size() < 2) fail_at(line_no, "expected an action verb");
     const std::string& verb = tokens[1];
     std::size_t pos = 2;
@@ -546,17 +577,17 @@ FaultSchedule parse_script(const std::string& text) {
         const auto eq = knob.find('=');
         if (eq == std::string::npos) fail_at(line_no, "bad link knob '" + knob + "'");
         const std::string key = knob.substr(0, eq);
-        const double value = parse_number(knob.substr(eq + 1), line_no, key.c_str());
+        const std::string value = knob.substr(eq + 1);
         if (key == "drop") {
-          action.faults.drop = value;
+          action.faults.drop = parse_probability(value, line_no, "drop");
         } else if (key == "dup") {
-          action.faults.duplicate = value;
+          action.faults.duplicate = parse_probability(value, line_no, "dup");
         } else if (key == "reorder") {
-          action.faults.reorder = value;
+          action.faults.reorder = parse_probability(value, line_no, "reorder");
         } else if (key == "rdelay") {
-          action.faults.reorder_delay = value;
+          action.faults.reorder_delay = parse_seconds(value, line_no, "rdelay");
         } else if (key == "lat") {
-          action.faults.extra_latency = value;
+          action.faults.extra_latency = parse_seconds(value, line_no, "lat");
         } else {
           fail_at(line_no, "unknown link knob '" + key + "'");
         }
@@ -571,10 +602,7 @@ FaultSchedule parse_script(const std::string& text) {
     } else if (verb == "drop") {
       action.kind = ActionKind::kGlobalDrop;
       if (pos >= tokens.size()) fail_at(line_no, "drop needs a probability");
-      action.drop = parse_number(tokens[pos++], line_no, "probability");
-      if (action.drop < 0.0 || action.drop > 1.0) {
-        fail_at(line_no, "probability must be in [0,1]");
-      }
+      action.drop = parse_probability(tokens[pos++], line_no, "probability");
     } else if (verb == "slow" || verb == "steal") {
       action.kind = verb == "slow" ? ActionKind::kSlow : ActionKind::kSteal;
       parse_target(tokens, pos, line_no, action.role, action.index);

@@ -8,15 +8,24 @@ namespace snooze::net {
 Network::Network(sim::Engine& engine, LatencyModel latency)
     : engine_(engine), latency_(latency) {}
 
+Network::NodeState& Network::node(Address addr) {
+  if (addr >= nodes_.size()) nodes_.resize(std::size_t{addr} + 1);
+  return nodes_[addr];
+}
+
 void Network::attach(Address addr, Endpoint* endpoint) {
   assert(addr != kNullAddress && endpoint != nullptr);
-  endpoints_[addr] = endpoint;
+  node(addr).endpoint = endpoint;
   next_address_ = std::max(next_address_, addr + 1);
 }
 
-void Network::detach(Address addr) { endpoints_.erase(addr); }
+void Network::detach(Address addr) {
+  if (addr < nodes_.size()) nodes_[addr].endpoint = nullptr;
+}
 
-bool Network::attached(Address addr) const { return endpoints_.count(addr) > 0; }
+bool Network::attached(Address addr) const {
+  return addr < nodes_.size() && nodes_[addr].endpoint != nullptr;
+}
 
 Address Network::allocate_address() { return next_address_++; }
 
@@ -93,16 +102,16 @@ void Network::complete_delivery(std::uint32_t index) {
     if (counters_.dropped != nullptr) counters_.dropped->inc();
     return;
   }
-  const auto it = endpoints_.find(env.to);
-  if (it == endpoints_.end()) {
+  if (!attached(env.to)) {
     ++stats_.messages_dropped;
     if (counters_.dropped != nullptr) counters_.dropped->inc();
     return;
   }
+  NodeState& receiver = nodes_[env.to];
   ++stats_.messages_delivered;
-  ++per_node_[env.to].messages_delivered;
+  ++receiver.stats.messages_delivered;
   if (counters_.delivered != nullptr) counters_.delivered->inc();
-  it->second->on_message(env);
+  receiver.endpoint->on_message(env);
 }
 
 bool Network::send(Address from, Address to, MsgPtr msg) {
@@ -111,12 +120,9 @@ bool Network::send(Address from, Address to, MsgPtr msg) {
   const std::size_t size = msg->wire_size();
   ++stats_.messages_sent;
   stats_.bytes_sent += size;
-  auto& sender = per_node_[from];
+  TrafficStats& sender = node(from).stats;
   ++sender.messages_sent;
   sender.bytes_sent += size;
-  auto& link = link_traffic_[link_key(from, to)];
-  ++link.messages;
-  link.bytes += size;
   if (counters_.sent != nullptr) {
     counters_.sent->inc();
     counters_.bytes->inc(size);
@@ -258,14 +264,12 @@ void Network::clear_all_faults() {
 }
 
 TrafficStats Network::node_stats(Address addr) const {
-  const auto it = per_node_.find(addr);
-  return it == per_node_.end() ? TrafficStats{} : it->second;
+  return addr < nodes_.size() ? nodes_[addr].stats : TrafficStats{};
 }
 
 void Network::reset_stats() {
   stats_ = TrafficStats{};
-  per_node_.clear();
-  link_traffic_.clear();
+  for (NodeState& n : nodes_) n.stats = TrafficStats{};
 }
 
 void Network::set_telemetry(telemetry::Telemetry* telemetry) {

@@ -12,7 +12,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -42,13 +41,6 @@ struct TrafficStats {
   std::uint64_t messages_dropped = 0;
   std::uint64_t messages_duplicated = 0;  ///< extra copies created by faults
   std::uint64_t bytes_sent = 0;
-};
-
-/// Offered traffic on one directed link (counted at the send point, before
-/// loss is decided, so it reflects what the sender put on the wire).
-struct LinkTraffic {
-  std::uint64_t messages = 0;
-  std::uint64_t bytes = 0;
 };
 
 /// Fault knobs applied to traffic on a node or a directed link. Several
@@ -137,15 +129,8 @@ class Network {
 
   // --- accounting ---------------------------------------------------------
   [[nodiscard]] const TrafficStats& stats() const { return stats_; }
+  /// Per-node counters; zero for an address that never sent or received.
   [[nodiscard]] TrafficStats node_stats(Address addr) const;
-  /// Offered traffic per directed link, keyed (from << 32) | to.
-  [[nodiscard]] const std::unordered_map<std::uint64_t, LinkTraffic>& link_traffic()
-      const {
-    return link_traffic_;
-  }
-  [[nodiscard]] static std::uint64_t link_key(Address from, Address to) {
-    return (static_cast<std::uint64_t>(from) << 32) | to;
-  }
   void reset_stats();
 
   /// Attach the telemetry sink all endpoints on this network report through.
@@ -168,17 +153,27 @@ class Network {
     std::uint32_t next_free = kNoDelivery;
   };
 
+  /// Per-address state. Addresses are small dense integers handed out by
+  /// allocate_address(), so one vector indexed by Address serves the
+  /// per-message lookups that hash maps used to.
+  struct NodeState {
+    Endpoint* endpoint = nullptr;  ///< null while nothing is attached
+    TrafficStats stats;
+  };
+
   [[nodiscard]] bool blocked(Address from, Address to) const;
   /// Combined fault view for one message (global + nodes + link).
   [[nodiscard]] LinkFaults effective_faults(Address from, Address to) const;
   void deliver_after(sim::Time delay, Envelope env);
   void complete_delivery(std::uint32_t index);
   void update_fault_flag();
+  /// The record of `addr`, growing the table to cover it if needed.
+  NodeState& node(Address addr);
 
   sim::Engine& engine_;
   LatencyModel latency_;
   Address next_address_ = 1;
-  std::unordered_map<Address, Endpoint*> endpoints_;
+  std::vector<NodeState> nodes_;  ///< indexed by Address
   std::set<Address> down_;
   std::map<GroupId, std::set<Address>> groups_;
   std::vector<std::set<Address>> partitions_;
@@ -198,8 +193,6 @@ class Network {
   /// Reused multicast membership snapshot (one allocation, not one per send).
   std::vector<Address> multicast_scratch_;
   TrafficStats stats_;
-  std::unordered_map<Address, TrafficStats> per_node_;
-  std::unordered_map<std::uint64_t, LinkTraffic> link_traffic_;
 
   telemetry::Telemetry* telemetry_ = nullptr;
   /// Cached registry handles: send() is the hottest path in the simulator,

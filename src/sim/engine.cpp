@@ -41,48 +41,67 @@ void Engine::free_slot(std::uint32_t slot) {
 }
 
 void Engine::bucket_push(Bucket& bucket, const Entry& entry) {
-  if (bucket.empty()) {
-    // A drained ring restarts from index 0 so long-lived buckets don't
-    // accrete dead prefix across window wraps.
-    bucket.v.clear();
-    bucket.head = 0;
+  if (!bucket.sorted) {
+    // Not yet reached by the drain cursor: append in O(1), in any order.
+    slots_[entry_slot(entry)].bag_index = static_cast<std::uint32_t>(bucket.v.size());
     bucket.v.push_back(entry);
     return;
   }
-  if (entry_before(bucket.v.back(), entry)) {  // the monotone common case
+  // The bucket being drained keeps its order; a sorted bucket is never empty.
+  if (entry_before(bucket.v.back(), entry)) {
     bucket.v.push_back(entry);
     return;
   }
   const auto it = std::upper_bound(bucket.v.begin() + bucket.head,
-                                   bucket.v.end(), entry, &Engine::entry_before);
+                                   bucket.v.end(), entry, entry_before);
   bucket.v.insert(it, entry);
 }
 
 void Engine::bucket_pop_front(Bucket& bucket) {
   ++bucket.head;
   if (bucket.empty()) {
+    // A drained ring restarts as an empty bag from index 0, so long-lived
+    // buckets don't accrete dead prefix across window wraps.
     bucket.v.clear();
     bucket.head = 0;
+    bucket.sorted = false;
   }
 }
 
 void Engine::bucket_cancel(Bucket& bucket, const Entry& entry) {
-  const auto begin = bucket.v.begin() + bucket.head;
-  const auto it =
-      std::lower_bound(begin, bucket.v.end(), entry, &Engine::entry_before);
-  assert(it != bucket.v.end() && it->key == entry.key);
-  // Shift whichever side is shorter; cancels typically arrive in the same
-  // seq order the entries did (each RPC reply cancels its own guard), which
-  // makes this a one-element move at the ring's head.
-  if (it - begin <= bucket.v.end() - it - 1) {
-    std::move_backward(begin, it, it + 1);
-    ++bucket.head;
+  if (!bucket.sorted) {
+    const std::uint32_t i = slots_[entry_slot(entry)].bag_index;
+    assert(i >= bucket.head && i < bucket.v.size() && bucket.v[i].key == entry.key);
+    if (i == bucket.head) {
+      // Cancels in append order (each reply cancelling its own guard) just
+      // advance the head: no move, and an ordered bag stays ordered.
+      ++bucket.head;
+    } else {
+      // Swap-remove: the last entry takes the hole and learns its new index.
+      if (i + 1 != bucket.v.size()) {
+        bucket.v[i] = bucket.v.back();
+        slots_[entry_slot(bucket.v[i])].bag_index = i;
+      }
+      bucket.v.pop_back();
+    }
   } else {
-    bucket.v.erase(it);
+    const auto begin = bucket.v.begin() + bucket.head;
+    const auto it = std::lower_bound(begin, bucket.v.end(), entry, entry_before);
+    assert(it != bucket.v.end() && it->key == entry.key);
+    // Shift whichever side is shorter; cancels typically arrive in the same
+    // seq order the entries did (each RPC reply cancels its own guard),
+    // which makes this a one-element move at the ring's head.
+    if (it - begin <= bucket.v.end() - it - 1) {
+      std::move_backward(begin, it, it + 1);
+      ++bucket.head;
+    } else {
+      bucket.v.erase(it);
+    }
   }
   if (bucket.empty()) {
     bucket.v.clear();
     bucket.head = 0;
+    bucket.sorted = false;
   }
 }
 
@@ -143,8 +162,9 @@ bool Engine::cancel(EventId id) {
   if (s.state == SlotState::kNear) {
     const std::uint64_t b = bucket_of(s.time);
     auto& bucket = buckets_[b & bucket_mask_];
-    // (time, seq) relocates the entry by binary search — every successful
-    // RPC lands here, so this must not degrade to a full-bucket scan.
+    // The bag index or a (time, seq) binary search relocates the entry —
+    // every successful RPC lands here, so this must not degrade to a
+    // full-bucket scan.
     bucket_cancel(bucket, Entry{s.time, s.seq << kSlotBits | slot});
     if (bucket.empty()) clear_occupied(b);
     --near_count_;
@@ -258,7 +278,18 @@ bool Engine::peek(Time& time, std::uint64_t& abs_bucket) {
       b += 64 - (p & 63);  // jump to the next bitmap word
     }
     scan_hint_ = b;
-    time = buckets_[b & bucket_mask_].front().time;
+    Bucket& bucket = buckets_[b & bucket_mask_];
+    if (!bucket.sorted) {
+      // First time the cursor reaches this bucket: order it once. Keys are
+      // unique, so the result is the (time, seq) order whatever the sort.
+      // Bags filled in order (un-jittered timers, single entries) skip it.
+      const auto live = bucket.v.begin() + bucket.head;
+      if (!std::is_sorted(live, bucket.v.end(), entry_before)) {
+        std::sort(live, bucket.v.end(), entry_before);
+      }
+      bucket.sorted = true;
+    }
+    time = bucket.front().time;
     abs_bucket = b;
     return true;
   }

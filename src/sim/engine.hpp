@@ -8,25 +8,32 @@
 // The event queue is an indexed calendar queue sized for 100k-LC topologies:
 //
 //   - near events (within 64 s of the drain cursor) live in fixed-width
-//     time buckets, each a sorted ring of 16-byte POD entries: control-plane
-//     events cluster on shared instants and arrive in (time, seq) order, so
-//     the common insert is a push_back, the pop a head-index bump — no
-//     sifting a global heap of closures, no per-entry position bookkeeping;
+//     time buckets of 16-byte POD entries. A bucket the drain cursor has
+//     not reached yet is an unordered bag: a schedule appends in O(1) and a
+//     cancel removes in O(1) through the entry's bag index (a head bump or
+//     a swap-remove). The bag is sorted by (time, seq) once, when peek()
+//     first reaches it (the ladder queue's lazy sort, applied per bucket);
+//     from then until it empties it is a sorted ring whose pop is a
+//     head-index bump. Ordering work is thus paid once per bucket, not
+//     once per insert: a synchronized heartbeat or monitoring fan-out lands
+//     thousands of deliveries with random link jitter in a few buckets, in
+//     no particular (time, seq) order, and a bucket kept sorted on insert
+//     would shift half its entries for each of them;
 //   - the bucket geometry is population-adaptive: the 64 s window is carved
 //     into more (narrower) buckets as the pending-event count grows, keeping
-//     per-bucket occupancy — and thus sift depth and scattered position
-//     updates — roughly constant from 100 to 100k LCs. Rescaling rehashes
-//     the near entries but never reorders anything: pop order is a pure
-//     function of (time, seq), not of the geometry;
+//     per-bucket occupancy — and thus sort and insert cost — roughly
+//     constant from 100 to 100k LCs. Rescaling rehashes the near entries but
+//     never reorders anything: pop order is a pure function of (time, seq),
+//     not of the geometry;
 //   - far events overflow into an ordered map and are promoted in bulk as
 //     the cursor advances; the far map's minimum time is cached so the
 //     per-pop promotion check is a float compare, not a tree walk;
 //   - callbacks are stored once in a slab of pooled slots, split hot/cold:
 //     the queue paths touch only the 32-byte bookkeeping records, never the
 //     std::function cold array. EventId encodes (slot, generation), making
-//     cancel() a true removal — binary search by (time, seq) inside the
-//     sorted bucket, shorter-side shift — so no tombstone ever reaches the
-//     hot pop path.
+//     cancel() a true removal — through the bag index kept in the slot, or,
+//     in a bucket already being drained, a binary search by (time, seq) and
+//     a shorter-side shift — so no tombstone ever reaches the hot pop path.
 //
 // Determinism contract: events pop in exactly (time ascending, scheduling
 // sequence ascending) order — byte-identical to the original binary-heap
@@ -163,26 +170,28 @@ class Engine {
   [[nodiscard]] static std::uint32_t entry_slot(const Entry& e) {
     return static_cast<std::uint32_t>(e.key & kSlotMask);
   }
-  /// Strict (time, seq) order — the engine-wide determinism contract.
-  [[nodiscard]] static bool entry_before(const Entry& a, const Entry& b) {
+  /// Strict (time, seq) order — the engine-wide determinism contract. A
+  /// closure object rather than a function, so std::sort and the binary
+  /// searches inline the comparison instead of calling through a pointer.
+  static constexpr auto entry_before = [](const Entry& a, const Entry& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.key < b.key;
-  }
+  };
 
-  /// One calendar bucket: a ring over a sorted vector. Control-plane
-  /// workloads cluster many events on the same instant and schedule them in
-  /// ascending (time, seq) order — heartbeat fan-outs, reply timers, retry
-  /// backoffs all append monotonically — so keeping the vector sorted makes
-  /// the common insert a push_back, the pop a head-index bump, and an
-  /// in-seq-order cancel a one-element shift. A binary heap here pays a
-  /// full-depth sift plus scattered position-index writes on every pop of a
-  /// cluster; the sorted ring pays nothing. Out-of-order inserts (far-map
-  /// promotions racing fresh schedules, mixed-width instants at small
-  /// populations) fall back to binary search + contiguous 16-byte-POD
-  /// memmove, which stays cheap at observed cluster sizes.
+  /// One calendar bucket; its live entries are [head, v.size()). Until the
+  /// drain cursor reaches it, they form an unordered bag: inserts append
+  /// and cancels remove through the entry's Slot::bag_index — a head bump
+  /// for the oldest entry, a swap-remove otherwise — all O(1) whatever
+  /// order a jittered fan-out schedules in. peek() sorts it once, when it
+  /// becomes the first occupied bucket; from then until it empties it is a
+  /// sorted ring — ascending by (time, seq), pop a head-index bump, inserts
+  /// (events scheduled into the bucket being drained) a push_back or a
+  /// binary-search insert, cancels a binary search plus shorter-side
+  /// shift. An emptied bucket reverts to an empty bag.
   struct Bucket {
     std::vector<Entry> v;
-    std::uint32_t head = 0;  ///< first live element; [head, v.size()) is sorted
+    std::uint32_t head = 0;  ///< first live element
+    bool sorted = false;     ///< sorted ring (being drained) vs unordered bag
     [[nodiscard]] bool empty() const { return head == v.size(); }
     [[nodiscard]] std::size_t size() const { return v.size() - head; }
     [[nodiscard]] const Entry& front() const { return v[head]; }
@@ -192,15 +201,17 @@ class Engine {
 
   /// Hot per-event bookkeeping (32 bytes): everything the queue paths touch.
   /// The callback itself lives in the parallel cold array fns_ and is only
-  /// accessed on schedule and fire. (time, seq) is enough to re-locate the
-  /// entry inside its sorted bucket on cancel — no position index to
-  /// maintain on every entry move.
+  /// accessed on schedule and fire. A near entry in a bag is found by its
+  /// bag_index (in the padding after `state`); in a sorted bucket (time,
+  /// seq) re-locates it by binary search, so sorting never has to rewrite
+  /// indices.
   struct Slot {
     Time time = 0.0;
     std::uint64_t seq = 0;
     std::uint32_t generation = 1;
     std::uint32_t next_free = kNoSlot;
     SlotState state = SlotState::kFree;
+    std::uint32_t bag_index = 0;  ///< position in its bucket's bag (kNear, unsorted)
   };
 
   [[nodiscard]] std::uint64_t bucket_of(Time t) const {
@@ -215,10 +226,10 @@ class Engine {
   void free_slot(std::uint32_t slot);
   void mark_occupied(std::uint64_t abs_bucket);
   void clear_occupied(std::uint64_t abs_bucket);
-  // Sorted-ring primitives over one bucket.
-  static void bucket_push(Bucket& bucket, const Entry& entry);
+  // Bag / sorted-ring primitives over one bucket.
+  void bucket_push(Bucket& bucket, const Entry& entry);
   static void bucket_pop_front(Bucket& bucket);
-  static void bucket_cancel(Bucket& bucket, const Entry& entry);
+  void bucket_cancel(Bucket& bucket, const Entry& entry);
   /// Move far events whose bucket is now inside the near window.
   void promote_far();
   /// Absolute time of the first bucket past the near window.
@@ -233,8 +244,9 @@ class Engine {
   void maybe_retune();
   /// Rebuild the near buckets under a new bucket count (same 64 s window).
   void resize_buckets(std::size_t new_count);
-  /// Locate the next pending event without consuming it. Returns false when
-  /// the queue is empty; otherwise fills (time, abs_bucket) of the winner.
+  /// Locate the next pending event without consuming it, sorting the first
+  /// occupied bucket if it is still a bag. Returns true for a near winner
+  /// (then the front of buckets_[abs_bucket]) and false for a far one.
   bool peek(Time& time, std::uint64_t& abs_bucket);
 
   Time now_ = 0.0;

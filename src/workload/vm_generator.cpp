@@ -7,10 +7,10 @@ namespace snooze::workload {
 
 std::vector<VmClass> default_vm_classes() {
   return {
-      {"small", ResourceVector{0.0625, 0.0625, 0.0625}, 1024.0, 25.0},
-      {"medium", ResourceVector{0.125, 0.125, 0.125}, 2048.0, 50.0},
-      {"large", ResourceVector{0.25, 0.25, 0.25}, 4096.0, 75.0},
-      {"xlarge", ResourceVector{0.5, 0.5, 0.5}, 8192.0, 100.0},
+      {"small", ResourceVector{0.0625, 0.0625, 0.0625}, 1024.0, 25.0, {}},
+      {"medium", ResourceVector{0.125, 0.125, 0.125}, 2048.0, 50.0, {}},
+      {"large", ResourceVector{0.25, 0.25, 0.25}, 4096.0, 75.0, {}},
+      {"xlarge", ResourceVector{0.5, 0.5, 0.5}, 8192.0, 100.0, {}},
   };
 }
 

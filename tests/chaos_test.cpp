@@ -216,6 +216,44 @@ TEST(Script, RejectsBadNumbers) {
                std::runtime_error);
   EXPECT_THROW((void)parse_script("duration 60\n5 link gm 0 lc 1 drop=lots\n"),
                std::runtime_error);
+  // Non-finite and out-of-range values: a NaN time would reach the schedule
+  // sort and the engine's bucket index, a negative delay would schedule
+  // before now(), and a node index or pair id past int range is UB to cast.
+  const struct {
+    const char* script;
+    const char* expect;  ///< substring of the error message
+  } cases[] = {
+      {"duration 60\nnan crash lc 0\n", "time must be a finite number"},
+      {"duration 60\ninf crash lc 0\n", "time must be a finite number"},
+      {"duration 60\n-1 crash lc 0\n", "time must be >= 0"},
+      {"duration 60\nduration nan\n", "duration must be a finite number"},
+      {"duration 60\nduration -5\n", "duration must be >= 0"},
+      {"duration 60\n5 link gm 0 lc 1 lat=-1\n", "lat must be >= 0"},
+      {"duration 60\n5 link gm 0 lc 1 drop=0.1 rdelay=-5\n", "rdelay must be >= 0"},
+      {"duration 60\n5 link gm 0 lc 1 drop=-3\n", "drop must be in [0,1]"},
+      {"duration 60\n5 link gm 0 lc 1 drop=2\n", "drop must be in [0,1]"},
+      {"duration 60\n5 link gm 0 lc 1 dup=1.5\n", "dup must be in [0,1]"},
+      {"duration 60\n5 link gm 0 lc 1 reorder=nan\n", "reorder must be a finite number"},
+      {"duration 60\n5 drop nan\n", "probability must be a finite number"},
+      {"duration 60\n5 drop 2\n", "probability must be in [0,1]"},
+      {"duration 60\n5 slow lc 0 factor=inf\n", "factor must be a finite number"},
+      {"duration 60\n5 crash lc nan\n", "node index must be a finite number"},
+      {"duration 60\n5 crash lc 1e20\n", "node index must be a whole number"},
+      {"duration 60\n5 crash lc 1.5\n", "node index must be a whole number"},
+      {"duration 60\n5 crash lc -1\n", "node index must be >= 0"},
+      {"duration 60\n5 crash lc 0 #1e20\n", "pair id must be a whole number"},
+      {"duration 60\n5 recover #9999999999\n", "pair id must be a whole number"},
+  };
+  for (const auto& c : cases) {
+    try {
+      (void)parse_script(c.script);
+      FAIL() << "expected parse error for: " << c.script;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+      EXPECT_NE(what.find(c.expect), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(Script, ParsesGrayFaults) {

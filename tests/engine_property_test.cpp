@@ -46,6 +46,7 @@ struct Op {
     kCancel,       // cancel a tracked handle (pending or already fired)
     kCancelStale,  // cancel a handle that is known dead (must return false)
     kRun,          // run_until(now + value)
+    kBurst,        // jittered fan-out into one or two buckets, then cancels
   };
   Kind kind;
   double value = 0.0;    // delay / horizon increment
@@ -62,6 +63,7 @@ const char* kind_name(Op::Kind k) {
     case Op::Kind::kCancel: return "cancel";
     case Op::Kind::kCancelStale: return "cancel-stale";
     case Op::Kind::kRun: return "run";
+    case Op::Kind::kBurst: return "burst";
   }
   return "?";
 }
@@ -70,7 +72,7 @@ std::vector<Op> generate_ops(std::uint64_t seed, std::size_t count) {
   util::Rng rng(seed);
   std::vector<Op> ops;
   ops.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
+  while (ops.size() < count) {
     const int roll = rng.uniform_int(0, 99);
     Op op{};
     if (roll < 35) {
@@ -87,6 +89,17 @@ std::vector<Op> generate_ops(std::uint64_t seed, std::size_t count) {
       op = {Op::Kind::kCancel, 0.0, rng.uniform_int<std::size_t>(0, 1u << 16)};
     } else if (roll < 85) {
       op = {Op::Kind::kCancelStale, 0.0, rng.uniform_int<std::size_t>(0, 1u << 16)};
+    } else if (roll < 90) {
+      // A storm of fan-outs back to back, like one monitoring period across
+      // several GMs: the population climbs through a geometry threshold
+      // while bursts are in flight. value offsets each burst from now();
+      // pick seeds everything else.
+      const int storm = rng.uniform_int(1, 12);
+      for (int k = 0; k < storm && ops.size() < count; ++k) {
+        ops.push_back({Op::Kind::kBurst, rng.uniform(0.0, 40.0),
+                       rng.uniform_int<std::size_t>(1, 1u << 30)});
+      }
+      continue;
     } else {
       // Mostly short runs; occasionally jump far enough to drain overflow.
       const double dt = rng.chance(0.2) ? rng.uniform(100.0, 20000.0)
@@ -207,6 +220,57 @@ std::optional<std::string> run_ops(const std::vector<Op>& ops) {
         if (dead.empty()) break;
         if (engine.cancel(dead[op.pick % dead.size()])) {
           return fail("stale handle cancel returned true");
+        }
+        break;
+      }
+      case Op::Kind::kBurst: {
+        // A synchronized fan-out whose deliveries carry random link jitter:
+        // 50-500 events within less than one bucket width of a base time,
+        // so they land in one or two buckets in no (time, seq) order. The
+        // base is either a fresh instant ahead (unsorted buckets), now()
+        // (the cursor's bucket), or just before the earliest pending event,
+        // whose bucket the last run's peek() has already sorted — inserts
+        // there must keep the drain order. Up to half of the burst is then
+        // cancelled in random order. A burst's schedules and cancels span
+        // a good part of a retune interval, so storms that carry the
+        // population across a geometry threshold rescale mid-burst.
+        util::Rng burst(op.pick);
+        const int n = burst.uniform_int(50, 500);
+        const double width = engine.bucket_width();
+        Time base = engine.now() + op.value;
+        switch (burst.uniform_int(0, 2)) {
+          case 0: base = engine.now(); break;
+          case 1:
+            if (!model.empty()) {
+              base = std::max(engine.now(), model.begin()->first.first - 0.5 * width);
+            }
+            break;
+          default: break;
+        }
+        const double jitter = burst.uniform(0.1, 0.99) * width;
+        const std::size_t first = tracked.size();
+        for (int i = 0; i < n; ++i) {
+          schedule_both(base + burst.uniform(0.0, jitter), false);
+        }
+        std::vector<Tracked> mine(tracked.begin() + static_cast<long>(first),
+                                  tracked.end());
+        tracked.resize(first);
+        burst.shuffle(mine);
+        const std::size_t cancels = burst.uniform_int<std::size_t>(0, mine.size() / 2);
+        for (std::size_t i = 0; i < mine.size(); ++i) {
+          if (i < cancels) {
+            if (!engine.cancel(mine[i].id)) {
+              return fail("cancel of a burst event returned false");
+            }
+            model.erase(mine[i].key);
+            ++cancels_issued;
+            dead.push_back(mine[i].id);
+          } else {
+            tracked.push_back(mine[i]);
+          }
+        }
+        if (engine.queued_entries() != engine.pending_events()) {
+          return fail("queued_entries() != pending_events() after a burst");
         }
         break;
       }

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -292,6 +293,16 @@ void write_golden(const std::string& path, const Scenario& sc,
       << "# format: <time-bits-hex>\\t<actor>\\t<kind>\\t<detail>\n"
       << "hash " << std::hex << result.trace_hash << std::dec << "\n";
   for (const auto& rec : result.trace_records) out << format_record(rec) << "\n";
+}
+
+// gtest's default printer dumps a struct's raw bytes, the `name` and `script`
+// pointers included, and gtest_discover_tests folds that dump into the ctest
+// test names — which then change with every ASLR layout. Print the run
+// parameters instead so the names are the same on every build.
+void PrintTo(const Scenario& sc, std::ostream* os) {
+  *os << "seed=" << sc.seed << " gms=" << sc.topology.group_managers
+      << " lcs=" << sc.topology.local_controllers
+      << " eps=" << sc.topology.entry_points << " vms=" << sc.vms;
 }
 
 class GoldenTrace : public ::testing::TestWithParam<Scenario> {};

@@ -68,6 +68,38 @@ TEST_F(NetworkTest, UnknownReceiverIsDropped) {
   EXPECT_EQ(network.stats().messages_sent, 1u);
   EXPECT_EQ(network.stats().messages_delivered, 0u);
   EXPECT_EQ(network.stats().messages_dropped, 1u);
+
+  // A detached address is as unknown as a never-attached one, and
+  // re-attaching it delivers again.
+  Sink sink;
+  EXPECT_FALSE(network.attached(10));
+  network.attach(10, &sink);
+  EXPECT_TRUE(network.attached(10));
+  network.detach(10);
+  EXPECT_FALSE(network.attached(10));
+  network.detach(10);  // detaching twice is harmless
+  network.detach(12345);  // as is detaching an address never seen
+  network.send(20, 10, ping(1));
+  engine.run();
+  EXPECT_TRUE(sink.received.empty());
+  EXPECT_EQ(network.stats().messages_dropped, 2u);
+  EXPECT_EQ(network.node_stats(10).messages_delivered, 0u);
+
+  network.attach(10, &sink);
+  EXPECT_TRUE(network.attached(10));
+  network.send(20, 10, ping(2));
+  engine.run();
+  ASSERT_EQ(sink.received.size(), 1u);
+  EXPECT_EQ(net::msg_cast<Ping>(sink.received[0].payload)->value, 2);
+  EXPECT_EQ(network.stats().messages_dropped, 2u);
+  EXPECT_EQ(network.node_stats(10).messages_delivered, 1u);
+
+  // Detaching while a message is in flight drops it at delivery time.
+  network.send(20, 10, ping(3));
+  network.detach(10);
+  engine.run();
+  EXPECT_EQ(sink.received.size(), 1u);
+  EXPECT_EQ(network.stats().messages_dropped, 3u);
 }
 
 TEST_F(NetworkTest, DownSenderCannotSend) {
@@ -181,9 +213,27 @@ TEST_F(NetworkTest, TrafficAccounting) {
   EXPECT_EQ(network.stats().messages_delivered, 2u);
   EXPECT_EQ(network.stats().bytes_sent, 200u);  // Ping::wire_size == 100
   EXPECT_EQ(network.node_stats(20).messages_sent, 2u);
+  EXPECT_EQ(network.node_stats(20).bytes_sent, 200u);
   EXPECT_EQ(network.node_stats(10).messages_delivered, 2u);
+  EXPECT_EQ(network.node_stats(10).messages_sent, 0u);
+  // Never-seen addresses, below and above every address in use, read zero.
+  for (const Address unseen : {Address{3}, Address{21}, Address{1u << 30}}) {
+    const net::TrafficStats s = network.node_stats(unseen);
+    EXPECT_EQ(s.messages_sent + s.messages_delivered + s.messages_dropped +
+                  s.messages_duplicated + s.bytes_sent,
+              0u)
+        << "address " << unseen;
+  }
   network.reset_stats();
   EXPECT_EQ(network.stats().messages_sent, 0u);
+  EXPECT_EQ(network.node_stats(20).messages_sent, 0u);
+  EXPECT_EQ(network.node_stats(10).messages_delivered, 0u);
+  // Resetting counters keeps the topology: the endpoint still receives.
+  EXPECT_TRUE(network.attached(10));
+  network.send(20, 10, ping());
+  engine.run();
+  EXPECT_EQ(sink.received.size(), 3u);
+  EXPECT_EQ(network.node_stats(10).messages_delivered, 1u);
 }
 
 TEST_F(NetworkTest, AllocateAddressAvoidsAttached) {
