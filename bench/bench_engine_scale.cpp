@@ -6,13 +6,21 @@
 // The acceptance bar for the queue rewrite: >= 3x fired-events-per-second
 // over the heap baseline at 10,000 LCs across a 30-virtual-minute run.
 //
+// After the sweep, one jittered fan-out row runs at the largest swept size:
+// the same per-LC loop plus one group heartbeat per 100 LCs that reaches
+// them after 0.5 ms + U(0, 0.2 ms), the default net::LatencyModel, so
+// deliveries fall due in no particular order and the calendar pays the
+// per-bucket sort the full stack pays. The sweep rows schedule without
+// jitter; their buckets fill already sorted.
+//
 //   bench_engine_scale [--quick] [--json=BENCH_engine.json] [--min-eps=N]
 //                      [--min-monotonicity=R] [--sizes=a,b,c] [--repeats=N]
 //
 // --quick     small sweep (100/1k/5k LCs, 2 virtual minutes) for CI smoke
 // --json      write machine-readable results to this path
 // --min-eps   exit non-zero if the calendar engine's events/sec at the
-//             largest swept size falls below this floor (CI regression gate)
+//             largest swept size, or on the fan-out row, falls below this
+//             floor (CI regression gate)
 // --repeats   best-of-N per (engine, size) point, interleaved heap/calendar
 //             pairs (default 3). Shared-runner noise shows up as slowdowns,
 //             never speedups, so the fastest repeat is the least-perturbed
@@ -37,6 +45,7 @@
 #include "bench_common.hpp"
 #include "sim/engine.hpp"
 #include "util/args.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -141,6 +150,35 @@ struct Workload {
   std::uint64_t cancels = 0;
 };
 
+/// The per-LC loop above plus jittered group heartbeats, identical for both
+/// engines: every 3 s each of n / kFanout group managers reaches its
+/// kFanout LCs, each copy landing after 0.5 ms + U(0, 0.2 ms) like
+/// net::LatencyModel's default. A fan-out is scheduled in receiver order but
+/// falls due in random order. The jitter stream is drawn in firing order,
+/// which both engines share.
+template <typename EngineT>
+struct FanoutWorkload : Workload<EngineT> {
+  static constexpr std::size_t kFanout = 100;
+
+  FanoutWorkload(EngineT& e, std::size_t n) : Workload<EngineT>(e, n), jitter(2012) {
+    const std::size_t senders = std::max<std::size_t>(1, n / kFanout);
+    for (std::size_t s = 0; s < senders; ++s) {
+      this->engine.schedule(0.03 * static_cast<double>(s % 100) + 2e-4,
+                            [this] { group_heartbeat(); });
+    }
+  }
+
+  void group_heartbeat() {
+    ++this->fired;
+    for (std::size_t r = 0; r < kFanout; ++r) {
+      this->engine.schedule(0.5e-3 + jitter.uniform(0.0, 0.2e-3), [this] { ++this->fired; });
+    }
+    this->engine.schedule(3.0, [this] { group_heartbeat(); });
+  }
+
+  util::Rng jitter;
+};
+
 struct RunResult {
   std::uint64_t fired = 0;
   std::uint64_t cancels = 0;
@@ -148,10 +186,10 @@ struct RunResult {
   [[nodiscard]] double eps() const { return wall_s > 0.0 ? static_cast<double>(fired) / wall_s : 0.0; }
 };
 
-template <typename EngineT>
+template <typename EngineT, template <typename> class Load = Workload>
 RunResult run_workload(std::size_t n_lcs, double horizon) {
   EngineT engine;
-  Workload<EngineT> load(engine, n_lcs);
+  Load<EngineT> load(engine, n_lcs);
   const auto start = std::chrono::steady_clock::now();
   engine.run_until(horizon);
   const auto stop = std::chrono::steady_clock::now();
@@ -243,6 +281,28 @@ int main(int argc, char** argv) {
   std::printf("\nat %zu LCs: %.2fx events/sec over the heap baseline\n",
               top.lcs, speedup);
 
+  // The jittered fan-out row, at the largest swept size.
+  constexpr std::size_t kFanout = FanoutWorkload<CalendarEngine>::kFanout;
+  Row fan{top.lcs, {}, {}};
+  for (int rep = 0; rep < repeats; ++rep) {
+    const RunResult h = run_workload<HeapEngine, FanoutWorkload>(fan.lcs, horizon);
+    const RunResult c = run_workload<CalendarEngine, FanoutWorkload>(fan.lcs, horizon);
+    if (h.fired != c.fired || h.cancels != c.cancels) {
+      std::fprintf(stderr,
+                   "FATAL: engines disagree on the fan-out row (heap fired %llu, "
+                   "calendar fired %llu)\n",
+                   static_cast<unsigned long long>(h.fired),
+                   static_cast<unsigned long long>(c.fired));
+      return 2;
+    }
+    if (rep == 0 || h.wall_s < fan.heap.wall_s) fan.heap = h;
+    if (rep == 0 || c.wall_s < fan.cal.wall_s) fan.cal = c;
+  }
+  std::printf("jittered fan-out (x%zu, 0.5 ms + U(0, 0.2 ms)) at %zu LCs: heap %.0f, "
+              "calendar %.0f ev/s, %.2fx\n",
+              kFanout, fan.lcs, fan.heap.eps(), fan.cal.eps(),
+              fan.cal.eps() / fan.heap.eps());
+
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     out << "{\n  \"benchmark\": \"engine_scale\",\n"
@@ -261,7 +321,15 @@ int main(int argc, char** argv) {
           << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     out << "  ],\n  \"max_lcs\": " << top.lcs
-        << ",\n  \"speedup_at_max\": " << speedup << "\n}\n";
+        << ",\n  \"speedup_at_max\": " << speedup
+        << ",\n  \"fanout\": {\"lcs\": " << fan.lcs << ", \"fanout\": " << kFanout
+        << ", \"jitter_s\": [0.0005, 0.0002], \"events\": " << fan.cal.fired
+        << ", \"cancels\": " << fan.cal.cancels
+        << ", \"heap_wall_s\": " << fan.heap.wall_s
+        << ", \"calendar_wall_s\": " << fan.cal.wall_s
+        << ", \"heap_events_per_s\": " << fan.heap.eps()
+        << ", \"calendar_events_per_s\": " << fan.cal.eps()
+        << ", \"speedup\": " << fan.cal.eps() / fan.heap.eps() << "}\n}\n";
     std::printf("wrote %s\n", json_path.c_str());
   }
 
@@ -270,6 +338,13 @@ int main(int argc, char** argv) {
                  "FAIL: calendar engine %.0f events/s at %zu LCs is below the "
                  "floor of %.0f\n",
                  top.cal.eps(), top.lcs, min_eps);
+    return 1;
+  }
+  if (min_eps > 0.0 && fan.cal.eps() < min_eps) {
+    std::fprintf(stderr,
+                 "FAIL: calendar engine %.0f events/s on the jittered fan-out row "
+                 "is below the floor of %.0f\n",
+                 fan.cal.eps(), min_eps);
     return 1;
   }
 

@@ -527,7 +527,7 @@ void GroupManager::gm_probe_peers() {
     targets.reserve(gms_.size());
     for (const auto& [addr, record] : gms_) targets.push_back(addr);
   } else {
-    for (auto& [addr, lc] : lcs_) {
+    for (auto&& [addr, lc] : lcs_) {
       if (lc.health == LcHealth::kQuarantined) {
         // Quarantine rests the node for the dwell window. Past it, wake the
         // node back up — reinstatement needs fresh probe evidence.
@@ -589,7 +589,7 @@ void GroupManager::gm_evaluate_slowness() {
 
 void GroupManager::apply_containment() {
   std::size_t quarantined = quarantined_count();
-  for (auto& [addr, lc] : lcs_) {
+  for (auto&& [addr, lc] : lcs_) {
     const bool slow = scorer_.flagged(addr);
     switch (lc.health) {
       case LcHealth::kHealthy:
@@ -866,7 +866,7 @@ void GroupManager::try_wakeup_then_place(const VmDescriptor& vm,
   ++counters_.wakeups;
   bump("gm.wakeups");
   waking_.insert(target);
-  lcs_[target].power = LcPower::kWaking;
+  lcs_.find(target)->second.power = LcPower::kWaking;  // found by the scan above
   trace_event("gm.wakeup");
   auto wake = std::make_shared<WakeupRequest>();
   wake->ctx = span;
@@ -1099,7 +1099,7 @@ void GroupManager::gm_reconfigure() {
     instance.interference_weight = config_.consolidation_interference_weight;
     for (const net::Address addr : hosts) {
       interference::TopologySpec topo;
-      for (const auto& s : lcs_[addr].sockets) {
+      for (const auto& s : lcs_.find(addr)->second.sockets) {
         topo.sockets.push_back(interference::SocketSpec{s.llc_mb, s.mem_bw_gbps});
       }
       instance.host_topologies.push_back(std::move(topo));
@@ -1177,7 +1177,7 @@ void GroupManager::gm_reconfigure() {
 
 void GroupManager::gm_energy_check() {
   if (leader_) return;
-  for (auto& [addr, lc] : lcs_) {
+  for (auto&& [addr, lc] : lcs_) {
     // Non-healthy nodes belong to the containment machinery, which owns
     // their power state (quarantine suspends, reinstatement wakes).
     if (lc.power != LcPower::kOn || lc.draining ||
@@ -1200,9 +1200,11 @@ void GroupManager::gm_energy_check() {
 }
 
 void GroupManager::gm_suspend_lc(net::Address target) {
+  const auto it = lcs_.find(target);
+  if (it == lcs_.end()) return;
   ++counters_.suspends;
   bump("gm.suspends");
-  lcs_[target].power = LcPower::kSuspended;  // optimistic; reverted on refusal
+  it->second.power = LcPower::kSuspended;  // optimistic; reverted on refusal
   trace_event("gm.suspend");
   auto req = std::make_shared<SuspendRequest>();
   stamp_lease(*req, target);
@@ -1222,10 +1224,12 @@ void GroupManager::gm_suspend_lc(net::Address target) {
 }
 
 void GroupManager::gm_wake_lc(net::Address target) {
+  const auto it = lcs_.find(target);
+  if (it == lcs_.end()) return;
   ++counters_.wakeups;
   bump("gm.wakeups");
   waking_.insert(target);
-  lcs_[target].power = LcPower::kWaking;
+  it->second.power = LcPower::kWaking;
   trace_event("gm.wakeup");
   auto wake = std::make_shared<WakeupRequest>();
   stamp_lease(*wake, target);
@@ -1297,6 +1301,7 @@ void GroupManager::begin_drain() {
     waking_.clear();
     condemned_vms_.clear();
     inflight_placements_.clear();
+    inflight_migrations_.clear();
   }
 }
 
@@ -1363,6 +1368,7 @@ void GroupManager::become_leader(std::uint64_t epoch) {
     waking_.clear();
     condemned_vms_.clear();
     inflight_placements_.clear();
+    inflight_migrations_.clear();
   }
   // Role change: the scorer now baselines GMs, not LCs.
   scorer_.clear();
@@ -1888,6 +1894,7 @@ void GroupManager::fail() {
   waking_.clear();
   condemned_vms_.clear();
   inflight_placements_.clear();
+  inflight_migrations_.clear();
   completed_submissions_.clear();
   inflight_submissions_.clear();
   submit_waiters_.clear();

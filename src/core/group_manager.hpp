@@ -28,6 +28,7 @@
 #include "obs/slowness.hpp"
 #include "sim/trace.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/flat_map.hpp"
 
 namespace snooze::core {
 
@@ -125,6 +126,11 @@ class GroupManager final : public sim::Actor {
   /// non-draining LCs of this group, first-fit with headroom accounting.
   /// Returns the number of migrations commanded.
   std::size_t evacuate_lc(net::Address source);
+  /// Migrations this GM commanded that have not completed yet (the set the
+  /// interference planner keeps away from).
+  [[nodiscard]] std::size_t inflight_migration_count() const {
+    return inflight_migrations_.size();
+  }
 
   // --- cluster autoscaling (GL-driven, executed per GM) ----------------------
   /// Wake up to `n` suspended LCs; returns how many wakeups were commanded.
@@ -355,7 +361,12 @@ class GroupManager final : public sim::Actor {
   sim::Time reconcile_started_ = 0.0;
   telemetry::SpanContext reconcile_span_;
 
-  std::map<net::Address, LcRecord> lcs_;
+  /// Managed LCs, address-sorted in a flat table: the per-heartbeat and
+  /// per-report lookups binary-search packed addresses, and every scan
+  /// (placement, probes, summaries, liveness) runs in ascending address
+  /// order. Insert/erase shift the table, so neither may happen under a
+  /// loop over it.
+  util::FlatMap<net::Address, LcRecord> lcs_;
   std::map<net::Address, GmRecord> gms_;
   std::set<net::Address> waking_;  ///< LCs with an in-flight wakeup
 

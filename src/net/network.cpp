@@ -178,7 +178,8 @@ void Network::multicast(Address from, GroupId group, const MsgPtr& msg) {
   // always asynchronous (send() only schedules), so the group cannot mutate
   // inside this loop, but join/leave between batched sends must not
   // invalidate iteration. One buffer serves every multicast — the per-call
-  // vector allocation was measurable at heartbeat fan-out scale.
+  // vector allocation was measurable at heartbeat fan-out scale — and the
+  // copy out of the sorted member vector is a memcpy.
   multicast_scratch_.assign(it->second.begin(), it->second.end());
   for (Address member : multicast_scratch_) {
     if (member == from) continue;
@@ -186,11 +187,18 @@ void Network::multicast(Address from, GroupId group, const MsgPtr& msg) {
   }
 }
 
-void Network::join_group(GroupId group, Address member) { groups_[group].insert(member); }
+void Network::join_group(GroupId group, Address member) {
+  auto& members = groups_[group];
+  const auto pos = std::lower_bound(members.begin(), members.end(), member);
+  if (pos == members.end() || *pos != member) members.insert(pos, member);
+}
 
 void Network::leave_group(GroupId group, Address member) {
   const auto it = groups_.find(group);
-  if (it != groups_.end()) it->second.erase(member);
+  if (it == groups_.end()) return;
+  auto& members = it->second;
+  const auto pos = std::lower_bound(members.begin(), members.end(), member);
+  if (pos != members.end() && *pos == member) members.erase(pos);
 }
 
 std::size_t Network::group_size(GroupId group) const {

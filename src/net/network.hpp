@@ -175,7 +175,9 @@ class Network {
   Address next_address_ = 1;
   std::vector<NodeState> nodes_;  ///< indexed by Address
   std::set<Address> down_;
-  std::map<GroupId, std::set<Address>> groups_;
+  /// Multicast groups; members sorted ascending and unique, so delivery
+  /// order is by address and a join is idempotent.
+  std::map<GroupId, std::vector<Address>> groups_;
   std::vector<std::set<Address>> partitions_;
   double drop_probability_ = 0.0;
   std::map<std::pair<Address, Address>, LinkFaults> link_faults_;

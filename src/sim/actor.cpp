@@ -26,22 +26,10 @@ EventId Actor::after(Time delay, std::function<void()> fn) {
 
 void Actor::every(Time period, std::function<bool()> fn) {
   if (!*alive_) return;
-  auto token = alive_;
-  // Self-rescheduling closure; stops when the token dies or fn returns false.
-  // The closure holds only a weak reference to itself (each scheduled event
-  // owns the strong one), so ending the chain releases the closure instead
-  // of leaking a shared_ptr cycle.
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [this, token, period, fn = std::move(fn),
-           weak = std::weak_ptr<std::function<void()>>(tick)] {
-    if (!*token) return;
-    if (!fn()) return;
-    if (!*token) return;  // fn may have crashed the actor
-    if (auto self = weak.lock()) {
-      engine_.schedule(period, [self] { (*self)(); });
-    }
-  };
-  engine_.schedule(period, [tick] { (*tick)(); });
+  // fn may crash the actor: the token is checked on both sides of the call.
+  engine_.every(period, [token = alive_, fn = std::move(fn)] {
+    return *token && fn() && *token;
+  });
 }
 
 void Actor::cancel(EventId id) { engine_.cancel(id); }

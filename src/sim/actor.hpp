@@ -40,9 +40,10 @@ class Actor {
   /// dropped if the actor crashes or is destroyed in the meantime.
   EventId after(Time delay, std::function<void()> fn);
 
-  /// Recurring timer with a fixed period, starting one period from now.
-  /// Returns the id of the *first* tick; subsequent ticks keep running until
-  /// crash()/destruction or until `fn` returns false.
+  /// Recurring timer with a fixed period, starting one period from now (an
+  /// Engine::every timer). Ticks keep running until `fn` returns false or
+  /// the actor crashes or is destroyed; after that the next due tick ends
+  /// the timer without calling `fn`.
   void every(Time period, std::function<bool()> fn);
 
   /// Cancel a pending after() event.

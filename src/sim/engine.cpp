@@ -178,6 +178,34 @@ bool Engine::cancel(EventId id) {
   return true;
 }
 
+void Engine::every(Time period, std::function<bool()> fn) {
+  assert(period >= 0.0);
+  std::uint32_t index;
+  if (free_timers_.empty()) {
+    index = static_cast<std::uint32_t>(timers_.size());
+    timers_.push_back(Timer{period, std::move(fn)});
+  } else {
+    index = free_timers_.back();
+    free_timers_.pop_back();
+    timers_[index] = Timer{period, std::move(fn)};
+  }
+  schedule(period, [this, index] { fire_timer(index); });
+}
+
+void Engine::fire_timer(std::uint32_t index) {
+  // The reference survives timers registered by the callback (deque growth
+  // never moves elements), and nothing else can retire this entry.
+  Timer& timer = timers_[index];
+  if (!timer.fn()) {
+    timer.fn = nullptr;  // release captured state now, as a one-shot would
+    free_timers_.push_back(index);
+    return;
+  }
+  // Scheduled after fn's own events: same (time, seq) as a self-rescheduling
+  // closure, so pop order and every trace are unchanged by the table.
+  schedule(timer.period, [this, index] { fire_timer(index); });
+}
+
 void Engine::promote_far() {
   const std::uint64_t horizon = cursor_ + num_buckets_;
   while (!far_.empty()) {

@@ -33,7 +33,11 @@
 //     std::function cold array. EventId encodes (slot, generation), making
 //     cancel() a true removal — through the bag index kept in the slot, or,
 //     in a bucket already being drained, a binary search by (time, seq) and
-//     a shorter-side shift — so no tombstone ever reaches the hot pop path.
+//     a shorter-side shift — so no tombstone ever reaches the hot pop path;
+//   - periodic timers (every()) are stored once, in a table whose entries
+//     never move; each tick is an ordinary event whose closure is just
+//     (engine, index), so the steady-state control loop re-arms its
+//     heartbeat and monitoring timers without allocating.
 //
 // Determinism contract: events pop in exactly (time ascending, scheduling
 // sequence ascending) order — byte-identical to the original binary-heap
@@ -41,6 +45,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <limits>
 #include <map>
@@ -80,6 +85,25 @@ class Engine {
   /// and its slot recycled. Returns false if it already fired or was
   /// cancelled (stale handles are detected via the generation counter).
   bool cancel(EventId id);
+
+  /// Periodic timer: run `fn` every `period` seconds, the first tick one
+  /// period from now, until it returns false. The engine stores `fn` once in
+  /// its timer table; each tick is an ordinary event whose closure is just
+  /// (engine, table index), so a steady-state tick allocates nothing. After
+  /// `fn` returns true the next tick is scheduled at now() + period, with a
+  /// sequence number taken after every event `fn` itself scheduled — the
+  /// same (time, seq) a closure rescheduling itself at the end of each tick
+  /// would get. Ticks cannot be cancelled; `fn` ends the timer by returning
+  /// false (Actor::every does so once its actor has crashed).
+  void every(Time period, std::function<bool()> fn);
+
+  /// Timers registered with every() that have not ended yet.
+  [[nodiscard]] std::size_t live_timers() const {
+    return timers_.size() - free_timers_.size();
+  }
+  /// Entries of the timer table. Ended timers' entries are reused, so this
+  /// never exceeds the high-water mark of live_timers().
+  [[nodiscard]] std::size_t timer_slots() const { return timers_.size(); }
 
   /// Run until the event queue is empty or `until` is reached (whichever is
   /// first). Returns the number of events processed.
@@ -248,6 +272,8 @@ class Engine {
   /// occupied bucket if it is still a bag. Returns true for a near winner
   /// (then the front of buckets_[abs_bucket]) and false for a far one.
   bool peek(Time& time, std::uint64_t& abs_bucket);
+  /// One tick of timer `index`: run its callback, then re-arm or retire it.
+  void fire_timer(std::uint32_t index);
 
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 1;
@@ -281,6 +307,16 @@ class Engine {
   std::map<std::pair<Time, std::uint64_t>, std::uint32_t> far_;
   Time far_min_time_ = kTimeInfinity;
   std::uint64_t far_min_bucket_ = std::numeric_limits<std::uint64_t>::max();
+
+  /// Periodic timers (every()). A deque, because a tick may register new
+  /// timers: growing it must not move the entry whose callback is running.
+  /// Ended timers' indices are recycled through free_timers_.
+  struct Timer {
+    Time period = 0.0;
+    std::function<bool()> fn;
+  };
+  std::deque<Timer> timers_;
+  std::vector<std::uint32_t> free_timers_;
 
   util::Rng rng_;
 };

@@ -3,20 +3,23 @@
 // The engine promises exactly one observable ordering: events fire in
 // (time ascending, scheduling-sequence ascending) order, cancellation
 // physically removes entries, and stale handles are rejected. These tests
-// drive randomized schedule/cancel/run sequences against a trivially correct
-// reference model (an ordered map keyed by (time, insertion sequence)) and
-// compare the full firing order. A failing sequence is shrunk by repeatedly
-// deleting chunks (halving) before being reported, so the output is a
-// near-minimal reproduction, not 400 opaque operations.
+// drive randomized schedule/cancel/run/periodic-timer sequences against a
+// trivially correct reference model (an ordered map keyed by (time,
+// insertion sequence), whose timers reschedule themselves at the end of
+// each tick) and compare the full firing order. A failing sequence is
+// shrunk by repeatedly deleting chunks (halving) before being reported, so
+// the output is a near-minimal reproduction, not 400 opaque operations.
 //
 // Also here: the dead-timeout leak tests — every successful RPC cancels its
 // timeout, and cancellation must leave no physical residue in the queue
-// (queued_entries() == pending_events(), no tombstones).
+// (queued_entries() == pending_events(), no tombstones) — and the timer-table
+// leak test: crashed actors' timers must give their table entries back.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -25,6 +28,7 @@
 
 #include "net/network.hpp"
 #include "net/rpc.hpp"
+#include "sim/actor.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
 
@@ -47,6 +51,7 @@ struct Op {
     kCancelStale,  // cancel a handle that is known dead (must return false)
     kRun,          // run_until(now + value)
     kBurst,        // jittered fan-out into one or two buckets, then cancels
+    kEvery,        // periodic timer (Engine::every); pick seeds its behaviour
   };
   Kind kind;
   double value = 0.0;    // delay / horizon increment
@@ -64,6 +69,7 @@ const char* kind_name(Op::Kind k) {
     case Op::Kind::kCancelStale: return "cancel-stale";
     case Op::Kind::kRun: return "run";
     case Op::Kind::kBurst: return "burst";
+    case Op::Kind::kEvery: return "every";
   }
   return "?";
 }
@@ -75,7 +81,9 @@ std::vector<Op> generate_ops(std::uint64_t seed, std::size_t count) {
   while (ops.size() < count) {
     const int roll = rng.uniform_int(0, 99);
     Op op{};
-    if (roll < 35) {
+    if (roll < 5) {
+      op = {Op::Kind::kEvery, 0.0, rng.uniform_int<std::size_t>(1, 1u << 30)};
+    } else if (roll < 35) {
       op = {Op::Kind::kNear, rng.uniform(0.0, 2.0), 0};
     } else if (roll < 45) {
       op = {Op::Kind::kTie, 0.0, rng.uniform_int<std::size_t>(0, 1u << 16)};
@@ -111,6 +119,61 @@ std::vector<Op> generate_ops(std::uint64_t seed, std::size_t count) {
   return ops;
 }
 
+// --- periodic timers ----------------------------------------------------------
+
+/// What a periodic timer does. Each tick's actions are a pure function of
+/// the spec and the tick number, so the engine-side callback and the
+/// model's replay of it take the same decisions in the same order.
+struct TimerSpec {
+  double period = 1.0;
+  std::uint64_t seed = 0;
+  int ticks = 1;  ///< the callback returns false on this tick
+  int depth = 0;  ///< nesting level: timers registered by ticks go one deeper
+};
+constexpr int kMaxTimerDepth = 2;
+
+TimerSpec random_timer_spec(util::Rng& rng, int depth) {
+  // Half the periods come from a few exactly representable values, so
+  // timers registered at the same instant tie with each other.
+  static constexpr double kRound[] = {0.125, 0.25, 0.5, 1.0};
+  TimerSpec spec;
+  spec.period = rng.chance(0.5) ? kRound[rng.uniform_int(0, 3)] : rng.uniform(0.05, 3.0);
+  spec.seed = rng.next_u64();
+  spec.ticks = rng.uniform_int(1, 16);
+  spec.depth = depth;
+  return spec;
+}
+
+struct TickPlan {
+  bool cancel_prev = false;  ///< cancel the one-shot this timer scheduled last
+  bool one_shot = false;     ///< schedule a one-shot shot_delay ahead
+  double shot_delay = 0.0;
+  bool spawn = false;        ///< register the child timer
+  TimerSpec child;
+};
+
+TickPlan plan_tick(const TimerSpec& spec, int tick) {
+  util::Rng rng(spec.seed ^ (0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(tick)));
+  TickPlan plan;
+  plan.cancel_prev = rng.chance(0.3);
+  plan.one_shot = rng.chance(0.6);
+  switch (rng.uniform_int(0, 2)) {
+    case 0: plan.shot_delay = spec.period; break;  // ties the timer's next tick
+    case 1: plan.shot_delay = 0.0; break;
+    default: plan.shot_delay = rng.uniform(0.0, 2.0 * spec.period); break;
+  }
+  plan.spawn = spec.depth < kMaxTimerDepth && rng.chance(0.15);
+  if (plan.spawn) plan.child = random_timer_spec(rng, spec.depth + 1);
+  return plan;
+}
+
+int tick_token(std::size_t timer, int tick) {
+  return 2'000'000 + static_cast<int>(timer) * 100 + tick;
+}
+int shot_token(std::size_t timer, int tick) {
+  return 3'000'000 + static_cast<int>(timer) * 100 + tick;
+}
+
 // --- interpreter + reference model ------------------------------------------
 
 /// Runs `ops` against a fresh engine and the reference model in lockstep.
@@ -123,9 +186,11 @@ std::optional<std::string> run_ops(const std::vector<Op>& ops) {
   // the same relative order as the engine's (schedules outside runs happen in
   // op order; chain schedules happen in pop order, which matches inductively).
   using Key = std::pair<Time, std::uint64_t>;
+  constexpr std::size_t kNoTimer = static_cast<std::size_t>(-1);
   struct ModelEvent {
     int token;
     bool chain;
+    std::size_t timer = kNoTimer;  ///< a tick of this timer (token unused)
   };
   std::map<Key, ModelEvent> model;
   std::uint64_t model_seq = 1;
@@ -133,6 +198,27 @@ std::optional<std::string> run_ops(const std::vector<Op>& ops) {
   std::vector<int> fired;     // tokens in engine firing order
   std::vector<int> expected;  // tokens in model order
   int next_token = 0;
+
+  // Periodic timers, indexed by registration order (the same on both sides:
+  // op order, then pop order for timers registered by ticks). Each side
+  // also logs the time of every tick and the result of every cancel a tick
+  // makes.
+  struct EngineTimer {
+    TimerSpec spec;
+    int ticks = 0;
+    EventId last_shot = 0;
+  };
+  struct ModelTimer {
+    TimerSpec spec;
+    int ticks = 0;
+    std::optional<Key> last_shot;
+  };
+  std::vector<EngineTimer> engine_timers;
+  std::vector<ModelTimer> model_timers;
+  std::vector<Time> engine_tick_times;
+  std::vector<Time> model_tick_times;
+  std::vector<bool> engine_tick_cancels;
+  std::vector<bool> model_tick_cancels;
 
   struct Tracked {
     EventId id;
@@ -152,6 +238,66 @@ std::optional<std::string> run_ops(const std::vector<Op>& ops) {
     if (chain) {
       engine.schedule(kChainDelay,
                       [&fire, token] { fire(token + 1'000'000, false); });
+    }
+  };
+
+  std::function<void(const TimerSpec&)> engine_every = [&](const TimerSpec& spec) {
+    const std::size_t id = engine_timers.size();
+    engine_timers.push_back({spec, 0, 0});
+    engine.every(spec.period, [&, id] {
+      // By index, never by reference: a spawn below grows engine_timers.
+      const int tick = ++engine_timers[id].ticks;
+      fired.push_back(tick_token(id, tick));
+      engine_tick_times.push_back(engine.now());
+      const TickPlan plan = plan_tick(engine_timers[id].spec, tick);
+      if (plan.cancel_prev && engine_timers[id].last_shot != 0) {
+        engine_tick_cancels.push_back(engine.cancel(engine_timers[id].last_shot));
+        engine_timers[id].last_shot = 0;
+      }
+      if (plan.one_shot) {
+        const int token = shot_token(id, tick);
+        engine_timers[id].last_shot =
+            engine.schedule(plan.shot_delay, [&fired, token] { fired.push_back(token); });
+      }
+      if (plan.spawn) engine_every(plan.child);
+      return tick < engine_timers[id].spec.ticks;
+    });
+  };
+  auto model_every = [&](Time now, const TimerSpec& spec) {
+    model.emplace(Key{now + spec.period, model_seq++},
+                  ModelEvent{0, false, model_timers.size()});
+    model_timers.push_back({spec, 0, std::nullopt});
+  };
+  // Pop one model event. A timer tick replays the reference semantics of a
+  // closure that reschedules itself: run the tick's actions, then, unless
+  // it was the last tick, schedule the next one period later — after the
+  // tick's own schedules, so with the next sequence number.
+  auto model_fire = [&](const Key& key, const ModelEvent& ev) {
+    if (ev.timer == kNoTimer) {
+      expected.push_back(ev.token);
+      if (ev.chain) {
+        model.emplace(Key{key.first + kChainDelay, model_seq++},
+                      ModelEvent{ev.token + 1'000'000, false});
+      }
+      return;
+    }
+    const std::size_t id = ev.timer;
+    const int tick = ++model_timers[id].ticks;
+    expected.push_back(tick_token(id, tick));
+    model_tick_times.push_back(key.first);
+    const TickPlan plan = plan_tick(model_timers[id].spec, tick);
+    if (plan.cancel_prev && model_timers[id].last_shot.has_value()) {
+      model_tick_cancels.push_back(model.erase(*model_timers[id].last_shot) > 0);
+      model_timers[id].last_shot.reset();
+    }
+    if (plan.one_shot) {
+      const Key shot{key.first + plan.shot_delay, model_seq++};
+      model.emplace(shot, ModelEvent{shot_token(id, tick), false});
+      model_timers[id].last_shot = shot;
+    }
+    if (plan.spawn) model_every(key.first, plan.child);
+    if (tick < model_timers[id].spec.ticks) {
+      model.emplace(Key{key.first + model_timers[id].spec.period, model_seq++}, ev);
     }
   };
 
@@ -191,6 +337,13 @@ std::optional<std::string> run_ops(const std::vector<Op>& ops) {
       case Op::Kind::kFar:
         schedule_both(engine.now() + op.value, false);
         break;
+      case Op::Kind::kEvery: {
+        util::Rng spec_rng(op.pick);
+        const TimerSpec spec = random_timer_spec(spec_rng, 0);
+        engine_every(spec);
+        model_every(engine.now(), spec);
+        break;
+      }
       case Op::Kind::kTie: {
         if (model.empty()) break;  // nothing pending to tie with
         auto it = model.begin();
@@ -281,13 +434,13 @@ std::optional<std::string> run_ops(const std::vector<Op>& ops) {
         while (!model.empty() && model.begin()->first.first <= horizon) {
           const auto [key, ev] = *model.begin();
           model.erase(model.begin());
-          expected.push_back(ev.token);
-          if (ev.chain) {
-            model.emplace(Key{key.first + kChainDelay, model_seq++},
-                          ModelEvent{ev.token + 1'000'000, false});
-          }
+          model_fire(key, ev);
         }
         if (fired != expected) return fail("firing order diverged");
+        if (engine_tick_times != model_tick_times) return fail("a timer ticked off time");
+        if (engine_tick_cancels != model_tick_cancels) {
+          return fail("a cancel made by a timer tick returned the wrong result");
+        }
         if (engine.pending_events() != model.size()) {
           return fail("pending_events() != model size (" +
                       std::to_string(engine.pending_events()) + " vs " +
@@ -306,16 +459,27 @@ std::optional<std::string> run_ops(const std::vector<Op>& ops) {
   while (!model.empty()) {
     const auto [key, ev] = *model.begin();
     model.erase(model.begin());
-    expected.push_back(ev.token);
-    if (ev.chain) {
-      model.emplace(Key{key.first + kChainDelay, model_seq++},
-                    ModelEvent{ev.token + 1'000'000, false});
-    }
+    model_fire(key, ev);
   }
   if (fired != expected) return fail("firing order diverged after drain");
+  if (engine_tick_times != model_tick_times) return fail("a timer ticked off time");
+  if (engine_tick_cancels != model_tick_cancels) {
+    return fail("a cancel made by a timer tick returned the wrong result");
+  }
+  // Every tick is exactly one scheduled event, as with the self-rescheduling
+  // closure the model implements.
+  if (engine.stats().scheduled != model_seq - 1) {
+    return fail("stats().scheduled disagrees with the model's schedule count");
+  }
+  if (engine.live_timers() != 0) return fail("timers alive after their last tick");
+  if (engine.timer_slots() > model_timers.size()) {
+    return fail("timer table larger than the number of timers ever registered");
+  }
   if (engine.pending_events() != 0) return fail("events left after full drain");
   if (engine.queued_entries() != 0) return fail("entries left after full drain");
-  if (engine.stats().cancelled != cancels_issued) {
+  const auto tick_cancels = static_cast<std::uint64_t>(
+      std::count(model_tick_cancels.begin(), model_tick_cancels.end(), true));
+  if (engine.stats().cancelled != cancels_issued + tick_cancels) {
     return fail("stats().cancelled disagrees with successful cancel count");
   }
   if (engine.stats().fired != fired.size()) {
@@ -637,6 +801,91 @@ TEST(TimeoutLeak, RetriedRpcsDrainCompletely) {
   EXPECT_EQ(engine.pending_events(), 0u);
   EXPECT_EQ(engine.queued_entries(), 0u);
   EXPECT_GT(engine.stats().cancelled, 0u);
+}
+
+// --- timer-table leak test ----------------------------------------------------
+
+/// An actor with four periodic timers that a test can cycle through
+/// crash/recover/restart, either from outside a run or from inside one of
+/// its own ticks.
+class Ticker final : public sim::Actor {
+ public:
+  Ticker(sim::Engine& engine, int id) : sim::Actor(engine, "ticker" + std::to_string(id)) {}
+
+  void start() {
+    every(0.5, [this] {
+      ++ticks;
+      if (restart_from_tick) {
+        // Registers four timers while the engine is running this one's
+        // callback: the table grows (or reuses entries) mid-call.
+        restart_from_tick = false;
+        restart();
+      }
+      return true;
+    });
+    for (const double period : {1.25, 2.0, 3.0}) {
+      every(period, [this] {
+        ++ticks;
+        return true;
+      });
+    }
+  }
+
+  void restart() {
+    crash();
+    recover();
+    start();
+  }
+
+  bool restart_from_tick = false;
+  std::uint64_t ticks = 0;
+};
+
+// 1k actors with 4 timers each go through 50 crash/recover/restart cycles:
+// odd actors from inside their own tick, then even actors between runs. A
+// crashed actor's timers end on their next tick and give their entries
+// back, so the table never holds more than the old and the new generation
+// (it stays bounded by the live timers instead of growing each cycle), and
+// each live timer has exactly one pending event. The first in-tick phase
+// grows the table past its initial 4k entries while a callback is running.
+TEST(TimerLeak, CrashRecoverCyclesKeepTheTableBounded) {
+  sim::Engine engine;
+  constexpr int kActors = 1000;
+  constexpr std::size_t kLive = 4 * kActors;
+  std::vector<std::unique_ptr<Ticker>> actors;
+  for (int i = 0; i < kActors; ++i) {
+    actors.push_back(std::make_unique<Ticker>(engine, i));
+    actors.back()->start();
+  }
+  ASSERT_EQ(engine.live_timers(), kLive);
+
+  std::size_t peak_slots = 0;
+  const auto check = [&](int cycle) {
+    ASSERT_EQ(engine.live_timers(), kLive) << "cycle " << cycle;
+    ASSERT_EQ(engine.pending_events(), kLive) << "cycle " << cycle;
+    ASSERT_EQ(engine.queued_entries(), engine.pending_events()) << "cycle " << cycle;
+    ASSERT_LE(engine.timer_slots(), 2 * kLive) << "cycle " << cycle;
+    peak_slots = std::max(peak_slots, engine.timer_slots());
+  };
+  for (int cycle = 0; cycle < 50; ++cycle) {
+    // Odd actors restart within 0.5 s, from their own tick; every old timer
+    // then ticks once more (periods <= 3 s) and ends.
+    for (std::size_t i = 1; i < actors.size(); i += 2) actors[i]->restart_from_tick = true;
+    engine.run_until(engine.now() + 5.0);
+    check(cycle);
+    for (std::size_t i = 0; i < actors.size(); i += 2) actors[i]->restart();
+    engine.run_until(engine.now() + 5.0);
+    check(cycle);
+  }
+  EXPECT_EQ(engine.timer_slots(), peak_slots) << "the table never shrinks, only reuses";
+  for (const auto& actor : actors) EXPECT_GT(actor->ticks, 0u);
+
+  // Crashing everyone retires every timer at its next tick.
+  for (const auto& actor : actors) actor->crash();
+  engine.run_until(engine.now() + 5.0);
+  EXPECT_EQ(engine.live_timers(), 0u);
+  EXPECT_EQ(engine.pending_events(), 0u);
+  EXPECT_EQ(engine.queued_entries(), 0u);
 }
 
 }  // namespace

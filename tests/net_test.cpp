@@ -3,7 +3,9 @@
 // RPC layer (immediate + deferred replies, timeouts, crash semantics).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
+#include <vector>
 
 #include "net/network.hpp"
 #include "net/rpc.hpp"
@@ -201,6 +203,47 @@ TEST_F(NetworkTest, LeaveGroupStopsDelivery) {
   engine.run();
   EXPECT_TRUE(b.received.empty());
   EXPECT_EQ(network.group_size(7), 0u);
+}
+
+/// Appends its own address to a log shared by several endpoints, so a test
+/// can see the order in which one multicast reached them.
+class OrderLog final : public net::Endpoint {
+ public:
+  OrderLog(Address self, std::vector<Address>& log) : self_(self), log_(log) {}
+  void on_message(const Envelope&) override { log_.push_back(self_); }
+
+ private:
+  Address self_;
+  std::vector<Address>& log_;
+};
+
+// Group membership is a sorted set whatever the join order: a second join
+// is a no-op, leaving a group one never joined changes nothing, and one
+// multicast reaches each member exactly once, in ascending address order.
+TEST_F(NetworkTest, MulticastDeliversOncePerMemberInAddressOrder) {
+  std::vector<Address> order;
+  std::vector<std::unique_ptr<OrderLog>> members;
+  for (Address a = 1; a <= 6; ++a) {
+    members.push_back(std::make_unique<OrderLog>(a, order));
+    network.attach(a, members.back().get());
+  }
+  for (const Address a : {5u, 2u, 6u, 3u, 1u}) network.join_group(7, a);
+  network.join_group(7, 3);   // already a member
+  network.leave_group(7, 4);  // never joined
+  network.leave_group(9, 4);  // unknown group
+  EXPECT_EQ(network.group_size(7), 5u);
+
+  network.multicast(4, 7, ping());  // from outside the group
+  engine.run();
+  EXPECT_EQ(order, (std::vector<Address>{1, 2, 3, 5, 6}));
+
+  order.clear();
+  network.leave_group(7, 5);
+  network.join_group(7, 4);
+  network.multicast(3, 7, ping());  // from a member: not echoed back
+  engine.run();
+  EXPECT_EQ(order, (std::vector<Address>{1, 2, 4, 6}));
+  EXPECT_EQ(network.group_size(7), 5u);
 }
 
 TEST_F(NetworkTest, TrafficAccounting) {

@@ -122,6 +122,38 @@ TEST(Drain, EvacuationCompletesInFlightMigrations) {
   EXPECT_FALSE(system.trace().of_kind("lc.migration_start").empty());
 }
 
+// A GM that crashes with migrations in flight forgets them. The crash drops
+// the pending MigrateVm callbacks and each MigrationDone reaches the dead
+// incarnation, so a record that survived restart() would keep those VMs and
+// destinations out of interference planning for good.
+TEST(Drain, GmRestartForgetsInFlightMigrations) {
+  SnoozeSystem system(spec_of(2, 4));
+  system.start();
+  ASSERT_TRUE(system.run_until_stable(60.0));
+  std::vector<VmDescriptor> vms;
+  for (int i = 0; i < 6; ++i) {
+    vms.push_back(system.make_vm({0.15, 0.1, 0.1}, 0.0, constant_trace(0.5)));
+  }
+  system.client().submit_all(vms, 0.2);
+  system.engine().run_until(system.engine().now() + 20.0);
+
+  LocalController* source = nullptr;
+  for (const auto& lc : system.local_controllers()) {
+    if (source == nullptr || lc->vm_count() > source->vm_count()) source = lc.get();
+  }
+  ASSERT_NE(source, nullptr);
+  GroupManager* owner = owner_of(system, *source);
+  ASSERT_NE(owner, nullptr);
+  ASSERT_GT(owner->evacuate_lc(source->address()), 0u);
+  ASSERT_GT(owner->inflight_migration_count(), 0u);
+
+  owner->fail();
+  owner->restart();
+  EXPECT_EQ(owner->inflight_migration_count(), 0u);
+  system.engine().run_until(system.engine().now() + 120.0);
+  EXPECT_EQ(owner->inflight_migration_count(), 0u);
+}
+
 // cancel_drain() reopens the node: subsequent placements may use it again.
 TEST(Drain, CancelDrainReopensNode) {
   SnoozeSystem system(spec_of(2, 2));

@@ -1,14 +1,19 @@
 // Unit tests for the util library: stats accumulators, RNG, tables, CSV,
-// args parsing and the thread pool.
+// args parsing, the flat map and the thread pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/args.hpp"
 #include "util/csv.hpp"
+#include "util/flat_map.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -448,6 +453,90 @@ TEST(Args, PositionalArguments) {
   ASSERT_EQ(args.positional().size(), 2u);
   EXPECT_EQ(args.positional()[0], "input.txt");
   EXPECT_EQ(args.positional()[1], "output.txt");
+}
+
+// --- FlatMap -----------------------------------------------------------------
+
+/// The map's (key, value) sequence in iteration order, through the const
+/// iterators (the non-const ones are checked against them by the ops).
+template <typename Map>
+std::vector<std::pair<int, std::string>> contents(const Map& map) {
+  std::vector<std::pair<int, std::string>> out;
+  for (const auto& [key, value] : map) out.emplace_back(key, value);
+  return out;
+}
+
+// Differential test against std::map: a seeded stream of operator[] writes,
+// finds, counts, erases by key and by iterator, and clears, over a key range
+// small enough that hits, misses and re-inserts all happen often. After
+// every operation both maps must iterate the same pairs in the same order.
+TEST(FlatMap, MatchesStdMapUnderRandomOps) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    FlatMap<int, std::string> flat;
+    std::map<int, std::string> ref;
+    for (int step = 0; step < 2000; ++step) {
+      const int key = rng.uniform_int(0, 63);
+      const int roll = rng.uniform_int(0, 99);
+      if (roll < 40) {
+        const std::string value = std::to_string(step);
+        flat[key] = value;
+        ref[key] = value;
+      } else if (roll < 55) {
+        // operator[] on a present key must not insert; on an absent one it
+        // inserts a default value.
+        EXPECT_EQ(flat[key], ref[key]);
+      } else if (roll < 70) {
+        const auto it = flat.find(key);
+        const auto rit = ref.find(key);
+        ASSERT_EQ(it == flat.end(), rit == ref.end());
+        if (rit != ref.end()) {
+          EXPECT_EQ(it->first, rit->first);
+          EXPECT_EQ(it->second, rit->second);
+          it->second += "+";  // writes through the iterator land in the map
+          rit->second += "+";
+        }
+        EXPECT_EQ(flat.count(key), ref.count(key));
+      } else if (roll < 85) {
+        EXPECT_EQ(flat.erase(key), ref.erase(key));
+      } else if (roll < 99) {
+        // Erase by iterator: the returned iterator names the next entry.
+        const auto it = flat.find(key);
+        const auto rit = ref.find(key);
+        ASSERT_EQ(it == flat.end(), rit == ref.end());
+        if (rit != ref.end()) {
+          const auto next = flat.erase(it);
+          const auto rnext = ref.erase(rit);
+          ASSERT_EQ(next == flat.end(), rnext == ref.end());
+          if (rnext != ref.end()) {
+            EXPECT_EQ(next->first, rnext->first);
+          }
+        }
+      } else {
+        flat.clear();
+        ref.clear();
+      }
+      ASSERT_EQ(flat.size(), ref.size()) << "seed " << seed << " step " << step;
+      ASSERT_EQ(flat.empty(), ref.empty());
+      ASSERT_EQ(contents(flat), contents(ref)) << "seed " << seed << " step " << step;
+    }
+  }
+}
+
+TEST(FlatMap, MutableIterationWritesThrough) {
+  FlatMap<int, int> map;
+  for (const int k : {30, 10, 20}) map[k] = k;
+  for (auto&& [key, value] : map) value += 1;
+  std::vector<std::pair<int, int>> seen;
+  for (const auto& [key, value] : map) seen.emplace_back(key, value);
+  EXPECT_EQ(seen, (std::vector<std::pair<int, int>>{{10, 11}, {20, 21}, {30, 31}}));
+  // Erasing every other entry through the returned iterator.
+  for (auto it = map.begin(); it != map.end();) {
+    it = it->first == 20 ? map.erase(it) : std::next(it);
+  }
+  EXPECT_EQ(map.size(), 2u);
+  EXPECT_EQ(map.count(20), 0u);
+  EXPECT_EQ(map.find(30)->second, 31);
 }
 
 // --- ThreadPool --------------------------------------------------------------------
