@@ -1,11 +1,14 @@
-// Summary-protocol scaling benchmark: full per-period GmSummary vs the
-// batched delta stream on the same 3 GM / 200 LC deployment.
+// Summary-protocol scaling benchmark: the batched delta stream vs full
+// per-period summaries on a 3 GM / 200 LC deployment.
 //
 // A full summary re-lists every VM location each gm_summary_period, so the
 // GM -> GL byte rate grows with the VM population even when nothing changes.
 // The delta stream's steady state is a near-empty acknowledged header per GM
-// per period — O(churn), not O(VMs). The acceptance bar for the protocol
-// change: steady-state summary bytes per LC-period drop >= 5x.
+// per period — O(churn), not O(VMs). The acceptance bar for the protocol:
+// steady-state summary bytes per LC-period at least 5x below full summaries.
+//
+// Only the delta stream runs; the full-summary baseline is the retired full
+// summary's wire size from every reporting GM in every period of the window.
 //
 //   bench_summary_scale [--quick] [--json=BENCH_scale.json] [--min-ratio=R]
 //                       [--max-delta-bytes=B]
@@ -33,8 +36,13 @@ using namespace snooze::core;
 
 namespace {
 
+/// Wire size of a full summary: a header plus one (VM, LC) pair per VM.
+constexpr double kFullSummaryHeaderBytes = 72.0;
+constexpr double kFullSummaryBytesPerVm = 16.0;
+
 struct Measurement {
   double bytes_per_lc_period = 0.0;
+  double full_bytes_per_lc_period = 0.0;
   std::uint64_t snapshots = 0;
   std::uint64_t deltas = 0;
   std::uint64_t nacks = 0;
@@ -42,13 +50,12 @@ struct Measurement {
   bool ok = false;
 };
 
-Measurement measure(bool delta_summaries, std::uint64_t seed, double window) {
+Measurement measure(std::uint64_t seed, double window) {
   SystemSpec spec;
   spec.entry_points = 1;
   spec.group_managers = 3;
   spec.local_controllers = 200;
   spec.seed = seed;
-  spec.config.delta_summaries = delta_summaries;
   SnoozeSystem system(spec);
   system.start();
   Measurement m;
@@ -57,8 +64,8 @@ Measurement measure(bool delta_summaries, std::uint64_t seed, double window) {
     return m;
   }
 
-  // Populate half the fleet with long-lived VMs so full summaries carry a
-  // realistic location list, then let placements settle: the measurement
+  // Populate half the fleet with long-lived VMs so full summaries would carry
+  // a realistic location list, then let placements settle: the measurement
   // window is churn-free steady state — the delta stream's best case and the
   // full stream's unchanged cost.
   std::vector<VmDescriptor> vms;
@@ -76,7 +83,17 @@ Measurement measure(bool delta_summaries, std::uint64_t seed, double window) {
     bytes0 += gm->counters().summary_bytes_sent;
   }
   const double t0 = system.engine().now();
-  system.engine().run_until(t0 + window);
+  const double period = spec.config.gm_summary_period;
+  const double periods = window / period;
+  double full_bytes = 0.0;
+  for (double k = 1.0; k <= periods; k += 1.0) {
+    system.engine().run_until(t0 + k * period);
+    for (const auto& gm : system.group_managers()) {
+      if (!gm->alive() || gm->is_leader()) continue;
+      full_bytes += kFullSummaryHeaderBytes +
+                    kFullSummaryBytesPerVm * static_cast<double>(gm->vm_count());
+    }
+  }
 
   std::uint64_t bytes = 0;
   for (const auto& gm : system.group_managers()) {
@@ -86,9 +103,9 @@ Measurement measure(bool delta_summaries, std::uint64_t seed, double window) {
     m.nacks += gm->counters().summary_nacks;
   }
   bytes -= bytes0;
-  const double periods = window / spec.config.gm_summary_period;
-  m.bytes_per_lc_period = static_cast<double>(bytes) /
-                          (periods * static_cast<double>(spec.local_controllers));
+  const double lc_periods = periods * static_cast<double>(spec.local_controllers);
+  m.bytes_per_lc_period = static_cast<double>(bytes) / lc_periods;
+  m.full_bytes_per_lc_period = full_bytes / lc_periods;
   m.vms_running = system.running_vm_count();
   m.ok = true;
   return m;
@@ -106,35 +123,28 @@ int main(int argc, char** argv) {
   const double window = quick ? 120.0 : 600.0;
 
   bench::print_header(
-      "summary-protocol scaling: full GmSummary vs batched deltas",
+      "summary-protocol scaling: batched deltas vs full summaries",
       "GL ingest must be O(GMs + churn), not O(total VMs), on the way to "
       "100k LCs");
   std::printf("3 GMs / 200 LCs / 100 VMs, %.0f virtual seconds steady state\n\n",
               window);
 
-  const Measurement full = measure(false, seed, window);
-  const Measurement delta = measure(true, seed, window);
-  if (!full.ok || !delta.ok) return 2;
-  if (full.vms_running != delta.vms_running) {
-    std::fprintf(stderr,
-                 "FATAL: runs diverged (%zu vs %zu running VMs) — the protocol "
-                 "change must not alter placement\n",
-                 full.vms_running, delta.vms_running);
-    return 2;
-  }
+  const Measurement delta = measure(seed, window);
+  if (!delta.ok) return 2;
 
   util::Table table({"protocol", "B per LC-period", "snapshots", "deltas", "nacks"});
-  table.add_row({"full", util::Table::num(full.bytes_per_lc_period, 2), "-", "-", "-"});
+  table.add_row({"full (wire size)", util::Table::num(delta.full_bytes_per_lc_period, 2),
+                 "-", "-", "-"});
   table.add_row({"delta", util::Table::num(delta.bytes_per_lc_period, 2),
                  std::to_string(delta.snapshots), std::to_string(delta.deltas),
                  std::to_string(delta.nacks)});
   table.print();
 
   const double ratio = delta.bytes_per_lc_period > 0.0
-                           ? full.bytes_per_lc_period / delta.bytes_per_lc_period
+                           ? delta.full_bytes_per_lc_period / delta.bytes_per_lc_period
                            : 0.0;
   std::printf("\nsteady-state bytes per LC-period: %.2f -> %.2f (%.1fx reduction)\n",
-              full.bytes_per_lc_period, delta.bytes_per_lc_period, ratio);
+              delta.full_bytes_per_lc_period, delta.bytes_per_lc_period, ratio);
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);
@@ -143,7 +153,7 @@ int main(int argc, char** argv) {
         << "  \"window_virtual_s\": " << window << ",\n"
         << "  \"gms\": 3,\n  \"lcs\": 200,\n"
         << "  \"vms_running\": " << delta.vms_running << ",\n"
-        << "  \"full_bytes_per_lc_period\": " << full.bytes_per_lc_period << ",\n"
+        << "  \"full_bytes_per_lc_period\": " << delta.full_bytes_per_lc_period << ",\n"
         << "  \"delta_bytes_per_lc_period\": " << delta.bytes_per_lc_period << ",\n"
         << "  \"delta_snapshots\": " << delta.snapshots << ",\n"
         << "  \"delta_deltas\": " << delta.deltas << ",\n"

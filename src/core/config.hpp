@@ -19,9 +19,6 @@ enum class DispatchPolicyKind { kRoundRobin, kLeastLoaded };
 /// fleet has no socket topology or the VM no profile.
 enum class PlacementPolicyKind { kFirstFit, kRoundRobin, kBestFit, kLeastInterference };
 
-/// Which policy the GL uses to assign a joining LC to a GM.
-enum class AssignmentPolicyKind { kRoundRobin, kLeastLoaded };
-
 /// Which algorithm periodic reconfiguration runs.
 enum class ConsolidationKind { kNone, kFfd, kBfd, kAco };
 
@@ -57,13 +54,12 @@ struct SloConfig {
   /// (1 - multiplier) seconds per second of wall time it runs degraded.
   double degraded_vm_seconds_per_min_max = 30.0;
 
-  /// Delta-summary protocol health (NaN — never breaching — in full-summary
-  /// deployments). The delta stream's steady state is one near-empty header
-  /// (~100 bytes) per sending GM per period *regardless of fleet shape*,
-  /// while re-snapshotting adds ~16 bytes per hosted VM — so bytes per
-  /// sending GM per period separates a converged stream from a stuck one at
-  /// any topology (per-LC normalization does not: a healthy 4-LC cluster
-  /// reads higher per LC than a re-snapshotting 200-LC one).
+  /// Summary-stream health. The delta stream's steady state is one
+  /// near-empty header (~100 bytes) per sending GM per period *regardless of
+  /// fleet shape*, while re-snapshotting adds ~16 bytes per hosted VM — so
+  /// bytes per sending GM per period separates a converged stream from a
+  /// stuck one at any topology (per-LC normalization does not: a healthy
+  /// 4-LC cluster reads higher per LC than a re-snapshotting 200-LC one).
   double summary_bytes_per_gm_period_max = 256.0;
   /// Age of the stalest GM summary at the acting GL. The GL ages a GM out
   /// after gm_summary_period * heartbeat_timeout_factor (7 s at defaults);
@@ -111,7 +107,6 @@ struct GrayConfig {
   double max_quarantined_fraction = 0.2;
   sim::Time reinstate_after_s = 30.0;   ///< quarantine dwell before re-probing
   int reinstate_clean_probes = 3;       ///< consecutive clean evals to reinstate
-  bool hedged_probes = true;  ///< probes ride call_with_hedging (idempotent)
 };
 
 struct SnoozeConfig {
@@ -131,13 +126,6 @@ struct SnoozeConfig {
   // --- monitoring / estimation ---------------------------------------------
   sim::Time lc_monitor_period = 2.0;     ///< LC -> GM resource monitoring
   sim::Time gm_summary_period = 2.0;     ///< GM -> GL aggregated summary
-  /// Batched delta summaries (GmSummaryDelta stream) instead of full
-  /// per-period GmSummary messages: O(churn) bytes on the wire, snapshot
-  /// fallback on any ack uncertainty, and a GL-side VM->GM ownership
-  /// inventory that resolves cross-GM duplicate VMs. On by default (the
-  /// golden traces are recorded under this mode); set to false for the
-  /// legacy full-summary wire protocol.
-  bool delta_summaries = true;
   std::size_t estimator_window = 5;      ///< sliding window length (samples)
   /// Window-max is conservative (never under-estimates recent demand);
   /// EWMA is smoother and tracks trends (see core/estimator.hpp).
@@ -147,7 +135,6 @@ struct SnoozeConfig {
   // --- scheduling -----------------------------------------------------------
   DispatchPolicyKind dispatch_policy = DispatchPolicyKind::kRoundRobin;
   PlacementPolicyKind placement_policy = PlacementPolicyKind::kFirstFit;
-  AssignmentPolicyKind assignment_policy = AssignmentPolicyKind::kRoundRobin;
   double overload_threshold = 0.90;   ///< LC bottleneck utilization
   double underload_threshold = 0.20;
   sim::Time anomaly_check_period = 5.0;  ///< LC-local overload/underload scan

@@ -13,6 +13,13 @@ namespace snooze::core {
 namespace {
 /// Sentinel for "no socket booked" in the optimistic placement bookkeeping.
 constexpr std::size_t kNoSocket = static_cast<std::size_t>(-1);
+
+/// Roll a VM's requested capacity back out of an LC's reserved total,
+/// clamped at zero (the LC's next monitoring report is the ground truth).
+void release(ResourceVector& reserved, const ResourceVector& requested) {
+  reserved -= requested;
+  if (reserved.any_negative()) reserved = {};
+}
 }  // namespace
 
 GroupManager::GroupManager(sim::Engine& engine, net::Network& network,
@@ -29,7 +36,6 @@ GroupManager::GroupManager(sim::Engine& engine, net::Network& network,
       trace_(trace) {
   dispatch_policy_ = make_dispatch_policy(config_.dispatch_policy);
   placement_policy_ = make_placement_policy(config_.placement_policy);
-  assignment_policy_ = make_assignment_policy(config_.assignment_policy);
   scorer_ = obs::SlownessScorer(obs::SlownessConfig{
       config_.gray.ewma_alpha, config_.gray.z_flag, config_.gray.z_clear,
       config_.gray.slow_flag_sustain_s});
@@ -95,35 +101,29 @@ std::size_t GroupManager::vm_count() const {
   return n;
 }
 
-std::vector<GmInfo> GroupManager::gm_infos() const {
-  std::vector<GmInfo> out;
-  out.reserve(gms_.size());
-  for (const auto& [addr, record] : gms_) out.push_back(record.info);
-  return out;
+LcInfo GroupManager::lc_info(net::Address addr, const LcRecord& record) {
+  LcInfo info;
+  info.lc = addr;
+  info.capacity = record.capacity;
+  info.reserved = record.reserved;
+  info.estimated_used = record.used;
+  info.powered_on = record.power == LcPower::kOn;
+  info.draining = record.draining;
+  info.probation = record.health != LcHealth::kHealthy;
+  info.vm_count = static_cast<std::uint32_t>(record.vms.size());
+  info.worst_penalty = record.worst_penalty;
+  info.sockets.reserve(record.sockets.size());
+  for (const auto& s : record.sockets) {
+    info.sockets.push_back(LcInfo::SocketInfo{s.llc_mb, s.mem_bw_gbps, s.llc_demand_mb,
+                                              s.bw_demand_gbps, s.vms});
+  }
+  return info;
 }
 
 std::vector<LcInfo> GroupManager::lc_infos() const {
   std::vector<LcInfo> out;
   out.reserve(lcs_.size());
-  for (const auto& [addr, record] : lcs_) {
-    LcInfo info;
-    info.lc = addr;
-    info.capacity = record.capacity;
-    info.reserved = record.reserved;
-    info.estimated_used = record.used;
-    info.powered_on = record.power == LcPower::kOn;
-    info.draining = record.draining;
-    info.probation = record.health != LcHealth::kHealthy;
-    info.vm_count = static_cast<std::uint32_t>(record.vms.size());
-    info.worst_penalty = record.worst_penalty;
-    info.sockets.reserve(record.sockets.size());
-    for (const auto& s : record.sockets) {
-      info.sockets.push_back(LcInfo::SocketInfo{s.llc_mb, s.mem_bw_gbps,
-                                                s.llc_demand_mb, s.bw_demand_gbps,
-                                                s.vms});
-    }
-    out.push_back(info);
-  }
+  for (const auto& [addr, record] : lcs_) out.push_back(lc_info(addr, record));
   return out;
 }
 
@@ -134,8 +134,6 @@ std::vector<LcInfo> GroupManager::lc_infos() const {
 void GroupManager::handle_oneway(const net::Envelope& env) {
   if (const auto* hb = net::msg_cast<GlHeartbeat>(env.payload)) {
     handle_gl_heartbeat(*hb);
-  } else if (const auto* summary = net::msg_cast<GmSummary>(env.payload)) {
-    handle_gm_summary(*summary);
   } else if (const auto* monitor = net::msg_cast<LcMonitorData>(env.payload)) {
     handle_monitor(*monitor);
   } else if (const auto* hb2 = net::msg_cast<LcHeartbeat>(env.payload)) {
@@ -201,7 +199,7 @@ void GroupManager::gm_tick_heartbeat() {
 }
 
 void GroupManager::gm_tick_summary() {
-  if (leader_) return;  // the GL keeps no LCs and reports no summary
+  if (term_) return;  // the GL keeps no LCs and reports no summary
   if (draining_) return;  // silent: the GL ages us out before our restart
   if (current_gl_ == net::kNullAddress) return;
   if (service_stretch_ > 1.0) {
@@ -215,29 +213,7 @@ void GroupManager::gm_tick_summary() {
 }
 
 void GroupManager::gm_emit_summary() {
-  if (leader_ || draining_ || current_gl_ == net::kNullAddress) return;
-  if (config_.delta_summaries) {
-    gm_send_summary_delta();
-    return;
-  }
-  bump("gm.summaries");
-  auto summary = net::make_message<GmSummary>();
-  summary->gm = endpoint_.address();
-  for (const auto& [addr, lc] : lcs_) {
-    if (lc.power != LcPower::kOn) continue;
-    summary->capacity += lc.capacity;
-    for (const auto& [id, vm] : lc.vms) {
-      summary->used += vm.demand();
-      summary->vm_locations.emplace_back(id, addr);
-    }
-  }
-  summary->lc_count = static_cast<std::uint32_t>(lcs_.size());
-  summary->vm_count = static_cast<std::uint32_t>(vm_count());
-  counters_.summary_bytes_sent += summary->wire_size();
-  endpoint_.send(current_gl_, summary);
-}
-
-void GroupManager::gm_send_summary_delta() {
+  if (term_ || draining_ || current_gl_ == net::kNullAddress) return;
   // A different GL — or the same one under a newer epoch (it restarted or a
   // successor took over) — holds none of our stream state: re-anchor.
   if (current_gl_ != summary_gl_ || gl_fence_.high_water != summary_gl_epoch_) {
@@ -307,18 +283,14 @@ void GroupManager::handle_revoke_vm(const RevokeVmRequest& req) {
   ++counters_.revokes_honored;
   bump("gm.revokes_honored");
   trace_event("gm.vm_revoked", "vm=" + std::to_string(req.vm));
-  auto stop = std::make_shared<StopVmRequest>();
-  stop->vm = req.vm;
-  stamp_lease(*stop, req.lc);
-  endpoint_.send(req.lc, stop);
-  lc_it->second.reserved -= vm_it->second.requested;
-  if (lc_it->second.reserved.any_negative()) lc_it->second.reserved = {};
+  stop_vm(req.lc, req.vm);
+  release(lc_it->second.reserved, vm_it->second.requested);
   lc_it->second.vms.erase(vm_it);
 }
 
 void GroupManager::handle_lc_join(const LcJoinRequest& req, net::Responder responder) {
   auto resp = std::make_shared<LcJoinResponse>();
-  if (leader_ || draining_) {
+  if (term_ || draining_) {
     // Dedicated roles: a GL does not manage LCs. A draining GM is about to
     // restart and must not take responsibility for new nodes either.
     resp->ok = false;
@@ -373,10 +345,7 @@ void GroupManager::handle_monitor(const LcMonitorData& data) {
       // report raced the StopVm. Re-send the abort instead: if the first one
       // was lost the condemned copy would otherwise run forever.
       if (condemned_vms_.count({data.lc, usage.vm}) > 0) {
-        auto stop = std::make_shared<StopVmRequest>();
-        stop->vm = usage.vm;
-        stamp_lease(*stop, data.lc);
-        endpoint_.send(data.lc, stop);
+        stop_vm(data.lc, usage.vm);
         continue;
       }
       bool orphan = false;
@@ -392,10 +361,7 @@ void GroupManager::handle_monitor(const LcMonitorData& data) {
         ++counters_.duplicates_resolved;
         bump("gm.duplicates_resolved");
         trace_event("gm.duplicate_resolved", "vm=" + std::to_string(usage.vm));
-        auto stop = std::make_shared<StopVmRequest>();
-        stop->vm = usage.vm;
-        stamp_lease(*stop, data.lc);
-        endpoint_.send(data.lc, stop);
+        stop_vm(data.lc, usage.vm);
         continue;  // not adopted: the next report no longer lists it
       }
     }
@@ -457,10 +423,7 @@ void GroupManager::on_lc_failed(net::Address lc) {
       if (vm.has_descriptor) to_reschedule.push_back(vm.descriptor);
     }
   }
-  lcs_.erase(it);
-  waking_.erase(lc);
-  scorer_.forget(lc);
-  std::erase_if(condemned_vms_, [lc](const auto& p) { return p.first == lc; });
+  forget_lc(lc);
   for (const VmDescriptor& vm : to_reschedule) {
     ++counters_.vms_rescheduled;
     bump("gm.vms_rescheduled");
@@ -498,14 +461,6 @@ std::size_t GroupManager::quarantined_count() const {
   return n;
 }
 
-std::size_t GroupManager::gm_probation_count() const {
-  std::size_t n = 0;
-  for (const auto& [addr, record] : gms_) {
-    if (record.info.probation) ++n;
-  }
-  return n;
-}
-
 int GroupManager::lc_health_of(net::Address lc) const {
   const auto it = lcs_.find(lc);
   if (it == lcs_.end()) return -1;
@@ -523,16 +478,15 @@ void GroupManager::gm_probe_peers() {
   // keeps one flaky link from polluting the latency baseline, while a
   // genuinely slow *node* is slow on both attempts and still scores high.
   std::vector<net::Address> targets;
-  if (leader_) {
-    targets.reserve(gms_.size());
-    for (const auto& [addr, record] : gms_) targets.push_back(addr);
+  if (term_) {
+    for (const auto& [addr, record] : term_->gms) targets.push_back(addr);
   } else {
     for (auto&& [addr, lc] : lcs_) {
       if (lc.health == LcHealth::kQuarantined) {
         // Quarantine rests the node for the dwell window. Past it, wake the
         // node back up — reinstatement needs fresh probe evidence.
         if (now() - lc.quarantined_at < config_.gray.reinstate_after_s) continue;
-        if (lc.power == LcPower::kSuspended && waking_.count(addr) == 0) {
+        if (lc.power == LcPower::kSuspended) {
           gm_wake_lc(addr);
           continue;
         }
@@ -544,21 +498,15 @@ void GroupManager::gm_probe_peers() {
   for (const net::Address target : targets) {
     bump("gray.probes");
     const sim::Time sent = now();
-    auto on_reply = [this, target, sent](bool ok, const net::MsgPtr& reply) {
+    endpoint_.call_with_hedging(
+        target, std::make_shared<ProbeRequest>(), config_.gray.probe_timeout,
+        net::HedgePolicy{}, [this, target, sent](bool ok, const net::MsgPtr& reply) {
       (void)reply;
       // A timeout carries no latency information; hard failures belong to
       // the heartbeat liveness machinery, not the slowness scorer.
       if (!ok) return;
       scorer_.add_sample(target, obs::SlownessMetric::kProbe, now() - sent);
-    };
-    if (config_.gray.hedged_probes) {
-      endpoint_.call_with_hedging(target, std::make_shared<ProbeRequest>(),
-                                  config_.gray.probe_timeout, net::HedgePolicy{},
-                                  std::move(on_reply));
-    } else {
-      endpoint_.call(target, std::make_shared<ProbeRequest>(),
-                     config_.gray.probe_timeout, std::move(on_reply));
-    }
+    });
   }
   // Scoring uses the samples of previous rounds (this round's replies are
   // still in flight) — a consistent one-round lag.
@@ -567,24 +515,11 @@ void GroupManager::gm_probe_peers() {
 
 void GroupManager::gm_evaluate_slowness() {
   scorer_.evaluate(now());
-  if (leader_) {
-    // GL role: flag slow GMs off the dispatch path. Never kill them — a
-    // slow-but-alive GM must not lose its group to a spurious failover.
-    for (auto& [addr, record] : gms_) {
-      const bool slow = scorer_.flagged(addr);
-      if (slow && !record.info.probation) {
-        ++counters_.slow_flags;
-        bump("gl.gm_slow_flagged");
-        trace_event("gl.gm_slow", "gm=" + std::to_string(addr));
-      } else if (!slow && record.info.probation) {
-        bump("gl.gm_slow_cleared");
-        trace_event("gl.gm_slow_cleared", "gm=" + std::to_string(addr));
-      }
-      record.info.probation = slow;
-    }
-    return;
+  if (term_) {
+    gl_flag_slow_gms();
+  } else {
+    apply_containment();
   }
-  apply_containment();
 }
 
 void GroupManager::apply_containment() {
@@ -677,15 +612,50 @@ bool GroupManager::handle_stale_lc_reply(const net::MsgPtr& reply, net::Address 
   // The LC joined a successor GM under a newer lease; it is no longer ours.
   // Unlike a liveness failure its VMs are alive and managed elsewhere, so
   // drop the record without rescheduling anything.
-  if (lcs_.erase(lc) > 0) {
+  if (forget_lc(lc)) {
     ++counters_.lcs_fenced_off;
     bump("gm.lcs_fenced_off");
     trace_event("gm.lc_fenced_off");
   }
-  waking_.erase(lc);
+  return true;
+}
+
+bool GroupManager::forget_lc(net::Address lc) {
+  const bool managed = lcs_.erase(lc) > 0;
   scorer_.forget(lc);
   std::erase_if(condemned_vms_, [lc](const auto& p) { return p.first == lc; });
-  return true;
+  return managed;
+}
+
+void GroupManager::resign_lcs() {
+  // The LCs rejoin another GM under fresh leases, which fences off any
+  // command we might still send.
+  if (!lcs_.empty()) {
+    auto resign = std::make_shared<GmResign>();
+    resign->gm = endpoint_.address();
+    endpoint_.multicast(gm_group_, resign);
+  }
+  lcs_.clear();
+  condemned_vms_.clear();
+  inflight_placements_.clear();
+  inflight_migrations_.clear();
+}
+
+void GroupManager::stop_vm(net::Address lc, VmId vm) {
+  auto stop = std::make_shared<StopVmRequest>();
+  stop->vm = vm;
+  stamp_lease(*stop, lc);
+  endpoint_.send(lc, stop);
+}
+
+void GroupManager::fail_placement(telemetry::SpanContext span, std::string_view status,
+                                  const net::Responder& responder) {
+  ++counters_.placements_failed;
+  bump("gm.placements_failed");
+  telemetry::end_span(tel(), span, status);
+  auto resp = std::make_shared<PlacementResponse>();
+  resp->ok = false;
+  responder.respond(resp);
 }
 
 // ---------------------------------------------------------------------------
@@ -720,12 +690,7 @@ void GroupManager::handle_placement(const PlacementRequest& req, std::uint64_t e
     try_wakeup_then_place(req.vm, span, responder);
     return;
   }
-  ++counters_.placements_failed;
-  bump("gm.placements_failed");
-  telemetry::end_span(tel(), span, "failed");
-  auto resp = std::make_shared<PlacementResponse>();
-  resp->ok = false;
-  responder.respond(resp);
+  fail_placement(span, "failed", responder);
 }
 
 void GroupManager::place_on(net::Address lc, const VmDescriptor& vm,
@@ -776,20 +741,12 @@ void GroupManager::place_on(net::Address lc, const VmDescriptor& vm,
                  [this, lc, vm, span, responder, booked_socket, sent](bool ok, const net::MsgPtr& reply) {
     inflight_placements_.erase({lc, vm.id});
     if (ok && handle_stale_lc_reply(reply, lc)) {
-      ++counters_.placements_failed;
-      bump("gm.placements_failed");
-      telemetry::end_span(tel(), span, "fenced");
-      auto placement = std::make_shared<PlacementResponse>();
-      placement->ok = false;
-      responder.respond(placement);
+      fail_placement(span, "fenced", responder);
       return;
     }
     const auto* resp = ok ? net::msg_cast<StartVmResponse>(reply) : nullptr;
-    auto placement = std::make_shared<PlacementResponse>();
     const auto it = lcs_.find(lc);
     if (resp != nullptr && resp->ok) {
-      placement->ok = true;
-      placement->lc = lc;
       ++counters_.placements_ok;
       bump("gm.placements_ok");
       // StartVm ack latency is boot-time dominated, which makes it a clean
@@ -806,37 +763,33 @@ void GroupManager::place_on(net::Address lc, const VmDescriptor& vm,
       }
       trace_event("gm.vm_placed");
       telemetry::end_span(tel(), span, "ok");
-    } else {
-      placement->ok = false;
-      ++counters_.placements_failed;
-      bump("gm.placements_failed");
-      if (it != lcs_.end()) {
-        it->second.reserved -= vm.requested;
-        if (it->second.reserved.any_negative()) it->second.reserved = {};
-        if (booked_socket != kNoSocket && booked_socket < it->second.sockets.size()) {
-          auto& sock = it->second.sockets[booked_socket];
-          sock.llc_demand_mb = std::max(0.0, sock.llc_demand_mb - vm.mem_profile.llc_mb);
-          sock.bw_demand_gbps = std::max(0.0, sock.bw_demand_gbps - vm.mem_profile.bw_gbps);
-          if (sock.vms > 0) --sock.vms;
-        }
-      }
-      if (resp == nullptr) {
-        // Timeout: the LC may have started the VM and only the response was
-        // lost — or (fail-slow) is still booting it. Abort the potential
-        // orphan and condemn the (LC, VM) pair: a slow-but-alive LC keeps
-        // monitoring-reporting the doomed copy until the abort lands, and
-        // adopting that report would let the idempotent replay path ack a
-        // submission whose VM this StopVm is about to kill.
-        condemned_vms_.insert({lc, vm.id});
-        if (it != lcs_.end()) it->second.vms.erase(vm.id);
-        auto stop = std::make_shared<StopVmRequest>();
-        stop->vm = vm.id;
-        stamp_lease(*stop, lc);
-        endpoint_.send(lc, stop);
-      }
-      telemetry::end_span(tel(), span, "failed");
+      auto placement = std::make_shared<PlacementResponse>();
+      placement->ok = true;
+      placement->lc = lc;
+      responder.respond(placement);
+      return;
     }
-    responder.respond(placement);
+    if (it != lcs_.end()) {
+      release(it->second.reserved, vm.requested);
+      if (booked_socket != kNoSocket && booked_socket < it->second.sockets.size()) {
+        auto& sock = it->second.sockets[booked_socket];
+        sock.llc_demand_mb = std::max(0.0, sock.llc_demand_mb - vm.mem_profile.llc_mb);
+        sock.bw_demand_gbps = std::max(0.0, sock.bw_demand_gbps - vm.mem_profile.bw_gbps);
+        if (sock.vms > 0) --sock.vms;
+      }
+    }
+    if (resp == nullptr) {
+      // Timeout: the LC may have started the VM and only the response was
+      // lost — or (fail-slow) is still booting it. Abort the potential
+      // orphan and condemn the (LC, VM) pair: a slow-but-alive LC keeps
+      // monitoring-reporting the doomed copy until the abort lands, and
+      // adopting that report would let the idempotent replay path ack a
+      // submission whose VM this StopVm is about to kill.
+      condemned_vms_.insert({lc, vm.id});
+      if (it != lcs_.end()) it->second.vms.erase(vm.id);
+      stop_vm(lc, vm.id);
+    }
+    fail_placement(span, "failed", responder);
   });
 }
 
@@ -847,7 +800,6 @@ void GroupManager::try_wakeup_then_place(const VmDescriptor& vm,
   net::Address target = net::kNullAddress;
   for (const auto& [addr, lc] : lcs_) {
     if (lc.power != LcPower::kSuspended) continue;
-    if (waking_.count(addr)) continue;
     if (lc.health != LcHealth::kHealthy) continue;  // quarantined: stays down
     if (vm.requested.fits_within(lc.capacity)) {
       target = addr;
@@ -855,17 +807,11 @@ void GroupManager::try_wakeup_then_place(const VmDescriptor& vm,
     }
   }
   if (target == net::kNullAddress) {
-    ++counters_.placements_failed;
-    bump("gm.placements_failed");
-    telemetry::end_span(tel(), span, "failed");
-    auto resp = std::make_shared<PlacementResponse>();
-    resp->ok = false;
-    responder.respond(resp);
+    fail_placement(span, "failed", responder);
     return;
   }
   ++counters_.wakeups;
   bump("gm.wakeups");
-  waking_.insert(target);
   lcs_.find(target)->second.power = LcPower::kWaking;  // found by the scan above
   trace_event("gm.wakeup");
   auto wake = std::make_shared<WakeupRequest>();
@@ -874,14 +820,8 @@ void GroupManager::try_wakeup_then_place(const VmDescriptor& vm,
   const sim::Time timeout = 30.0 + config_.rpc_timeout;  // covers resume latency
   endpoint_.call(target, wake, timeout,
                  [this, target, vm, span, responder](bool ok, const net::MsgPtr& reply) {
-    waking_.erase(target);
     if (ok && handle_stale_lc_reply(reply, target)) {
-      ++counters_.placements_failed;
-      bump("gm.placements_failed");
-      telemetry::end_span(tel(), span, "fenced");
-      auto placement = std::make_shared<PlacementResponse>();
-      placement->ok = false;
-      responder.respond(placement);
+      fail_placement(span, "fenced", responder);
       return;
     }
     const auto* resp = ok ? net::msg_cast<WakeupResponse>(reply) : nullptr;
@@ -893,12 +833,7 @@ void GroupManager::try_wakeup_then_place(const VmDescriptor& vm,
       place_on(target, vm, span, responder);
     } else {
       if (it != lcs_.end()) it->second.power = LcPower::kSuspended;
-      ++counters_.placements_failed;
-      bump("gm.placements_failed");
-      telemetry::end_span(tel(), span, "wakeup_failed");
-      auto placement = std::make_shared<PlacementResponse>();
-      placement->ok = false;
-      responder.respond(placement);
+      fail_placement(span, "wakeup_failed", responder);
     }
   });
 }
@@ -920,35 +855,14 @@ std::vector<VmLoad> GroupManager::vm_loads(const LcRecord& record) const {
 void GroupManager::handle_anomaly(const AnomalyEvent& event) {
   const auto it = lcs_.find(event.lc);
   if (it == lcs_.end()) return;
-  auto fill = [](LcInfo& info, const LcRecord& record) {
-    info.capacity = record.capacity;
-    info.reserved = record.reserved;
-    info.estimated_used = record.used;
-    info.vm_count = static_cast<std::uint32_t>(record.vms.size());
-    info.worst_penalty = record.worst_penalty;
-    info.sockets.reserve(record.sockets.size());
-    for (const auto& s : record.sockets) {
-      info.sockets.push_back(LcInfo::SocketInfo{s.llc_mb, s.mem_bw_gbps,
-                                                s.llc_demand_mb, s.bw_demand_gbps,
-                                                s.vms});
-    }
-  };
-  LcInfo source;
-  source.lc = event.lc;
-  source.powered_on = it->second.power == LcPower::kOn;
-  fill(source, it->second);
-
+  const LcInfo source = lc_info(event.lc, it->second);
   std::vector<LcInfo> others;
   for (const auto& [addr, lc] : lcs_) {
     if (addr == event.lc || lc.power != LcPower::kOn || lc.draining ||
         lc.health != LcHealth::kHealthy) {
       continue;
     }
-    LcInfo info;
-    info.lc = addr;
-    info.powered_on = true;
-    fill(info, lc);
-    others.push_back(info);
+    others.push_back(lc_info(addr, lc));
   }
 
   // With interference management on, capacity moves must not park a VM
@@ -1036,12 +950,7 @@ void GroupManager::handle_migration_done(const MigrationDone& done) {
     // The source reverted (or lost) the VM. The destination may still hold a
     // copy if only the adopt confirmation was lost — command it away so a
     // failed migration can never leave two running instances behind.
-    if (done.to != net::kNullAddress) {
-      auto stop = std::make_shared<StopVmRequest>();
-      stop->vm = done.vm;
-      stamp_lease(*stop, done.to);
-      endpoint_.send(done.to, stop);
-    }
+    if (done.to != net::kNullAddress) stop_vm(done.to, done.vm);
     return;
   }
   ++counters_.migrations_completed;
@@ -1057,8 +966,7 @@ void GroupManager::handle_migration_done(const MigrationDone& done) {
     to_it->second.reserved += vm_it->second.requested;
     to_it->second.idle_since = -1.0;
   }
-  from_it->second.reserved -= vm_it->second.requested;
-  if (from_it->second.reserved.any_negative()) from_it->second.reserved = {};
+  release(from_it->second.reserved, vm_it->second.requested);
   from_it->second.vms.erase(vm_it);
 }
 
@@ -1068,13 +976,12 @@ void GroupManager::handle_vm_terminated(const VmTerminated& done) {
   if (it == lcs_.end()) return;
   const auto vm_it = it->second.vms.find(done.vm);
   if (vm_it == it->second.vms.end()) return;
-  it->second.reserved -= vm_it->second.requested;
-  if (it->second.reserved.any_negative()) it->second.reserved = {};
+  release(it->second.reserved, vm_it->second.requested);
   it->second.vms.erase(vm_it);
 }
 
 void GroupManager::gm_reconfigure() {
-  if (leader_ || lcs_.empty()) return;
+  if (term_ || lcs_.empty()) return;
   // Build the packing instance over the powered-on LCs.
   std::vector<net::Address> hosts;
   std::vector<std::pair<net::Address, VmId>> vm_keys;
@@ -1176,7 +1083,7 @@ void GroupManager::gm_reconfigure() {
 // ---------------------------------------------------------------------------
 
 void GroupManager::gm_energy_check() {
-  if (leader_) return;
+  if (term_) return;
   for (auto&& [addr, lc] : lcs_) {
     // Non-healthy nodes belong to the containment machinery, which owns
     // their power state (quarantine suspends, reinstatement wakes).
@@ -1228,7 +1135,6 @@ void GroupManager::gm_wake_lc(net::Address target) {
   if (it == lcs_.end()) return;
   ++counters_.wakeups;
   bump("gm.wakeups");
-  waking_.insert(target);
   it->second.power = LcPower::kWaking;
   trace_event("gm.wakeup");
   auto wake = std::make_shared<WakeupRequest>();
@@ -1236,7 +1142,6 @@ void GroupManager::gm_wake_lc(net::Address target) {
   const sim::Time timeout = 30.0 + config_.rpc_timeout;  // covers resume latency
   endpoint_.call(target, wake, timeout,
                  [this, target](bool ok, const net::MsgPtr& reply) {
-    waking_.erase(target);
     if (ok && handle_stale_lc_reply(reply, target)) return;
     const auto* resp = ok ? net::msg_cast<WakeupResponse>(reply) : nullptr;
     const auto it = lcs_.find(target);
@@ -1255,7 +1160,7 @@ std::size_t GroupManager::scale_wake(std::size_t n) {
   std::size_t commanded = 0;
   for (const auto& [addr, lc] : lcs_) {
     if (commanded >= n) break;
-    if (lc.power != LcPower::kSuspended || waking_.count(addr) > 0 || lc.draining ||
+    if (lc.power != LcPower::kSuspended || lc.draining ||
         lc.health != LcHealth::kHealthy) {
       continue;
     }
@@ -1290,19 +1195,8 @@ void GroupManager::begin_drain() {
   trace_event("gm.draining");
   // A draining leader hands off first so the fleet keeps a GL while this
   // node restarts.
-  if (leader_) step_down("drain");
-  // Resign the managed LCs back to the hierarchy; they rejoin another GM
-  // under fresh leases, which fences off any command we might still send.
-  if (!lcs_.empty()) {
-    auto resign = std::make_shared<GmResign>();
-    resign->gm = endpoint_.address();
-    endpoint_.multicast(gm_group_, resign);
-    lcs_.clear();
-    waking_.clear();
-    condemned_vms_.clear();
-    inflight_placements_.clear();
-    inflight_migrations_.clear();
-  }
+  step_down("drain");
+  resign_lcs();
 }
 
 void GroupManager::cancel_drain() {
@@ -1340,548 +1234,6 @@ std::size_t GroupManager::evacuate_lc(net::Address source) {
 }
 
 // ---------------------------------------------------------------------------
-// GL role
-// ---------------------------------------------------------------------------
-
-void GroupManager::become_leader(std::uint64_t epoch) {
-  if (leader_) return;
-  if (draining_) {
-    // A node emptying out for a restart must not take the fleet's authority
-    // role; re-enter the election at the back of the queue instead.
-    election_.resign();
-    return;
-  }
-  leader_ = true;
-  ++counters_.elections_won;
-  bump("gm.elections_won");
-  my_epoch_ = epoch;
-  current_gl_ = endpoint_.address();
-  trace_event("gm.elected_gl", "epoch=" + std::to_string(epoch));
-  telemetry::gauge_set(tel(), "failover.epoch", static_cast<double>(epoch));
-
-  // Dedicated roles: hand the managed LCs back to the hierarchy.
-  if (!lcs_.empty()) {
-    auto resign = std::make_shared<GmResign>();
-    resign->gm = endpoint_.address();
-    endpoint_.multicast(gm_group_, resign);
-    lcs_.clear();
-    waking_.clear();
-    condemned_vms_.clear();
-    inflight_placements_.clear();
-    inflight_migrations_.clear();
-  }
-  // Role change: the scorer now baselines GMs, not LCs.
-  scorer_.clear();
-
-  // Reconciliation window: defer client work (submissions, LC assignments)
-  // until the GM summaries arriving under this term have rebuilt our soft
-  // state; in-flight migrations surface through the LC monitoring reports of
-  // the GMs that inherit them.
-  reconciling_ = true;
-  reconcile_started_ = now();
-  telemetry::Telemetry* t = tel();
-  if (t != nullptr) {
-    reconcile_span_ = t->spans().begin(t->spans().new_trace(), 0, "gl.reconcile",
-                                       name(), "epoch=" + std::to_string(epoch));
-  }
-  after(config_.gl_reconcile_window, [this, epoch] { finish_reconcile(epoch); });
-
-  every(config_.gl_heartbeat_period, [this] {
-    gl_tick_heartbeat();
-    return leader_;
-  });
-  every(config_.gm_summary_period, [this] {
-    gl_check_gm_liveness();
-    return leader_;
-  });
-  // Announce immediately so discovery does not wait a full period.
-  gl_tick_heartbeat();
-}
-
-void GroupManager::finish_reconcile(std::uint64_t term) {
-  // A step-down (or a newer term of our own) may have raced the timer.
-  if (!leader_ || my_epoch_ != term || !reconciling_) return;
-  reconciling_ = false;
-  ++counters_.reconciliations;
-  const sim::Time duration = now() - reconcile_started_;
-  telemetry::count(tel(), "gl.reconciles");
-  telemetry::observe(tel(), "reconcile.duration", duration);
-  telemetry::gauge_set(tel(), "reconcile.last_duration", duration);
-  telemetry::end_span(tel(), reconcile_span_, "ok");
-  reconcile_span_ = {};
-  trace_event("gl.reconciled", "gms=" + std::to_string(gms_.size()));
-}
-
-void GroupManager::step_down(const char* reason) {
-  if (!leader_) return;
-  leader_ = false;
-  ++counters_.stepdowns;
-  bump("gl.stepdowns");
-  trace_event("gm.stepdown", reason);
-  if (reconciling_) {
-    reconciling_ = false;
-    telemetry::end_span(tel(), reconcile_span_, "aborted");
-    reconcile_span_ = {};
-  }
-  gms_.clear();
-  completed_submissions_.clear();
-  inflight_submissions_.clear();
-  submit_waiters_.clear();
-  vm_inventory_.clear();
-  vm_conflicts_.clear();
-  scorer_.clear();  // back to GM role: LC baselines start cold
-  // Re-enter the election as a fresh candidate: our old znode is gone (a
-  // successor exists or the session expired), so a new, strictly higher
-  // sequence keeps epochs monotone.
-  election_.resign();
-}
-
-void GroupManager::gl_tick_heartbeat() {
-  if (!leader_) return;
-  bump("gl.heartbeats");
-  auto hb = std::make_shared<GlHeartbeat>();
-  hb->gl = endpoint_.address();
-  hb->epoch = my_epoch_;
-  endpoint_.multicast(gl_group_, hb);
-}
-
-void GroupManager::handle_gl_heartbeat(const GlHeartbeat& hb) {
-  if (hb.gl == endpoint_.address()) return;
-  if (hb.epoch != 0 && hb.epoch < gl_fence_.high_water) return;  // stale leader
-  if (hb.epoch > gl_fence_.high_water) gl_fence_.high_water = hb.epoch;
-  current_gl_ = hb.gl;
-  if (leader_ && hb.epoch > my_epoch_) {
-    // A successor with a newer election epoch exists — our coordination
-    // session must have expired while we were partitioned away. Abdicate and
-    // resume plain GM duty to prevent split-brain after the partition heals.
-    step_down("newer gl heartbeat");
-  }
-}
-
-void GroupManager::gl_check_gm_liveness() {
-  if (!leader_) return;
-  const sim::Time window =
-      config_.gm_summary_period * config_.heartbeat_timeout_factor;
-  for (auto it = gms_.begin(); it != gms_.end();) {
-    if (now() - it->second.last_summary > window) {
-      // Gracefully remove the failed GM so no new VMs land on it.
-      ++counters_.gm_failures_detected;
-      bump("gl.gm_failures_detected");
-      trace_event("gl.gm_failed");
-      const net::Address gone = it->first;
-      it = gms_.erase(it);
-      drop_gm_inventory(gone);
-      scorer_.forget(gone);
-    } else {
-      ++it;
-    }
-  }
-  prune_submission_book();
-}
-
-void GroupManager::prune_submission_book() {
-  const sim::Time retention = config_.submission_book_retention;
-  if (retention <= 0.0) return;
-  for (auto it = completed_submissions_.begin(); it != completed_submissions_.end();) {
-    // In delta mode a live VM's book entry is only refreshed on placement
-    // *changes*, so retention alone would prune (and then duplicate on a
-    // client replay) long-lived idle VMs: anything the inventory still lists
-    // as running is exempt.
-    if (now() - it->second.at > retention && vm_inventory_.count(it->first) == 0) {
-      it = completed_submissions_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void GroupManager::handle_gm_summary(const GmSummary& summary) {
-  if (!leader_) return;
-  GmRecord& record = gms_[summary.gm];
-  record.info.gm = summary.gm;
-  record.info.used = summary.used;
-  record.info.capacity = summary.capacity;
-  record.info.lc_count = summary.lc_count;
-  record.info.vm_count = summary.vm_count;
-  // Summary inter-arrival gap: a gray GM assembles its reports slowly, so
-  // its stream stutters relative to its peers. Outage-sized gaps (the GM was
-  // down or partitioned) belong to the liveness machinery, not the scorer.
-  const sim::Time gap = now() - record.last_summary;
-  if (record.last_summary > 0.0 &&
-      gap < config_.gm_summary_period * config_.heartbeat_timeout_factor) {
-    scorer_.add_sample(summary.gm, obs::SlownessMetric::kSummary, gap);
-  }
-  record.last_summary = now();
-  // Reconciliation: adopt the GM's VM locations into the submission book.
-  // A client retrying a submission whose accept was lost when the previous
-  // GL went down gets the existing placement replayed — never a second
-  // instance. Latest summary wins (a VM migrates between summaries at most
-  // once per period).
-  for (const auto& [vm, lc] : summary.vm_locations) {
-    completed_submissions_[vm] = {lc, summary.gm, now()};
-  }
-}
-
-void GroupManager::handle_summary_delta(const GmSummaryDelta& delta,
-                                        net::Responder responder) {
-  auto ack = std::make_shared<GmSummaryAck>();
-  ack->seq = delta.seq;
-  if (!leader_) {
-    // Not an authority on the stream (includes the degenerate self-send
-    // right after a step-down): refuse, the GM re-anchors at the real GL.
-    ack->ok = false;
-    responder.respond(ack);
-    return;
-  }
-  GmRecord& record = gms_[delta.gm];
-  SummaryUpdate update;
-  update.snapshot = delta.snapshot;
-  update.stream = delta.stream;
-  update.seq = delta.seq;
-  update.placed = delta.placed;
-  update.removed = delta.removed;
-  const std::uint64_t seq_before = record.decoder.last_seq();
-  const bool synced_before = record.decoder.synced();
-  if (!record.decoder.apply(update)) {
-    ++counters_.summary_rejects;
-    bump("gl.summary_rejected");
-    trace_event("gl.summary_rejected", "gm=" + std::to_string(delta.gm));
-    ack->ok = false;
-    responder.respond(ack);
-    return;
-  }
-  record.info.gm = delta.gm;
-  record.info.used = delta.used;
-  record.info.capacity = delta.capacity;
-  record.info.lc_count = delta.lc_count;
-  record.info.vm_count = delta.vm_count;
-  record.info.worst_lc_heartbeat_age = delta.worst_lc_heartbeat_age;
-  // Same inter-arrival slowness signal as the full-summary path.
-  const sim::Time gap = now() - record.last_summary;
-  if (record.last_summary > 0.0 &&
-      gap < config_.gm_summary_period * config_.heartbeat_timeout_factor) {
-    scorer_.add_sample(delta.gm, obs::SlownessMetric::kSummary, gap);
-  }
-  record.last_summary = now();
-  // Sync the VM inventory only when the decoder actually advanced: a
-  // duplicate delivery of an *old* delta is acked (the GM moved on long ago)
-  // but its stale placements must not regress the inventory.
-  const bool advanced = record.decoder.last_seq() != seq_before ||
-                        record.decoder.synced() != synced_before;
-  if (delta.snapshot) {
-    // Re-anchor: claims this GM no longer makes are removals, then the full
-    // state is re-asserted. Both paths are idempotent.
-    const VmLocationMap& state = record.decoder.state();
-    std::vector<VmId> gone;
-    for (const auto& [vm, owner] : vm_inventory_) {
-      if (owner.gm == delta.gm && state.count(vm) == 0) gone.push_back(vm);
-    }
-    for (const VmId vm : gone) note_vm_removed(delta.gm, vm);
-    for (const auto& [vm, lc] : state) note_vm_placed(delta.gm, vm, lc);
-  } else if (advanced) {
-    for (const auto& [vm, lc] : delta.placed) note_vm_placed(delta.gm, vm, lc);
-    for (const VmId vm : delta.removed) note_vm_removed(delta.gm, vm);
-  }
-  resolve_conflicts_for(delta.gm);
-  ack->ok = true;
-  responder.respond(ack);
-}
-
-void GroupManager::note_vm_placed(net::Address gm, VmId vm, net::Address lc) {
-  const auto [it, inserted] = vm_inventory_.try_emplace(vm, VmOwnership{gm, lc, now()});
-  if (inserted) {
-    completed_submissions_[vm] = {lc, gm, now()};
-    return;
-  }
-  VmOwnership& owner = it->second;
-  if (owner.gm == gm) {
-    owner.lc = lc;  // intra-GM move (migration); not a duplicate
-    completed_submissions_[vm] = {lc, gm, now()};
-    return;
-  }
-  if (owner.lc == lc) {
-    // Same LC under a new GM: the LC (with its VMs) rejoined the hierarchy
-    // elsewhere — a legitimate ownership transfer, not a second instance.
-    // The old GM's stale claim retires with its next snapshot or removal.
-    owner = VmOwnership{gm, lc, now()};
-    if (const auto c = vm_conflicts_.find(vm);
-        c != vm_conflicts_.end() && c->second.challenger == gm) {
-      vm_conflicts_.erase(c);
-    }
-    completed_submissions_[vm] = {lc, gm, now()};
-    return;
-  }
-  // Same VM id claimed by two GMs on different LCs: a true cross-GM
-  // duplicate (e.g. a submit replayed against a new GL while the original
-  // placement survived a partition). Deciding on this single report could
-  // kill a healthy VM on a reordered stream, so park the claim and settle it
-  // against the incumbent's next applied summary (resolve_conflicts_for).
-  PendingConflict& conflict = vm_conflicts_[vm];
-  if (conflict.since == 0.0) conflict.since = now();
-  conflict.incumbent = owner.gm;
-  conflict.challenger = gm;
-  conflict.challenger_lc = lc;
-  bump("gl.cross_gm_conflicts");
-  trace_event("gl.cross_gm_conflict", "vm=" + std::to_string(vm));
-}
-
-void GroupManager::note_vm_removed(net::Address gm, VmId vm) {
-  if (const auto c = vm_conflicts_.find(vm);
-      c != vm_conflicts_.end() && c->second.challenger == gm) {
-    vm_conflicts_.erase(c);  // the challenger withdrew its claim
-  }
-  const auto it = vm_inventory_.find(vm);
-  if (it == vm_inventory_.end() || it->second.gm != gm) return;
-  if (const auto c = vm_conflicts_.find(vm);
-      c != vm_conflicts_.end() && c->second.incumbent == gm) {
-    // The incumbent dropped the VM while a challenger waits: the challenger
-    // simply becomes the owner — no instance was ever a duplicate for long.
-    it->second = VmOwnership{c->second.challenger, c->second.challenger_lc, now()};
-    completed_submissions_[vm] = {c->second.challenger_lc, c->second.challenger, now()};
-    vm_conflicts_.erase(c);
-    return;
-  }
-  vm_inventory_.erase(it);
-  // Retire the idempotency-book entry with the inventory: once no GM hosts
-  // the VM, replaying "ok, it lives on LC x" to a client retry would accept
-  // a submission whose VM is already gone (e.g. a fail-slow copy the GM
-  // adopted from a monitoring report and then aborted). The client's retry
-  // dispatches afresh instead.
-  completed_submissions_.erase(vm);
-}
-
-void GroupManager::resolve_conflicts_for(net::Address gm) {
-  const auto gm_it = gms_.find(gm);
-  if (gm_it == gms_.end()) return;
-  const VmLocationMap& state = gm_it->second.decoder.state();
-  for (auto it = vm_conflicts_.begin(); it != vm_conflicts_.end();) {
-    if (it->second.incumbent != gm) {
-      ++it;
-      continue;
-    }
-    const VmId vm = it->first;
-    const PendingConflict conflict = it->second;
-    if (state.count(vm) > 0) {
-      // The incumbent's fresh summary still reports the VM: the challenger's
-      // copy is the duplicate. Revoke it under our election epoch so a
-      // deposed leader's late revoke is fenced off at the GM.
-      ++counters_.cross_gm_duplicates_revoked;
-      bump("gl.cross_gm_duplicates_revoked");
-      trace_event("gl.duplicate_revoked", "vm=" + std::to_string(vm));
-      auto revoke = std::make_shared<RevokeVmRequest>();
-      revoke->vm = vm;
-      revoke->lc = conflict.challenger_lc;
-      revoke->epoch = my_epoch_;
-      endpoint_.send(conflict.challenger, revoke);
-    } else {
-      vm_inventory_[vm] =
-          VmOwnership{conflict.challenger, conflict.challenger_lc, now()};
-      completed_submissions_[vm] = {conflict.challenger_lc, conflict.challenger,
-                                    now()};
-    }
-    it = vm_conflicts_.erase(it);
-  }
-}
-
-void GroupManager::drop_gm_inventory(net::Address gm) {
-  for (auto it = vm_conflicts_.begin(); it != vm_conflicts_.end();) {
-    if (it->second.challenger == gm) {
-      it = vm_conflicts_.erase(it);
-    } else if (it->second.incumbent == gm) {
-      // The incumbent left the fleet: the challenger's copy is the survivor.
-      vm_inventory_[it->first] =
-          VmOwnership{it->second.challenger, it->second.challenger_lc, now()};
-      it = vm_conflicts_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (auto it = vm_inventory_.begin(); it != vm_inventory_.end();) {
-    if (it->second.gm == gm) {
-      it = vm_inventory_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-double GroupManager::summary_staleness() const {
-  if (!leader_ || gms_.empty()) return -1.0;
-  double worst = 0.0;
-  for (const auto& [addr, record] : gms_) {
-    worst = std::max(worst, now() - record.last_summary);
-  }
-  return worst;
-}
-
-double GroupManager::aggregated_lc_heartbeat_age() const {
-  double worst = -1.0;
-  for (const auto& [addr, record] : gms_) {
-    worst = std::max(worst, record.info.worst_lc_heartbeat_age);
-  }
-  return worst;
-}
-
-void GroupManager::handle_assign_lc(const AssignLcRequest& req, net::Responder responder) {
-  (void)req;  // the assignment policies rank GMs independently of the LC
-  auto resp = std::make_shared<AssignLcResponse>();
-  if (!leader_ || reconciling_) {
-    if (reconciling_) bump("gl.reconcile_deferred");
-    resp->ok = false;
-    responder.respond(resp);
-    return;
-  }
-  // Prefer GMs not under gray suspicion; if the whole fleet is flagged the
-  // filter would turn a slowdown into an outage, so fall back to everyone.
-  std::vector<GmInfo> infos = gm_infos();
-  std::vector<GmInfo> healthy;
-  healthy.reserve(infos.size());
-  for (const GmInfo& info : infos) {
-    if (!info.probation) healthy.push_back(info);
-  }
-  const net::Address gm =
-      assignment_policy_->assign(healthy.empty() ? infos : healthy);
-  resp->ok = gm != net::kNullAddress;
-  resp->gm = gm;
-  responder.respond(resp);
-}
-
-void GroupManager::handle_submit(const SubmitVmRequest& req, telemetry::SpanContext ctx,
-                                 net::Responder responder) {
-  auto fail = [&] {
-    auto resp = std::make_shared<SubmitVmResponse>();
-    resp->ok = false;
-    responder.respond(resp);
-  };
-  if (!leader_) {
-    fail();
-    return;
-  }
-  // A fresh term defers client work until soft state is rebuilt; the client
-  // retries past the window (reconcile < its backoff horizon).
-  if (reconciling_) {
-    bump("gl.reconcile_deferred");
-    fail();
-    return;
-  }
-  // Idempotency: replay the result of an already-completed submission (the
-  // client only retries when our previous response was lost in transit).
-  const auto done = completed_submissions_.find(req.vm.id);
-  if (done != completed_submissions_.end()) {
-    auto resp = std::make_shared<SubmitVmResponse>();
-    resp->ok = true;
-    resp->lc = done->second.lc;
-    resp->gm = done->second.gm;
-    responder.respond(resp);
-    return;
-  }
-  if (inflight_submissions_.count(req.vm.id) > 0) {
-    // A retry raced the first dispatch (the client's submit deadline is
-    // tighter than a worst-case placement). Park it; every waiter is
-    // answered with the dispatch's outcome instead of bouncing the client
-    // into another discovery round while the VM is still being placed.
-    submit_waiters_[req.vm.id].push_back(responder);
-    return;
-  }
-  ++counters_.dispatches;
-  bump("gl.dispatches");
-  const auto span = telemetry::begin_span(tel(), ctx, "gl.dispatch", name(),
-                                          "vm=" + std::to_string(req.vm.id));
-  // Dispatch steers around probationed GMs (same fallback rule as LC
-  // assignment: an all-flagged fleet keeps serving).
-  std::vector<GmInfo> infos = gm_infos();
-  std::vector<GmInfo> healthy_gms;
-  healthy_gms.reserve(infos.size());
-  for (const GmInfo& info : infos) {
-    if (!info.probation) healthy_gms.push_back(info);
-  }
-  std::vector<net::Address> candidates = dispatch_policy_->candidates(
-      req.vm, healthy_gms.empty() ? infos : healthy_gms,
-      config_.max_dispatch_candidates);
-  if (candidates.empty()) {
-    ++counters_.dispatch_failures;
-    bump("gl.dispatch_failures");
-    telemetry::end_span(tel(), span, "no_candidates");
-    fail();
-    return;
-  }
-  inflight_submissions_.insert(req.vm.id);
-  dispatch_linear_search(req.vm, std::move(candidates), 0, span, responder);
-}
-
-void GroupManager::dispatch_linear_search(VmDescriptor vm,
-                                          std::vector<net::Address> candidates,
-                                          std::size_t index, telemetry::SpanContext span,
-                                          net::Responder responder) {
-  if (index >= candidates.size()) {
-    inflight_submissions_.erase(vm.id);
-    ++counters_.dispatch_failures;
-    bump("gl.dispatch_failures");
-    telemetry::end_span(tel(), span, "failed");
-    SubmitVmResponse out;
-    answer_submit(vm.id, responder, out);
-    return;
-  }
-  // Each candidate GM gets transport-level retries before we move on: if an
-  // attempt's *response* was lost (the GM may well have placed the VM), the
-  // GM's idempotent placement handler resolves the re-send instantly instead
-  // of a second copy being started on the next GM. Explicit rejections do
-  // not retry (call_with_retries semantics) and fall through to the next
-  // candidate immediately.
-  const net::Address gm = candidates[index];
-  auto place = std::make_shared<PlacementRequest>();
-  place->vm = vm;
-  place->ctx = span;
-  place->epoch = my_epoch_;  // fencing token: GMs reject deposed leaders
-  net::RetryPolicy policy;
-  policy.max_attempts = 2;
-  policy.base_backoff = 0.25;
-  endpoint_.call_with_retries(
-      gm, place, config_.placement_rpc_timeout, policy,
-      [this, vm, candidates = std::move(candidates), index, gm, span,
-       responder](bool ok, const net::MsgPtr& reply) mutable {
-    if (ok && net::msg_cast<StaleEpochError>(reply) != nullptr) {
-      // A GM saw a newer GL term than ours: we are deposed. Abandon the
-      // dispatch (the client retries against the successor) and rejoin the
-      // election instead of spraying stale commands at further candidates.
-      inflight_submissions_.erase(vm.id);
-      telemetry::end_span(tel(), span, "stale_epoch");
-      // Answer before step_down(): stepping down drops the waiter book.
-      SubmitVmResponse out;
-      answer_submit(vm.id, responder, out);
-      step_down("stale epoch on dispatch");
-      return;
-    }
-    const auto* resp = ok ? net::msg_cast<PlacementResponse>(reply) : nullptr;
-    if (resp != nullptr && resp->ok) {
-      inflight_submissions_.erase(vm.id);
-      completed_submissions_[vm.id] = {resp->lc, gm, now()};
-      telemetry::end_span(tel(), span, "ok");
-      SubmitVmResponse out;
-      out.ok = true;
-      out.lc = resp->lc;
-      out.gm = gm;
-      answer_submit(vm.id, responder, out);
-      return;
-    }
-    // Rejected or retries exhausted: try the next candidate GM.
-    dispatch_linear_search(std::move(vm), std::move(candidates), index + 1, span,
-                           responder);
-  });
-}
-
-void GroupManager::answer_submit(VmId vm, const net::Responder& responder,
-                                 const SubmitVmResponse& result) {
-  responder.respond(std::make_shared<SubmitVmResponse>(result));
-  const auto waiting = submit_waiters_.find(vm);
-  if (waiting == submit_waiters_.end()) return;
-  for (const auto& waiter : waiting->second) {
-    waiter.respond(std::make_shared<SubmitVmResponse>(result));
-  }
-  submit_waiters_.erase(waiting);
-}
-
-// ---------------------------------------------------------------------------
 // Fault injection
 // ---------------------------------------------------------------------------
 
@@ -1889,22 +1241,10 @@ void GroupManager::fail() {
   trace_event("gm.fail");
   endpoint_.go_down();
   election_.crash();  // coordination session will expire -> successor elected
-  lcs_.clear();
-  gms_.clear();
-  waking_.clear();
-  condemned_vms_.clear();
-  inflight_placements_.clear();
-  inflight_migrations_.clear();
-  completed_submissions_.clear();
-  inflight_submissions_.clear();
-  submit_waiters_.clear();
-  vm_inventory_.clear();
-  vm_conflicts_.clear();
+  resign_lcs();        // the endpoint is down: the LCs are forgotten, not told
+  term_.reset();       // a crashed GL's reconcile span is dropped, not ended
   scorer_.clear();
-  leader_ = false;
   started_ = false;
-  reconciling_ = false;
-  reconcile_span_ = {};
   current_gl_ = net::kNullAddress;
   crash();
 }

@@ -9,10 +9,13 @@
 // in one component: "when an existing GM becomes the new leader it switches
 // to GL mode" — its former LCs are told to rejoin the hierarchy, because
 // components have dedicated roles (a GL does not manage LCs directly).
+// The GM role is implemented in group_manager.cpp, the GL role in
+// group_leader.cpp; the GL's soft state is one LeaderTerm (group_leader.hpp).
 #pragma once
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 
 #include "consolidation/aco.hpp"
@@ -20,6 +23,7 @@
 #include "core/config.hpp"
 #include "core/estimator.hpp"
 #include "core/fence.hpp"
+#include "core/group_leader.hpp"
 #include "core/messages.hpp"
 #include "core/policies.hpp"
 #include "core/relocation.hpp"
@@ -52,15 +56,15 @@ class GroupManager final : public sim::Actor {
     std::uint64_t gm_failures_detected = 0;  // GL only
     std::uint64_t vms_rescheduled = 0;       // snapshot-recovery feature
     std::uint64_t elections_won = 0;
-    std::uint64_t stepdowns = 0;             // leadership lost while leader_
+    std::uint64_t stepdowns = 0;             // terms ended by step_down()
     std::uint64_t reconciliations = 0;       // GL reconcile windows completed
     std::uint64_t migrations_inherited = 0;  // in-flight migrations adopted on failover
     std::uint64_t lcs_fenced_off = 0;        // LCs dropped after a StaleEpoch reply
-    // Delta summary stream (SnoozeConfig::delta_summaries).
+    // Summary stream (GmSummaryDelta).
     std::uint64_t summary_deltas_sent = 0;     // GM: incremental updates sent
     std::uint64_t summary_snapshots_sent = 0;  // GM: full snapshots sent
     std::uint64_t summary_nacks = 0;           // GM: negative acks received
-    std::uint64_t summary_bytes_sent = 0;      // GM: summary bytes on the wire (both modes)
+    std::uint64_t summary_bytes_sent = 0;      // GM: summary bytes on the wire
     std::uint64_t summary_rejects = 0;         // GL: updates rejected (gap / unsynced)
     std::uint64_t cross_gm_duplicates_revoked = 0;  // GL: duplicate copies revoked
     std::uint64_t revokes_honored = 0;         // GM: GL revoke commands executed
@@ -82,13 +86,13 @@ class GroupManager final : public sim::Actor {
 
   // --- introspection ---------------------------------------------------------
   [[nodiscard]] net::Address address() const { return endpoint_.address(); }
-  [[nodiscard]] bool is_leader() const { return leader_; }
+  [[nodiscard]] bool is_leader() const { return term_.has_value(); }
   /// Election epoch of this GM's current (or last) leadership term.
   [[nodiscard]] std::uint64_t epoch() const { return my_epoch_; }
   /// Highest GL epoch observed (heartbeats and fenced commands).
   [[nodiscard]] std::uint64_t gl_epoch_seen() const { return gl_fence_.high_water; }
   /// True while a new GL term defers client work to rebuild soft state.
-  [[nodiscard]] bool reconciling() const { return reconciling_; }
+  [[nodiscard]] bool reconciling() const { return term().reconciling; }
   /// GL-domain commands this GM rejected as stale.
   [[nodiscard]] std::uint64_t fence_rejected() const { return gl_fence_.rejected; }
   /// Tripwire: stale GL-domain commands that reached the apply path (must
@@ -97,7 +101,7 @@ class GroupManager final : public sim::Actor {
   [[nodiscard]] net::Address current_gl() const { return current_gl_; }
   [[nodiscard]] std::size_t lc_count() const { return lcs_.size(); }
   [[nodiscard]] std::size_t vm_count() const;
-  [[nodiscard]] std::size_t known_gm_count() const { return gms_.size(); }
+  [[nodiscard]] std::size_t known_gm_count() const { return term().gms.size(); }
   [[nodiscard]] const Counters& counters() const { return counters_; }
   [[nodiscard]] net::GroupId heartbeat_group() const { return gm_group_; }
   [[nodiscard]] std::vector<GmInfo> gm_infos() const;
@@ -141,28 +145,23 @@ class GroupManager final : public sim::Actor {
 
   /// GL-side idempotency book size (RSS proxy for long-run soak gates).
   [[nodiscard]] std::size_t submission_book_size() const {
-    return completed_submissions_.size();
+    return term().completed_submissions.size();
   }
 
-  // --- delta summary stream (GL-side introspection) --------------------------
-  /// The GL's VM -> owner record, built from delta summaries. Empty when
-  /// delta summaries are off or this node is not the leader.
-  struct VmOwnership {
-    net::Address gm = net::kNullAddress;
-    net::Address lc = net::kNullAddress;
-    sim::Time since = 0.0;
-  };
+  // --- summary stream (GL-side introspection) --------------------------------
+  /// The GL's VM -> owner record, built from GM summaries. Empty when this
+  /// node is not the leader.
   [[nodiscard]] const std::map<VmId, VmOwnership>& vm_inventory() const {
-    return vm_inventory_;
+    return term().vm_inventory;
   }
   /// Unresolved cross-GM duplicate claims awaiting the incumbent's next
   /// summary (diagnostic; steady state is empty).
-  [[nodiscard]] std::size_t vm_conflict_count() const { return vm_conflicts_.size(); }
+  [[nodiscard]] std::size_t vm_conflict_count() const { return term().vm_conflicts.size(); }
   /// GL: age of the stalest GM summary, in seconds (obs SLI). Negative when
   /// this node is not the leader or knows no GMs yet.
   [[nodiscard]] double summary_staleness() const;
-  /// GL: worst LC heartbeat age aggregated hierarchically across GM delta
-  /// summaries. Negative until a delta summary carried the aggregate.
+  /// GL: worst LC heartbeat age aggregated hierarchically across GM
+  /// summaries. Negative until a summary carried the aggregate.
   [[nodiscard]] double aggregated_lc_heartbeat_age() const;
 
   // --- gray-failure detection -------------------------------------------------
@@ -232,13 +231,6 @@ class GroupManager final : public sim::Actor {
     int quarantine_count = 0;  ///< lifetime quarantines (>1 counts as a flap)
     std::map<VmId, VmRecord> vms;
   };
-  // The GL's view of a GM.
-  struct GmRecord {
-    GmInfo info;
-    sim::Time last_summary = 0.0;
-    /// Delta-summary stream state for this GM (inert in full-summary mode).
-    SummaryDecoder decoder;
-  };
 
   void handle_oneway(const net::Envelope& env);
   void handle_request(const net::Envelope& env, net::Responder responder);
@@ -246,10 +238,6 @@ class GroupManager final : public sim::Actor {
   // GM role ------------------------------------------------------------------
   void gm_tick_heartbeat();
   void gm_tick_summary();
-  /// Delta-summary mode: encode the changed VM placements since the last
-  /// acked epoch (or a full snapshot after reconnect / GL change / nack)
-  /// and send them as an acknowledged GmSummaryDelta.
-  void gm_send_summary_delta();
   /// GL-fenced command: stop a VM copy the GL identified as a cross-GM
   /// duplicate (a newer placement of the same VM id exists under another GM).
   void handle_revoke_vm(const RevokeVmRequest& req);
@@ -265,7 +253,9 @@ class GroupManager final : public sim::Actor {
   /// GM role: drive each LC's healthy -> probation -> quarantined ->
   /// reinstated ladder from the scorer's flags.
   void apply_containment();
-  /// Send the (possibly stretch-delayed) summary for this tick.
+  /// Send this tick's (possibly stretch-delayed) summary: the VM placements
+  /// changed since the last acked update — or a full snapshot after
+  /// reconnect / GL change / nack — as an acknowledged GmSummaryDelta.
   void gm_emit_summary();
   void handle_lc_join(const LcJoinRequest& req, net::Responder responder);
   void handle_monitor(const LcMonitorData& data);
@@ -280,6 +270,19 @@ class GroupManager final : public sim::Actor {
   /// lease, so this LC (and its VMs) are no longer ours. Returns true when
   /// the reply was a stale-epoch rejection.
   bool handle_stale_lc_reply(const net::MsgPtr& reply, net::Address lc);
+  /// Drop one LC and everything this GM keeps about it. Returns whether the
+  /// LC was managed here.
+  bool forget_lc(net::Address lc);
+  /// Hand every managed LC back to the hierarchy (a GmResign multicast;
+  /// nothing is sent once the endpoint is down) and forget all per-LC state.
+  void resign_lcs();
+  /// Command `lc` to stop its copy of `vm` under the LC's lease.
+  void stop_vm(net::Address lc, VmId vm);
+  /// Count, trace and answer one failed placement.
+  void fail_placement(telemetry::SpanContext span, std::string_view status,
+                      const net::Responder& responder);
+  /// One LC's record as the placement policies and planners see it.
+  [[nodiscard]] static LcInfo lc_info(net::Address addr, const LcRecord& record);
   void place_on(net::Address lc, const VmDescriptor& vm, telemetry::SpanContext span,
                 net::Responder responder);
   void try_wakeup_then_place(const VmDescriptor& vm, telemetry::SpanContext span,
@@ -293,7 +296,9 @@ class GroupManager final : public sim::Actor {
   [[nodiscard]] std::vector<VmLoad> vm_loads(const LcRecord& record) const;
   void on_lc_failed(net::Address lc);
 
-  // GL role ------------------------------------------------------------------
+  // GL role (group_leader.cpp) -----------------------------------------------
+  /// The current term's state, or an empty term when not leading.
+  [[nodiscard]] const LeaderTerm& term() const;
   void become_leader(std::uint64_t epoch);
   /// Leave GL mode (stale-epoch rejection, newer heartbeat, or session
   /// expiry) and re-enter the election as a plain GM. Idempotent.
@@ -301,6 +306,8 @@ class GroupManager final : public sim::Actor {
   void finish_reconcile(std::uint64_t term);
   void gl_tick_heartbeat();
   void gl_check_gm_liveness();
+  /// GL half of the gray pass: flag slow GMs off the dispatch path.
+  void gl_flag_slow_gms();
   void handle_assign_lc(const AssignLcRequest& req, net::Responder responder);
   void handle_submit(const SubmitVmRequest& req, telemetry::SpanContext ctx,
                      net::Responder responder);
@@ -309,8 +316,7 @@ class GroupManager final : public sim::Actor {
                               net::Responder responder);
   void answer_submit(VmId vm, const net::Responder& responder,
                      const SubmitVmResponse& result);
-  void handle_gm_summary(const GmSummary& summary);
-  /// Delta-summary stream: apply one GmSummaryDelta to the sender's decoder,
+  /// Summary stream: apply one GmSummaryDelta to the sender's decoder,
   /// sync the VM inventory, and ack (ok=false asks the GM to snapshot).
   void handle_summary_delta(const GmSummaryDelta& delta, net::Responder responder);
   /// Inventory bookkeeping for one placed / removed VM from an applied
@@ -325,9 +331,8 @@ class GroupManager final : public sim::Actor {
   void drop_gm_inventory(net::Address gm);
   void handle_gl_heartbeat(const GlHeartbeat& hb);
   /// Drop submission-book entries unrefreshed for longer than the retention
-  /// window (a live VM is re-acknowledged by every GM summary; an entry that
-  /// stopped refreshing belongs to a terminated VM whose client is long
-  /// gone). Bounds the book on long-horizon runs.
+  /// window whose VM the inventory no longer lists (a terminated VM whose
+  /// client is long gone). Bounds the book on long-horizon runs.
   void prune_submission_book();
 
   void trace_event(std::string_view kind, std::string_view detail = {});
@@ -347,7 +352,6 @@ class GroupManager final : public sim::Actor {
   sim::Trace* trace_;
 
   bool started_ = false;
-  bool leader_ = false;
   bool draining_ = false;
   std::uint32_t software_version_ = 1;
   net::Address current_gl_ = net::kNullAddress;
@@ -355,11 +359,8 @@ class GroupManager final : public sim::Actor {
   /// (from heartbeats and fenced commands) and rejects stale dispatches.
   EpochFence gl_fence_;
   std::uint64_t my_epoch_ = 0;
-
-  /// GL reconciliation window (see SnoozeConfig::gl_reconcile_window).
-  bool reconciling_ = false;
-  sim::Time reconcile_started_ = 0.0;
-  telemetry::SpanContext reconcile_span_;
+  /// GL soft state, engaged exactly while this GM leads.
+  std::optional<LeaderTerm> term_;
 
   /// Managed LCs, address-sorted in a flat table: the per-heartbeat and
   /// per-report lookups binary-search packed addresses, and every scan
@@ -367,32 +368,12 @@ class GroupManager final : public sim::Actor {
   /// order. Insert/erase shift the table, so neither may happen under a
   /// loop over it.
   util::FlatMap<net::Address, LcRecord> lcs_;
-  std::map<net::Address, GmRecord> gms_;
-  std::set<net::Address> waking_;  ///< LCs with an in-flight wakeup
-
-  // GL-side idempotency: a submission retried because its response was lost
-  // must not start a second copy of the VM. Completed results are replayed;
-  // duplicates of in-flight submissions are parked and answered with the
-  // first dispatch's outcome (the client's submit deadline is shorter than
-  // our worst-case placement, so retries legitimately race the original).
-  // The completed map is refreshed by GM summaries for live VMs and pruned
-  // after SnoozeConfig::submission_book_retention for entries that stopped
-  // refreshing (terminated VMs), so it stays bounded by the live fleet on
-  // long-horizon runs. Cleared on failover.
-  struct CompletedSubmission {
-    net::Address lc = net::kNullAddress;
-    net::Address gm = net::kNullAddress;
-    sim::Time at = 0.0;  ///< last acknowledgment (placement or summary refresh)
-  };
-  std::map<VmId, CompletedSubmission> completed_submissions_;
-  std::set<VmId> inflight_submissions_;
   /// Destinations of migrations this GM commanded that have not completed
   /// yet. Monitoring reports lag the command, so without this the
   /// interference planner would keep routing victims at a target that looks
   /// empty but already has a noisy VM on the wire towards it (co-location
   /// ping-pong). Cleared on MigrationDone, LC rejection, or command timeout.
   std::map<VmId, net::Address> inflight_migrations_;
-  std::map<VmId, std::vector<net::Responder>> submit_waiters_;
   /// (LC, VM) pairs with an in-flight StartVm this GM issued. A slow LC's
   /// monitoring report can list the booting copy before the ack arrives;
   /// adopting it would smuggle an unconfirmed placement into the summary
@@ -406,10 +387,10 @@ class GroupManager final : public sim::Actor {
   /// Entries lift on re-placement, termination, or LC removal.
   std::set<std::pair<net::Address, VmId>> condemned_vms_;
 
-  // --- delta summary stream --------------------------------------------------
-  // GM side: encoder state for the outbound stream. The stream id is bumped
-  // on restart() so a delayed delta from a previous life can never be
-  // confused with the fresh stream's sequence numbers.
+  // --- summary stream --------------------------------------------------------
+  // Encoder state for the outbound stream. The stream id is bumped on
+  // restart() so a delayed delta from a previous life can never be confused
+  // with the fresh stream's sequence numbers.
   SummaryEncoder summary_encoder_;
   std::uint64_t summary_stream_ = 1;
   /// GL (and its epoch) the stream is currently aimed at; any change forces
@@ -417,23 +398,11 @@ class GroupManager final : public sim::Actor {
   net::Address summary_gl_ = net::kNullAddress;
   std::uint64_t summary_gl_epoch_ = 0;
 
-  // GL side: the cluster-wide VM -> owner inventory assembled from delta
-  // summaries, and cross-GM duplicate claims pending resolution. A conflict
-  // is resolved only on the incumbent's next applied summary — if it still
-  // reports the VM the challenger's copy is revoked, otherwise ownership
-  // transfers — so a single reordered report never kills a healthy VM.
-  struct PendingConflict {
-    net::Address incumbent = net::kNullAddress;
-    net::Address challenger = net::kNullAddress;
-    net::Address challenger_lc = net::kNullAddress;
-    sim::Time since = 0.0;
-  };
-  std::map<VmId, VmOwnership> vm_inventory_;
-  std::map<VmId, PendingConflict> vm_conflicts_;
-
+  /// The GL's dispatch and assignment policies belong to the GM, not the
+  /// term: their round-robin cursors carry on when this GM leads again.
   std::unique_ptr<DispatchPolicy> dispatch_policy_;
   std::unique_ptr<PlacementPolicy> placement_policy_;
-  std::unique_ptr<AssignmentPolicy> assignment_policy_;
+  RoundRobinAssignment assignment_;
 
   /// Peer-relative fail-slow scorer: over LCs in GM mode, over GMs in GL
   /// mode (cleared on every role change so baselines never mix).

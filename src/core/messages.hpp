@@ -38,33 +38,15 @@ struct GmHeartbeat final : net::Message {
   [[nodiscard]] std::size_t wire_size() const override { return 16; }
 };
 
-/// GM -> GL: heartbeat carrying the aggregated resource summary (paper
-/// §II.B: "each GM periodically sends aggregated resource monitoring
-/// information to the GL").
-struct GmSummary final : net::Message {
-  Address gm = net::kNullAddress;
-  ResourceVector used;      ///< estimated VM demand over the GM's LCs
-  ResourceVector capacity;  ///< total capacity of powered-on LCs
-  std::uint32_t lc_count = 0;
-  std::uint32_t vm_count = 0;
-  /// Where each of this GM's VMs runs. A freshly elected GL rebuilds its
-  /// submission book from these during the reconciliation window, so a
-  /// client retrying a VM whose accept was lost in the failover gets the
-  /// existing placement replayed instead of a duplicate instance.
-  std::vector<std::pair<VmId, Address>> vm_locations;
-  [[nodiscard]] std::string_view type() const override { return "gm.summary"; }
-  [[nodiscard]] std::size_t wire_size() const override {
-    return 72 + vm_locations.size() * 16;
-  }
-};
-
-/// GM -> GL (RPC; replaces the one-way GmSummary when
-/// SnoozeConfig::delta_summaries is on): batched summary carrying the
-/// aggregates plus only the per-VM location *changes* since the last
-/// acknowledged update — O(churn) on the wire instead of O(VMs). A full
-/// snapshot (`snapshot` set, `placed` complete) re-anchors the stream on
-/// first contact, GL change, reconnect, or any lost/negative ack; see
-/// core/summary_codec.hpp for the exact safety argument.
+/// GM -> GL (RPC): the aggregated resource summary (paper §II.B: "each GM
+/// periodically sends aggregated resource monitoring information to the
+/// GL"), batched as the aggregates plus only the per-VM location *changes*
+/// since the last acknowledged update — O(churn) on the wire instead of
+/// O(VMs). A full snapshot (`snapshot` set, `placed` complete) re-anchors
+/// the stream on first contact, GL change, reconnect, or any lost/negative
+/// ack; a freshly elected GL rebuilds its submission book from these during
+/// the reconciliation window. See core/summary_codec.hpp for the exact
+/// safety argument.
 struct GmSummaryDelta final : net::Message {
   Address gm = net::kNullAddress;
   ResourceVector used;      ///< estimated VM demand over the GM's LCs

@@ -164,23 +164,4 @@ Address RoundRobinAssignment::assign(const std::vector<GmInfo>& gms) {
   return gms[next_++ % gms.size()].gm;
 }
 
-Address LeastLoadedAssignment::assign(const std::vector<GmInfo>& gms) {
-  if (gms.empty()) return net::kNullAddress;
-  const auto it = std::min_element(gms.begin(), gms.end(),
-                                   [](const GmInfo& a, const GmInfo& b) {
-                                     return a.lc_count < b.lc_count;
-                                   });
-  return it->gm;
-}
-
-std::unique_ptr<AssignmentPolicy> make_assignment_policy(AssignmentPolicyKind kind) {
-  switch (kind) {
-    case AssignmentPolicyKind::kRoundRobin:
-      return std::make_unique<RoundRobinAssignment>();
-    case AssignmentPolicyKind::kLeastLoaded:
-      return std::make_unique<LeastLoadedAssignment>();
-  }
-  return std::make_unique<RoundRobinAssignment>();
-}
-
 }  // namespace snooze::core

@@ -4,7 +4,7 @@
 // summaries ("summary information is not sufficient to take exact
 // dispatching decisions ... a list of candidate GMs is provided ... a linear
 // search is performed"). GM level: placement policies pick an LC for an
-// incoming VM. GL assignment policies attach a joining LC to a GM.
+// incoming VM. The GL's round-robin assignment attaches a joining LC to a GM.
 #pragma once
 
 #include <cstdint>
@@ -19,16 +19,15 @@ namespace snooze::core {
 
 using net::Address;
 
-/// The GL's view of one GM (from the latest GmSummary).
+/// The GL's view of one GM (from the latest GmSummaryDelta).
 struct GmInfo {
   Address gm = net::kNullAddress;
   ResourceVector used;
   ResourceVector capacity;
   std::uint32_t lc_count = 0;
   std::uint32_t vm_count = 0;
-  /// Hierarchical heartbeat aggregation (delta summaries only): the worst
-  /// LC heartbeat age under this GM at summary time. Negative when the GM
-  /// reports via full summaries, which do not carry the aggregate.
+  /// Hierarchical heartbeat aggregation: the worst LC heartbeat age under
+  /// this GM at summary time. Negative until the GM's first summary.
   double worst_lc_heartbeat_age = -1.0;
   /// Flagged slow by the GL's peer-relative scorer: dispatch and assignment
   /// avoid this GM while healthy alternatives exist (it is never declared
@@ -152,27 +151,13 @@ std::unique_ptr<PlacementPolicy> make_placement_policy(PlacementPolicyKind kind)
 
 // --- GL assignment of LCs to GMs --------------------------------------------
 
-class AssignmentPolicy {
+class RoundRobinAssignment {
  public:
-  virtual ~AssignmentPolicy() = default;
   /// GM to attach a joining LC to, or kNullAddress if no GM is known.
-  virtual Address assign(const std::vector<GmInfo>& gms) = 0;
-};
-
-class RoundRobinAssignment final : public AssignmentPolicy {
- public:
-  Address assign(const std::vector<GmInfo>& gms) override;
+  Address assign(const std::vector<GmInfo>& gms);
 
  private:
   std::size_t next_ = 0;
 };
-
-/// Attach to the GM currently managing the fewest LCs.
-class LeastLoadedAssignment final : public AssignmentPolicy {
- public:
-  Address assign(const std::vector<GmInfo>& gms) override;
-};
-
-std::unique_ptr<AssignmentPolicy> make_assignment_policy(AssignmentPolicyKind kind);
 
 }  // namespace snooze::core

@@ -1,6 +1,6 @@
 // Delta encoding for the GM -> GL summary stream.
 //
-// A full GmSummary re-lists every VM location each period, so GL ingest is
+// A full summary re-lists every VM location each period, so GL ingest is
 // O(total VMs) per period — the protocol wall on the way to 100k LCs. The
 // delta stream sends only per-VM location changes against the last state the
 // GL *acknowledged*, falling back to a full snapshot whenever that base is

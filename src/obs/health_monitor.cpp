@@ -199,42 +199,38 @@ void HealthMonitor::sample_now() {
   last_penalty_sum_ = penalty_sum;
   last_sample_time_ = now;
 
-  // --- summary protocol (delta-summary deployments only) -------------------
+  // --- summary protocol ----------------------------------------------------
   // Bytes per summary-sending GM per period over the trailing rate window,
-  // and the stalest GM summary at the acting GL. Both NaN in full-summary
-  // mode so pre-delta deployments evaluate (and alert) exactly as before.
-  // Normalized per sender, not per LC: a converged delta stream costs one
-  // near-empty header per GM per period whatever the fleet shape, so the
-  // same threshold works for a 4-LC test cluster and a 200-LC production
-  // shape.
+  // and the stalest GM summary at the acting GL (NaN until there is a rate
+  // window and a GL with known GMs). Normalized per sender, not per LC: a
+  // converged delta stream costs one near-empty header per GM per period
+  // whatever the fleet shape, so the same threshold works for a 4-LC test
+  // cluster and a 200-LC production shape.
   double summary_bytes_per_gm = kNaN;
   double summary_staleness = kNaN;
-  if (system_.spec().config.delta_summaries) {
-    double total_bytes = 0.0;
-    double senders = 0.0;
-    for (const auto& gm : system_.group_managers()) {
-      total_bytes += static_cast<double>(gm->counters().summary_bytes_sent);
-      if (gm->is_leader()) {
-        const double s = gm->summary_staleness();
-        if (s >= 0.0) summary_staleness = s;
-      } else if (gm->alive()) {
-        ++senders;
-      }
+  double total_bytes = 0.0;
+  double senders = 0.0;
+  for (const auto& gm : system_.group_managers()) {
+    total_bytes += static_cast<double>(gm->counters().summary_bytes_sent);
+    if (gm->is_leader()) {
+      const double s = gm->summary_staleness();
+      if (s >= 0.0) summary_staleness = s;
+    } else if (gm->alive()) {
+      ++senders;
     }
-    while (!summary_bytes_window_.empty() &&
-           now - summary_bytes_window_.front().time > kRateWindow) {
-      summary_bytes_window_.erase(summary_bytes_window_.begin());
-    }
-    if (!summary_bytes_window_.empty() && senders > 0.0) {
-      const BytesSample& oldest = summary_bytes_window_.front();
-      if (now > oldest.time) {
-        const double rate = (total_bytes - oldest.bytes) / (now - oldest.time);
-        summary_bytes_per_gm =
-            rate * system_.spec().config.gm_summary_period / senders;
-      }
-    }
-    summary_bytes_window_.push_back({now, total_bytes});
   }
+  while (!summary_bytes_window_.empty() &&
+         now - summary_bytes_window_.front().time > kRateWindow) {
+    summary_bytes_window_.erase(summary_bytes_window_.begin());
+  }
+  if (!summary_bytes_window_.empty() && senders > 0.0) {
+    const BytesSample& oldest = summary_bytes_window_.front();
+    if (now > oldest.time) {
+      const double rate = (total_bytes - oldest.bytes) / (now - oldest.time);
+      summary_bytes_per_gm = rate * system_.spec().config.gm_summary_period / senders;
+    }
+  }
+  summary_bytes_window_.push_back({now, total_bytes});
 
   // --- gray-failure detection ----------------------------------------------
   // Slow nodes = LCs held on probation or in quarantine by their GM, plus GMs

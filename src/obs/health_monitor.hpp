@@ -27,10 +27,9 @@
 //                         trailing 60 s window
 //   summary_bytes_per_gm  GM->GL summary bytes per sending (alive, non-GL) GM
 //                         per summary period over a trailing 60 s window; NaN
-//                         until delta summaries are enabled (full-summary
-//                         deployments keep their golden traces bit-for-bit)
+//                         until the window holds a sample and a GM sends
 //   summary_staleness     age of the stalest GM summary at the acting GL (s);
-//                         NaN without delta summaries or without a leader
+//                         NaN without a leader that knows a GM
 //   gray.slow_nodes       nodes currently flagged slow: LCs on probation or in
 //                         quarantine (summed over GMs) + GMs the GL flags
 //   gray.quarantined      LCs currently quarantined (evacuated + suspended)

@@ -458,11 +458,10 @@ TEST(Invariants, DuplicateAcrossGmsIsResolved) {
   spec.seed = 42;
   spec.group_managers = 3;
   spec.local_controllers = 4;
-  // With the delta-summary stream the GL keeps a VM -> GM ownership
-  // inventory, so the split-brain placement that is merely *reported* in
+  // The GL keeps a VM -> GM ownership inventory from the summary stream, so
+  // the split-brain placement that is merely *reported* in
   // DuplicateVmInstanceIsReported gets actively resolved: the GL revokes the
   // challenger copy and exactly one instance survives.
-  spec.config.delta_summaries = true;
   core::SnoozeSystem system(spec);
   system.start();
   ASSERT_TRUE(system.run_until_stable(60.0));
@@ -558,13 +557,12 @@ TEST(ChaosRun, DeltaSummariesSurviveSeededPartitions) {
   // Seed 45 generates the partition/heal shape that historically produced
   // cross-GM duplicate placements (a GM isolated mid-dispatch, the client
   // resubmitting to the surviving side, the partition healing with both
-  // copies alive). With the delta-summary stream on, the run must not just
-  // detect that state — it must converge with invariants clean, which
-  // requires the GL inventory to resolve the duplicates and the ack'd delta
-  // stream to survive the same loss/duplication the schedule injects.
+  // copies alive). The run must not just detect that state — it must
+  // converge with invariants clean, which requires the GL inventory to
+  // resolve the duplicates and the ack'd delta stream to survive the same
+  // loss/duplication the schedule injects.
   ChaosRunConfig cfg;
   cfg.seed = 45;
-  cfg.config.delta_summaries = true;
   const auto result = run_chaos(cfg);
   EXPECT_TRUE(result.converged) << result.report;
   EXPECT_TRUE(result.invariants_ok) << result.report;

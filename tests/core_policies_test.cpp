@@ -55,12 +55,12 @@ TEST(Estimator, EwmaFirstSampleIsExact) {
 
 // --- helpers ----------------------------------------------------------------------
 
-GmInfo gm_info(net::Address addr, double used_frac, std::uint32_t lcs = 4) {
+GmInfo gm_info(net::Address addr, double used_frac) {
   GmInfo info;
   info.gm = addr;
   info.capacity = {4.0, 4.0, 4.0};
   info.used = info.capacity.scaled(used_frac);
-  info.lc_count = lcs;
+  info.lc_count = 4;
   return info;
 }
 
@@ -190,18 +190,9 @@ TEST(Assignment, RoundRobinCycles) {
   EXPECT_EQ(a, c);
 }
 
-TEST(Assignment, LeastLoadedPicksFewestLcs) {
-  LeastLoadedAssignment policy;
-  const std::vector<GmInfo> gms{gm_info(1, 0.1, 8), gm_info(2, 0.1, 2),
-                                gm_info(3, 0.1, 5)};
-  EXPECT_EQ(policy.assign(gms), 2u);
-}
-
 TEST(Assignment, EmptyYieldsNull) {
   RoundRobinAssignment rr;
-  LeastLoadedAssignment ll;
   EXPECT_EQ(rr.assign({}), net::kNullAddress);
-  EXPECT_EQ(ll.assign({}), net::kNullAddress);
 }
 
 // --- Relocation planning ---------------------------------------------------------------

@@ -5,8 +5,11 @@
 // failover_soak_test.cpp (ctest label `soak`).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "chaos/runner.hpp"
 #include "chaos/schedule.hpp"
@@ -157,6 +160,108 @@ TEST(Reconcile, NewGlFinishesReconciliationWithinWindow) {
   const auto* gauge = system.telemetry().metrics().find_gauge("failover.epoch");
   ASSERT_NE(gauge, nullptr);
   EXPECT_EQ(gauge->current(), static_cast<double>(new_gl->epoch()));
+}
+
+// A GL's soft state belongs to its term. Deposed by a newer heartbeat, it
+// reads empty through every GL accessor; a dispatch reply that lands after
+// the step-down still ends its span and answers its client, without writing
+// into the dead term; and when the same GM leads again its round-robin
+// dispatch carries on from the cursor it left.
+TEST(LeaderTerm, GlStateDiesWithItsTerm) {
+  SnoozeSystem system(failover_spec());
+  system.start();
+  ASSERT_TRUE(system.run_until_stable(60.0));
+  GroupManager* gl = system.leader();
+  ASSERT_NE(gl, nullptr);
+  system.client().submit_all({system.make_vm({0.1, 0.1, 0.1}),
+                              system.make_vm({0.1, 0.1, 0.1})}, 0.5);
+  system.engine().run_until(system.engine().now() + 20.0);
+  ASSERT_GT(gl->submission_book_size(), 0u);
+  ASSERT_FALSE(gl->vm_inventory().empty());
+  ASSERT_GT(gl->known_gm_count(), 0u);
+
+  net::RpcEndpoint probe(system.engine(), system.network(),
+                         system.network().allocate_address(), "probe");
+  // A successor's heartbeat, one epoch ahead, delivered to the leader alone.
+  auto depose = [&](GroupManager* leader) {
+    auto hb = std::make_shared<GlHeartbeat>();
+    hb->gl = probe.address();
+    hb->epoch = leader->epoch() + 1;
+    probe.send(leader->address(), hb);
+  };
+  auto submit = [&](GroupManager* to, std::optional<SubmitVmResponse>& out) {
+    auto req = std::make_shared<SubmitVmRequest>();
+    req->vm = system.make_vm({0.1, 0.1, 0.1});
+    auto& spans = system.telemetry().spans();
+    req->ctx = spans.begin(spans.new_trace(), 0, "probe.submit", "probe");
+    probe.call(to->address(), req, 30.0, [&out](bool ok, const net::MsgPtr& reply) {
+      const auto* resp = ok ? net::msg_cast<SubmitVmResponse>(reply) : nullptr;
+      if (resp != nullptr) out = *resp;
+    });
+    return req->vm.id;
+  };
+
+  // Step down while a dispatch waits for its placement (a VM boot).
+  std::optional<SubmitVmResponse> late;
+  const VmId late_vm = submit(gl, late);
+  system.engine().run_until(system.engine().now() + 0.5);
+  ASSERT_FALSE(late.has_value());
+  depose(gl);
+  system.engine().run_until(system.engine().now() + 0.1);
+  ASSERT_FALSE(gl->is_leader());
+  EXPECT_EQ(gl->known_gm_count(), 0u);
+  EXPECT_TRUE(gl->gm_infos().empty());
+  EXPECT_EQ(gl->submission_book_size(), 0u);
+  EXPECT_TRUE(gl->vm_inventory().empty());
+  EXPECT_EQ(gl->vm_conflict_count(), 0u);
+  EXPECT_EQ(gl->gm_probation_count(), 0u);
+  EXPECT_FALSE(gl->reconciling());
+  EXPECT_LT(gl->summary_staleness(), 0.0);
+  EXPECT_LT(gl->aggregated_lc_heartbeat_age(), 0.0);
+
+  system.engine().run_until(system.engine().now() + 10.0);
+  ASSERT_TRUE(late.has_value());
+  EXPECT_TRUE(late->ok);
+  const telemetry::SpanRecord* span = nullptr;
+  for (const auto& s : system.telemetry().spans().spans()) {
+    if (s.name == "gl.dispatch" && s.detail == "vm=" + std::to_string(late_vm)) span = &s;
+  }
+  ASSERT_NE(span, nullptr);
+  EXPECT_EQ(span->status, "ok");
+  EXPECT_EQ(gl->submission_book_size(), 0u);
+
+  // Depose the two successors in turn; the first GL's fresh candidacy is
+  // then first in line again.
+  for (int i = 0; i < 2; ++i) {
+    GroupManager* next = system.leader();
+    ASSERT_NE(next, nullptr);
+    ASSERT_NE(next, gl);
+    depose(next);
+    system.engine().run_until(system.engine().now() + 15.0);
+  }
+  ASSERT_EQ(system.leader(), gl);
+  const double deadline = system.engine().now() + 60.0;
+  auto both_gms_host = [&] {
+    const std::vector<GmInfo> infos = gl->gm_infos();
+    return !gl->reconciling() && infos.size() == 2 &&
+           std::all_of(infos.begin(), infos.end(),
+                       [](const GmInfo& info) { return info.lc_count > 0; });
+  };
+  for (double t = system.engine().now(); !both_gms_host(); t += 1.0) {
+    ASSERT_LT(t, deadline) << "the GMs never rejoined under the new term";
+    system.engine().run_until(t + 1.0);
+  }
+
+  // Round robin resumes at the old cursor: one step per earlier dispatch.
+  const std::vector<GmInfo> infos = gl->gm_infos();
+  const std::uint64_t cursor = gl->counters().dispatches;
+  ASSERT_NE(cursor % infos.size(), 0u) << "a fresh cursor would pick the same GM";
+  std::optional<SubmitVmResponse> next;
+  submit(gl, next);
+  system.engine().run_until(system.engine().now() + 10.0);
+  ASSERT_TRUE(next.has_value());
+  ASSERT_TRUE(next->ok);
+  EXPECT_EQ(next->gm, infos[cursor % infos.size()].gm);
 }
 
 // The scripted acceptance scenario: isolate the GL mid-workload, let a

@@ -165,26 +165,16 @@ const Scenario kScenarios[] = {
        cfg.host_topology = interference::TopologySpec::uniform(1, 8.0, 10.0);
        cfg.vm_profiles = {{interference::CacheIntensity::kHigh, 6.0, 6.0}};
      }},
-    // Delta-summary stream at scale: 3 GMs / 200 LCs with batched delta
-    // summaries on, one GM isolated mid-stream and healed. Pins the
-    // delta -> (nack/timeout) -> snapshot -> delta sequence byte-exactly:
-    // the reconnecting GM must re-anchor the GL with a snapshot before
-    // resuming deltas, and the GL-side inventory churn from the LCs that
-    // re-registered during the partition must replay identically.
+    // Delta-summary stream at scale: 3 GMs / 200 LCs, one GM isolated
+    // mid-stream and healed. Pins the delta -> (nack/timeout) -> snapshot ->
+    // delta sequence byte-exactly: the reconnecting GM must re-anchor the GL
+    // with a snapshot before resuming deltas, and the GL-side inventory churn
+    // from the LCs that re-registered during the partition must replay
+    // identically.
     {"scale_delta_summary", 1717, {3, 200, 1}, 10,
      "duration 60\n"
      "8 isolate gm 1 #1\n"
-     "20 heal #1\n",
-     [](chaos::ChaosRunConfig& cfg) { cfg.config.delta_summaries = true; }},
-    // Full-summary compatibility: delta summaries are the default now, so
-    // this scenario pins the legacy full-summary protocol (the paper's
-    // original GM->GL stream) under a GM crash. Guards the non-delta path
-    // from bit-rot while every other golden runs the delta stream.
-    {"full_summary_small", 1818, {2, 6, 1}, 6,
-     "duration 40\n"
-     "6 crash gm 1 #1\n"
-     "22 recover #1\n",
-     [](chaos::ChaosRunConfig& cfg) { cfg.config.delta_summaries = false; }},
+     "20 heal #1\n"},
     // Gray failure: one LC turns fail-slow (keeps heartbeating, serves 4x
     // slower), a second loses CPU to steal, and one GM->LC link goes flaky.
     // Pins the whole detection -> containment -> reinstatement event order:

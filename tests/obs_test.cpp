@@ -275,47 +275,37 @@ std::size_t column_of(const obs::TimeSeriesStore& store, const std::string& name
   return 0;
 }
 
-// In a delta-summary deployment the two summary SLIs come alive: bytes per
-// sending GM per summary period settles to a finite positive rate (steady
-// state is one near-empty delta header per non-leader GM per period) and the
-// GL-side staleness stays within the SLO bound. In full-summary mode both
-// stay NaN, so pre-delta deployments evaluate their SLOs exactly as before.
-TEST(HealthMonitor, SummarySlisLiveInDeltaModeAndNanInFullMode) {
-  for (const bool delta : {true, false}) {
-    core::SystemSpec spec;
-    spec.entry_points = 2;
-    spec.group_managers = 2;
-    spec.local_controllers = 6;
-    spec.seed = 18;
-    spec.config.delta_summaries = delta;
-    core::SnoozeSystem system(spec);
-    system.start();
-    ASSERT_TRUE(system.run_until_stable(300.0));
+// The two summary SLIs are live: bytes per sending GM per summary period
+// settles to a finite positive rate (steady state is one near-empty delta
+// header per non-leader GM per period) and the GL-side staleness stays
+// within the SLO bound.
+TEST(HealthMonitor, SummarySlisAreLive) {
+  core::SystemSpec spec;
+  spec.entry_points = 2;
+  spec.group_managers = 2;
+  spec.local_controllers = 6;
+  spec.seed = 18;
+  core::SnoozeSystem system(spec);
+  system.start();
+  ASSERT_TRUE(system.run_until_stable(300.0));
 
-    obs::HealthMonitor monitor(system);
-    monitor.start();
-    std::vector<core::VmDescriptor> vms;
-    for (int i = 0; i < 4; ++i) vms.push_back(system.make_vm({0.1, 0.1, 0.1}));
-    system.client().submit_all(vms, 1.0);
-    system.engine().run_until(system.engine().now() + 120.0);
+  obs::HealthMonitor monitor(system);
+  monitor.start();
+  std::vector<core::VmDescriptor> vms;
+  for (int i = 0; i < 4; ++i) vms.push_back(system.make_vm({0.1, 0.1, 0.1}));
+  system.client().submit_all(vms, 1.0);
+  system.engine().run_until(system.engine().now() + 120.0);
 
-    const auto& store = monitor.store();
-    const double bytes =
-        store.latest(column_of(store, "summary.bytes_per_gm_period"));
-    const double staleness = store.latest(column_of(store, "summary.staleness_s"));
-    if (delta) {
-      EXPECT_GT(bytes, 0.0);
-      // Per sending GM the figure is topology-invariant (one near-empty delta
-      // header per period), so the SLO threshold itself is the healthy bound
-      // even in this dense test shape.
-      EXPECT_LT(bytes, test_slo_config().summary_bytes_per_gm_period_max);
-      EXPECT_GE(staleness, 0.0);
-      EXPECT_LT(staleness, test_slo_config().summary_staleness_max_s);
-    } else {
-      EXPECT_TRUE(std::isnan(bytes));
-      EXPECT_TRUE(std::isnan(staleness));
-    }
-  }
+  const auto& store = monitor.store();
+  const double bytes = store.latest(column_of(store, "summary.bytes_per_gm_period"));
+  const double staleness = store.latest(column_of(store, "summary.staleness_s"));
+  EXPECT_GT(bytes, 0.0);
+  // Per sending GM the figure is topology-invariant (one near-empty delta
+  // header per period), so the SLO threshold itself is the healthy bound
+  // even in this dense test shape.
+  EXPECT_LT(bytes, test_slo_config().summary_bytes_per_gm_period_max);
+  EXPECT_GE(staleness, 0.0);
+  EXPECT_LT(staleness, test_slo_config().summary_staleness_max_s);
 }
 
 // --- failover MTTR SLI vs the raw trace --------------------------------------

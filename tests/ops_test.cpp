@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -122,11 +123,24 @@ TEST(Drain, EvacuationCompletesInFlightMigrations) {
   EXPECT_FALSE(system.trace().of_kind("lc.migration_start").empty());
 }
 
-// A GM that crashes with migrations in flight forgets them. The crash drops
-// the pending MigrateVm callbacks and each MigrationDone reaches the dead
-// incarnation, so a record that survived restart() would keep those VMs and
-// destinations out of interference planning for good.
-TEST(Drain, GmRestartForgetsInFlightMigrations) {
+// A GM gives up its LCs three ways: a crash and restart, a drain ahead of a
+// restart, and promotion to GL. Each must forget the LCs together with every
+// migration it commanded there: the MigrateVm callbacks die with a crash and
+// the MigrationDone reports go to the LCs' next GM, so a record that survived
+// would keep those VMs and destinations out of interference planning for good.
+enum class GiveUp { kCrashRestart, kDrain, kPromotion };
+
+void PrintTo(GiveUp way, std::ostream* os) {
+  switch (way) {
+    case GiveUp::kCrashRestart: *os << "crash_restart"; break;
+    case GiveUp::kDrain: *os << "begin_drain"; break;
+    case GiveUp::kPromotion: *os << "promotion"; break;
+  }
+}
+
+class GmGivesUpLcs : public ::testing::TestWithParam<GiveUp> {};
+
+TEST_P(GmGivesUpLcs, ForgetsLcsAndInFlightMigrations) {
   SnoozeSystem system(spec_of(2, 4));
   system.start();
   ASSERT_TRUE(system.run_until_stable(60.0));
@@ -147,12 +161,39 @@ TEST(Drain, GmRestartForgetsInFlightMigrations) {
   ASSERT_GT(owner->evacuate_lc(source->address()), 0u);
   ASSERT_GT(owner->inflight_migration_count(), 0u);
 
-  owner->fail();
-  owner->restart();
+  switch (GetParam()) {
+    case GiveUp::kCrashRestart:
+      owner->fail();
+      owner->restart();
+      break;
+    case GiveUp::kDrain:
+      owner->begin_drain();
+      break;
+    case GiveUp::kPromotion: {
+      // Two GMs: the owner is next in line once the GL dies, and is promoted
+      // while its pre-copies are still on the wire.
+      ASSERT_GE(system.fail_gl(), 0);
+      const double deadline = system.engine().now() + 30.0;
+      std::size_t inflight_before = 0;
+      for (double t = system.engine().now(); !owner->is_leader(); t += 0.1) {
+        ASSERT_LT(t, deadline) << "the owner was never promoted";
+        inflight_before = owner->inflight_migration_count();
+        system.engine().run_until(t + 0.1);
+      }
+      ASSERT_GT(inflight_before, 0u) << "promoted only after its migrations ended";
+      break;
+    }
+  }
+  EXPECT_EQ(owner->lc_count(), 0u);
   EXPECT_EQ(owner->inflight_migration_count(), 0u);
   system.engine().run_until(system.engine().now() + 120.0);
   EXPECT_EQ(owner->inflight_migration_count(), 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Drain, GmGivesUpLcs,
+                         ::testing::Values(GiveUp::kCrashRestart, GiveUp::kDrain,
+                                           GiveUp::kPromotion),
+                         ::testing::PrintToStringParamName());
 
 // cancel_drain() reopens the node: subsequent placements may use it again.
 TEST(Drain, CancelDrainReopensNode) {

@@ -3,7 +3,7 @@
 // The codec's contract: whatever mix of churn, loss, duplication, reordering
 // and restarts the stream suffers, a successfully applied fresh update leaves
 // the decoder holding EXACTLY the encoder-side VM-location map as of encode
-// time — byte-for-byte what a full GmSummary stream would have delivered —
+// time — byte-for-byte what a full-summary stream would have delivered —
 // and a replayed stale update never moves the decoder at all. Divergence is
 // only ever allowed to be loud (apply() == false => nack => snapshot), never
 // silent.
