@@ -23,7 +23,14 @@ int main(int argc, char** argv) {
     cfg.seed = static_cast<std::uint64_t>(args.get_int("chaos-seed", 1));
     cfg.topology.group_managers = static_cast<std::size_t>(args.get_int("gms", 3));
     cfg.topology.local_controllers = static_cast<std::size_t>(args.get_int("lcs", 9));
-    cfg.spec.duration = args.get_double("chaos-duration", cfg.spec.duration);
+    if (args.has("chaos-duration")) {
+      try {
+        cfg.spec.duration = snooze::chaos::parse_duration(args.get("chaos-duration", ""));
+      } catch (const std::runtime_error& e) {
+        std::fprintf(stderr, "--chaos-duration: %s\n", e.what());
+        return 2;
+      }
+    }
     const auto result = snooze::chaos::run_chaos(cfg);
     std::fputs(result.report.c_str(), stdout);
     std::printf("trace hash: %016llx\n",

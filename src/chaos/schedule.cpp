@@ -437,7 +437,9 @@ FaultSchedule generate_schedule(const ChaosSpec& spec, const Topology& topo,
 
 namespace {
 
+/// Line 0 marks a value from outside any script (a command-line argument).
 [[noreturn]] void fail_at(std::size_t line, const std::string& message) {
+  if (line == 0) throw std::runtime_error(message);
   throw std::runtime_error("chaos script line " + std::to_string(line) + ": " + message);
 }
 
@@ -496,6 +498,18 @@ double parse_seconds(const std::string& tok, std::size_t line, const char* what)
   return value;
 }
 
+/// A chaos horizon: a generator asked for an empty or endless one never
+/// finishes drawing faults.
+double parse_horizon(const std::string& tok, std::size_t line) {
+  const double value = parse_seconds(tok, line, "duration");
+  if (value == 0.0 || value > kMaxChaosDuration) {
+    fail_at(line, "duration must be in (0, " +
+                      std::to_string(static_cast<long>(kMaxChaosDuration)) +
+                      "] seconds, got '" + tok + "'");
+  }
+  return value;
+}
+
 NodeRole parse_role(const std::string& tok, std::size_t line) {
   if (tok == "gl") return NodeRole::kGl;
   if (tok == "gm") return NodeRole::kGm;
@@ -528,6 +542,8 @@ int parse_pair(const std::vector<std::string>& tokens, std::size_t& pos,
 
 }  // namespace
 
+sim::Time parse_duration(const std::string& tok) { return parse_horizon(tok, 0); }
+
 FaultSchedule parse_script(const std::string& text) {
   FaultSchedule schedule;
   std::istringstream in(text);
@@ -540,7 +556,7 @@ FaultSchedule parse_script(const std::string& text) {
 
     if (tokens[0] == "duration") {
       if (tokens.size() < 2) fail_at(line_no, "duration needs a value");
-      schedule.duration = parse_seconds(tokens[1], line_no, "duration");
+      schedule.duration = parse_horizon(tokens[1], line_no);
       continue;
     }
 

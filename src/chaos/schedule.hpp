@@ -128,6 +128,15 @@ struct Topology {
 [[nodiscard]] FaultSchedule generate_schedule(const ChaosSpec& spec, const Topology& topo,
                                               std::uint64_t seed);
 
+/// Longest chaos horizon accepted from outside the program: one virtual day,
+/// the longest any in-repo run injects faults for.
+constexpr sim::Time kMaxChaosDuration = 86400.0;
+
+/// Parse a chaos horizon given from outside (a CLI or script `duration`):
+/// the whole token must be a finite number of seconds in
+/// (0, kMaxChaosDuration]. Throws std::runtime_error otherwise.
+[[nodiscard]] sim::Time parse_duration(const std::string& tok);
+
 /// Parse the script grammar (one action per line, `#` comments):
 ///
 ///   duration <t>

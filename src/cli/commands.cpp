@@ -275,9 +275,11 @@ CommandResult CliSession::cmd_chaos(const std::vector<std::string>& args) {
       return {false, false, "chaos: bad seed '" + args[1] + "'\n"};
     }
     if (args.size() > 2) {
-      const double duration = std::strtod(args[2].c_str(), nullptr);
-      if (duration <= 0.0) return {false, false, "chaos: bad duration\n"};
-      cfg.spec.duration = duration;
+      try {
+        cfg.spec.duration = chaos::parse_duration(args[2]);
+      } catch (const std::runtime_error& e) {
+        return {false, false, std::string("chaos: ") + e.what() + "\n"};
+      }
     }
     if (args[0] == "show") {
       const auto schedule =

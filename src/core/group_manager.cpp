@@ -435,10 +435,8 @@ void GroupManager::reschedule_vm(const VmDescriptor& vm) {
   PlacementRequest req;
   req.vm = vm;
   // Run it through our own placement path (epoch 0: local authority, not a
-  // GL dispatch); the responder goes nowhere.
-  handle_placement(req, 0, {},
-                   net::Responder(&endpoint_.network(), endpoint_.address(),
-                                  endpoint_.address(), 0));
+  // GL dispatch); nobody waits for the answer.
+  handle_placement(req, 0, {}, net::Responder{});
 }
 
 // ---------------------------------------------------------------------------
@@ -810,30 +808,11 @@ void GroupManager::try_wakeup_then_place(const VmDescriptor& vm,
     fail_placement(span, "failed", responder);
     return;
   }
-  ++counters_.wakeups;
-  bump("gm.wakeups");
-  lcs_.find(target)->second.power = LcPower::kWaking;  // found by the scan above
-  trace_event("gm.wakeup");
-  auto wake = std::make_shared<WakeupRequest>();
-  wake->ctx = span;
-  stamp_lease(*wake, target);
-  const sim::Time timeout = 30.0 + config_.rpc_timeout;  // covers resume latency
-  endpoint_.call(target, wake, timeout,
-                 [this, target, vm, span, responder](bool ok, const net::MsgPtr& reply) {
-    if (ok && handle_stale_lc_reply(reply, target)) {
-      fail_placement(span, "fenced", responder);
-      return;
-    }
-    const auto* resp = ok ? net::msg_cast<WakeupResponse>(reply) : nullptr;
-    const auto it = lcs_.find(target);
-    if (resp != nullptr && resp->ok && it != lcs_.end()) {
-      it->second.power = LcPower::kOn;
-      it->second.last_heartbeat = now();
-      it->second.idle_since = -1.0;
+  gm_wake_lc(target, span, [this, target, vm, span, responder](std::string_view status) {
+    if (status == "ok") {
       place_on(target, vm, span, responder);
     } else {
-      if (it != lcs_.end()) it->second.power = LcPower::kSuspended;
-      fail_placement(span, "wakeup_failed", responder);
+      fail_placement(span, status, responder);
     }
   });
 }
@@ -1130,7 +1109,8 @@ void GroupManager::gm_suspend_lc(net::Address target) {
   });
 }
 
-void GroupManager::gm_wake_lc(net::Address target) {
+void GroupManager::gm_wake_lc(net::Address target, telemetry::SpanContext span,
+                              std::function<void(std::string_view status)> then) {
   const auto it = lcs_.find(target);
   if (it == lcs_.end()) return;
   ++counters_.wakeups;
@@ -1138,21 +1118,28 @@ void GroupManager::gm_wake_lc(net::Address target) {
   it->second.power = LcPower::kWaking;
   trace_event("gm.wakeup");
   auto wake = std::make_shared<WakeupRequest>();
+  wake->ctx = span;
   stamp_lease(*wake, target);
   const sim::Time timeout = 30.0 + config_.rpc_timeout;  // covers resume latency
   endpoint_.call(target, wake, timeout,
-                 [this, target](bool ok, const net::MsgPtr& reply) {
-    if (ok && handle_stale_lc_reply(reply, target)) return;
+                 [this, target, then = std::move(then)](bool ok, const net::MsgPtr& reply) {
+    if (ok && handle_stale_lc_reply(reply, target)) {
+      if (then) then("fenced");
+      return;
+    }
     const auto* resp = ok ? net::msg_cast<WakeupResponse>(reply) : nullptr;
     const auto it = lcs_.find(target);
-    if (it == lcs_.end()) return;
-    if (resp != nullptr && resp->ok) {
+    const bool woke = resp != nullptr && resp->ok && it != lcs_.end();
+    if (woke) {
       it->second.power = LcPower::kOn;
       it->second.last_heartbeat = now();
       it->second.idle_since = -1.0;
-    } else if (it->second.power == LcPower::kWaking) {
+    } else if (it != lcs_.end() && it->second.power == LcPower::kWaking) {
+      // Revert only a wake still pending: an LC forgotten and rejoined
+      // meanwhile keeps the power its new record holds.
       it->second.power = LcPower::kSuspended;
     }
+    if (then) then(woke ? "ok" : "wakeup_failed");
   });
 }
 

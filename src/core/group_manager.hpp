@@ -290,9 +290,12 @@ class GroupManager final : public sim::Actor {
   void execute_moves(const std::vector<RelocationMove>& moves);
   void reschedule_vm(const VmDescriptor& vm);
   /// Command one LC to suspend / wake (the shared machinery behind the idle
-  /// energy check and the autoscaler's capacity decisions).
+  /// energy check, the autoscaler's capacity decisions and wake-to-place).
+  /// The wake request travels under `span`; `then`, when set, hears how the
+  /// wake ended: "ok", "fenced" or "wakeup_failed".
   void gm_suspend_lc(net::Address target);
-  void gm_wake_lc(net::Address target);
+  void gm_wake_lc(net::Address target, telemetry::SpanContext span = {},
+                  std::function<void(std::string_view status)> then = {});
   [[nodiscard]] std::vector<VmLoad> vm_loads(const LcRecord& record) const;
   void on_lc_failed(net::Address lc);
 

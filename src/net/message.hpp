@@ -52,18 +52,32 @@ const T* msg_cast(const MsgPtr& msg) {
   return msg ? dynamic_cast<const T*>(msg.get()) : nullptr;
 }
 
+/// Wire bytes the RPC correlation header (call id + flags + authority epoch)
+/// adds to a request or reply leg.
+constexpr std::size_t kRpcHeaderBytes = 24;
+
 /// Envelope delivered to an endpoint.
 struct Envelope {
   Address from = kNullAddress;
   Address to = kNullAddress;
   MsgPtr payload;
   /// Trace context the receiver should parent its spans under. For plain
-  /// sends this mirrors payload->ctx; for RPC requests RpcEndpoint rewrites
-  /// it to the per-attempt rpc span so retries stay distinguishable.
+  /// sends this mirrors payload->ctx; for RPC requests RpcEndpoint sets it to
+  /// the per-attempt rpc span so retries stay distinguishable, and a reply
+  /// carries the responder's context.
   telemetry::SpanContext ctx;
-  /// Sender's authority epoch, mirrored from the payload (for RPC requests,
-  /// from the wrapped inner message) so fencing checks read the envelope.
+  /// Sender's authority epoch, mirrored from the payload so fencing checks
+  /// read the envelope (replies carry 0).
   std::uint64_t epoch = 0;
+  /// RPC correlation header: the caller's call id (0 marks a one-way
+  /// message) and whether this leg is the reply.
+  std::uint64_t rpc_id = 0;
+  bool is_reply = false;
+
+  /// Bytes on the wire: the payload plus the RPC header when one is carried.
+  [[nodiscard]] std::size_t wire_size() const {
+    return payload->wire_size() + (rpc_id != 0 ? kRpcHeaderBytes : 0);
+  }
 };
 
 /// Receiver interface registered with the Network.

@@ -116,8 +116,17 @@ void Network::complete_delivery(std::uint32_t index) {
 
 bool Network::send(Address from, Address to, MsgPtr msg) {
   assert(msg != nullptr);
+  Envelope env{from, to, nullptr, msg->ctx, msg->epoch};
+  env.payload = std::move(msg);
+  return send(std::move(env));
+}
+
+bool Network::send(Envelope env) {
+  assert(env.payload != nullptr);
+  const Address from = env.from;
+  const Address to = env.to;
   if (down_.count(from)) return false;
-  const std::size_t size = msg->wire_size();
+  const std::size_t size = env.wire_size();
   ++stats_.messages_sent;
   stats_.bytes_sent += size;
   TrafficStats& sender = node(from).stats;
@@ -161,7 +170,6 @@ bool Network::send(Address from, Address to, MsgPtr msg) {
   }
   const bool duplicated =
       faults.duplicate > 0.0 && engine_.rng().chance(faults.duplicate);
-  Envelope env{from, to, msg, msg->ctx, msg->epoch};
   deliver_after(latency, env);
   if (duplicated) {
     ++stats_.messages_duplicated;

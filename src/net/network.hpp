@@ -83,8 +83,12 @@ class Network {
   Address allocate_address();
 
   // --- messaging ----------------------------------------------------------
-  /// Send `msg` from `from` to `to`; returns false if dropped at the source
-  /// (sender down, receiver unknown is still "sent", loss decided at source).
+  /// Send `env.payload` from `env.from` to `env.to`, header fields as given;
+  /// returns false if dropped at the source (sender down, receiver unknown is
+  /// still "sent", loss decided at source).
+  bool send(Envelope env);
+
+  /// One-way send: the envelope mirrors the payload's context and epoch.
   bool send(Address from, Address to, MsgPtr msg);
 
   /// Deliver to every member of `group` except the sender.

@@ -1,8 +1,8 @@
 // Pooled message allocation.
 //
-// Every RPC allocates a correlation wrapper and most components allocate a
-// fresh heartbeat/report message per period; at 10k LCs that is tens of
-// thousands of short-lived shared_ptr blocks per virtual second.
+// Components allocate a fresh heartbeat/report message per period; at 10k
+// LCs that is tens of thousands of short-lived shared_ptr blocks per virtual
+// second.
 // make_message<T>() routes the combined control-block + payload allocation
 // of std::allocate_shared through a per-size-class freelist, so steady-state
 // traffic recycles blocks instead of hitting the global allocator.

@@ -4,7 +4,6 @@
 #include <array>
 #include <cassert>
 
-#include "net/pool.hpp"
 
 namespace snooze::net {
 
@@ -28,14 +27,13 @@ sim::Time RetryPolicy::next_backoff(sim::Time prev, util::Rng& rng) const {
 
 void Responder::respond(MsgPtr reply) const {
   assert(reply != nullptr);
-  auto wrap = make_message<RpcWrap>();
-  wrap->rpc_id = rpc_id_;
-  wrap->is_reply = true;
-  wrap->inner = std::move(reply);
-  wrap->ctx = ctx_;  // the reply travels under the rpc-attempt span
+  if (network_ == nullptr) return;  // no caller to answer
+  Envelope env{self_, to_, std::move(reply), ctx_};
+  env.rpc_id = rpc_id_;
+  env.is_reply = true;
   // Send through the network directly: if the responding node has crashed in
   // the meantime the network blackholes it (sender is in the down set).
-  network_->send(self_, to_, std::move(wrap));
+  network_->send(std::move(env));
 }
 
 RpcEndpoint::RpcEndpoint(sim::Engine& engine, Network& network, Address address,
@@ -64,93 +62,99 @@ void RpcEndpoint::multicast(GroupId group, MsgPtr msg) {
 }
 
 void RpcEndpoint::call(Address to, MsgPtr request, sim::Time timeout, ReplyCallback cb) {
-  assert(cb);
-  if (!up_) return;
-  auto wrap = make_message<RpcWrap>();
-  wrap->rpc_id = next_rpc_id_++;
-  wrap->is_reply = false;
-  wrap->inner = std::move(request);
-  wrap->epoch = wrap->inner->epoch;  // the fencing token rides the envelope
-
-  // One rpc span per attempt (multi-attempt calls re-enter here), parented
-  // under the request's context — a retried RPC shows up as sibling attempt
-  // spans, the timed-out ones marked status=timeout.
-  telemetry::Telemetry* tel = network_.telemetry();
-  telemetry::count(tel, "rpc.calls");
-  const telemetry::SpanContext span = telemetry::begin_span(
-      tel, wrap->inner->ctx, "rpc:" + std::string(wrap->inner->type()), name_);
-  wrap->ctx = span.valid() ? span : wrap->inner->ctx;
-
-  const std::uint64_t id = wrap->rpc_id;
-  PendingCall pending;
-  pending.cb = std::move(cb);
-  pending.span = span;
-  pending.started = engine_.now();
-  pending.to = to;
-  auto token = alive_;
-  pending.timeout_event = engine_.schedule(timeout, [this, token, id] {
-    if (!*token) return;
-    const auto it = pending_.find(id);
-    if (it == pending_.end()) return;
-    auto callback = std::move(it->second.cb);
-    telemetry::Telemetry* t = network_.telemetry();
-    telemetry::count(t, "rpc.timeouts");
-    telemetry::end_span(t, it->second.span, "timeout");
-    note_timeout(it->second.to);
-    pending_.erase(it);
-    callback(false, nullptr);
-  });
-  pending_.emplace(id, std::move(pending));
-  network_.send(address_, to, std::move(wrap));
+  call_with_retries(to, std::move(request), timeout, RetryPolicy{.max_attempts = 1},
+                    std::move(cb));
 }
 
 // ---------------------------------------------------------------------------
-// Call groups (retries + hedges)
+// Call groups (single calls, retries, hedges)
 // ---------------------------------------------------------------------------
 
-std::uint64_t RpcEndpoint::send_attempt(Address to, const MsgPtr& request,
-                                        sim::Time timeout, std::uint64_t group_id,
-                                        std::function<void()> on_timeout) {
-  auto wrap = make_message<RpcWrap>();
-  wrap->rpc_id = next_rpc_id_++;
-  wrap->is_reply = false;
-  wrap->inner = request;
-  wrap->epoch = request->epoch;
+RpcEndpoint::CallGroup& RpcEndpoint::open_group(Address to, MsgPtr request,
+                                                sim::Time timeout, ReplyCallback cb) {
+  const std::uint64_t id = next_group_id_++;
+  CallGroup& group = groups_[id];
+  group.id = id;
+  group.cb = std::move(cb);
+  group.request = std::move(request);
+  group.to = to;
+  group.timeout = timeout;
+  return group;
+}
 
+void RpcEndpoint::send_attempt(CallGroup& group) {
+  const std::uint64_t id = next_rpc_id_++;
+  group.attempts.push_back(id);
+  const Message& request = *group.request;
+
+  // One rpc span per attempt, parented under the request's context — a
+  // retried RPC shows up as sibling attempt spans, the timed-out ones marked
+  // status=timeout.
   telemetry::Telemetry* tel = network_.telemetry();
   telemetry::count(tel, "rpc.calls");
-  const telemetry::SpanContext span = telemetry::begin_span(
-      tel, wrap->inner->ctx, "rpc:" + std::string(wrap->inner->type()), name_);
-  wrap->ctx = span.valid() ? span : wrap->inner->ctx;
-
-  const std::uint64_t id = wrap->rpc_id;
-  PendingCall pending;
-  pending.span = span;
+  PendingCall& pending = pending_[id];
+  pending.span = telemetry::begin_span(tel, request.ctx,
+                                       "rpc:" + std::string(request.type()), name_);
   pending.started = engine_.now();
-  pending.to = to;
-  pending.group = group_id;
-  auto token = alive_;
-  pending.timeout_event =
-      engine_.schedule(timeout, [this, token, id, on_timeout = std::move(on_timeout)] {
-    if (!*token) return;
-    const auto it = pending_.find(id);
-    if (it == pending_.end()) return;
-    // Soft timeout: the attempt no longer paces the call, but its pending
-    // entry stays alive — a slow (not lost) reply can still win the group
-    // until the group itself resolves.
-    it->second.timed_out = true;
-    it->second.timeout_event = 0;
-    telemetry::Telemetry* t = network_.telemetry();
-    telemetry::count(t, "rpc.timeouts");
-    telemetry::end_span(t, it->second.span, "timeout");
-    it->second.span = {};
-    note_timeout(it->second.to);
-    on_timeout();
+  pending.to = group.to;
+  pending.group = group.id;
+  pending.timeout_event = engine_.schedule(group.timeout, [this, token = alive_, id] {
+    if (*token) on_attempt_timeout(id);
   });
-  pending_.emplace(id, std::move(pending));
-  groups_[group_id].attempts.push_back(id);
-  network_.send(address_, to, std::move(wrap));
-  return id;
+  // The request travels under the attempt span; the fencing token rides the
+  // envelope.
+  Envelope env{address_, group.to, group.request,
+               pending.span.valid() ? pending.span : request.ctx, request.epoch, id};
+  network_.send(std::move(env));
+}
+
+void RpcEndpoint::on_attempt_timeout(std::uint64_t id) {
+  const auto it = pending_.find(id);
+  if (it == pending_.end()) return;
+  // Soft timeout: the attempt no longer paces the call, but its pending
+  // entry stays alive — a slow (not lost) reply can still win the group
+  // until the group itself resolves.
+  PendingCall& attempt = it->second;
+  attempt.timed_out = true;
+  attempt.timeout_event = 0;
+  telemetry::Telemetry* tel = network_.telemetry();
+  telemetry::count(tel, "rpc.timeouts");
+  telemetry::end_span(tel, attempt.span, "timeout");
+  attempt.span = {};
+  note_timeout(attempt.to);
+
+  const auto git = groups_.find(attempt.group);
+  if (git == groups_.end()) return;
+  CallGroup& group = git->second;
+  if (group.hedged) {
+    finish_if_exhausted(group.id);
+    return;
+  }
+  if (static_cast<int>(group.attempts.size()) >= group.policy.max_attempts) {
+    complete_group(group.id, false, nullptr, 0);
+    return;
+  }
+  telemetry::count(tel, "rpc.retries");
+  const sim::Time delay = group.policy.next_backoff(group.backoff, engine_.rng());
+  if (group.deadline >= 0.0 && engine_.now() + delay >= group.deadline) {
+    // The overall budget is spent before the next attempt could start:
+    // report the failure now rather than retrying past the deadline.
+    telemetry::count(tel, "rpc.deadline_exceeded");
+    complete_group(group.id, false, nullptr, 0);
+    return;
+  }
+  group.backoff = delay;
+  group.pending_event = engine_.schedule(delay, [this, token = alive_, id = group.id] {
+    if (*token) launch_next_attempt(id);
+  });
+}
+
+void RpcEndpoint::launch_next_attempt(std::uint64_t group_id) {
+  const auto it = groups_.find(group_id);
+  if (it == groups_.end()) return;  // a late reply already won
+  it->second.pending_event = 0;
+  if (it->second.hedged) telemetry::count(network_.telemetry(), "rpc.hedges");
+  send_attempt(it->second);
 }
 
 void RpcEndpoint::complete_group(std::uint64_t group_id, bool ok, const MsgPtr& reply,
@@ -168,7 +172,7 @@ void RpcEndpoint::complete_group(std::uint64_t group_id, bool ok, const MsgPtr& 
     telemetry::end_span(tel, p->second.span, ok ? "superseded" : "failed");
     pending_.erase(p);
   }
-  if (ok && group.hedged && winner != group.primary) {
+  if (ok && group.hedged && winner != group.attempts.front()) {
     telemetry::count(tel, "rpc.hedges_won");
   }
   group.cb(ok, reply);
@@ -185,102 +189,27 @@ void RpcEndpoint::finish_if_exhausted(std::uint64_t group_id) {
   complete_group(group_id, false, nullptr, 0);
 }
 
-void RpcEndpoint::fail_async(ReplyCallback cb) {
-  auto token = alive_;
-  engine_.schedule(0.0, [this, token, cb = std::move(cb)] {
-    if (!*token || !up_) return;
-    cb(false, nullptr);
-  });
-}
-
 void RpcEndpoint::call_with_retries(Address to, MsgPtr request, sim::Time timeout,
                                     RetryPolicy policy, ReplyCallback cb) {
   assert(policy.max_attempts >= 1);
   if (!up_) return;
-  if (policy.use_breaker && !breaker_allows(to)) {
-    telemetry::count(network_.telemetry(), "rpc.breaker_fast_fail");
-    fail_async(std::move(cb));
-    return;
-  }
-  const sim::Time deadline =
-      policy.max_total > 0.0 ? engine_.now() + policy.max_total : -1.0;
-  const std::uint64_t group_id = next_group_id_++;
-  CallGroup group;
-  group.cb = std::move(cb);
-  group.to = to;
-  groups_.emplace(group_id, std::move(group));
-  attempt_call(to, std::move(request), timeout, policy, 1, 0.0, deadline, group_id);
-}
-
-void RpcEndpoint::attempt_call(Address to, MsgPtr request, sim::Time timeout,
-                               const RetryPolicy& policy, int attempt,
-                               sim::Time prev_backoff, sim::Time deadline,
-                               std::uint64_t group_id) {
-  send_attempt(to, request, timeout, group_id,
-               [this, to, request, timeout, policy, attempt, prev_backoff, deadline,
-                group_id] {
-    const auto it = groups_.find(group_id);
-    if (it == groups_.end()) return;
-    if (attempt >= policy.max_attempts) {
-      complete_group(group_id, false, nullptr, 0);
-      return;
-    }
-    telemetry::count(network_.telemetry(), "rpc.retries");
-    const sim::Time delay = policy.next_backoff(prev_backoff, engine_.rng());
-    if (deadline >= 0.0 && engine_.now() + delay >= deadline) {
-      // The overall budget is spent before the next attempt could start:
-      // report the failure now rather than retrying past the deadline.
-      telemetry::count(network_.telemetry(), "rpc.deadline_exceeded");
-      complete_group(group_id, false, nullptr, 0);
-      return;
-    }
-    auto token = alive_;
-    it->second.pending_event = engine_.schedule(
-        delay, [this, token, to, request, timeout, policy, attempt, delay, deadline,
-                group_id]() mutable {
-      // Like go_down()'s pending-call semantics: a process that crashed
-      // between attempts never fires the callback.
-      if (!*token || !up_) return;
-      const auto git = groups_.find(group_id);
-      if (git == groups_.end()) return;  // a late reply already won
-      git->second.pending_event = 0;
-      if (policy.use_breaker && !breaker_allows(to)) {
-        telemetry::count(network_.telemetry(), "rpc.breaker_fast_fail");
-        complete_group(group_id, false, nullptr, 0);
-        return;
-      }
-      attempt_call(to, std::move(request), timeout, policy, attempt + 1, delay,
-                   deadline, group_id);
-    });
-  });
+  CallGroup& group = open_group(to, std::move(request), timeout, std::move(cb));
+  group.policy = policy;
+  if (policy.max_total > 0.0) group.deadline = engine_.now() + policy.max_total;
+  send_attempt(group);
 }
 
 void RpcEndpoint::call_with_hedging(Address to, MsgPtr request, sim::Time timeout,
                                     HedgePolicy policy, ReplyCallback cb) {
   if (!up_) return;
-  const std::uint64_t group_id = next_group_id_++;
-  CallGroup group;
-  group.cb = std::move(cb);
-  group.to = to;
+  CallGroup& group = open_group(to, std::move(request), timeout, std::move(cb));
   group.hedged = true;
-  groups_.emplace(group_id, std::move(group));
-  const std::uint64_t primary =
-      send_attempt(to, request, timeout, group_id,
-                   [this, group_id] { finish_if_exhausted(group_id); });
-  groups_[group_id].primary = primary;
+  send_attempt(group);
   const sim::Time delay = hedge_delay(to, policy);
   if (delay >= timeout) return;  // no room left for a useful backup attempt
-  auto token = alive_;
-  groups_[group_id].pending_event = engine_.schedule(
-      delay, [this, token, to, request = std::move(request), timeout, delay,
-              group_id] {
-    if (!*token || !up_) return;
-    const auto it = groups_.find(group_id);
-    if (it == groups_.end()) return;  // the primary already answered
-    it->second.pending_event = 0;
-    telemetry::count(network_.telemetry(), "rpc.hedges");
-    send_attempt(to, request, timeout - delay, group_id,
-                 [this, group_id] { finish_if_exhausted(group_id); });
+  group.timeout = timeout - delay;  // the backup gives up with the primary
+  group.pending_event = engine_.schedule(delay, [this, token = alive_, id = group.id] {
+    if (*token) launch_next_attempt(id);
   });
 }
 
@@ -299,7 +228,7 @@ sim::Time RpcEndpoint::hedge_delay(Address to, const HedgePolicy& policy) const 
 }
 
 // ---------------------------------------------------------------------------
-// Per-destination latency history + circuit breaker
+// Per-destination latency history + timeout streaks
 // ---------------------------------------------------------------------------
 
 void RpcEndpoint::note_reply(Address to, sim::Time latency) {
@@ -307,11 +236,11 @@ void RpcEndpoint::note_reply(Address to, sim::Time latency) {
   d.latency[d.count % DestStats::kRing] = static_cast<float>(latency);
   ++d.count;
   d.consecutive_timeouts = 0;
-  if (d.breaker != DestStats::Breaker::kClosed) {
-    // Any reply proves the destination back: close the breaker and bank the
-    // time it spent open.
+  if (d.open) {
+    // Any reply proves the destination back: end the streak and bank the
+    // time it spent broken.
     breaker_open_s_ += engine_.now() - d.opened_at;
-    d.breaker = DestStats::Breaker::kClosed;
+    d.open = false;
     telemetry::count(network_.telemetry(), "rpc.breaker_closed");
     telemetry::gauge_set(network_.telemetry(), "rpc.breaker_open_s", breaker_open_s_);
   }
@@ -319,50 +248,17 @@ void RpcEndpoint::note_reply(Address to, sim::Time latency) {
 
 void RpcEndpoint::note_timeout(Address to) {
   DestStats& d = dest_stats_[to];
-  ++d.consecutive_timeouts;
-  if (d.breaker == DestStats::Breaker::kHalfOpen) {
-    // The half-open probe failed: reopen for another full window.
-    d.breaker = DestStats::Breaker::kOpen;
-    d.open_until = engine_.now() + breaker_config_.open_duration;
-    return;
-  }
-  if (d.breaker == DestStats::Breaker::kClosed &&
-      d.consecutive_timeouts >= breaker_config_.threshold) {
-    d.breaker = DestStats::Breaker::kOpen;
+  if (++d.consecutive_timeouts >= DestStats::kBrokenStreak && !d.open) {
+    d.open = true;
     d.opened_at = engine_.now();
-    d.open_until = engine_.now() + breaker_config_.open_duration;
     telemetry::count(network_.telemetry(), "rpc.breaker_opened");
   }
-}
-
-bool RpcEndpoint::breaker_allows(Address to) {
-  DestStats& d = dest_stats_[to];
-  switch (d.breaker) {
-    case DestStats::Breaker::kClosed:
-      return true;
-    case DestStats::Breaker::kOpen:
-      if (engine_.now() < d.open_until) return false;
-      d.breaker = DestStats::Breaker::kHalfOpen;  // probe traffic may pass
-      return true;
-    case DestStats::Breaker::kHalfOpen:
-      return true;
-  }
-  return true;
-}
-
-bool RpcEndpoint::breaker_open(Address to) const {
-  const auto it = dest_stats_.find(to);
-  return it != dest_stats_.end() &&
-         it->second.breaker == DestStats::Breaker::kOpen &&
-         engine_.now() < it->second.open_until;
 }
 
 double RpcEndpoint::breaker_open_seconds() const {
   double total = breaker_open_s_;
   for (const auto& [addr, d] : dest_stats_) {
-    if (d.breaker != DestStats::Breaker::kClosed) {
-      total += engine_.now() - d.opened_at;
-    }
+    if (d.open) total += engine_.now() - d.opened_at;
   }
   return total;
 }
@@ -384,12 +280,10 @@ void RpcEndpoint::go_down() {
   pending_.clear();
   for (auto& [id, group] : groups_) engine_.cancel(group.pending_event);
   groups_.clear();
-  // Bank open time for breakers that die open; the restarted process starts
-  // with fresh latency rings and closed breakers.
+  // Bank the time of streaks that die open; the restarted process starts
+  // with fresh latency rings and no streaks.
   for (auto& [addr, d] : dest_stats_) {
-    if (d.breaker != DestStats::Breaker::kClosed) {
-      breaker_open_s_ += engine_.now() - d.opened_at;
-    }
+    if (d.open) breaker_open_s_ += engine_.now() - d.opened_at;
   }
   dest_stats_.clear();
 }
@@ -402,42 +296,32 @@ void RpcEndpoint::go_up() {
 
 void RpcEndpoint::on_message(const Envelope& env) {
   if (!up_) return;
-  const auto* wrap = msg_cast<RpcWrap>(env.payload);
-  if (wrap == nullptr) {
+  if (env.rpc_id == 0) {
     if (on_oneway_) on_oneway_(env);
     return;
   }
-  if (!wrap->is_reply) {
-    if (!on_request_) return;
-    // Parent handler spans under the rpc-attempt span, not the sender's
-    // original context, so each delivery attempt hangs off its own attempt.
-    Envelope inner_env{env.from, env.to, wrap->inner, wrap->ctx, wrap->epoch};
-    on_request_(inner_env,
-                Responder(&network_, address_, env.from, wrap->rpc_id, wrap->ctx));
+  if (!env.is_reply) {
+    // The envelope carries the rpc-attempt span, so handler spans parent
+    // under the attempt that delivered them, not the sender's context.
+    if (on_request_) {
+      on_request_(env, Responder(&network_, address_, env.from, env.rpc_id, env.ctx));
+    }
     return;
   }
-  const auto it = pending_.find(wrap->rpc_id);
+  const auto it = pending_.find(env.rpc_id);
   if (it == pending_.end()) return;  // reply after the call fully resolved
   engine_.cancel(it->second.timeout_event);
   telemetry::Telemetry* tel = network_.telemetry();
   const sim::Time latency = engine_.now() - it->second.started;
   telemetry::observe(tel, "rpc.latency", latency);
   note_reply(it->second.to, latency);
-  if (it->second.group == 0) {
-    auto callback = std::move(it->second.cb);
-    telemetry::end_span(tel, it->second.span, "ok");
-    pending_.erase(it);
-    callback(true, wrap->inner);
-    return;
-  }
-  // Grouped attempt: the first reply — even one arriving after its own soft
-  // timeout — resolves the whole group and cancels any scheduled retry.
+  // The first reply — even one arriving after its own soft timeout —
+  // resolves the whole group and cancels any scheduled retry or hedge.
   const std::uint64_t group_id = it->second.group;
-  const std::uint64_t id = wrap->rpc_id;
   if (it->second.timed_out) telemetry::count(tel, "rpc.late_replies_won");
   telemetry::end_span(tel, it->second.span, "ok");
   pending_.erase(it);
-  complete_group(group_id, true, wrap->inner, id);
+  complete_group(group_id, true, env.payload, env.rpc_id);
 }
 
 }  // namespace snooze::net

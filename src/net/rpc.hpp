@@ -7,13 +7,15 @@
 // immediately or later (e.g. a Group Manager deferring a placement response
 // until a suspended node has been woken up).
 //
-// Gray-failure hardening: multi-attempt calls (retries, hedges) share a call
-// group, so a *slow* reply that arrives after its attempt's soft timeout but
-// before the overall call gave up still wins — it cancels the scheduled
-// retry instead of racing it. call_with_hedging() launches one backup
-// attempt after a p99-derived delay (idempotent call sites only), and a
-// per-destination circuit breaker (closed/open/half-open on consecutive
-// timeouts) lets opted-in callers fail fast at known-bad destinations.
+// The correlation header (call id, reply flag) rides the net::Envelope, so
+// one-way messages and both RPC legs are the payload alone on the heap.
+//
+// Every call is a call group of one or more attempts (call() is a group
+// with one attempt). Gray-failure hardening: a *slow* reply that arrives
+// after its attempt's soft timeout but before the overall call gave up
+// still wins — it cancels the scheduled retry instead of racing it.
+// call_with_hedging() launches one backup attempt after a p99-derived delay
+// (idempotent call sites only).
 #pragma once
 
 #include <array>
@@ -27,24 +29,14 @@
 
 namespace snooze::net {
 
-/// Envelope wrapper carrying RPC correlation metadata.
-struct RpcWrap final : Message {
-  std::uint64_t rpc_id = 0;
-  bool is_reply = false;
-  MsgPtr inner;
-
-  [[nodiscard]] std::string_view type() const override { return "rpc"; }
-  [[nodiscard]] std::size_t wire_size() const override {
-    // correlation id + flags + authority epoch
-    return 24 + (inner ? inner->wire_size() : 0);
-  }
-};
-
 /// Capability to answer one specific request; copyable, may outlive the
 /// handler invocation (deferred replies). Replying twice is a no-op at the
 /// caller (the first reply wins; the second finds no pending call).
 class Responder {
  public:
+  /// A responder with no caller: respond() sends nothing. For local work that
+  /// runs a request path on its own authority.
+  Responder() = default;
   Responder(Network* network, Address self, Address to, std::uint64_t rpc_id,
             telemetry::SpanContext ctx = {})
       : network_(network), self_(self), to_(to), rpc_id_(rpc_id), ctx_(ctx) {}
@@ -55,10 +47,10 @@ class Responder {
   [[nodiscard]] const telemetry::SpanContext& ctx() const { return ctx_; }
 
  private:
-  Network* network_;
-  Address self_;
-  Address to_;
-  std::uint64_t rpc_id_;
+  Network* network_ = nullptr;
+  Address self_ = kNullAddress;
+  Address to_ = kNullAddress;
+  std::uint64_t rpc_id_ = 0;
   telemetry::SpanContext ctx_;
 };
 
@@ -81,10 +73,6 @@ struct RetryPolicy {
   /// (an attempt already in flight still runs to its own timeout).
   /// 0 = unbounded (attempts alone limit the sequence).
   sim::Time max_total = 0.0;
-  /// Consult the destination's circuit breaker before each attempt and fail
-  /// fast while it is open. Opt-in: legacy call sites (elections, heartbeat
-  /// companions) keep their exact timing unless they ask for it.
-  bool use_breaker = false;
 
   /// Exponential schedule: delay before the attempt following failed attempt
   /// `attempt` (1-based), base * multiplier^(n-1) plus uniform jitter of up
@@ -103,12 +91,6 @@ struct HedgePolicy {
   sim::Time hedge_delay = 0.0;
   sim::Time min_delay = 0.02;
   sim::Time max_delay = 2.0;
-};
-
-/// Per-destination circuit-breaker knobs (one config per endpoint).
-struct BreakerConfig {
-  int threshold = 5;            ///< consecutive timeouts that open the breaker
-  sim::Time open_duration = 10.0;  ///< open -> half-open after this long
 };
 
 class RpcEndpoint final : public Endpoint {
@@ -132,7 +114,6 @@ class RpcEndpoint final : public Endpoint {
 
   void set_message_handler(MessageHandler handler) { on_oneway_ = std::move(handler); }
   void set_request_handler(RequestHandler handler) { on_request_ = std::move(handler); }
-  void set_breaker_config(BreakerConfig config) { breaker_config_ = config; }
 
   /// Fire-and-forget unicast.
   void send(Address to, MsgPtr msg);
@@ -140,7 +121,8 @@ class RpcEndpoint final : public Endpoint {
   /// Fire-and-forget multicast to a heartbeat group.
   void multicast(GroupId group, MsgPtr msg);
 
-  /// Request/response with timeout. The callback always fires exactly once.
+  /// Request/response with timeout: a call group with one attempt. The
+  /// callback always fires exactly once.
   void call(Address to, MsgPtr request, sim::Time timeout, ReplyCallback cb);
 
   /// call() with automatic re-send on timeout: up to policy.max_attempts
@@ -163,9 +145,9 @@ class RpcEndpoint final : public Endpoint {
   void call_with_hedging(Address to, MsgPtr request, sim::Time timeout,
                          HedgePolicy policy, ReplyCallback cb);
 
-  /// Circuit-breaker state for `to` (consulted by opted-in retry calls).
-  [[nodiscard]] bool breaker_open(Address to) const;
-  /// Cumulative seconds any of this endpoint's breakers spent open.
+  /// Cumulative seconds this endpoint's destinations spent "broken": from
+  /// the 5th consecutive timeout to the next reply from that destination (or
+  /// until this process goes down).
   [[nodiscard]] double breaker_open_seconds() const;
 
   /// Simulate a process crash: detach from the network and drop all pending
@@ -179,57 +161,57 @@ class RpcEndpoint final : public Endpoint {
 
  private:
   struct PendingCall {
-    ReplyCallback cb;             ///< set for plain call(); empty when grouped
     sim::EventId timeout_event = 0;
     telemetry::SpanContext span;  ///< per-attempt rpc span (invalid if untraced)
     sim::Time started = 0.0;
     Address to = kNullAddress;
-    std::uint64_t group = 0;  ///< call-group id; 0 = plain single-shot call
+    std::uint64_t group = 0;  ///< the call group this attempt belongs to
     bool timed_out = false;   ///< soft timeout fired, reply may still win
   };
 
-  /// One logical multi-attempt call (retry sequence or hedge pair). The
-  /// group owns the user callback; completion (first reply, final timeout,
-  /// breaker fast-fail) fires it exactly once and reaps every attempt.
+  /// One logical call: its request, callback and retry or hedge schedule.
+  /// Completion (first reply or final timeout) fires the callback exactly
+  /// once and reaps every attempt.
   struct CallGroup {
+    std::uint64_t id = 0;
     ReplyCallback cb;
+    MsgPtr request;
     Address to = kNullAddress;
-    std::vector<std::uint64_t> attempts;  ///< outstanding attempt rpc ids
+    sim::Time timeout = 0.0;  ///< soft timeout of the next attempt sent
+    RetryPolicy policy;       ///< retry groups: attempt budget and backoff
+    sim::Time backoff = 0.0;  ///< last retry backoff (0 before the first)
+    sim::Time deadline = -1.0;  ///< no retry starts at or past it; < 0: none
+    std::vector<std::uint64_t> attempts;  ///< rpc ids of every attempt sent
     sim::EventId pending_event = 0;       ///< scheduled retry / hedge launch
     bool hedged = false;
-    std::uint64_t primary = 0;  ///< first attempt id (hedge accounting)
   };
 
-  /// Latency history + breaker state for one destination.
+  /// Latency history and timeout streak for one destination.
   struct DestStats {
     static constexpr std::size_t kRing = 32;
+    static constexpr int kBrokenStreak = 5;  ///< timeouts that open a streak
     std::array<float, kRing> latency{};
     std::size_t count = 0;  ///< total samples (ring index = count % kRing)
     int consecutive_timeouts = 0;
-    enum class Breaker { kClosed, kOpen, kHalfOpen } breaker = Breaker::kClosed;
-    sim::Time open_until = 0.0;
+    bool open = false;  ///< on a streak of >= kBrokenStreak timeouts
     sim::Time opened_at = 0.0;
   };
 
-  void attempt_call(Address to, MsgPtr request, sim::Time timeout,
-                    const RetryPolicy& policy, int attempt, sim::Time prev_backoff,
-                    sim::Time deadline, std::uint64_t group_id);
-  /// Send one grouped attempt; `on_timeout` runs at its soft timeout (the
-  /// pending entry stays alive so a late reply can still win the group).
-  std::uint64_t send_attempt(Address to, const MsgPtr& request, sim::Time timeout,
-                             std::uint64_t group_id, std::function<void()> on_timeout);
+  CallGroup& open_group(Address to, MsgPtr request, sim::Time timeout, ReplyCallback cb);
+  /// Send the group's next attempt. Its soft timeout leaves the pending entry
+  /// alive, so a late reply can still win the group.
+  void send_attempt(CallGroup& group);
+  /// Soft timeout of attempt `id`: schedule the retry, or fail the group.
+  void on_attempt_timeout(std::uint64_t id);
+  /// Fire the group's scheduled retry or hedge.
+  void launch_next_attempt(std::uint64_t group_id);
   /// Resolve a call group exactly once and reap its outstanding attempts.
   void complete_group(std::uint64_t group_id, bool ok, const MsgPtr& reply,
                       std::uint64_t winner);
   /// Fail the group if every attempt timed out and nothing else is scheduled.
   void finish_if_exhausted(std::uint64_t group_id);
-  /// Fire `cb(false, nullptr)` asynchronously (breaker fast-fail path).
-  void fail_async(ReplyCallback cb);
 
   [[nodiscard]] sim::Time hedge_delay(Address to, const HedgePolicy& policy) const;
-  /// True when the breaker permits an attempt now (may transition to
-  /// half-open as a side effect).
-  bool breaker_allows(Address to);
   void note_reply(Address to, sim::Time latency);
   void note_timeout(Address to);
 
@@ -243,7 +225,6 @@ class RpcEndpoint final : public Endpoint {
   std::unordered_map<std::uint64_t, PendingCall> pending_;
   std::unordered_map<std::uint64_t, CallGroup> groups_;
   std::unordered_map<Address, DestStats> dest_stats_;
-  BreakerConfig breaker_config_;
   double breaker_open_s_ = 0.0;
   std::shared_ptr<bool> alive_;
   MessageHandler on_oneway_;

@@ -35,8 +35,9 @@
 //   gray.quarantined      LCs currently quarantined (evacuated + suspended)
 //   rpc.hedges_won        cumulative hedged calls where the backup beat the
 //                         primary (telemetry registry)
-//   breaker.open_s        cumulative circuit-breaker open seconds across GM
-//                         endpoints
+//   breaker.open_s        cumulative seconds GM endpoints' destinations spent
+//                         on a streak of >= 5 consecutive RPC timeouts, each
+//                         up to the destination's next reply
 #pragma once
 
 #include <cstdint>

@@ -228,6 +228,8 @@ TEST(Script, RejectsBadNumbers) {
       {"duration 60\n-1 crash lc 0\n", "time must be >= 0"},
       {"duration 60\nduration nan\n", "duration must be a finite number"},
       {"duration 60\nduration -5\n", "duration must be >= 0"},
+      {"duration 60\nduration 0\n", "duration must be in (0, 86400] seconds"},
+      {"duration 60\nduration 86401\n", "duration must be in (0, 86400] seconds"},
       {"duration 60\n5 link gm 0 lc 1 lat=-1\n", "lat must be >= 0"},
       {"duration 60\n5 link gm 0 lc 1 drop=0.1 rdelay=-5\n", "rdelay must be >= 0"},
       {"duration 60\n5 link gm 0 lc 1 drop=-3\n", "drop must be in [0,1]"},
@@ -253,6 +255,20 @@ TEST(Script, RejectsBadNumbers) {
       EXPECT_NE(what.find("line 2"), std::string::npos) << what;
       EXPECT_NE(what.find(c.expect), std::string::npos) << what;
     }
+  }
+}
+
+TEST(Script, DurationRuleAcceptsUpToOneVirtualDay) {
+  // The rule the CLI, snooze_shell --chaos-duration and a script's duration
+  // line share; outside a script its errors carry no line number.
+  EXPECT_DOUBLE_EQ(parse_duration("86400"), kMaxChaosDuration);
+  EXPECT_DOUBLE_EQ(parse_duration("0.5"), 0.5);
+  EXPECT_THROW((void)parse_duration("86400.5"), std::runtime_error);
+  try {
+    (void)parse_duration("nan");
+    FAIL() << "expected a parse error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "duration must be a finite number, got 'nan'");
   }
 }
 

@@ -329,4 +329,132 @@ TEST(Cli, MetricsAndTraceValidateArguments) {
   EXPECT_FALSE(s->execute("trace bogus x").ok);
 }
 
+// --- chaos, upgrade, autoscale, incident ----------------------------------------
+
+TEST(Cli, ChaosShowPrintsTheSeedsSchedule) {
+  auto s = session();
+  const auto r = s->execute("chaos show 5 30");
+  ASSERT_TRUE(r.ok) << r.output;
+  EXPECT_EQ(r.output.rfind("# snooze chaos schedule\nduration 30.000\n", 0), 0u) << r.output;
+  EXPECT_EQ(s->execute("chaos show 5 30").output, r.output);  // the seed decides
+}
+
+TEST(Cli, ChaosSeedRunsAndChecksInvariants) {
+  auto s = session();
+  const auto r = s->execute("chaos seed 5 30");
+  EXPECT_TRUE(r.ok) << r.output;
+  EXPECT_NE(r.output.find("all invariants held"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("trace hash: "), std::string::npos) << r.output;
+}
+
+TEST(Cli, ChaosScriptRunsAFileAndReportsItsErrors) {
+  auto s = session();
+  const std::string path = testing::TempDir() + "/snooze_chaos_script.txt";
+  std::ofstream(path) << "duration 30\n5 crash lc 0 #1\n15 recover #1\n";
+  const auto r = s->execute("chaos script " + path);
+  EXPECT_TRUE(r.ok) << r.output;
+  EXPECT_NE(r.output.find("all invariants held"), std::string::npos) << r.output;
+
+  std::ofstream(path) << "duration nan\n";
+  const auto bad = s->execute("chaos script " + path);
+  EXPECT_FALSE(bad.ok);
+  EXPECT_NE(bad.output.find("line 1: duration must be a finite number"), std::string::npos)
+      << bad.output;
+  std::remove(path.c_str());
+  EXPECT_FALSE(s->execute("chaos script " + path).ok);  // the file is gone
+}
+
+TEST(Cli, ChaosRejectsBadSeedsAndDurations) {
+  auto s = session();
+  EXPECT_FALSE(s->execute("chaos").ok);
+  EXPECT_FALSE(s->execute("chaos seed").ok);
+  EXPECT_FALSE(s->execute("chaos seed abc").ok);
+  EXPECT_FALSE(s->execute("chaos frob 5").ok);
+  // Non-finite, non-positive, beyond one virtual day, or not a whole number
+  // token: a NaN or infinite horizon used to hang the schedule generator.
+  for (const char* duration : {"nan", "inf", "1e300", "60x", "0", "-5", "86401"}) {
+    for (const char* sub : {"seed", "show"}) {
+      const auto r = s->execute(std::string("chaos ") + sub + " 5 " + duration);
+      EXPECT_FALSE(r.ok) << sub << " " << duration;
+      EXPECT_EQ(r.output.rfind("chaos: ", 0), 0u) << r.output;
+      EXPECT_NE(r.output.find("duration"), std::string::npos) << r.output;
+    }
+  }
+}
+
+TEST(Cli, UpgradeStartRollsTheFleetAndStatusReportsIt) {
+  auto s = session();
+  const auto before = s->execute("upgrade status");
+  ASSERT_TRUE(before.ok);
+  EXPECT_NE(before.output.find("fleet versions: v1\n"), std::string::npos) << before.output;
+  EXPECT_NE(before.output.find("no upgrade run in this session"), std::string::npos);
+
+  const auto r = s->execute("upgrade start");
+  ASSERT_TRUE(r.ok) << r.output;
+  EXPECT_NE(r.output.find("upgrade to v2: done"), std::string::npos) << r.output;
+
+  const auto after = s->execute("upgrade status");
+  ASSERT_TRUE(after.ok);
+  EXPECT_NE(after.output.find("fleet versions: v2\n"), std::string::npos) << after.output;
+  EXPECT_NE(after.output.find("upgrade: done"), std::string::npos) << after.output;
+}
+
+TEST(Cli, UpgradeValidatesArguments) {
+  auto s = session();
+  EXPECT_FALSE(s->execute("upgrade").ok);
+  EXPECT_FALSE(s->execute("upgrade frob").ok);
+  EXPECT_FALSE(s->execute("upgrade start 0").ok);
+  EXPECT_FALSE(s->execute("upgrade start 2 0").ok);
+}
+
+TEST(Cli, AutoscaleOnStatusOff) {
+  auto s = session();
+  const auto never = s->execute("autoscale status");
+  ASSERT_TRUE(never.ok);
+  EXPECT_NE(never.output.find("autoscaler: never enabled"), std::string::npos);
+  EXPECT_NE(never.output.find("suspended LCs: 0/4"), std::string::npos) << never.output;
+
+  ASSERT_TRUE(s->execute("autoscale on").ok);
+  ASSERT_TRUE(s->execute("run 120").ok);
+  const auto on = s->execute("autoscale status");
+  ASSERT_TRUE(on.ok);
+  EXPECT_NE(on.output.find("autoscaler: on"), std::string::npos) << on.output;
+  // An idle fleet scales down.
+  EXPECT_EQ(on.output.find("suspended LCs: 0/4"), std::string::npos) << on.output;
+
+  ASSERT_TRUE(s->execute("autoscale off").ok);
+  EXPECT_NE(s->execute("autoscale status").output.find("autoscaler: off"), std::string::npos);
+  EXPECT_FALSE(s->execute("autoscale").ok);
+  EXPECT_FALSE(s->execute("autoscale frob").ok);
+}
+
+TEST(Cli, IncidentListShowAndCsv) {
+  auto s = session();
+  ASSERT_TRUE(s->execute("fail gl").ok);
+  ASSERT_TRUE(s->execute("run 60").ok);
+  const auto list = s->execute("incident list");
+  ASSERT_TRUE(list.ok);
+  EXPECT_NE(list.output.find("gm.fail"), std::string::npos) << list.output;
+
+  const auto show = s->execute("incident show 1");
+  ASSERT_TRUE(show.ok);
+  EXPECT_EQ(show.output.rfind("incident #1:", 0), 0u) << show.output;
+  EXPECT_NE(s->execute("incident show 99").output.find("no such episode"), std::string::npos);
+
+  const std::string path = testing::TempDir() + "/snooze_incidents.csv";
+  const auto csv = s->execute("incident csv " + path);
+  EXPECT_TRUE(csv.ok) << csv.output;
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good());
+  std::string header;
+  std::getline(in, header);
+  EXPECT_EQ(header.rfind("episode,opened_s,", 0), 0u) << header;
+  std::remove(path.c_str());
+
+  EXPECT_FALSE(s->execute("incident").ok);
+  EXPECT_FALSE(s->execute("incident show").ok);
+  EXPECT_FALSE(s->execute("incident csv").ok);
+  EXPECT_FALSE(s->execute("incident frob").ok);
+}
+
 }  // namespace

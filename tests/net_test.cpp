@@ -472,12 +472,26 @@ TEST_F(RpcTest, ConcurrentCallsCorrelateCorrectly) {
 }
 
 TEST_F(RpcTest, WireSizeAccountsRpcOverhead) {
-  server.set_request_handler([](const Envelope&, net::Responder) {});
-  client.call(server.address(), ping(), 1.0, [](bool, const MsgPtr&) {});
+  server.set_request_handler([](const Envelope&, net::Responder r) {
+    r.respond(std::make_shared<Pong>());
+  });
+  std::optional<bool> result;
+  client.call(server.address(), ping(), 1.0,
+              [&](bool ok, const MsgPtr&) { result = ok; });
   engine.run();
-  // RpcWrap adds 24 bytes (correlation id + flags + authority epoch) over the
-  // 100-byte Ping.
-  EXPECT_EQ(network.stats().bytes_sent, 124u);
+  EXPECT_EQ(result, true);
+  // Both legs carry the 24-byte RPC header (correlation id + flags +
+  // authority epoch): over the 100-byte Ping, and over the 128-byte Pong.
+  EXPECT_EQ(net::kRpcHeaderBytes, 24u);
+  EXPECT_EQ(network.stats().messages_sent, 2u);
+  EXPECT_EQ(network.stats().bytes_sent, (24u + 100u) + (24u + 128u));
+}
+
+TEST_F(RpcTest, ResponderWithoutCallerSendsNothing) {
+  net::Responder{}.respond(std::make_shared<Pong>());
+  engine.run();
+  EXPECT_EQ(network.stats().messages_sent, 0u);
+  EXPECT_EQ(network.stats().bytes_sent, 0u);
 }
 
 // --- Per-link / per-node fault knobs -----------------------------------------
@@ -898,67 +912,42 @@ TEST_F(RpcTest, HedgeTimesOutOnceWhenBothCopiesDie) {
   EXPECT_EQ(callbacks, 1);
 }
 
-// --- Circuit breaker ------------------------------------------------------------
+// --- Timeout streaks ------------------------------------------------------------
 
-TEST_F(RpcTest, BreakerOpensFastFailsAndRecloses) {
+TEST_F(RpcTest, TimeoutStreakNeverFastFailsAndIsTimedToTheNextReply) {
   server.set_request_handler([](const Envelope&, net::Responder r) {
     r.respond(std::make_shared<Pong>());
   });
   server.go_down();
-  net::BreakerConfig breaker;
-  breaker.threshold = 2;
-  breaker.open_duration = 5.0;
-  client.set_breaker_config(breaker);
-  net::RetryPolicy policy;
-  policy.max_attempts = 1;
-  policy.use_breaker = true;
   std::vector<double> fail_times;
-  auto failing_call = [&] {
-    client.call_with_retries(server.address(), ping(), 0.5, policy,
-                             [&](bool ok, const MsgPtr&) {
-                               EXPECT_FALSE(ok);
-                               fail_times.push_back(engine.now());
-                             });
-  };
-  failing_call();                       // times out at 0.5 (1st consecutive)
-  engine.schedule(1.0, failing_call);   // times out at 1.5 -> breaker opens
-  engine.schedule(2.0, failing_call);   // open -> fast fail, no 0.5 s wait
+  for (int i = 0; i < 5; ++i) {
+    engine.schedule(i * 1.0, [&] {
+      client.call(server.address(), ping(), 0.5, [&](bool ok, const MsgPtr&) {
+        EXPECT_FALSE(ok);
+        fail_times.push_back(engine.now());
+      });
+    });
+  }
+  std::optional<double> before_fifth;
+  engine.schedule(4.4, [&] { before_fifth = client.breaker_open_seconds(); });
   engine.schedule(6.0, [&] { server.go_up(); });
   std::optional<bool> final_ok;
-  engine.schedule(8.0, [&] {  // past open_duration: half-open probe succeeds
-    client.call_with_retries(server.address(), ping(), 0.5, policy,
-                             [&](bool ok, const MsgPtr&) { final_ok = ok; });
+  engine.schedule(8.0, [&] {
+    client.call(server.address(), ping(), 0.5,
+                [&](bool ok, const MsgPtr&) { final_ok = ok; });
   });
   engine.run();
-  ASSERT_EQ(fail_times.size(), 3u);
-  EXPECT_LT(fail_times[2], 2.4) << "open breaker did not fail fast";
+  // Every call of the streak waits out its full timeout: nothing fails fast.
+  ASSERT_EQ(fail_times.size(), 5u);
+  for (std::size_t i = 0; i < fail_times.size(); ++i) {
+    EXPECT_DOUBLE_EQ(fail_times[i], static_cast<double>(i) + 0.5);
+  }
   EXPECT_EQ(final_ok, true);
-  EXPECT_FALSE(client.breaker_open(server.address()));
-  EXPECT_GT(client.breaker_open_seconds(), 0.0);
-}
-
-TEST_F(RpcTest, BreakerIsOptIn) {
-  // Without use_breaker the same consecutive-timeout pattern never fast-fails:
-  // legacy call sites keep their exact timing.
-  server.go_down();
-  net::BreakerConfig breaker;
-  breaker.threshold = 2;
-  client.set_breaker_config(breaker);
-  net::RetryPolicy policy;
-  policy.max_attempts = 1;
-  std::vector<double> fail_times;
-  auto failing_call = [&] {
-    client.call_with_retries(server.address(), ping(), 0.5, policy,
-                             [&](bool, const MsgPtr&) {
-                               fail_times.push_back(engine.now());
-                             });
-  };
-  failing_call();
-  engine.schedule(1.0, failing_call);
-  engine.schedule(2.0, failing_call);
-  engine.run();
-  ASSERT_EQ(fail_times.size(), 3u);
-  EXPECT_DOUBLE_EQ(fail_times[2], 2.5);  // full timeout, no fast fail
+  // The destination counts as broken from the 5th timeout (4.5) to the
+  // reply that ends the streak (8.0 plus two 1 ms legs).
+  EXPECT_EQ(before_fifth, 0.0);
+  EXPECT_GE(client.breaker_open_seconds(), 3.5);
+  EXPECT_LE(client.breaker_open_seconds(), 3.6);
 }
 
 TEST(RetryPolicy, BackoffGrowsExponentiallyAndClamps) {
