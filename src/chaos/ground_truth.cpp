@@ -1,30 +1,12 @@
 #include "chaos/ground_truth.hpp"
 
 #include <algorithm>
-#include <map>
+#include <cmath>
 #include <string_view>
-#include <utility>
 
 namespace snooze::chaos {
 
 namespace {
-
-using obs::FaultClass;
-
-/// "gl (gm-1)" -> "gm-1"; anything else is already the resolved label.
-std::string crash_target(std::string_view detail) {
-  const auto l = detail.find('(');
-  const auto r = detail.find(')');
-  if (l != std::string_view::npos && r != std::string_view::npos && r > l) {
-    return std::string(detail.substr(l + 1, r - l - 1));
-  }
-  return std::string(detail);
-}
-
-/// "lc-1 factor=4" -> "lc-1".
-std::string first_token(std::string_view detail) {
-  return std::string(detail.substr(0, detail.find(' ')));
-}
 
 /// "lc-001" and "lc-1" name the same node: system actor names zero-pad the
 /// index while injector labels don't. Canonicalize to "<role>-<number>".
@@ -42,76 +24,7 @@ std::string normalize_node(std::string_view label) {
   return std::string(label.substr(0, dash + 1)) + std::string(num.substr(i));
 }
 
-/// "gm-0 <-> lc-3 drop=0.5" -> "gm-0 <-> lc-3" (same for " lat=").
-std::string link_target(std::string_view detail) {
-  for (std::string_view suffix : {" drop=", " lat="}) {
-    const auto pos = detail.find(suffix);
-    if (pos != std::string_view::npos) return std::string(detail.substr(0, pos));
-  }
-  return std::string(detail);
-}
-
 }  // namespace
-
-std::vector<InjectedFault> extract_injected_faults(
-    const std::vector<sim::TraceRecord>& records, double run_end) {
-  std::vector<InjectedFault> faults;
-  // (class, target) -> index of the currently-active fault, so a heal closes
-  // the right window and repeated faults on one target stay distinct.
-  std::map<std::pair<int, std::string>, std::size_t> active;
-
-  auto open = [&](const sim::TraceRecord& r, FaultClass fc, std::string target) {
-    active[{static_cast<int>(fc), target}] = faults.size();
-    faults.push_back(InjectedFault{r.time, run_end, fc, std::move(target), r.kind});
-  };
-  auto close = [&](double time, FaultClass fc, const std::string& target) {
-    const auto it = active.find({static_cast<int>(fc), target});
-    if (it == active.end()) return;
-    faults[it->second].cleared = time;
-    active.erase(it);
-  };
-  auto close_all = [&](double time, bool network_only) {
-    for (auto it = active.begin(); it != active.end();) {
-      const auto fc = static_cast<FaultClass>(it->first.first);
-      if (!network_only || fc == FaultClass::kNetwork) {
-        faults[it->second].cleared = time;
-        it = active.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  };
-
-  for (const auto& r : records) {
-    if (r.kind.rfind("chaos.", 0) != 0) continue;
-    if (r.kind == "chaos.crash") {
-      open(r, FaultClass::kCrash, crash_target(r.detail));
-    } else if (r.kind == "chaos.recover") {
-      close(r.time, FaultClass::kCrash, r.detail);
-    } else if (r.kind == "chaos.slow" || r.kind == "chaos.steal") {
-      open(r, FaultClass::kFailSlow, first_token(r.detail));
-    } else if (r.kind == "chaos.unslow" || r.kind == "chaos.unsteal") {
-      close(r.time, FaultClass::kFailSlow, r.detail);
-    } else if (r.kind == "chaos.isolate") {
-      open(r, FaultClass::kNetwork, r.detail);
-    } else if (r.kind == "chaos.link" || r.kind == "chaos.flaky") {
-      open(r, FaultClass::kNetwork, link_target(r.detail));
-    } else if (r.kind == "chaos.unlink" || r.kind == "chaos.unflaky") {
-      close(r.time, FaultClass::kNetwork, link_target(r.detail));
-    } else if (r.kind == "chaos.drop") {
-      open(r, FaultClass::kNetwork, std::string());
-    } else if (r.kind == "chaos.heal") {
-      if (r.detail == "final") {
-        close_all(r.time, false);
-      } else if (r.detail == "all") {
-        close_all(r.time, true);
-      } else {
-        close(r.time, FaultClass::kNetwork, r.detail);
-      }
-    }
-  }
-  return faults;
-}
 
 AttributionScore score_attribution(obs::IncidentReport& report,
                                    const std::vector<InjectedFault>& faults,

@@ -1,16 +1,16 @@
-// Ground-truth labeling + attribution scoring for the incident engine.
+// Ground truth + attribution scoring for the incident engine.
 //
-// The injector already writes its own labels into the trace: every executed
-// action leaves a `chaos.*` record with the *resolved* target ("chaos.crash
-// gl (gm-1)" names the GM that actually held leadership, "chaos.slow lc-1
-// factor=4" names the stretched node). This module re-reads those records
-// into a fault schedule — injection time, clear time, fault class, target —
-// and grades an `obs::IncidentReport` against it: a node-blaming hypothesis
-// is a true positive when its class and target match an injected fault whose
-// active window overlaps the episode; an injected fault is recalled when at
-// least one hypothesis matches it. Anonymous (targetless) hypotheses are
-// deliberately unscored — they are the engine's honest "something happened
-// here" fallback, not an attribution claim.
+// The ground truth is the injector's own record of the fault windows it
+// opened (ChaosInjector::faults()): injection time, clear time, fault class
+// and the *resolved* target ("gm-1" for a fault aimed at the GL, "lc-1" for
+// a stretched node). This module grades an `obs::IncidentReport` against it:
+// a node-blaming hypothesis is a true positive when its class and target
+// match an injected fault whose active window overlaps the episode; an
+// injected fault is recalled when at least one hypothesis matches it.
+// Anonymous (targetless) hypotheses are deliberately unscored — they are the
+// engine's honest "something happened here" fallback, not an attribution
+// claim. Link and global-loss windows name no node, so no hypothesis
+// matches them.
 //
 // This is the only place diagnosis and ground truth meet: the evidence
 // collector in `obs/causality.hpp` skips every `chaos.*` record, so the
@@ -23,23 +23,17 @@
 
 #include "obs/causality.hpp"
 #include "obs/incident.hpp"
-#include "sim/trace.hpp"
 
 namespace snooze::chaos {
 
-/// One executed fault, as labeled by the injector's trace records.
+/// One fault window, as recorded by the injector that opened it.
 struct InjectedFault {
   double at = 0.0;        ///< injection time
-  double cleared = 0.0;   ///< recover/heal time (run end if never healed)
+  double cleared = 0.0;   ///< recover/heal time (+infinity if never healed)
   obs::FaultClass fault_class = obs::FaultClass::kUnknown;
   std::string target;     ///< resolved node/link label; empty for global drop
   std::string kind;       ///< injector record kind ("chaos.crash", ...)
 };
-
-/// Rebuild the executed fault schedule from `chaos.*` records. Skipped
-/// actions (`chaos.skip`) never became faults and are not included.
-[[nodiscard]] std::vector<InjectedFault> extract_injected_faults(
-    const std::vector<sim::TraceRecord>& records, double run_end);
 
 struct AttributionScore {
   std::size_t true_positives = 0;   ///< matched node-blaming hypotheses

@@ -1,6 +1,8 @@
 #include "chaos/injector.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <memory>
 #include <sstream>
 
 namespace snooze::chaos {
@@ -11,6 +13,13 @@ std::string target_label(NodeRole role, int index) {
   std::string out = to_string(role);
   if (index >= 0) out += "-" + std::to_string(index);
   return out;
+}
+
+/// The node at `index`, or null when the index is out of range.
+template <typename T>
+T* at(const std::vector<std::unique_ptr<T>>& nodes, int index) {
+  if (index < 0 || static_cast<std::size_t>(index) >= nodes.size()) return nullptr;
+  return nodes[static_cast<std::size_t>(index)].get();
 }
 
 }  // namespace
@@ -29,27 +38,49 @@ void ChaosInjector::trace(std::string_view kind, std::string_view detail) {
 }
 
 void ChaosInjector::count_fault() {
-  ++faults_injected_;
-  telemetry::count(tel(), "chaos.faults_injected");
+  telemetry::count(&system_.telemetry(), "chaos.faults_injected");
 }
 
-telemetry::SpanContext ChaosInjector::begin_fault_span(std::string_view kind,
-                                                       std::string detail) {
-  return telemetry::begin_span(tel(), chaos_root_, std::string(kind), "chaos",
-                               std::move(detail));
+std::size_t ChaosInjector::faults_injected() const {
+  const auto* c = system_.telemetry().metrics().find_counter("chaos.faults_injected");
+  return c == nullptr ? 0 : static_cast<std::size_t>(c->value());
 }
 
-void ChaosInjector::end_fault_span(telemetry::SpanContext& span, const char* status) {
-  telemetry::end_span(tel(), span, status);
-  span = {};
+void ChaosInjector::open_window(const WindowKey& key, const std::string& detail,
+                                std::string target) {
+  const ActionKind kind = std::get<0>(key);
+  const std::string record = std::string("chaos.") + to_string(kind);
+  const obs::FaultClass fault_class =
+      kind == ActionKind::kCrash ? obs::FaultClass::kCrash
+      : kind == ActionKind::kSlow || kind == ActionKind::kSteal
+          ? obs::FaultClass::kFailSlow
+          : obs::FaultClass::kNetwork;
+  count_fault();
+  windows_[key] = {telemetry::begin_span(&system_.telemetry(), chaos_root_, record,
+                                         "chaos", detail),
+                   faults_.size()};
+  faults_.push_back(InjectedFault{now(), std::numeric_limits<double>::infinity(),
+                                  fault_class, std::move(target), record});
+  trace(record, detail);
+}
+
+void ChaosInjector::close_window(const WindowKey& key) {
+  const auto it = windows_.find(key);
+  if (it != windows_.end()) close_window(it);
+}
+
+ChaosInjector::Windows::iterator ChaosInjector::close_window(Windows::iterator it) {
+  const bool crash = std::get<0>(it->first) == ActionKind::kCrash;
+  telemetry::end_span(&system_.telemetry(), it->second.span,
+                      crash ? "recovered" : "healed");
+  faults_[it->second.fault].cleared = now();
+  return windows_.erase(it);
 }
 
 void ChaosInjector::start() {
-  if (auto* t = tel()) {
-    chaos_root_ = t->spans().begin(
-        t->spans().new_trace(), 0, "chaos.run", "chaos",
-        std::to_string(schedule_.actions.size()) + " actions");
-  }
+  auto& spans = system_.telemetry().spans();
+  chaos_root_ = spans.begin(spans.new_trace(), 0, "chaos.run", "chaos",
+                            std::to_string(schedule_.actions.size()) + " actions");
   // Action times are relative to injection start (the cluster may have spent
   // arbitrary virtual time stabilizing before the chaos phase begins).
   for (const FaultAction& action : schedule_.actions) {
@@ -58,46 +89,40 @@ void ChaosInjector::start() {
   trace("chaos.start", std::to_string(schedule_.actions.size()) + " actions");
 }
 
-net::Address ChaosInjector::resolve_address(NodeRole role, int index) {
-  const std::vector<net::Address> addrs = resolve_addresses(role, index);
+ChaosInjector::Node ChaosInjector::resolve(NodeRole role, int index) {
+  if (role != NodeRole::kGl) return {role, index};
+  const auto& gms = system_.group_managers();
+  for (std::size_t i = 0; i < gms.size(); ++i) {
+    if (gms[i]->alive() && gms[i]->is_leader()) {
+      return {NodeRole::kGm, static_cast<int>(i)};
+    }
+  }
+  return {NodeRole::kGl, -1};
+}
+
+std::vector<net::Address> ChaosInjector::addresses(Node node) {
+  const auto [role, index] = node;
+  if (role == NodeRole::kGm) {
+    if (auto* gm = at(system_.group_managers(), index)) return gm->network_addresses();
+  } else if (role == NodeRole::kLc) {
+    if (auto* lc = at(system_.local_controllers(), index)) return {lc->address()};
+  } else if (role == NodeRole::kEp) {
+    if (auto* ep = at(system_.entry_points(), index)) return {ep->address()};
+  }
+  return {};
+}
+
+net::Address ChaosInjector::primary(Node node) {
+  const std::vector<net::Address> addrs = addresses(node);
   return addrs.empty() ? net::kNullAddress : addrs.front();
 }
 
-std::vector<net::Address> ChaosInjector::resolve_addresses(NodeRole role, int index) {
-  switch (role) {
-    case NodeRole::kGl: {
-      const net::Address gl = system_.gl_address();
-      if (gl == net::kNullAddress) return {};
-      for (auto& gm : system_.group_managers()) {
-        if (gm->address() == gl) return gm->network_addresses();
-      }
-      return {gl};
-    }
-    case NodeRole::kGm: {
-      auto& gms = system_.group_managers();
-      if (index < 0 || static_cast<std::size_t>(index) >= gms.size()) {
-        return {};
-      }
-      return gms[static_cast<std::size_t>(index)]->network_addresses();
-    }
-    case NodeRole::kLc: {
-      auto& lcs = system_.local_controllers();
-      if (index < 0 || static_cast<std::size_t>(index) >= lcs.size()) {
-        return {};
-      }
-      return {lcs[static_cast<std::size_t>(index)]->address()};
-    }
-    case NodeRole::kEp: {
-      auto& eps = system_.entry_points();
-      if (index < 0 || static_cast<std::size_t>(index) >= eps.size()) {
-        return {};
-      }
-      return {eps[static_cast<std::size_t>(index)]->address()};
-    }
-    case NodeRole::kNone:
-      break;
-  }
-  return {};
+bool ChaosInjector::take_pair(int pair, bool isolation, Node& node) {
+  const auto it = pairs_.find({pair, isolation});
+  if (it == pairs_.end()) return false;
+  node = it->second;
+  pairs_.erase(it);
+  return true;
 }
 
 void ChaosInjector::execute(const FaultAction& action) {
@@ -116,171 +141,104 @@ void ChaosInjector::execute(const FaultAction& action) {
       break;
     case ActionKind::kHealAll:
       isolated_.clear();
-      pair_isolated_.clear();
+      std::erase_if(pairs_, [](const auto& p) { return p.first.second; });
       apply_partitions();
       system_.network().clear_all_faults();
       system_.network().set_drop_probability(0.0);
       // Crashed nodes stay down and gray node faults (slow/steal) persist
       // (kHealAll only mends the network), so their fault windows stay open.
-      for (auto& [addr, span] : isolate_spans_) end_fault_span(span);
-      isolate_spans_.clear();
-      for (auto& [link, span] : link_spans_) end_fault_span(span);
-      link_spans_.clear();
-      for (auto& [link, span] : flaky_spans_) end_fault_span(span);
-      flaky_spans_.clear();
-      if (drop_span_.valid()) end_fault_span(drop_span_);
+      for (auto it = windows_.begin(); it != windows_.end();) {
+        const bool network =
+            faults_[it->second.fault].fault_class == obs::FaultClass::kNetwork;
+        it = network ? close_window(it) : std::next(it);
+      }
       trace("chaos.heal", "all");
       break;
     case ActionKind::kLink:
+    case ActionKind::kFlaky:
       do_link(action, true);
       break;
     case ActionKind::kUnlink:
+    case ActionKind::kUnflaky:
       do_link(action, false);
       break;
     case ActionKind::kGlobalDrop:
-      system_.network().set_drop_probability(action.drop);
-      if (action.drop > 0.0) {
-        count_fault();
-        if (!drop_span_.valid()) {
-          drop_span_ = begin_fault_span("chaos.drop", std::to_string(action.drop));
-        }
-      } else if (drop_span_.valid()) {
-        end_fault_span(drop_span_);
-      }
-      trace("chaos.drop", std::to_string(action.drop));
+      do_drop(action);
       break;
     case ActionKind::kSlow:
-      do_slow(action, true);
+    case ActionKind::kSteal:
+      do_gray(action, true);
       break;
     case ActionKind::kUnslow:
-      do_slow(action, false);
-      break;
-    case ActionKind::kSteal:
-      do_steal(action, true);
-      break;
     case ActionKind::kUnsteal:
-      do_steal(action, false);
-      break;
-    case ActionKind::kFlaky:
-      do_flaky(action, true);
-      break;
-    case ActionKind::kUnflaky:
-      do_flaky(action, false);
+      do_gray(action, false);
       break;
   }
 }
 
 void ChaosInjector::do_crash(const FaultAction& action) {
-  NodeRole role = action.role;
-  int index = action.index;
-  if (role == NodeRole::kGl) {
-    // Resolve the current leader; without one the action is a no-op (the
-    // cluster is already leaderless, which is chaos enough).
-    index = system_.fail_gl();
-    if (index < 0) {
-      trace("chaos.skip", "crash gl: no leader");
-      return;
-    }
-    role = NodeRole::kGm;
-    if (action.pair != 0) pair_targets_[action.pair] = {role, index};
-    count_fault();
-    crash_spans_[{role, index}] =
-        begin_fault_span("chaos.crash", "gl (gm-" + std::to_string(index) + ")");
-    trace("chaos.crash", "gl (gm-" + std::to_string(index) + ")");
+  const Node node = resolve(action.role, action.index);
+  if (node.first == NodeRole::kGl) {
+    // Without a leader the action is a no-op (the cluster is already
+    // leaderless, which is chaos enough).
+    trace("chaos.skip", "crash gl: no leader");
     return;
   }
-  if (action.pair != 0) pair_targets_[action.pair] = {role, index};
-  switch (role) {
-    case NodeRole::kGm: {
-      auto& gms = system_.group_managers();
-      if (index < 0 || static_cast<std::size_t>(index) >= gms.size() ||
-          !gms[static_cast<std::size_t>(index)]->alive()) {
-        trace("chaos.skip", "crash " + target_label(role, index));
-        return;
-      }
-      gms[static_cast<std::size_t>(index)]->fail();
-      break;
+  if (action.pair != 0) pairs_[{action.pair, false}] = node;
+  bool crashed = false;
+  if (node.first == NodeRole::kGm) {
+    auto* gm = at(system_.group_managers(), node.second);
+    if (gm != nullptr && gm->alive()) {
+      gm->fail();
+      crashed = true;
     }
-    case NodeRole::kLc: {
-      auto& lcs = system_.local_controllers();
-      if (index < 0 || static_cast<std::size_t>(index) >= lcs.size() ||
-          !lcs[static_cast<std::size_t>(index)]->alive()) {
-        trace("chaos.skip", "crash " + target_label(role, index));
-        return;
-      }
-      auto& lc = *lcs[static_cast<std::size_t>(index)];
+  } else if (node.first == NodeRole::kLc) {
+    auto* lc = at(system_.local_controllers(), node.second);
+    if (lc != nullptr && lc->alive()) {
       // The node's VMs die with it by design; they must not count as lost.
-      if (checker_ != nullptr) checker_->excuse_vms(lc.host().vm_ids());
-      lc.fail();
-      break;
+      if (checker_ != nullptr) checker_->excuse_vms(lc->host().vm_ids());
+      lc->fail();
+      crashed = true;
     }
-    case NodeRole::kEp: {
-      auto& eps = system_.entry_points();
-      if (index < 0 || static_cast<std::size_t>(index) >= eps.size()) {
-        trace("chaos.skip", "crash " + target_label(role, index));
-        return;
-      }
-      eps[static_cast<std::size_t>(index)]->fail();
-      break;
+  } else if (node.first == NodeRole::kEp) {
+    if (auto* ep = at(system_.entry_points(), node.second)) {
+      ep->fail();
+      crashed = true;
     }
-    default:
-      trace("chaos.skip", "crash: bad target");
-      return;
+  } else {
+    trace("chaos.skip", "crash: bad target");
+    return;
   }
-  count_fault();
-  crash_spans_[{role, index}] =
-      begin_fault_span("chaos.crash", target_label(role, index));
-  trace("chaos.crash", target_label(role, index));
+  const std::string label = target_label(node.first, node.second);
+  if (!crashed) {
+    trace("chaos.skip", "crash " + label);
+    return;
+  }
+  open_window({ActionKind::kCrash, primary(node), net::kNullAddress},
+              action.role == NodeRole::kGl ? "gl (" + label + ")" : label, label);
 }
 
 void ChaosInjector::do_recover(const FaultAction& action) {
-  NodeRole role = action.role;
-  int index = action.index;
-  if (action.pair != 0) {
-    const auto it = pair_targets_.find(action.pair);
-    if (it == pair_targets_.end()) {
-      trace("chaos.skip", "recover #" + std::to_string(action.pair) + ": never crashed");
-      return;
-    }
-    role = it->second.first;
-    index = it->second.second;
-    pair_targets_.erase(it);
+  Node node{action.role, action.index};
+  if (action.pair != 0 && !take_pair(action.pair, false, node)) {
+    trace("chaos.skip", "recover #" + std::to_string(action.pair) + ": never crashed");
+    return;
   }
-  switch (role) {
-    case NodeRole::kGm: {
-      auto& gms = system_.group_managers();
-      if (index >= 0 && static_cast<std::size_t>(index) < gms.size() &&
-          !gms[static_cast<std::size_t>(index)]->alive()) {
-        gms[static_cast<std::size_t>(index)]->restart();
-      }
-      break;
-    }
-    case NodeRole::kLc: {
-      auto& lcs = system_.local_controllers();
-      if (index >= 0 && static_cast<std::size_t>(index) < lcs.size() &&
-          !lcs[static_cast<std::size_t>(index)]->alive()) {
-        lcs[static_cast<std::size_t>(index)]->restart();
-      }
-      break;
-    }
-    case NodeRole::kEp: {
-      auto& eps = system_.entry_points();
-      if (index >= 0 && static_cast<std::size_t>(index) < eps.size() &&
-          !eps[static_cast<std::size_t>(index)]->alive()) {
-        eps[static_cast<std::size_t>(index)]->restart();
-      }
-      break;
-    }
-    default:
-      trace("chaos.skip", "recover: bad target");
-      return;
+  const auto restart = [](auto* n) {
+    if (n != nullptr && !n->alive()) n->restart();
+  };
+  if (node.first == NodeRole::kGm) {
+    restart(at(system_.group_managers(), node.second));
+  } else if (node.first == NodeRole::kLc) {
+    restart(at(system_.local_controllers(), node.second));
+  } else if (node.first == NodeRole::kEp) {
+    restart(at(system_.entry_points(), node.second));
+  } else {
+    trace("chaos.skip", "recover: bad target");
+    return;
   }
-  const auto span_it = crash_spans_.find({role, index});
-  if (span_it != crash_spans_.end()) {
-    end_fault_span(span_it->second, "recovered");
-    crash_spans_.erase(span_it);
-  }
-  trace("chaos.recover", target_label(role, index));
+  close_window({ActionKind::kCrash, primary(node), net::kNullAddress});
+  trace("chaos.recover", target_label(node.first, node.second));
 }
 
 void ChaosInjector::apply_partitions() {
@@ -295,199 +253,137 @@ void ChaosInjector::apply_partitions() {
 }
 
 void ChaosInjector::do_isolate(const FaultAction& action) {
-  const std::vector<net::Address> addrs =
-      resolve_addresses(action.role, action.index);
+  const std::string label = target_label(action.role, action.index);
+  const Node node = resolve(action.role, action.index);
+  const std::vector<net::Address> addrs = addresses(node);
   if (addrs.empty()) {
-    trace("chaos.skip", "isolate " + target_label(action.role, action.index));
+    trace("chaos.skip", "isolate " + label);
     return;
   }
-  const net::Address primary = addrs.front();
-  if (action.pair != 0) pair_isolated_[action.pair] = primary;
-  if (isolated_.count(primary) > 0) return;  // already isolated
-  isolated_[primary] = std::set<net::Address>(addrs.begin(), addrs.end());
+  if (action.pair != 0) pairs_[{action.pair, true}] = node;
+  if (isolated_.count(addrs.front()) > 0) return;  // already isolated
+  isolated_[addrs.front()] = std::set<net::Address>(addrs.begin(), addrs.end());
   apply_partitions();
-  count_fault();
-  isolate_spans_[primary] =
-      begin_fault_span("chaos.isolate", target_label(action.role, action.index));
-  trace("chaos.isolate", target_label(action.role, action.index));
+  open_window({ActionKind::kIsolate, addrs.front(), net::kNullAddress}, label,
+              target_label(node.first, node.second));
 }
 
 void ChaosInjector::do_heal(const FaultAction& action) {
-  net::Address addr = net::kNullAddress;
-  if (action.pair != 0) {
-    const auto it = pair_isolated_.find(action.pair);
-    if (it == pair_isolated_.end()) {
-      trace("chaos.skip", "heal #" + std::to_string(action.pair) + ": not isolated");
-      return;
-    }
-    addr = it->second;
-    pair_isolated_.erase(it);
-  } else {
-    addr = resolve_address(action.role, action.index);
+  Node node{action.role, action.index};
+  if (action.pair == 0) {
+    node = resolve(action.role, action.index);
+  } else if (!take_pair(action.pair, true, node)) {
+    trace("chaos.skip", "heal #" + std::to_string(action.pair) + ": not isolated");
+    return;
   }
+  const net::Address addr = primary(node);
   if (addr == net::kNullAddress || isolated_.erase(addr) == 0) {
     trace("chaos.skip", "heal: target not isolated");
     return;
   }
   apply_partitions();
-  const auto span_it = isolate_spans_.find(addr);
-  if (span_it != isolate_spans_.end()) {
-    end_fault_span(span_it->second);
-    isolate_spans_.erase(span_it);
-  }
+  close_window({ActionKind::kIsolate, addr, net::kNullAddress});
   trace("chaos.heal", target_label(action.role, action.index));
 }
 
 void ChaosInjector::do_link(const FaultAction& action, bool install) {
-  const net::Address a = resolve_address(action.role, action.index);
-  const net::Address b = resolve_address(action.role2, action.index2);
+  const bool flaky =
+      action.kind == ActionKind::kFlaky || action.kind == ActionKind::kUnflaky;
+  const Node node_a = resolve(action.role, action.index);
+  const Node node_b = resolve(action.role2, action.index2);
+  const net::Address a = primary(node_a);
+  const net::Address b = primary(node_b);
   if (a == net::kNullAddress || b == net::kNullAddress || a == b) {
-    trace("chaos.skip", "link: bad endpoints");
+    trace("chaos.skip", flaky ? "flaky: bad endpoints" : "link: bad endpoints");
     return;
   }
   std::ostringstream detail;
   detail << target_label(action.role, action.index) << " <-> "
          << target_label(action.role2, action.index2);
-  const std::pair<net::Address, net::Address> link_key = std::minmax(a, b);
-  if (install) {
-    system_.network().set_link_faults(a, b, action.faults);
-    system_.network().set_link_faults(b, a, action.faults);
-    count_fault();
-    detail << " drop=" << action.faults.drop;
-    link_spans_[link_key] = begin_fault_span("chaos.link", detail.str());
-  } else {
+  const WindowKey key{flaky ? ActionKind::kFlaky : ActionKind::kLink, std::min(a, b),
+                      std::max(a, b)};
+  if (!install) {
     system_.network().clear_link_faults(a, b);
     system_.network().clear_link_faults(b, a);
-    const auto span_it = link_spans_.find(link_key);
-    if (span_it != link_spans_.end()) {
-      end_fault_span(span_it->second);
-      link_spans_.erase(span_it);
-    }
+    close_window(key);
+    trace(flaky ? "chaos.unflaky" : "chaos.unlink", detail.str());
+    return;
   }
-  trace(install ? "chaos.link" : "chaos.unlink", detail.str());
+  system_.network().set_link_faults(a, b, action.faults);
+  system_.network().set_link_faults(b, a, action.faults);
+  if (flaky) {
+    detail << " lat=" << action.faults.flaky_latency;
+  } else {
+    detail << " drop=" << action.faults.drop;
+  }
+  open_window(key, detail.str(),
+              target_label(node_a.first, node_a.second) + " <-> " +
+                  target_label(node_b.first, node_b.second));
 }
 
-void ChaosInjector::do_slow(const FaultAction& action, bool install) {
-  NodeRole role = action.role;
-  int index = action.index;
-  if (!install && action.pair != 0) {
-    const auto it = pair_targets_.find(action.pair);
-    if (it == pair_targets_.end()) {
-      trace("chaos.skip", "unslow #" + std::to_string(action.pair) + ": never slowed");
-      return;
-    }
-    role = it->second.first;
-    index = it->second.second;
-    pair_targets_.erase(it);
+void ChaosInjector::do_gray(const FaultAction& action, bool install) {
+  const bool steal =
+      action.kind == ActionKind::kSteal || action.kind == ActionKind::kUnsteal;
+  const std::string verb = steal ? "steal" : "slow";
+  Node node{action.role, action.index};
+  if (!install && action.pair != 0 && !take_pair(action.pair, false, node)) {
+    trace("chaos.skip", "un" + verb + " #" + std::to_string(action.pair) +
+                            (steal ? ": never stolen" : ": never slowed"));
+    return;
+  }
+  const std::string label = target_label(node.first, node.second);
+  if (!steal && node.first != NodeRole::kGm && node.first != NodeRole::kLc) {
+    trace("chaos.skip", "slow: bad target");
+    return;
+  }
+  auto* gm = node.first == NodeRole::kGm && !steal
+                 ? at(system_.group_managers(), node.second)
+                 : nullptr;
+  auto* lc = node.first == NodeRole::kLc ? at(system_.local_controllers(), node.second)
+                                         : nullptr;
+  if (gm == nullptr && lc == nullptr) {
+    trace("chaos.skip", verb + " " + label);
+    return;
   }
   // A dead node cannot be slow; the knob survives restarts by design (the
   // injector, not the component, owns the fault window), so we still clear it
   // on uninstall even if the node crashed mid-window.
-  const double factor = install ? action.severity : 1.0;
-  switch (role) {
-    case NodeRole::kGm: {
-      auto& gms = system_.group_managers();
-      if (index < 0 || static_cast<std::size_t>(index) >= gms.size()) {
-        trace("chaos.skip", "slow " + target_label(role, index));
-        return;
-      }
-      gms[static_cast<std::size_t>(index)]->set_service_stretch(factor);
-      break;
-    }
-    case NodeRole::kLc: {
-      auto& lcs = system_.local_controllers();
-      if (index < 0 || static_cast<std::size_t>(index) >= lcs.size()) {
-        trace("chaos.skip", "slow " + target_label(role, index));
-        return;
-      }
-      lcs[static_cast<std::size_t>(index)]->set_service_stretch(factor);
-      break;
-    }
-    default:
-      trace("chaos.skip", "slow: bad target");
-      return;
-  }
-  if (install) {
-    if (action.pair != 0) pair_targets_[action.pair] = {role, index};
-    count_fault();
-    std::ostringstream detail;
-    detail << target_label(role, index) << " factor=" << action.severity;
-    slow_spans_[{role, index}] = begin_fault_span("chaos.slow", detail.str());
-    trace("chaos.slow", detail.str());
+  if (steal) {
+    lc->set_cpu_steal(install ? action.severity : 0.0);
+  } else if (gm != nullptr) {
+    gm->set_service_stretch(install ? action.severity : 1.0);
   } else {
-    const auto span_it = slow_spans_.find({role, index});
-    if (span_it != slow_spans_.end()) {
-      end_fault_span(span_it->second);
-      slow_spans_.erase(span_it);
-    }
-    trace("chaos.unslow", target_label(role, index));
+    lc->set_service_stretch(install ? action.severity : 1.0);
   }
-}
-
-void ChaosInjector::do_steal(const FaultAction& action, bool install) {
-  NodeRole role = action.role;
-  int index = action.index;
-  if (!install && action.pair != 0) {
-    const auto it = pair_targets_.find(action.pair);
-    if (it == pair_targets_.end()) {
-      trace("chaos.skip", "unsteal #" + std::to_string(action.pair) + ": never stolen");
-      return;
-    }
-    role = it->second.first;
-    index = it->second.second;
-    pair_targets_.erase(it);
-  }
-  auto& lcs = system_.local_controllers();
-  if (role != NodeRole::kLc || index < 0 ||
-      static_cast<std::size_t>(index) >= lcs.size()) {
-    trace("chaos.skip", "steal " + target_label(role, index));
+  const WindowKey key{steal ? ActionKind::kSteal : ActionKind::kSlow, primary(node),
+                      net::kNullAddress};
+  if (!install) {
+    close_window(key);
+    trace("chaos.un" + verb, label);
     return;
   }
-  lcs[static_cast<std::size_t>(index)]->set_cpu_steal(install ? action.severity : 0.0);
-  if (install) {
-    if (action.pair != 0) pair_targets_[action.pair] = {role, index};
-    count_fault();
-    std::ostringstream detail;
-    detail << target_label(role, index) << " frac=" << action.severity;
-    steal_spans_[{role, index}] = begin_fault_span("chaos.steal", detail.str());
-    trace("chaos.steal", detail.str());
-  } else {
-    const auto span_it = steal_spans_.find({role, index});
-    if (span_it != steal_spans_.end()) {
-      end_fault_span(span_it->second);
-      steal_spans_.erase(span_it);
-    }
-    trace("chaos.unsteal", target_label(role, index));
-  }
-}
-
-void ChaosInjector::do_flaky(const FaultAction& action, bool install) {
-  const net::Address a = resolve_address(action.role, action.index);
-  const net::Address b = resolve_address(action.role2, action.index2);
-  if (a == net::kNullAddress || b == net::kNullAddress || a == b) {
-    trace("chaos.skip", "flaky: bad endpoints");
-    return;
-  }
+  if (action.pair != 0) pairs_[{action.pair, false}] = node;
   std::ostringstream detail;
-  detail << target_label(action.role, action.index) << " <-> "
-         << target_label(action.role2, action.index2);
-  const std::pair<net::Address, net::Address> link_key = std::minmax(a, b);
-  if (install) {
-    system_.network().set_link_faults(a, b, action.faults);
-    system_.network().set_link_faults(b, a, action.faults);
-    count_fault();
-    detail << " lat=" << action.faults.flaky_latency;
-    flaky_spans_[link_key] = begin_fault_span("chaos.flaky", detail.str());
-  } else {
-    system_.network().clear_link_faults(a, b);
-    system_.network().clear_link_faults(b, a);
-    const auto span_it = flaky_spans_.find(link_key);
-    if (span_it != flaky_spans_.end()) {
-      end_fault_span(span_it->second);
-      flaky_spans_.erase(span_it);
-    }
+  detail << label << (steal ? " frac=" : " factor=") << action.severity;
+  open_window(key, detail.str(), label);
+}
+
+void ChaosInjector::do_drop(const FaultAction& action) {
+  // One loss window spans from the first drop > 0 to the next drop 0; a
+  // raise inside it still counts as a fault.
+  system_.network().set_drop_probability(action.drop);
+  const WindowKey key{ActionKind::kGlobalDrop, net::kNullAddress, net::kNullAddress};
+  const std::string detail = std::to_string(action.drop);
+  if (action.drop > 0.0 && windows_.count(key) == 0) {
+    open_window(key, detail, "");
+    return;
   }
-  trace(install ? "chaos.flaky" : "chaos.unflaky", detail.str());
+  if (action.drop > 0.0) {
+    count_fault();
+  } else {
+    close_window(key);
+  }
+  trace("chaos.drop", detail);
 }
 
 void ChaosInjector::heal_all_remaining() {
@@ -508,25 +404,12 @@ void ChaosInjector::heal_all_remaining() {
     lc->set_cpu_steal(0.0);
   }
   isolated_.clear();
-  pair_isolated_.clear();
-  pair_targets_.clear();
+  pairs_.clear();
   apply_partitions();
   system_.network().clear_all_faults();
   system_.network().set_drop_probability(0.0);
-  for (auto& [key, span] : crash_spans_) end_fault_span(span, "recovered");
-  crash_spans_.clear();
-  for (auto& [addr, span] : isolate_spans_) end_fault_span(span);
-  isolate_spans_.clear();
-  for (auto& [link, span] : link_spans_) end_fault_span(span);
-  link_spans_.clear();
-  for (auto& [key, span] : slow_spans_) end_fault_span(span);
-  slow_spans_.clear();
-  for (auto& [key, span] : steal_spans_) end_fault_span(span);
-  steal_spans_.clear();
-  for (auto& [link, span] : flaky_spans_) end_fault_span(span);
-  flaky_spans_.clear();
-  if (drop_span_.valid()) end_fault_span(drop_span_);
-  if (chaos_root_.valid()) end_fault_span(chaos_root_, "ok");
+  for (auto it = windows_.begin(); it != windows_.end();) it = close_window(it);
+  telemetry::end_span(&system_.telemetry(), chaos_root_, "ok");
   trace("chaos.heal", "final");
 }
 

@@ -112,7 +112,6 @@ ChaosRunResult run_chaos_schedule(const ChaosRunConfig& cfg,
   result.messages_dropped = stats.messages_dropped;
   result.messages_duplicated = stats.messages_duplicated;
   for (const auto& gm : system.group_managers()) {
-    result.fence_rejected += gm->fence_rejected();
     result.stale_accepts += gm->stale_accepts();
     result.stepdowns += gm->counters().stepdowns;
     result.slow_flags += gm->counters().slow_flags;
@@ -122,7 +121,6 @@ ChaosRunResult run_chaos_schedule(const ChaosRunConfig& cfg,
     result.quarantine_flaps += gm->counters().quarantine_flaps;
   }
   for (const auto& lc : system.local_controllers()) {
-    result.fence_rejected += lc->fence_rejected();
     result.stale_accepts += lc->stale_accepts();
   }
 
@@ -138,6 +136,10 @@ ChaosRunResult run_chaos_schedule(const ChaosRunConfig& cfg,
   mix(stats.messages_duplicated);
   mix(stats.bytes_sent);
   result.trace_hash = h;
+  // A GM's own fence restarts with the GM; the registry counter does not.
+  if (const auto* c = system.telemetry().metrics().find_counter("fence.rejected")) {
+    result.fence_rejected = c->value();
+  }
   if (const auto* c = system.telemetry().metrics().find_counter("rpc.hedges")) {
     result.rpc_hedges = c->value();
   }
@@ -180,8 +182,7 @@ ChaosRunResult run_chaos_schedule(const ChaosRunConfig& cfg,
         obs::analyze_incidents(system.trace().records(),
                                &system.telemetry().spans(), run_end, names,
                                cfg.incident_config);
-    const auto faults =
-        extract_injected_faults(system.trace().records(), run_end);
+    const std::vector<InjectedFault>& faults = injector.faults();
     const AttributionScore score = score_attribution(result.incidents, faults);
     result.injected_faults_labeled = faults.size();
     result.attribution_tp = score.true_positives;

@@ -126,7 +126,7 @@ struct ChaosRunResult {
   obs::IncidentReport incidents;     ///< episodes + ranked hypotheses
   std::string incident_table;        ///< rendered report (deterministic)
   std::string incident_csv;
-  std::size_t injected_faults_labeled = 0;  ///< ground-truth faults extracted
+  std::size_t injected_faults_labeled = 0;  ///< fault windows the injector recorded
   std::size_t attribution_tp = 0;    ///< matched node-blaming hypotheses
   std::size_t attribution_fp = 0;    ///< hypotheses matching no fault
   std::size_t attribution_recalled = 0;  ///< faults matched by >= 1 hypothesis

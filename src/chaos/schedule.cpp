@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <functional>
 #include <limits>
+#include <map>
 #include <set>
+#include <tuple>
 #include <sstream>
 #include <stdexcept>
 
@@ -52,10 +55,11 @@ void FaultSchedule::sort() {
 
 namespace {
 
-std::string format_time(sim::Time t) {
+/// Shortest form that parses back to the same double, so a script replays
+/// its schedule exactly.
+std::string num(double value) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f", t);
-  return buf;
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
 }
 
 void append_target(std::ostringstream& out, NodeRole role, int index) {
@@ -68,9 +72,9 @@ void append_target(std::ostringstream& out, NodeRole role, int index) {
 std::string FaultSchedule::to_script() const {
   std::ostringstream out;
   out << "# snooze chaos schedule\n";
-  out << "duration " << format_time(duration) << '\n';
+  out << "duration " << num(duration) << '\n';
   for (const FaultAction& a : actions) {
-    out << format_time(a.at) << ' ' << to_string(a.kind);
+    out << num(a.at) << ' ' << to_string(a.kind);
     switch (a.kind) {
       case ActionKind::kCrash:
       case ActionKind::kIsolate:
@@ -91,29 +95,29 @@ std::string FaultSchedule::to_script() const {
       case ActionKind::kLink:
         append_target(out, a.role, a.index);
         append_target(out, a.role2, a.index2);
-        out << " drop=" << a.faults.drop;
-        if (a.faults.duplicate > 0.0) out << " dup=" << a.faults.duplicate;
+        out << " drop=" << num(a.faults.drop);
+        if (a.faults.duplicate > 0.0) out << " dup=" << num(a.faults.duplicate);
         if (a.faults.reorder > 0.0) {
-          out << " reorder=" << a.faults.reorder
-              << " rdelay=" << a.faults.reorder_delay;
+          out << " reorder=" << num(a.faults.reorder)
+              << " rdelay=" << num(a.faults.reorder_delay);
         }
-        if (a.faults.extra_latency > 0.0) out << " lat=" << a.faults.extra_latency;
+        if (a.faults.extra_latency > 0.0) out << " lat=" << num(a.faults.extra_latency);
         break;
       case ActionKind::kUnlink:
         append_target(out, a.role, a.index);
         append_target(out, a.role2, a.index2);
         break;
       case ActionKind::kGlobalDrop:
-        out << ' ' << a.drop;
+        out << ' ' << num(a.drop);
         break;
       case ActionKind::kSlow:
         append_target(out, a.role, a.index);
-        out << " factor=" << a.severity;
+        out << " factor=" << num(a.severity);
         if (a.pair != 0) out << " #" << a.pair;
         break;
       case ActionKind::kSteal:
         append_target(out, a.role, a.index);
-        out << " frac=" << a.severity;
+        out << " frac=" << num(a.severity);
         if (a.pair != 0) out << " #" << a.pair;
         break;
       case ActionKind::kUnslow:
@@ -127,8 +131,9 @@ std::string FaultSchedule::to_script() const {
       case ActionKind::kFlaky:
         append_target(out, a.role, a.index);
         append_target(out, a.role2, a.index2);
-        out << " lat=" << a.faults.flaky_latency << " start=" << a.faults.flaky_start
-            << " stop=" << a.faults.flaky_stop;
+        out << " lat=" << num(a.faults.flaky_latency)
+            << " start=" << num(a.faults.flaky_start)
+            << " stop=" << num(a.faults.flaky_stop);
         break;
       case ActionKind::kUnflaky:
         append_target(out, a.role, a.index);
@@ -151,21 +156,46 @@ FaultSchedule generate_schedule(const ChaosSpec& spec, const Topology& topo,
   schedule.duration = spec.duration;
   int next_pair = 1;
 
-  // Targets currently inside an open crash/isolation window (a GL crash
-  // consumes a GM slot: the leader is one of the GMs).
-  std::set<std::pair<NodeRole, int>> busy;
-  std::size_t down_gms = 0;
-  std::size_t down_lcs = 0;
-  std::size_t down_eps = 0;
-  bool gl_window_open = false;
-
-  // Node pairs with an open link-fault window.
-  std::set<std::array<int, 4>> busy_links;
-
-  // Targets inside an open gray-fault (slow/steal) window. Kept separate
-  // from `busy`: a gray node is still up, but stacking a second gray fault
-  // on it would make the window pairing ambiguous.
-  std::set<std::pair<NodeRole, int>> busy_gray;
+  // Targets held by open windows. `busy` holds crashed or isolated nodes;
+  // the GL slot is {kGl, -1} and counts as a down GM (the leader is one of
+  // the GMs). `gray` holds nodes inside a slow/steal window, apart from
+  // `busy`: a gray node is still up, but stacking a second gray fault on it
+  // would make the window pairing ambiguous. `links` holds node pairs with a
+  // link or flaky window.
+  using Node = std::pair<NodeRole, int>;
+  const Node gl_slot{NodeRole::kGl, -1};
+  std::set<Node> busy;
+  std::set<Node> gray;
+  std::set<std::pair<Node, Node>> links;
+  // Crash/isolate floors: never take a role below its minimum of live nodes.
+  struct Pool {
+    std::size_t size;
+    std::size_t floor;
+    std::size_t down = 0;
+  };
+  std::map<NodeRole, Pool> pools{
+      {NodeRole::kGm, {topo.group_managers, spec.min_live_gms}},
+      {NodeRole::kLc, {topo.local_controllers, spec.min_live_lcs}},
+      {NodeRole::kEp, {topo.entry_points, spec.min_live_eps}}};
+  auto exhausted = [&](NodeRole role) {
+    const Pool& p = pools.at(role);
+    return p.size - p.down <= p.floor;
+  };
+  // Each open window releases its targets, keyed by its heal time, once a
+  // fault is drawn at or after that time.
+  std::multimap<sim::Time, std::function<void()>> held;
+  auto hold = [&](std::function<void()> release) {
+    held.emplace(schedule.actions.back().at, std::move(release));
+  };
+  auto hold_node = [&](Node n) {
+    const NodeRole role = n == gl_slot ? NodeRole::kGm : n.first;
+    busy.insert(n);
+    ++pools.at(role).down;
+    hold([&, n, role] {
+      busy.erase(n);
+      --pools.at(role).down;
+    });
+  };
 
   auto heal_time = [&](sim::Time at) {
     sim::Time t = at + spec.min_heal_time;
@@ -175,16 +205,13 @@ FaultSchedule generate_schedule(const ChaosSpec& spec, const Topology& topo,
     return std::min(t, spec.duration);
   };
 
-  auto random_node = [&](util::Rng& r) {
+  auto random_node = [&] {
     // Pick a role/index pair over the whole cluster, GMs and LCs only (link
     // faults between control-plane nodes are where the protocols hurt).
     const std::size_t n = topo.group_managers + topo.local_controllers;
-    const std::size_t i = r.uniform_int<std::size_t>(0, n - 1);
-    if (i < topo.group_managers) {
-      return std::pair<NodeRole, int>{NodeRole::kGm, static_cast<int>(i)};
-    }
-    return std::pair<NodeRole, int>{NodeRole::kLc,
-                                    static_cast<int>(i - topo.group_managers)};
+    const std::size_t i = rng.uniform_int<std::size_t>(0, n - 1);
+    if (i < topo.group_managers) return Node{NodeRole::kGm, static_cast<int>(i)};
+    return Node{NodeRole::kLc, static_cast<int>(i - topo.group_managers)};
   };
 
   sim::Time t = 0.0;
@@ -204,6 +231,13 @@ FaultSchedule generate_schedule(const ChaosSpec& spec, const Topology& topo,
     FaultAction inject;
     inject.at = t;
 
+    // Append `inject` and the action that ends its window.
+    auto push_window = [&](FaultAction close) {
+      close.at = heal_time(t);
+      schedule.actions.push_back(inject);
+      schedule.actions.push_back(close);
+    };
+    // A node window; its heal refers to it by a fresh pair id.
     auto open_window = [&](ActionKind open_kind, ActionKind close_kind, NodeRole role,
                            int index) {
       inject.kind = open_kind;
@@ -211,146 +245,83 @@ FaultSchedule generate_schedule(const ChaosSpec& spec, const Topology& topo,
       inject.index = index;
       inject.pair = next_pair++;
       FaultAction close;
-      close.at = heal_time(t);
       close.kind = close_kind;
       close.pair = inject.pair;
-      schedule.actions.push_back(inject);
-      schedule.actions.push_back(close);
+      push_window(close);
     };
 
     switch (kind) {
       case kGl: {
         // The GL is resolved at execution time; one open GL window at a time
         // and only while a spare GM exists to take over.
-        if (gl_window_open) continue;
-        if (topo.group_managers - down_gms <= spec.min_live_gms) continue;
-        gl_window_open = true;
-        ++down_gms;
+        if (busy.count(gl_slot) > 0 || exhausted(NodeRole::kGm)) continue;
         const bool isolate = rng.chance(0.4);
         open_window(isolate ? ActionKind::kIsolate : ActionKind::kCrash,
                     isolate ? ActionKind::kHeal : ActionKind::kRecover,
                     NodeRole::kGl, -1);
-        // Re-open the slot at heal time (processed in time order below).
-        FaultAction& close = schedule.actions.back();
-        close.role = NodeRole::kGl;  // marker for the bookkeeping pass
+        hold_node(gl_slot);
         break;
       }
-      case kGm: {
-        if (topo.group_managers - down_gms <= spec.min_live_gms) continue;
-        const int i = rng.uniform_int<int>(0, static_cast<int>(topo.group_managers) - 1);
-        if (busy.count({NodeRole::kGm, i}) > 0) continue;
-        busy.insert({NodeRole::kGm, i});
-        ++down_gms;
-        open_window(ActionKind::kCrash, ActionKind::kRecover, NodeRole::kGm, i);
-        break;
-      }
-      case kLc: {
-        if (topo.local_controllers - down_lcs <= spec.min_live_lcs) continue;
-        const int i =
-            rng.uniform_int<int>(0, static_cast<int>(topo.local_controllers) - 1);
-        if (busy.count({NodeRole::kLc, i}) > 0) continue;
-        busy.insert({NodeRole::kLc, i});
-        ++down_lcs;
-        const bool isolate = rng.chance(0.3);
-        open_window(isolate ? ActionKind::kIsolate : ActionKind::kCrash,
-                    isolate ? ActionKind::kHeal : ActionKind::kRecover,
-                    NodeRole::kLc, i);
-        break;
-      }
+      case kGm:
+      case kIso:
+      case kLc:
       case kEp: {
-        if (topo.entry_points - down_eps <= spec.min_live_eps) continue;
-        const int i = rng.uniform_int<int>(0, static_cast<int>(topo.entry_points) - 1);
-        if (busy.count({NodeRole::kEp, i}) > 0) continue;
-        busy.insert({NodeRole::kEp, i});
-        ++down_eps;
-        open_window(ActionKind::kCrash, ActionKind::kRecover, NodeRole::kEp, i);
+        const NodeRole role = kind == kLc   ? NodeRole::kLc
+                              : kind == kEp ? NodeRole::kEp
+                                            : NodeRole::kGm;
+        if (exhausted(role)) continue;
+        const int i = rng.uniform_int<int>(0, static_cast<int>(pools.at(role).size) - 1);
+        if (busy.count({role, i}) > 0) continue;
+        const bool isolate = kind == kIso || (kind == kLc && rng.chance(0.3));
+        open_window(isolate ? ActionKind::kIsolate : ActionKind::kCrash,
+                    isolate ? ActionKind::kHeal : ActionKind::kRecover, role, i);
+        hold_node({role, i});
         break;
       }
-      case kIso: {
-        if (topo.group_managers - down_gms <= spec.min_live_gms) continue;
-        const int i = rng.uniform_int<int>(0, static_cast<int>(topo.group_managers) - 1);
-        if (busy.count({NodeRole::kGm, i}) > 0) continue;
-        busy.insert({NodeRole::kGm, i});
-        ++down_gms;
-        open_window(ActionKind::kIsolate, ActionKind::kHeal, NodeRole::kGm, i);
-        break;
-      }
-      case kLink: {
-        const auto a = random_node(rng);
-        const auto b = random_node(rng);
-        if (a == b) continue;
-        const std::array<int, 4> key{static_cast<int>(a.first), a.second,
-                                     static_cast<int>(b.first), b.second};
-        if (busy_links.count(key) > 0) continue;
-        busy_links.insert(key);
-        inject.kind = ActionKind::kLink;
-        inject.role = a.first;
-        inject.index = a.second;
-        inject.role2 = b.first;
-        inject.index2 = b.second;
-        inject.faults.drop = rng.uniform(0.05, spec.max_link_drop);
-        if (rng.chance(0.4)) inject.faults.duplicate = rng.uniform(0.0, spec.max_duplicate);
-        if (rng.chance(0.4)) {
-          inject.faults.reorder = rng.uniform(0.0, spec.max_reorder);
-          inject.faults.reorder_delay = rng.uniform(0.01, 0.2);
-        }
-        if (rng.chance(0.3)) {
-          inject.faults.extra_latency = rng.uniform(0.0, spec.max_extra_latency);
-        }
-        FaultAction close;
-        close.at = heal_time(t);
-        close.kind = ActionKind::kUnlink;
-        close.role = a.first;
-        close.index = a.second;
-        close.role2 = b.first;
-        close.index2 = b.second;
-        schedule.actions.push_back(inject);
-        schedule.actions.push_back(close);
-        break;
-      }
-      case kSlowK: {
-        const auto n = random_node(rng);
-        if (busy.count(n) > 0 || busy_gray.count(n) > 0) continue;
-        busy_gray.insert(n);
-        inject.severity = rng.uniform(1.5, spec.max_slow_factor);
-        open_window(ActionKind::kSlow, ActionKind::kUnslow, n.first, n.second);
-        break;
-      }
-      case kStealK: {
-        const int i =
-            rng.uniform_int<int>(0, static_cast<int>(topo.local_controllers) - 1);
-        if (busy.count({NodeRole::kLc, i}) > 0 ||
-            busy_gray.count({NodeRole::kLc, i}) > 0) {
-          continue;
-        }
-        busy_gray.insert({NodeRole::kLc, i});
-        inject.severity = rng.uniform(0.1, spec.max_steal_frac);
-        open_window(ActionKind::kSteal, ActionKind::kUnsteal, NodeRole::kLc, i);
-        break;
-      }
+      case kLink:
       case kFlakyK: {
-        const auto a = random_node(rng);
-        const auto b = random_node(rng);
-        if (a == b) continue;
-        const std::array<int, 4> key{static_cast<int>(a.first), a.second,
-                                     static_cast<int>(b.first), b.second};
-        if (busy_links.count(key) > 0) continue;
-        busy_links.insert(key);
-        inject.kind = ActionKind::kFlaky;
-        inject.role = a.first;
-        inject.index = a.second;
-        inject.role2 = b.first;
-        inject.index2 = b.second;
-        inject.faults.flaky_latency = rng.uniform(0.05, spec.max_flaky_latency);
+        const Node a = random_node();
+        const Node b = random_node();
+        if (a == b || links.count({a, b}) > 0) continue;
+        const bool flaky = kind == kFlakyK;
+        inject.kind = flaky ? ActionKind::kFlaky : ActionKind::kLink;
+        std::tie(inject.role, inject.index) = a;
+        std::tie(inject.role2, inject.index2) = b;
+        if (flaky) {
+          inject.faults.flaky_latency = rng.uniform(0.05, spec.max_flaky_latency);
+        } else {
+          inject.faults.drop = rng.uniform(0.05, spec.max_link_drop);
+          if (rng.chance(0.4)) inject.faults.duplicate = rng.uniform(0.0, spec.max_duplicate);
+          if (rng.chance(0.4)) {
+            inject.faults.reorder = rng.uniform(0.0, spec.max_reorder);
+            inject.faults.reorder_delay = rng.uniform(0.01, 0.2);
+          }
+          if (rng.chance(0.3)) {
+            inject.faults.extra_latency = rng.uniform(0.0, spec.max_extra_latency);
+          }
+        }
         FaultAction close;
-        close.at = heal_time(t);
-        close.kind = ActionKind::kUnflaky;
-        close.role = a.first;
-        close.index = a.second;
-        close.role2 = b.first;
-        close.index2 = b.second;
-        schedule.actions.push_back(inject);
-        schedule.actions.push_back(close);
+        close.kind = flaky ? ActionKind::kUnflaky : ActionKind::kUnlink;
+        std::tie(close.role, close.index) = a;
+        std::tie(close.role2, close.index2) = b;
+        push_window(close);
+        links.insert({a, b});
+        hold([&links, a, b] { links.erase({a, b}); });
+        break;
+      }
+      case kSlowK:
+      case kStealK: {
+        const bool steal = kind == kStealK;  // CPU steal hits LCs only
+        const int lcs = static_cast<int>(topo.local_controllers);
+        const Node n = steal ? Node{NodeRole::kLc, rng.uniform_int<int>(0, lcs - 1)}
+                             : random_node();
+        if (busy.count(n) > 0 || gray.count(n) > 0) continue;
+        inject.severity = steal ? rng.uniform(0.1, spec.max_steal_frac)
+                                : rng.uniform(1.5, spec.max_slow_factor);
+        open_window(steal ? ActionKind::kSteal : ActionKind::kSlow,
+                    steal ? ActionKind::kUnsteal : ActionKind::kUnslow, n.first, n.second);
+        gray.insert(n);
+        hold([&gray, n] { gray.erase(n); });
         break;
       }
       case kDrop:
@@ -358,72 +329,16 @@ FaultSchedule generate_schedule(const ChaosSpec& spec, const Topology& topo,
         inject.kind = ActionKind::kGlobalDrop;
         inject.drop = rng.uniform(0.005, spec.max_global_drop);
         FaultAction close;
-        close.at = heal_time(t);
         close.kind = ActionKind::kGlobalDrop;
-        close.drop = 0.0;
-        schedule.actions.push_back(inject);
-        schedule.actions.push_back(close);
+        push_window(close);
         break;
       }
     }
 
-    // Re-open windows whose heal time has passed. A simple rescan keeps the
-    // bookkeeping honest without a second queue; schedules are tiny.
-    busy.clear();
-    busy_links.clear();
-    busy_gray.clear();
-    down_gms = down_lcs = down_eps = 0;
-    gl_window_open = false;
-    std::set<int> healed;
-    for (const FaultAction& a : schedule.actions) {
-      const bool closes = a.kind == ActionKind::kRecover || a.kind == ActionKind::kHeal ||
-                          a.kind == ActionKind::kUnlink ||
-                          a.kind == ActionKind::kUnslow ||
-                          a.kind == ActionKind::kUnsteal ||
-                          a.kind == ActionKind::kUnflaky;
-      if (closes && a.at <= t) {
-        if (a.pair != 0) healed.insert(a.pair);
-        if (a.kind == ActionKind::kUnlink || a.kind == ActionKind::kUnflaky) {
-          busy_links.erase({static_cast<int>(a.role), a.index,
-                            static_cast<int>(a.role2), a.index2});
-        }
-      }
-    }
-    for (const FaultAction& a : schedule.actions) {
-      if ((a.kind == ActionKind::kLink || a.kind == ActionKind::kFlaky) && a.at <= t) {
-        const ActionKind closer =
-            a.kind == ActionKind::kLink ? ActionKind::kUnlink : ActionKind::kUnflaky;
-        bool open = true;
-        for (const FaultAction& c : schedule.actions) {
-          if (c.kind == closer && c.at <= t && c.role == a.role &&
-              c.index == a.index && c.role2 == a.role2 && c.index2 == a.index2 &&
-              c.at >= a.at) {
-            open = false;
-            break;
-          }
-        }
-        if (open) {
-          busy_links.insert({static_cast<int>(a.role), a.index,
-                             static_cast<int>(a.role2), a.index2});
-        }
-      }
-      if ((a.kind == ActionKind::kSlow || a.kind == ActionKind::kSteal) && a.at <= t &&
-          (a.pair == 0 || healed.count(a.pair) == 0)) {
-        busy_gray.insert({a.role, a.index});
-      }
-      if ((a.kind != ActionKind::kCrash && a.kind != ActionKind::kIsolate) || a.at > t) {
-        continue;
-      }
-      if (a.pair != 0 && healed.count(a.pair) > 0) continue;
-      if (a.role == NodeRole::kGl) {
-        gl_window_open = true;
-        ++down_gms;
-      } else {
-        busy.insert({a.role, a.index});
-        if (a.role == NodeRole::kGm) ++down_gms;
-        if (a.role == NodeRole::kLc) ++down_lcs;
-        if (a.role == NodeRole::kEp) ++down_eps;
-      }
+    // Release the targets of every window healed by now.
+    while (!held.empty() && held.begin()->first <= t) {
+      held.begin()->second();
+      held.erase(held.begin());
     }
   }
 

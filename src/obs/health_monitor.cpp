@@ -162,15 +162,15 @@ void HealthMonitor::sample_now() {
   const double work = system_.total_work();
 
   // --- throughput counters (cumulative; rates derived over the window) -----
-  double placements = 0.0, migrations = 0.0, fence_rejected = 0.0;
+  double placements = 0.0, migrations = 0.0;
   for (const auto& gm : system_.group_managers()) {
     placements += static_cast<double>(gm->counters().placements_ok);
     migrations += static_cast<double>(gm->counters().migrations_completed);
-    fence_rejected += static_cast<double>(gm->fence_rejected());
   }
-  for (const auto& lc : system_.local_controllers()) {
-    fence_rejected += static_cast<double>(lc->fence_rejected());
-  }
+  // The registry counter, not the per-node fences: a GM's fence restarts
+  // from zero with the GM, and a cumulative column must never fall.
+  const auto* fenced = system_.telemetry().metrics().find_counter("fence.rejected");
+  const double fence_rejected = fenced == nullptr ? 0.0 : static_cast<double>(fenced->value());
 
   // --- interference ---------------------------------------------------------
   // Per-VM penalties across profiled running VMs (read-only host state).

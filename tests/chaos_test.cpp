@@ -5,9 +5,12 @@
 // fault-tolerance claims and the trace-hash reproducibility guarantee.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <map>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "chaos/invariants.hpp"
 #include "chaos/runner.hpp"
@@ -175,6 +178,19 @@ TEST(Script, RoundTripIsStable) {
     EXPECT_EQ(reparsed.to_script(), script) << "seed " << seed;
     EXPECT_DOUBLE_EQ(reparsed.duration, schedule.duration);
     EXPECT_EQ(reparsed.actions.size(), schedule.actions.size());
+  }
+}
+
+TEST(Script, ReplayingTheScriptReproducesTheRun) {
+  // Seeds 12 and 13 isolate the GL: its heal refers to the window by pair id
+  // alone, exactly as the script spells it.
+  for (std::uint64_t seed = 1; seed <= 13; ++seed) {
+    ChaosRunConfig cfg;
+    cfg.seed = seed;
+    const FaultSchedule schedule = generate_schedule(cfg.spec, cfg.topology, seed);
+    const auto direct = run_chaos_schedule(cfg, schedule);
+    const auto replay = run_chaos_schedule(cfg, parse_script(schedule.to_script()));
+    EXPECT_EQ(replay.trace_hash, direct.trace_hash) << "seed " << seed;
   }
 }
 
@@ -589,6 +605,44 @@ TEST(ChaosRun, DeltaSummariesSurviveSeededPartitions) {
   const auto again = run_chaos(cfg);
   EXPECT_EQ(result.trace_hash, again.trace_hash);
   EXPECT_EQ(result.report, again.report);
+}
+
+TEST(ChaosRun, FenceRejectionTotalsNeverFallWhenAGmRestarts) {
+  // Seed 34 has a GM reject a stale command and later crash and restart: its
+  // own fence starts over from zero, the run's totals must not.
+  ChaosRunConfig cfg;
+  cfg.seed = 34;
+  cfg.spec.duration = 240.0;
+  cfg.spec.fault_rate = 0.08;
+  cfg.capture_trace = true;
+  cfg.capture_timeseries = true;
+  const auto result = run_chaos(cfg);
+  std::uint64_t traced = 0;
+  for (const auto& r : result.trace_records) {
+    if (r.kind == "gm.fence_rejected" || r.kind == "lc.fence_rejected") ++traced;
+  }
+  ASSERT_GT(traced, 0u);
+  EXPECT_EQ(result.fence_rejected, traced);
+
+  std::istringstream csv(result.timeseries_csv);
+  std::string line;
+  std::getline(csv, line);
+  const std::string::size_type at = line.find("fence.rejected_total");
+  ASSERT_NE(at, std::string::npos);
+  const auto column = static_cast<std::size_t>(std::count(line.begin(), line.begin() + at, ','));
+  double last = 0.0;
+  std::size_t rows = 0;
+  while (std::getline(csv, line)) {
+    std::istringstream cells(line);
+    std::string cell;
+    for (std::size_t i = 0; i <= column; ++i) std::getline(cells, cell, ',');
+    const double value = std::stod(cell);
+    EXPECT_GE(value, last) << "row " << rows;
+    last = value;
+    ++rows;
+  }
+  EXPECT_GT(rows, 0u);
+  EXPECT_DOUBLE_EQ(last, static_cast<double>(traced));
 }
 
 // The >= 20-seed acceptance soak lives in chaos_soak_test.cpp (ctest label

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -355,5 +356,56 @@ INSTANTIATE_TEST_SUITE_P(Scenarios, GoldenTrace, ::testing::ValuesIn(kScenarios)
                          [](const ::testing::TestParamInfo<Scenario>& info) {
                            return std::string(info.param.name);
                          });
+
+// The seeded schedule generator, pinned in tests/golden/schedules.txt: a
+// changed draw, heal lag or targeting floor shows up here as a diff of the
+// script, not only as a moved benchmark fingerprint.
+std::string generated_schedules() {
+  struct Case {
+    const char* name;
+    chaos::ChaosSpec spec;
+    chaos::Topology topology;
+    std::uint64_t seed;
+  };
+  chaos::ChaosSpec day;  // the full-stack benchmark's one-day fault script
+  day.duration = 86400.0;
+  day.fault_rate = 0.0005;
+  day.weight_flaky = 1.0;
+  chaos::ChaosSpec gray;
+  gray.weight_slow = gray.weight_steal = gray.weight_flaky = 2.0;
+  chaos::ChaosSpec dense;
+  dense.fault_rate = 0.5;
+  const Case cases[] = {{"chaos_day", day, {3, 16, 2}, 1}, {"default", {}, {}, 1},
+                        {"default", {}, {}, 2},            {"default", {}, {}, 3},
+                        {"gray", gray, {}, 1},             {"dense", dense, {}, 11}};
+  std::string out;
+  for (const Case& c : cases) {
+    out += "## " + std::string(c.name) + " seed " + std::to_string(c.seed) + "\n" +
+           chaos::generate_schedule(c.spec, c.topology, c.seed).to_script();
+  }
+  return out;
+}
+
+TEST(GoldenSchedules, GeneratorMatchesRecordedScripts) {
+  const std::string path = std::string(SNOOZE_GOLDEN_DIR) + "/schedules.txt";
+  const std::string got = generated_schedules();
+  if (std::getenv("SNOOZE_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path);
+    ASSERT_TRUE(out) << "cannot write " << path;
+    out << got;
+    GTEST_SKIP() << "golden refreshed: " << path;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << "missing golden " << path
+                  << " — run with SNOOZE_UPDATE_GOLDEN=1 to record it";
+  std::istringstream want_lines(std::string(std::istreambuf_iterator<char>(in), {}));
+  std::istringstream got_lines(got);
+  std::string want_line, got_line;
+  for (int line = 1; std::getline(want_lines, want_line); ++line) {
+    ASSERT_TRUE(std::getline(got_lines, got_line)) << "schedules end early at line " << line;
+    ASSERT_EQ(got_line, want_line) << "first divergence at line " << line;
+  }
+  EXPECT_FALSE(std::getline(got_lines, got_line)) << "extra line: " << got_line;
+}
 
 }  // namespace

@@ -6,8 +6,10 @@
 #include <vector>
 
 #include "chaos/ground_truth.hpp"
+#include "chaos/injector.hpp"
 #include "chaos/runner.hpp"
 #include "chaos/schedule.hpp"
+#include "core/system.hpp"
 #include "obs/causality.hpp"
 #include "obs/incident.hpp"
 
@@ -163,23 +165,135 @@ TEST(Incident, InvariantViolationOpensAnEpisode) {
 
 // --- ground truth + scoring -------------------------------------------------
 
-TEST(GroundTruth, ExtractsFaultWindowsFromInjectorLabels) {
-  const std::vector<sim::TraceRecord> records = {
-      rec(5.0, "chaos", "chaos.crash", "gl (gm-1)"),
-      rec(9.0, "chaos", "chaos.slow", "lc-1 factor=4"),
-      rec(20.0, "chaos", "chaos.recover", "gm-1"),
-      rec(30.0, "chaos", "chaos.skip", "crash lc-2"),
-      rec(40.0, "chaos", "chaos.heal", "final"),
-  };
-  const auto faults = chaos::extract_injected_faults(records, 50.0);
-  ASSERT_EQ(faults.size(), 2u);
-  EXPECT_EQ(faults[0].fault_class, obs::FaultClass::kCrash);
-  EXPECT_EQ(faults[0].target, "gm-1");  // resolved GL, not "gl"
-  EXPECT_DOUBLE_EQ(faults[0].at, 5.0);
-  EXPECT_DOUBLE_EQ(faults[0].cleared, 20.0);
-  EXPECT_EQ(faults[1].fault_class, obs::FaultClass::kFailSlow);
-  EXPECT_EQ(faults[1].target, "lc-1");
-  EXPECT_DOUBLE_EQ(faults[1].cleared, 40.0);  // closed by the final heal
+/// The injector's ground truth for one scripted run on a fresh 3/9/2
+/// cluster, with times relative to injection start.
+struct InjectedRun {
+  std::vector<chaos::InjectedFault> faults;
+  std::size_t faults_injected = 0;
+  std::string leader;  ///< the GL's GM at injection start ("gm-1")
+  double final_heal = 0.0;
+};
+
+InjectedRun inject(const std::string& script) {
+  core::SystemSpec spec;
+  spec.group_managers = 3;
+  spec.local_controllers = 9;
+  spec.entry_points = 2;
+  core::SnoozeSystem system(spec);
+  system.start();
+  system.run_until_stable(30.0);
+  InjectedRun run;
+  for (std::size_t i = 0; i < system.group_managers().size(); ++i) {
+    if (system.group_managers()[i]->is_leader()) run.leader = "gm-" + std::to_string(i);
+  }
+  const chaos::FaultSchedule schedule = chaos::parse_script(script);
+  chaos::ChaosInjector injector(system, schedule);
+  const double t0 = system.engine().now();
+  injector.start();
+  system.engine().run_until(t0 + schedule.duration + 1.0);
+  injector.heal_all_remaining();
+  run.final_heal = system.engine().now() - t0;
+  run.faults = injector.faults();
+  for (auto& f : run.faults) {
+    f.at -= t0;
+    f.cleared -= t0;
+  }
+  run.faults_injected = injector.faults_injected();
+  return run;
+}
+
+TEST(GroundTruth, InjectorRecordsResolvedTargetsAndTheFinalHeal) {
+  const InjectedRun run = inject(
+      "duration 40\n"
+      "5 crash gl #1\n"
+      "9 slow lc 1 factor=4 #2\n"
+      "20 recover #1\n"
+      "25 crash lc 2\n"
+      "30 crash lc 2\n");  // skipped: lc-2 is already down
+  ASSERT_FALSE(run.leader.empty());
+  ASSERT_EQ(run.faults.size(), 3u);
+  EXPECT_EQ(run.faults_injected, 3u);
+  EXPECT_EQ(run.faults[0].fault_class, obs::FaultClass::kCrash);
+  EXPECT_EQ(run.faults[0].target, run.leader);  // resolved GL, not "gl"
+  EXPECT_DOUBLE_EQ(run.faults[0].at, 5.0);
+  EXPECT_DOUBLE_EQ(run.faults[0].cleared, 20.0);
+  EXPECT_EQ(run.faults[1].fault_class, obs::FaultClass::kFailSlow);
+  EXPECT_EQ(run.faults[1].target, "lc-1");
+  EXPECT_EQ(run.faults[2].target, "lc-2");
+  // Windows still open at the horizon close with the final heal.
+  EXPECT_DOUBLE_EQ(run.faults[1].cleared, run.final_heal);
+  EXPECT_DOUBLE_EQ(run.faults[2].cleared, run.final_heal);
+}
+
+TEST(GroundTruth, GlobalLossIsOneWindowClosedByDropZero) {
+  const InjectedRun run = inject(
+      "duration 40\n"
+      "5 drop 0.02\n"
+      "10 drop 0.03\n"  // a raise inside the window: counted, same window
+      "15 drop 0\n");
+  ASSERT_EQ(run.faults.size(), 1u);
+  EXPECT_EQ(run.faults_injected, 2u);
+  EXPECT_EQ(run.faults[0].fault_class, obs::FaultClass::kNetwork);
+  EXPECT_TRUE(run.faults[0].target.empty());
+  EXPECT_DOUBLE_EQ(run.faults[0].cleared, 15.0);
+}
+
+TEST(GroundTruth, GlIsolationNamesTheLeaderAndScoresItsHypothesis) {
+  const InjectedRun run = inject(
+      "duration 40\n"
+      "5 isolate gl #1\n"
+      "20 heal #1\n");
+  ASSERT_EQ(run.faults.size(), 1u);
+  EXPECT_EQ(run.faults[0].target, run.leader);
+  EXPECT_DOUBLE_EQ(run.faults[0].cleared, 20.0);
+
+  obs::IncidentReport report;
+  obs::IncidentEpisode ep;
+  ep.opened = 6.0;
+  ep.closed = 25.0;
+  obs::Hypothesis h;
+  h.fault_class = obs::FaultClass::kNetwork;
+  h.target = run.leader;
+  h.first_evidence = 8.0;
+  ep.hypotheses = {h};
+  report.episodes.push_back(ep);
+  const auto score = chaos::score_attribution(report, run.faults);
+  EXPECT_EQ(score.true_positives, 1u);
+  EXPECT_EQ(score.false_positives, 0u);
+}
+
+TEST(GroundTruth, PairHealClosesItsIsolationWindow) {
+  const InjectedRun run = inject(
+      "duration 40\n"
+      "5 isolate lc 2 #1\n"
+      "20 heal #1\n");
+  ASSERT_EQ(run.faults.size(), 1u);
+  EXPECT_EQ(run.faults[0].target, "lc-2");
+  EXPECT_DOUBLE_EQ(run.faults[0].cleared, 20.0);
+}
+
+TEST(GroundTruth, UnlinkNamingTheEndpointsSwappedClosesTheLinkWindow) {
+  const InjectedRun run = inject(
+      "duration 40\n"
+      "5 link gm 0 lc 3 drop=0.3\n"
+      "20 unlink lc 3 gm 0\n");
+  ASSERT_EQ(run.faults.size(), 1u);
+  EXPECT_EQ(run.faults[0].fault_class, obs::FaultClass::kNetwork);
+  EXPECT_DOUBLE_EQ(run.faults[0].cleared, 20.0);
+}
+
+TEST(GroundTruth, OverlappingSlowAndStealCloseTheirOwnWindows) {
+  const InjectedRun run = inject(
+      "duration 40\n"
+      "5 slow lc 6 factor=3 #1\n"
+      "8 steal lc 6 frac=0.3 #2\n"
+      "20 unslow #1\n"
+      "30 unsteal #2\n");
+  ASSERT_EQ(run.faults.size(), 2u);
+  EXPECT_EQ(run.faults[0].kind, "chaos.slow");
+  EXPECT_DOUBLE_EQ(run.faults[0].cleared, 20.0);
+  EXPECT_EQ(run.faults[1].kind, "chaos.steal");
+  EXPECT_DOUBLE_EQ(run.faults[1].cleared, 30.0);
 }
 
 TEST(GroundTruth, ScoringMatchesPaddedNamesAndAnnotatesLatency) {
