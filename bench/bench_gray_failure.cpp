@@ -145,10 +145,8 @@ AbResult run_side(bool detection, std::uint64_t seed) {
   for (const auto& lc : system.local_controllers()) {
     if (lc->suspended()) ++out.suspended_lcs;
   }
-  for (const auto& gm : system.group_managers()) {
-    out.stepdowns += gm->counters().stepdowns;
-    out.probations += gm->counters().probations;
-  }
+  out.stepdowns = system.telemetry().metrics().value("gl.stepdowns");
+  out.probations = system.telemetry().metrics().value("gm.lc_probations");
   return out;
 }
 

@@ -101,9 +101,7 @@ RunOutcome run_one(std::uint64_t seed, bool aware) {
   out.degraded_vm_s = monitor.degraded_vm_seconds();
   const double vm_hours = system.total_work() / 3600.0;
   if (vm_hours > 0.0) out.energy_per_vm_hour = system.total_energy() / vm_hours;
-  for (const auto& gm : system.group_managers()) {
-    out.relocations += gm->counters().interference_events;
-  }
+  out.relocations = system.telemetry().metrics().value("gm.interference_events");
   return out;
 }
 

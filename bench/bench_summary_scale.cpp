@@ -78,10 +78,8 @@ Measurement measure(std::uint64_t seed, double window) {
   system.client().submit_all(vms, 0.1);
   system.engine().run_until(system.engine().now() + 60.0);
 
-  std::uint64_t bytes0 = 0;
-  for (const auto& gm : system.group_managers()) {
-    bytes0 += gm->counters().summary_bytes_sent;
-  }
+  const telemetry::MetricsRegistry& metrics = system.telemetry().metrics();
+  const std::uint64_t bytes0 = metrics.value("gm.summary_bytes");
   const double t0 = system.engine().now();
   const double period = spec.config.gm_summary_period;
   const double periods = window / period;
@@ -95,14 +93,10 @@ Measurement measure(std::uint64_t seed, double window) {
     }
   }
 
-  std::uint64_t bytes = 0;
-  for (const auto& gm : system.group_managers()) {
-    bytes += gm->counters().summary_bytes_sent;
-    m.snapshots += gm->counters().summary_snapshots_sent;
-    m.deltas += gm->counters().summary_deltas_sent;
-    m.nacks += gm->counters().summary_nacks;
-  }
-  bytes -= bytes0;
+  const std::uint64_t bytes = metrics.value("gm.summary_bytes") - bytes0;
+  m.snapshots = metrics.value("gm.summary_snapshots");
+  m.deltas = metrics.value("gm.summary_deltas");
+  m.nacks = metrics.value("gm.summary_nacks");
   const double lc_periods = periods * static_cast<double>(spec.local_controllers);
   m.bytes_per_lc_period = static_cast<double>(bytes) / lc_periods;
   m.full_bytes_per_lc_period = full_bytes / lc_periods;

@@ -95,18 +95,12 @@ int main(int argc, char** argv) {
               "~10s resume + 2s boot)\n",
               ok ? "yes" : "no", latency);
 
-  std::uint64_t wakeups = 0, suspends = 0, reconfigs = 0, migrations = 0;
-  for (const auto& gm : system.group_managers()) {
-    wakeups += gm->counters().wakeups;
-    suspends += gm->counters().suspends;
-    reconfigs += gm->counters().reconfigurations;
-    migrations += gm->counters().migrations_completed;
-  }
+  const telemetry::MetricsRegistry& metrics = system.telemetry().metrics();
   std::printf("\ntotals: %llu reconfigurations, %llu migrations, %llu suspends, "
               "%llu wakeups\n",
-              static_cast<unsigned long long>(reconfigs),
-              static_cast<unsigned long long>(migrations),
-              static_cast<unsigned long long>(suspends),
-              static_cast<unsigned long long>(wakeups));
+              static_cast<unsigned long long>(metrics.value("gm.reconfigurations")),
+              static_cast<unsigned long long>(metrics.value("gm.migrations_completed")),
+              static_cast<unsigned long long>(metrics.value("gm.suspends")),
+              static_cast<unsigned long long>(metrics.value("gm.wakeups")));
   return 0;
 }

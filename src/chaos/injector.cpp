@@ -42,8 +42,8 @@ void ChaosInjector::count_fault() {
 }
 
 std::size_t ChaosInjector::faults_injected() const {
-  const auto* c = system_.telemetry().metrics().find_counter("chaos.faults_injected");
-  return c == nullptr ? 0 : static_cast<std::size_t>(c->value());
+  return static_cast<std::size_t>(
+      system_.telemetry().metrics().value("chaos.faults_injected"));
 }
 
 void ChaosInjector::open_window(const WindowKey& key, const std::string& detail,

@@ -113,12 +113,6 @@ ChaosRunResult run_chaos_schedule(const ChaosRunConfig& cfg,
   result.messages_duplicated = stats.messages_duplicated;
   for (const auto& gm : system.group_managers()) {
     result.stale_accepts += gm->stale_accepts();
-    result.stepdowns += gm->counters().stepdowns;
-    result.slow_flags += gm->counters().slow_flags;
-    result.probations += gm->counters().probations;
-    result.quarantines += gm->counters().quarantines;
-    result.reinstatements += gm->counters().reinstatements;
-    result.quarantine_flaps += gm->counters().quarantine_flaps;
   }
   for (const auto& lc : system.local_controllers()) {
     result.stale_accepts += lc->stale_accepts();
@@ -137,15 +131,16 @@ ChaosRunResult run_chaos_schedule(const ChaosRunConfig& cfg,
   mix(stats.bytes_sent);
   result.trace_hash = h;
   // A GM's own fence restarts with the GM; the registry counter does not.
-  if (const auto* c = system.telemetry().metrics().find_counter("fence.rejected")) {
-    result.fence_rejected = c->value();
-  }
-  if (const auto* c = system.telemetry().metrics().find_counter("rpc.hedges")) {
-    result.rpc_hedges = c->value();
-  }
-  if (const auto* c = system.telemetry().metrics().find_counter("rpc.hedges_won")) {
-    result.rpc_hedges_won = c->value();
-  }
+  const telemetry::MetricsRegistry& metrics = system.telemetry().metrics();
+  result.fence_rejected = metrics.value("fence.rejected");
+  result.rpc_hedges = metrics.value("rpc.hedges");
+  result.rpc_hedges_won = metrics.value("rpc.hedges_won");
+  result.stepdowns = metrics.value("gl.stepdowns");
+  result.probations = metrics.value("gm.lc_probations");
+  result.slow_flags = result.probations + metrics.value("gl.gm_slow_flagged");
+  result.quarantines = metrics.value("gm.lc_quarantines");
+  result.reinstatements = metrics.value("gm.lc_reinstatements");
+  result.quarantine_flaps = metrics.value("gm.quarantine_flaps");
   if (cfg.capture_trace) result.trace_records = system.trace().records();
 
   if (monitor) {

@@ -108,8 +108,8 @@ struct ChaosRunResult {
   std::uint64_t stale_accepts = 0;
   /// Leadership terms abandoned after a stale-epoch signal or session expiry.
   std::uint64_t stepdowns = 0;
-  // --- gray-failure detection / containment (summed over GMs) --------------
-  std::uint64_t slow_flags = 0;        ///< peer-relative slow flags raised
+  // --- gray-failure detection / containment (GM and GL roles) -------------
+  std::uint64_t slow_flags = 0;        ///< LC probations + GMs flagged slow
   std::uint64_t probations = 0;        ///< LCs placed on probation
   std::uint64_t quarantines = 0;       ///< probation -> quarantine escalations
   std::uint64_t reinstatements = 0;    ///< quarantined LCs returned to service

@@ -371,6 +371,8 @@ std::vector<std::string> split_tokens(const std::string& line) {
   return out;
 }
 
+}  // namespace
+
 double parse_number(const std::string& tok, std::size_t line, const char* what) {
   double value = 0.0;
   try {
@@ -388,7 +390,6 @@ double parse_number(const std::string& tok, std::size_t line, const char* what) 
   return value;
 }
 
-/// A non-negative whole number that fits an int (node index, pair id).
 int parse_int(const std::string& tok, std::size_t line, const char* what) {
   const double value = parse_number(tok, line, what);
   if (value < 0.0) fail_at(line, std::string(what) + " must be >= 0");
@@ -399,6 +400,8 @@ int parse_int(const std::string& tok, std::size_t line, const char* what) {
   }
   return static_cast<int>(value);
 }
+
+namespace {
 
 double parse_probability(const std::string& tok, std::size_t line, const char* what) {
   const double value = parse_number(tok, line, what);

@@ -132,6 +132,16 @@ struct Topology {
 /// the longest any in-repo run injects faults for.
 constexpr sim::Time kMaxChaosDuration = 86400.0;
 
+/// Parse one number given from outside the program (a script token, a CLI
+/// argument): the whole token must be a finite number. Errors name `what`
+/// and, when `line` > 0, the script line (0 marks a command-line value).
+/// Throws std::runtime_error.
+[[nodiscard]] double parse_number(const std::string& tok, std::size_t line,
+                                  const char* what);
+/// parse_number() restricted to a whole number in [0, 2^31): a node index,
+/// a pair id or a count.
+[[nodiscard]] int parse_int(const std::string& tok, std::size_t line, const char* what);
+
 /// Parse a chaos horizon given from outside (a CLI or script `duration`):
 /// the whole token must be a finite number of seconds in
 /// (0, kMaxChaosDuration]. Throws std::runtime_error otherwise.

@@ -5,12 +5,33 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "chaos/runner.hpp"
 #include "cli/dot_export.hpp"
 #include "telemetry/export.hpp"
 
 namespace snooze::cli {
+
+namespace {
+
+// Numeric arguments follow the chaos script parser's rules: the whole token
+// must be a finite number, and a count or index a whole one in [0, 2^31).
+// Each helper throws std::runtime_error naming the argument, which fails
+// the command (execute() catches it).
+std::size_t parse_count(const std::string& tok, const char* what) {
+  return static_cast<std::size_t>(chaos::parse_int(tok, 0, what));
+}
+
+double parse_positive(const std::string& tok, const char* what) {
+  const double value = chaos::parse_number(tok, 0, what);
+  if (value <= 0.0) {
+    throw std::runtime_error(std::string(what) + " must be > 0, got '" + tok + "'");
+  }
+  return value;
+}
+
+}  // namespace
 
 std::vector<std::string> tokenize(const std::string& line) {
   std::vector<std::string> out;
@@ -83,38 +104,41 @@ CommandResult CliSession::execute(const std::string& line) {
   if (tokens.empty()) return {};
   const std::string& cmd = tokens.front();
   const std::vector<std::string> args(tokens.begin() + 1, tokens.end());
-  if (cmd == "help") return {true, false, help()};
-  if (cmd == "quit" || cmd == "exit") return {true, true, ""};
-  if (cmd == "submit") return cmd_submit(args);
-  if (cmd == "run") return cmd_run(args);
-  if (cmd == "hierarchy") return cmd_hierarchy();
-  if (cmd == "export-dot") return cmd_export_dot(args);
-  if (cmd == "stats") return cmd_stats();
-  if (cmd == "fail") return cmd_fail(args);
-  if (cmd == "failover") return cmd_failover(args);
-  if (cmd == "chaos") return cmd_chaos(args);
-  if (cmd == "metrics") return cmd_metrics(args);
-  if (cmd == "trace") return cmd_trace(args);
-  if (cmd == "health") return cmd_health(args);
-  if (cmd == "incident") return cmd_incident(args);
-  if (cmd == "slo") return cmd_slo();
-  if (cmd == "top") return cmd_top(args);
-  if (cmd == "upgrade") return cmd_upgrade(args);
-  if (cmd == "autoscale") return cmd_autoscale(args);
+  try {
+    if (cmd == "help") return {true, false, help()};
+    if (cmd == "quit" || cmd == "exit") return {true, true, ""};
+    if (cmd == "submit") return cmd_submit(args);
+    if (cmd == "run") return cmd_run(args);
+    if (cmd == "hierarchy") return cmd_hierarchy();
+    if (cmd == "export-dot") return cmd_export_dot(args);
+    if (cmd == "stats") return cmd_stats();
+    if (cmd == "fail") return cmd_fail(args);
+    if (cmd == "failover") return cmd_failover(args);
+    if (cmd == "chaos") return cmd_chaos(args);
+    if (cmd == "metrics") return cmd_metrics(args);
+    if (cmd == "trace") return cmd_trace(args);
+    if (cmd == "health") return cmd_health(args);
+    if (cmd == "incident") return cmd_incident(args);
+    if (cmd == "slo") return cmd_slo();
+    if (cmd == "top") return cmd_top(args);
+    if (cmd == "upgrade") return cmd_upgrade(args);
+    if (cmd == "autoscale") return cmd_autoscale(args);
+  } catch (const std::runtime_error& e) {
+    return {false, false, cmd + ": " + e.what() + "\n"};  // a malformed argument
+  }
   return {false, false, "unknown command '" + cmd + "' (try 'help')\n"};
 }
 
 CommandResult CliSession::cmd_submit(const std::vector<std::string>& args) {
   if (args.empty()) return {false, false, "usage: submit <n> [cpu] [mem] [net] [lifetime]\n"};
-  const auto n = static_cast<std::size_t>(std::strtoull(args[0].c_str(), nullptr, 10));
+  const std::size_t n = parse_count(args[0], "VM count");
+  const double cpu = args.size() > 1 ? parse_positive(args[1], "cpu") : 0.125;
+  const double mem = args.size() > 2 ? parse_positive(args[2], "mem") : cpu;
+  const double net = args.size() > 3 ? parse_positive(args[3], "net") : cpu;
+  const double lifetime =
+      args.size() > 4 ? chaos::parse_number(args[4], 0, "lifetime") : 0.0;
   if (n == 0 || n > 100000) return {false, false, "submit: bad VM count\n"};
-  auto dim = [&](std::size_t i, double def) {
-    return args.size() > i ? std::strtod(args[i].c_str(), nullptr) : def;
-  };
-  const double cpu = dim(1, 0.125);
-  const double mem = dim(2, cpu);
-  const double net = dim(3, cpu);
-  const double lifetime = dim(4, 0.0);
+  if (lifetime < 0.0) return {false, false, "submit: lifetime must be >= 0\n"};
   std::vector<core::VmDescriptor> vms;
   for (std::size_t i = 0; i < n; ++i) {
     core::TraceSpec trace;
@@ -136,8 +160,7 @@ CommandResult CliSession::cmd_submit(const std::vector<std::string>& args) {
 
 CommandResult CliSession::cmd_run(const std::vector<std::string>& args) {
   if (args.empty()) return {false, false, "usage: run <seconds>\n"};
-  const double seconds = std::strtod(args[0].c_str(), nullptr);
-  if (seconds <= 0.0) return {false, false, "run: seconds must be positive\n"};
+  const double seconds = chaos::parse_duration(args[0]);
   system_->engine().run_until(system_->engine().now() + seconds);
   std::ostringstream out;
   out << "t=" << system_->engine().now() << "s\n";
@@ -170,14 +193,10 @@ CommandResult CliSession::cmd_stats() {
   const auto net_stats = system_->network().stats();
   out << "control messages: " << net_stats.messages_sent << " sent, "
       << net_stats.messages_dropped << " dropped\n";
-  std::uint64_t migrations = 0, suspends = 0, wakeups = 0;
-  for (const auto& gm : system_->group_managers()) {
-    migrations += gm->counters().migrations_completed;
-    suspends += gm->counters().suspends;
-    wakeups += gm->counters().wakeups;
-  }
-  out << "migrations/suspends/wakeups: " << migrations << "/" << suspends << "/"
-      << wakeups << "\n";
+  const auto& registry = system_->telemetry().metrics();
+  out << "migrations/suspends/wakeups: " << registry.value("gm.migrations_completed")
+      << "/" << registry.value("gm.suspends") << "/" << registry.value("gm.wakeups")
+      << "\n";
   return {true, false, out.str()};
 }
 
@@ -189,7 +208,7 @@ CommandResult CliSession::cmd_fail(const std::vector<std::string>& args) {
     return {true, false, "crashed the GL (gm index " + std::to_string(index) + ")\n"};
   }
   if (args.size() < 2) return {false, false, "usage: fail gm <i> | fail lc <i>\n"};
-  const auto index = static_cast<std::size_t>(std::strtoull(args[1].c_str(), nullptr, 10));
+  const std::size_t index = parse_count(args[1], "index");
   if (args[0] == "gm") {
     if (index >= system_->group_managers().size()) {
       return {false, false, "fail gm: index out of range\n"};
@@ -213,15 +232,12 @@ CommandResult CliSession::cmd_failover(const std::vector<std::string>& args) {
   }
   std::ostringstream out;
   out << "group managers (authority epochs):\n";
-  std::uint64_t stepdowns = 0, reconciliations = 0;
   for (const auto& gm : system_->group_managers()) {
     out << "  " << gm->name() << ": "
         << (gm->alive() ? (gm->is_leader() ? "GL" : "gm") : "down")
         << " epoch=" << gm->epoch();
     if (gm->reconciling()) out << " [reconciling]";
     out << "\n";
-    stepdowns += gm->counters().stepdowns;
-    reconciliations += gm->counters().reconciliations;
   }
   out << "local controllers (GM lease epochs):\n";
   for (const auto& lc : system_->local_controllers()) {
@@ -231,15 +247,13 @@ CommandResult CliSession::cmd_failover(const std::vector<std::string>& args) {
         << " stale_accepts=" << lc->stale_accepts() << "\n";
   }
   const auto& registry = system_->telemetry().metrics();
-  out << "failover history: " << stepdowns << " stepdowns, " << reconciliations
-      << " reconciliations\n";
+  out << "failover history: " << registry.value("gl.stepdowns") << " stepdowns, "
+      << registry.value("gl.reconciles") << " reconciliations\n";
   if (const auto* epoch = registry.find_gauge("failover.epoch")) {
     out << "current GL epoch (failover.epoch): "
         << static_cast<std::uint64_t>(epoch->current()) << "\n";
   }
-  if (const auto* fenced = registry.find_counter("fence.rejected")) {
-    out << "fence.rejected: " << fenced->value() << "\n";
-  }
+  out << "fence.rejected: " << registry.value("fence.rejected") << "\n";
   if (const auto* recon = registry.find_histogram("reconcile.duration")) {
     out << "reconcile.duration: count=" << recon->count() << " mean="
         << recon->mean() << "s max=" << recon->max() << "s\n";
@@ -271,16 +285,11 @@ CommandResult CliSession::cmd_chaos(const std::vector<std::string>& args) {
   if (args[0] == "seed" || args[0] == "show") {
     char* end = nullptr;
     cfg.seed = std::strtoull(args[1].c_str(), &end, 10);
-    if (end == args[1].c_str() || *end != '\0') {
+    // strtoull wraps a leading minus ("-5" -> 2^64 - 5) instead of failing.
+    if (end == args[1].c_str() || *end != '\0' || args[1][0] == '-') {
       return {false, false, "chaos: bad seed '" + args[1] + "'\n"};
     }
-    if (args.size() > 2) {
-      try {
-        cfg.spec.duration = chaos::parse_duration(args[2]);
-      } catch (const std::runtime_error& e) {
-        return {false, false, std::string("chaos: ") + e.what() + "\n"};
-      }
-    }
+    if (args.size() > 2) cfg.spec.duration = chaos::parse_duration(args[2]);
     if (args[0] == "show") {
       const auto schedule =
           chaos::generate_schedule(cfg.spec, cfg.topology, cfg.seed);
@@ -388,7 +397,7 @@ CommandResult CliSession::cmd_incident(const std::vector<std::string>& args) {
   }
   if (args[0] == "show") {
     if (args.size() < 2) return {false, false, usage};
-    const int id = static_cast<int>(std::strtol(args[1].c_str(), nullptr, 10));
+    const int id = chaos::parse_int(args[1], 0, "incident id");
     return {true, false, report.show(id, &system_->telemetry().spans())};
   }
   if (args[0] == "csv") {
@@ -406,7 +415,7 @@ CommandResult CliSession::cmd_slo() {
 CommandResult CliSession::cmd_top(const std::vector<std::string>& args) {
   std::size_t n = 10;
   if (!args.empty()) {
-    n = static_cast<std::size_t>(std::strtoull(args[0].c_str(), nullptr, 10));
+    n = parse_count(args[0], "n");
     if (n == 0) return {false, false, "usage: top [n]\n"};
   }
   monitor_->sample_now();
@@ -475,15 +484,11 @@ CommandResult CliSession::cmd_upgrade(const std::vector<std::string>& args) {
   }
   cfg.target_version = current + 1;
   if (args.size() > 1) {
-    const auto v = std::strtoul(args[1].c_str(), nullptr, 10);
-    if (v == 0) return {false, false, "upgrade: bad version\n"};
-    cfg.target_version = static_cast<std::uint32_t>(v);
+    cfg.target_version = static_cast<std::uint32_t>(parse_count(args[1], "version"));
   }
-  if (args.size() > 2) {
-    const auto w = std::strtoul(args[2].c_str(), nullptr, 10);
-    if (w == 0) return {false, false, "upgrade: bad wave size\n"};
-    cfg.wave_size = w;
-  }
+  if (args.size() > 2) cfg.wave_size = parse_count(args[2], "wave size");
+  if (cfg.target_version == 0) return {false, false, "upgrade: bad version\n"};
+  if (cfg.wave_size == 0) return {false, false, "upgrade: bad wave size\n"};
   upgrade_ = std::make_unique<ops::RollingUpgrade>(*system_, monitor_.get(), cfg);
   upgrade_->start();
   // Drive the run to completion (or a pause that outlives the bound — the

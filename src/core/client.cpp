@@ -42,7 +42,6 @@ sim::Time Client::rediscover_backoff(int attempts_left) {
 }
 
 void Client::submit(const VmDescriptor& vm, SubmitCb cb) {
-  ++submitted_;
   telemetry::count(tel(), "client.submissions");
   // Root of the submission's span tree: every hop this request takes
   // (EP query, GL dispatch, GM placement, LC start, each rpc attempt)
@@ -58,7 +57,6 @@ void Client::submit(const VmDescriptor& vm, SubmitCb cb) {
 void Client::attempt(VmDescriptor vm, sim::Time started, int attempts_left,
                      telemetry::SpanContext root, SubmitCb cb) {
   if (attempts_left <= 0) {
-    ++failed_;
     telemetry::count(tel(), "client.failures");
     telemetry::end_span(tel(), root, "failed");
     if (trace_) trace_->record(name(), "client.submit_failed");
@@ -86,7 +84,6 @@ void Client::attempt(VmDescriptor vm, sim::Time started, int attempts_left,
          cb](bool ok, const net::MsgPtr& reply) mutable {
       const auto* resp = ok ? net::msg_cast<SubmitVmResponse>(reply) : nullptr;
       if (resp != nullptr && resp->ok) {
-        ++succeeded_;
         const sim::Time latency = now() - started;
         latencies_.add(latency);
         telemetry::count(tel(), "client.successes");

@@ -35,9 +35,11 @@ class Client final : public sim::Actor {
   [[nodiscard]] net::Address address() const { return endpoint_.address(); }
 
   // --- statistics -------------------------------------------------------------
-  [[nodiscard]] std::uint64_t submitted() const { return submitted_; }
-  [[nodiscard]] std::uint64_t succeeded() const { return succeeded_; }
-  [[nodiscard]] std::uint64_t failed() const { return failed_; }
+  // The registry's client.submissions/successes/failures (0 on a network
+  // without telemetry).
+  [[nodiscard]] std::uint64_t submitted() const { return tally("client.submissions"); }
+  [[nodiscard]] std::uint64_t succeeded() const { return tally("client.successes"); }
+  [[nodiscard]] std::uint64_t failed() const { return tally("client.failures"); }
   [[nodiscard]] util::Percentiles& latencies() { return latencies_; }
 
  private:
@@ -48,6 +50,9 @@ class Client final : public sim::Actor {
 
   [[nodiscard]] telemetry::Telemetry* tel() const {
     return endpoint_.network().telemetry();
+  }
+  [[nodiscard]] std::uint64_t tally(std::string_view counter) const {
+    return tel() != nullptr ? tel()->metrics().value(counter) : 0;
   }
 
   /// Backoff before the next discovery round, per RetryPolicy semantics.
@@ -70,9 +75,6 @@ class Client final : public sim::Actor {
   net::RetryPolicy round_policy_{.max_attempts = 4, .base_backoff = 0.5,
                                  .multiplier = 2.0, .max_backoff = 8.0};
 
-  std::uint64_t submitted_ = 0;
-  std::uint64_t succeeded_ = 0;
-  std::uint64_t failed_ = 0;
   util::Percentiles latencies_;
 };
 

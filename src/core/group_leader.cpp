@@ -37,7 +37,6 @@ void GroupManager::become_leader(std::uint64_t epoch) {
     return;
   }
   term_.emplace();
-  ++counters_.elections_won;
   bump("gm.elections_won");
   my_epoch_ = epoch;
   current_gl_ = endpoint_.address();
@@ -78,9 +77,8 @@ void GroupManager::finish_reconcile(std::uint64_t term) {
   // A step-down (or a newer term of our own) may have raced the timer.
   if (!term_ || my_epoch_ != term || !term_->reconciling) return;
   term_->reconciling = false;
-  ++counters_.reconciliations;
   const sim::Time duration = now() - term_->reconcile_started;
-  telemetry::count(tel(), "gl.reconciles");
+  bump("gl.reconciles");
   telemetry::observe(tel(), "reconcile.duration", duration);
   telemetry::gauge_set(tel(), "reconcile.last_duration", duration);
   telemetry::end_span(tel(), term_->reconcile_span, "ok");
@@ -89,7 +87,6 @@ void GroupManager::finish_reconcile(std::uint64_t term) {
 
 void GroupManager::step_down(const char* reason) {
   if (!term_) return;
-  ++counters_.stepdowns;
   bump("gl.stepdowns");
   trace_event("gm.stepdown", reason);
   if (term_->reconciling) telemetry::end_span(tel(), term_->reconcile_span, "aborted");
@@ -130,7 +127,6 @@ void GroupManager::gl_check_gm_liveness() {
   for (auto it = term_->gms.begin(); it != term_->gms.end();) {
     if (now() - it->second.last_summary > window) {
       // Gracefully remove the failed GM so no new VMs land on it.
-      ++counters_.gm_failures_detected;
       bump("gl.gm_failures_detected");
       trace_event("gl.gm_failed");
       const net::Address gone = it->first;
@@ -150,7 +146,6 @@ void GroupManager::gl_flag_slow_gms() {
   for (auto& [addr, record] : term_->gms) {
     const bool slow = scorer_.flagged(addr);
     if (slow && !record.info.probation) {
-      ++counters_.slow_flags;
       bump("gl.gm_slow_flagged");
       trace_event("gl.gm_slow", "gm=" + std::to_string(addr));
     } else if (!slow && record.info.probation) {
@@ -199,7 +194,6 @@ void GroupManager::handle_summary_delta(const GmSummaryDelta& delta,
   const std::uint64_t seq_before = record.decoder.last_seq();
   const bool synced_before = record.decoder.synced();
   if (!record.decoder.apply(update)) {
-    ++counters_.summary_rejects;
     bump("gl.summary_rejected");
     trace_event("gl.summary_rejected", "gm=" + std::to_string(delta.gm));
     ack->ok = false;
@@ -329,7 +323,6 @@ void GroupManager::resolve_conflicts_for(net::Address gm) {
       // The incumbent's fresh summary still reports the VM: the challenger's
       // copy is the duplicate. Revoke it under our election epoch so a
       // deposed leader's late revoke is fenced off at the GM.
-      ++counters_.cross_gm_duplicates_revoked;
       bump("gl.cross_gm_duplicates_revoked");
       trace_event("gl.duplicate_revoked", "vm=" + std::to_string(vm));
       auto revoke = std::make_shared<RevokeVmRequest>();
@@ -388,6 +381,18 @@ double GroupManager::aggregated_lc_heartbeat_age() const {
   return worst;
 }
 
+std::vector<GmInfo> GroupManager::work_candidates() const {
+  // Steer around GMs under gray suspicion; if the whole fleet is flagged the
+  // filter would turn a slowdown into an outage, so fall back to everyone.
+  std::vector<GmInfo> infos = gm_infos();
+  std::vector<GmInfo> healthy;
+  healthy.reserve(infos.size());
+  for (const GmInfo& info : infos) {
+    if (!info.probation) healthy.push_back(info);
+  }
+  return healthy.empty() ? infos : healthy;
+}
+
 void GroupManager::handle_assign_lc(const AssignLcRequest& req, net::Responder responder) {
   (void)req;  // the assignment policy ranks GMs independently of the LC
   auto resp = std::make_shared<AssignLcResponse>();
@@ -397,15 +402,7 @@ void GroupManager::handle_assign_lc(const AssignLcRequest& req, net::Responder r
     responder.respond(resp);
     return;
   }
-  // Prefer GMs not under gray suspicion; if the whole fleet is flagged the
-  // filter would turn a slowdown into an outage, so fall back to everyone.
-  std::vector<GmInfo> infos = gm_infos();
-  std::vector<GmInfo> healthy;
-  healthy.reserve(infos.size());
-  for (const GmInfo& info : infos) {
-    if (!info.probation) healthy.push_back(info);
-  }
-  const net::Address gm = assignment_.assign(healthy.empty() ? infos : healthy);
+  const net::Address gm = assignment_.assign(work_candidates());
   resp->ok = gm != net::kNullAddress;
   resp->gm = gm;
   responder.respond(resp);
@@ -448,23 +445,12 @@ void GroupManager::handle_submit(const SubmitVmRequest& req, telemetry::SpanCont
     term_->submit_waiters[req.vm.id].push_back(responder);
     return;
   }
-  ++counters_.dispatches;
   bump("gl.dispatches");
   const auto span = telemetry::begin_span(tel(), ctx, "gl.dispatch", name(),
                                           "vm=" + std::to_string(req.vm.id));
-  // Dispatch steers around probationed GMs (same fallback rule as LC
-  // assignment: an all-flagged fleet keeps serving).
-  std::vector<GmInfo> infos = gm_infos();
-  std::vector<GmInfo> healthy_gms;
-  healthy_gms.reserve(infos.size());
-  for (const GmInfo& info : infos) {
-    if (!info.probation) healthy_gms.push_back(info);
-  }
   std::vector<net::Address> candidates = dispatch_policy_->candidates(
-      req.vm, healthy_gms.empty() ? infos : healthy_gms,
-      config_.max_dispatch_candidates);
+      req.vm, work_candidates(), config_.max_dispatch_candidates);
   if (candidates.empty()) {
-    ++counters_.dispatch_failures;
     bump("gl.dispatch_failures");
     telemetry::end_span(tel(), span, "no_candidates");
     fail();
@@ -485,7 +471,6 @@ void GroupManager::dispatch_linear_search(VmDescriptor vm,
                                           net::Responder responder) {
   if (index >= candidates.size()) {
     if (term_) term_->inflight_submissions.erase(vm.id);
-    ++counters_.dispatch_failures;
     bump("gl.dispatch_failures");
     telemetry::end_span(tel(), span, "failed");
     SubmitVmResponse out;

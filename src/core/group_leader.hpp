@@ -7,10 +7,11 @@
 // become_leader() creates it, step_down() and fail() destroy it, and nothing
 // a term learned can leak into the next one.
 //
-// State that outlives a term stays on the GroupManager: its cumulative
-// Counters, the epoch of its current or last term, the slowness scorer
-// (cleared at every role change) and the dispatch/assignment cursors, which
-// carry on from where they stopped when the same GM leads again.
+// State that outlives a term stays on the GroupManager: the epoch of its
+// current or last term, the slowness scorer (cleared at every role change)
+// and the dispatch/assignment cursors, which carry on from where they
+// stopped when the same GM leads again. What a term counted (dispatches,
+// stepdowns, reconciles) is tallied in the metrics registry, not here.
 #pragma once
 
 #include <map>

@@ -244,7 +244,6 @@ void GroupManager::gm_emit_summary() {
   msg->placed = update.placed;
   msg->removed = update.removed;
   if (update.snapshot) {
-    ++counters_.summary_snapshots_sent;
     bump("gm.summary_snapshots");
     // Snapshots are the rare re-anchor points of the stream (first contact,
     // lost ack, GL change); tracing them lets golden traces pin the
@@ -252,10 +251,9 @@ void GroupManager::gm_emit_summary() {
     trace_event("gm.summary_snapshot", "stream=" + std::to_string(update.stream) +
                                            " seq=" + std::to_string(update.seq));
   } else {
-    ++counters_.summary_deltas_sent;
     bump("gm.summary_deltas");
   }
-  counters_.summary_bytes_sent += msg->wire_size();
+  bump("gm.summary_bytes", msg->wire_size());
   const std::uint64_t seq = update.seq;
   endpoint_.call(current_gl_, msg, config_.rpc_timeout,
                  [this, seq](bool ok, const net::MsgPtr& reply) {
@@ -266,10 +264,7 @@ void GroupManager::gm_emit_summary() {
     }
     // Explicit rejection or transport timeout: either way the GL may not
     // hold this update — the next tick snapshots.
-    if (ack != nullptr) {
-      ++counters_.summary_nacks;
-      bump("gm.summary_nacks");
-    }
+    if (ack != nullptr) bump("gm.summary_nacks");
     summary_encoder_.on_nack(seq);
   });
 }
@@ -280,7 +275,6 @@ void GroupManager::handle_revoke_vm(const RevokeVmRequest& req) {
   const auto vm_it = lc_it->second.vms.find(req.vm);
   if (vm_it == lc_it->second.vms.end()) return;
   if (vm_it->second.migrating) return;  // let the migration settle first
-  ++counters_.revokes_honored;
   bump("gm.revokes_honored");
   trace_event("gm.vm_revoked", "vm=" + std::to_string(req.vm));
   stop_vm(req.lc, req.vm);
@@ -358,7 +352,6 @@ void GroupManager::handle_monitor(const LcMonitorData& data) {
         }
       }
       if (orphan) {
-        ++counters_.duplicates_resolved;
         bump("gm.duplicates_resolved");
         trace_event("gm.duplicate_resolved", "vm=" + std::to_string(usage.vm));
         stop_vm(data.lc, usage.vm);
@@ -373,7 +366,6 @@ void GroupManager::handle_monitor(const LcMonitorData& data) {
         // Failover reconciliation: the previous GM commanded this migration;
         // we inherit it in flight and let the idempotent MigrationDone /
         // adopt / StopVm paths resolve it rather than interfering.
-        ++counters_.migrations_inherited;
         bump("gm.migrations_inherited");
         trace_event("gm.migration_inherited", "vm=" + std::to_string(usage.vm));
       }
@@ -412,7 +404,6 @@ void GroupManager::gm_check_lc_liveness() {
 void GroupManager::on_lc_failed(net::Address lc) {
   const auto it = lcs_.find(lc);
   if (it == lcs_.end()) return;
-  ++counters_.lc_failures_detected;
   bump("gm.lc_failures_detected");
   trace_event("gm.lc_failed");
   // Paper §II.E: the LC's contact information is invalidated; its VMs are
@@ -425,7 +416,6 @@ void GroupManager::on_lc_failed(net::Address lc) {
   }
   forget_lc(lc);
   for (const VmDescriptor& vm : to_reschedule) {
-    ++counters_.vms_rescheduled;
     bump("gm.vms_rescheduled");
     reschedule_vm(vm);
   }
@@ -529,8 +519,6 @@ void GroupManager::apply_containment() {
         if (slow) {
           lc.health = LcHealth::kProbation;
           lc.probation_since = now();
-          ++counters_.slow_flags;
-          ++counters_.probations;
           bump("gm.lc_probations");
           trace_event("gm.lc_probation", "lc=" + std::to_string(addr));
         }
@@ -550,7 +538,6 @@ void GroupManager::apply_containment() {
               1, static_cast<std::size_t>(config_.gray.max_quarantined_fraction *
                                           static_cast<double>(lcs_.size())));
           if (quarantined + 1 > cap) {
-            ++counters_.quarantines_deferred;
             bump("gm.quarantines_deferred");
           } else {
             lc.health = LcHealth::kQuarantined;
@@ -558,11 +545,7 @@ void GroupManager::apply_containment() {
             lc.clean_evals = 0;
             ++lc.quarantine_count;
             ++quarantined;
-            ++counters_.quarantines;
-            if (lc.quarantine_count > 1) {
-              ++counters_.quarantine_flaps;
-              bump("gm.quarantine_flaps");
-            }
+            if (lc.quarantine_count > 1) bump("gm.quarantine_flaps");
             bump("gm.lc_quarantines");
             trace_event("gm.lc_quarantined", "lc=" + std::to_string(addr));
             evacuate_lc(addr);
@@ -589,7 +572,6 @@ void GroupManager::apply_containment() {
           } else if (++lc.clean_evals >= config_.gray.reinstate_clean_probes) {
             lc.health = LcHealth::kHealthy;
             lc.quarantined_at = 0.0;
-            ++counters_.reinstatements;
             bump("gm.lc_reinstatements");
             trace_event("gm.lc_reinstated", "lc=" + std::to_string(addr));
           }
@@ -611,7 +593,6 @@ bool GroupManager::handle_stale_lc_reply(const net::MsgPtr& reply, net::Address 
   // Unlike a liveness failure its VMs are alive and managed elsewhere, so
   // drop the record without rescheduling anything.
   if (forget_lc(lc)) {
-    ++counters_.lcs_fenced_off;
     bump("gm.lcs_fenced_off");
     trace_event("gm.lc_fenced_off");
   }
@@ -648,7 +629,6 @@ void GroupManager::stop_vm(net::Address lc, VmId vm) {
 
 void GroupManager::fail_placement(telemetry::SpanContext span, std::string_view status,
                                   const net::Responder& responder) {
-  ++counters_.placements_failed;
   bump("gm.placements_failed");
   telemetry::end_span(tel(), span, status);
   auto resp = std::make_shared<PlacementResponse>();
@@ -745,7 +725,6 @@ void GroupManager::place_on(net::Address lc, const VmDescriptor& vm,
     const auto* resp = ok ? net::msg_cast<StartVmResponse>(reply) : nullptr;
     const auto it = lcs_.find(lc);
     if (resp != nullptr && resp->ok) {
-      ++counters_.placements_ok;
       bump("gm.placements_ok");
       // StartVm ack latency is boot-time dominated, which makes it a clean
       // per-LC slowdown sample (peer-relative, so fleet-wide load cancels).
@@ -837,10 +816,7 @@ void GroupManager::handle_anomaly(const AnomalyEvent& event) {
   const LcInfo source = lc_info(event.lc, it->second);
   std::vector<LcInfo> others;
   for (const auto& [addr, lc] : lcs_) {
-    if (addr == event.lc || lc.power != LcPower::kOn || lc.draining ||
-        lc.health != LcHealth::kHealthy) {
-      continue;
-    }
+    if (addr == event.lc || !lc.takes_new_work()) continue;
     others.push_back(lc_info(addr, lc));
   }
 
@@ -851,13 +827,11 @@ void GroupManager::handle_anomaly(const AnomalyEvent& event) {
       config_.interference_aware ? config_.interference_relocation_threshold : 0.0;
   std::vector<RelocationMove> moves;
   if (event.kind == AnomalyEvent::Kind::kOverload) {
-    ++counters_.overload_events;
     bump("gm.overload_events");
     trace_event("gm.overload_event");
     moves = plan_overload_relocation(source, vm_loads(it->second), others,
                                      config_.overload_threshold, min_multiplier);
   } else if (event.kind == AnomalyEvent::Kind::kUnderload) {
-    ++counters_.underload_events;
     bump("gm.underload_events");
     trace_event("gm.underload_event");
     moves = plan_underload_relocation(source, vm_loads(it->second), others,
@@ -865,7 +839,6 @@ void GroupManager::handle_anomaly(const AnomalyEvent& event) {
                                       config_.overload_threshold, min_multiplier);
   } else {
     if (!config_.interference_aware) return;
-    ++counters_.interference_events;
     bump("gm.interference_events");
     trace_event("gm.interference_event");
     // In-flight migrations are invisible to the monitoring reports the
@@ -893,7 +866,6 @@ void GroupManager::handle_anomaly(const AnomalyEvent& event) {
 
 void GroupManager::execute_moves(const std::vector<RelocationMove>& moves) {
   for (const RelocationMove& move : moves) {
-    ++counters_.migrations_commanded;
     bump("gm.migrations_commanded");
     auto req = std::make_shared<MigrateVmRequest>();
     req->vm = move.vm;
@@ -932,7 +904,6 @@ void GroupManager::handle_migration_done(const MigrationDone& done) {
     if (done.to != net::kNullAddress) stop_vm(done.to, done.vm);
     return;
   }
-  ++counters_.migrations_completed;
   bump("gm.migrations_completed");
   trace_event("gm.migration_done");
   const auto from_it = lcs_.find(done.from);
@@ -966,10 +937,7 @@ void GroupManager::gm_reconfigure() {
   std::vector<std::pair<net::Address, VmId>> vm_keys;
   consolidation::Instance instance;
   for (const auto& [addr, lc] : lcs_) {
-    if (lc.power != LcPower::kOn || lc.draining ||
-        lc.health != LcHealth::kHealthy) {
-      continue;
-    }
+    if (!lc.takes_new_work()) continue;
     hosts.push_back(addr);
     instance.host_capacities.push_back(lc.capacity);
   }
@@ -995,10 +963,7 @@ void GroupManager::gm_reconfigure() {
   consolidation::Placement current;
   std::vector<consolidation::HostIndex> current_raw;
   for (const auto& [addr, lc] : lcs_) {
-    if (lc.power != LcPower::kOn || lc.draining ||
-        lc.health != LcHealth::kHealthy) {
-      continue;
-    }
+    if (!lc.takes_new_work()) continue;
     for (const auto& [id, vm] : lc.vms) {
       instance.vm_demands.push_back(vm.requested);
       if (interference) instance.vm_profiles.push_back(vm.profile);
@@ -1039,7 +1004,6 @@ void GroupManager::gm_reconfigure() {
     return;
   }
 
-  ++counters_.reconfigurations;
   bump("gm.reconfigurations");
   trace_event("gm.reconfiguration");
   const auto plan = consolidation::diff_placements(current, target);
@@ -1066,10 +1030,7 @@ void GroupManager::gm_energy_check() {
   for (auto&& [addr, lc] : lcs_) {
     // Non-healthy nodes belong to the containment machinery, which owns
     // their power state (quarantine suspends, reinstatement wakes).
-    if (lc.power != LcPower::kOn || lc.draining ||
-        lc.health != LcHealth::kHealthy) {
-      continue;
-    }
+    if (!lc.takes_new_work()) continue;
     const bool idle = lc.vms.empty();
     if (!idle) {
       lc.idle_since = -1.0;
@@ -1088,7 +1049,6 @@ void GroupManager::gm_energy_check() {
 void GroupManager::gm_suspend_lc(net::Address target) {
   const auto it = lcs_.find(target);
   if (it == lcs_.end()) return;
-  ++counters_.suspends;
   bump("gm.suspends");
   it->second.power = LcPower::kSuspended;  // optimistic; reverted on refusal
   trace_event("gm.suspend");
@@ -1113,7 +1073,6 @@ void GroupManager::gm_wake_lc(net::Address target, telemetry::SpanContext span,
                               std::function<void(std::string_view status)> then) {
   const auto it = lcs_.find(target);
   if (it == lcs_.end()) return;
-  ++counters_.wakeups;
   bump("gm.wakeups");
   it->second.power = LcPower::kWaking;
   trace_event("gm.wakeup");
@@ -1161,10 +1120,7 @@ std::size_t GroupManager::scale_suspend(std::size_t n) {
   std::vector<net::Address> idle;
   for (const auto& [addr, lc] : lcs_) {
     if (idle.size() >= n) break;
-    if (lc.power != LcPower::kOn || lc.draining || !lc.vms.empty() ||
-        lc.health != LcHealth::kHealthy) {
-      continue;
-    }
+    if (!lc.takes_new_work() || !lc.vms.empty()) continue;
     idle.push_back(addr);
   }
   for (net::Address addr : idle) gm_suspend_lc(addr);
@@ -1202,10 +1158,7 @@ std::size_t GroupManager::evacuate_lc(net::Address source) {
   for (const auto& [id, vm] : source_it->second.vms) {
     if (vm.migrating) continue;  // already on the wire
     for (const auto& [addr, lc] : lcs_) {
-      if (addr == source || lc.power != LcPower::kOn || lc.draining ||
-          lc.health != LcHealth::kHealthy) {
-        continue;
-      }
+      if (addr == source || !lc.takes_new_work()) continue;
       if ((lc.reserved + planned[addr] + vm.requested).fits_within(lc.capacity)) {
         planned[addr] += vm.requested;
         moves.push_back(RelocationMove{id, source, addr});

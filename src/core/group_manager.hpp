@@ -38,45 +38,6 @@ namespace snooze::core {
 
 class GroupManager final : public sim::Actor {
  public:
-  struct Counters {
-    std::uint64_t dispatches = 0;           // GL: submissions received
-    std::uint64_t dispatch_failures = 0;    // GL: no GM could place
-    std::uint64_t placements_ok = 0;        // GM: VMs placed on an LC
-    std::uint64_t placements_failed = 0;
-    std::uint64_t migrations_commanded = 0;
-    std::uint64_t migrations_completed = 0;
-    std::uint64_t overload_events = 0;
-    std::uint64_t underload_events = 0;
-    std::uint64_t interference_events = 0;  // sustained-penalty anomalies
-    std::uint64_t duplicates_resolved = 0;  // orphan VM copies stopped
-    std::uint64_t reconfigurations = 0;
-    std::uint64_t suspends = 0;
-    std::uint64_t wakeups = 0;
-    std::uint64_t lc_failures_detected = 0;
-    std::uint64_t gm_failures_detected = 0;  // GL only
-    std::uint64_t vms_rescheduled = 0;       // snapshot-recovery feature
-    std::uint64_t elections_won = 0;
-    std::uint64_t stepdowns = 0;             // terms ended by step_down()
-    std::uint64_t reconciliations = 0;       // GL reconcile windows completed
-    std::uint64_t migrations_inherited = 0;  // in-flight migrations adopted on failover
-    std::uint64_t lcs_fenced_off = 0;        // LCs dropped after a StaleEpoch reply
-    // Summary stream (GmSummaryDelta).
-    std::uint64_t summary_deltas_sent = 0;     // GM: incremental updates sent
-    std::uint64_t summary_snapshots_sent = 0;  // GM: full snapshots sent
-    std::uint64_t summary_nacks = 0;           // GM: negative acks received
-    std::uint64_t summary_bytes_sent = 0;      // GM: summary bytes on the wire
-    std::uint64_t summary_rejects = 0;         // GL: updates rejected (gap / unsynced)
-    std::uint64_t cross_gm_duplicates_revoked = 0;  // GL: duplicate copies revoked
-    std::uint64_t revokes_honored = 0;         // GM: GL revoke commands executed
-    // Gray-failure detection / containment.
-    std::uint64_t slow_flags = 0;            // peers first flagged slow (GM+GL)
-    std::uint64_t probations = 0;            // LCs placed on probation
-    std::uint64_t quarantines = 0;           // probation -> quarantine escalations
-    std::uint64_t quarantines_deferred = 0;  // blocked by max_quarantined_fraction
-    std::uint64_t reinstatements = 0;        // quarantined LCs returned to service
-    std::uint64_t quarantine_flaps = 0;      // an LC quarantined a second+ time
-  };
-
   GroupManager(sim::Engine& engine, net::Network& network, net::Address coord_service,
                SnoozeConfig config, net::GroupId gl_heartbeat_group, std::string name,
                sim::Trace* trace = nullptr);
@@ -102,7 +63,6 @@ class GroupManager final : public sim::Actor {
   [[nodiscard]] std::size_t lc_count() const { return lcs_.size(); }
   [[nodiscard]] std::size_t vm_count() const;
   [[nodiscard]] std::size_t known_gm_count() const { return term().gms.size(); }
-  [[nodiscard]] const Counters& counters() const { return counters_; }
   [[nodiscard]] net::GroupId heartbeat_group() const { return gm_group_; }
   [[nodiscard]] std::vector<GmInfo> gm_infos() const;
   [[nodiscard]] std::vector<LcInfo> lc_infos() const;
@@ -230,6 +190,13 @@ class GroupManager final : public sim::Actor {
     int clean_evals = 0;       ///< consecutive unflagged evals while reinstating
     int quarantine_count = 0;  ///< lifetime quarantines (>1 counts as a flap)
     std::map<VmId, VmRecord> vms;
+
+    /// In service: powered on, not draining and healthy. Only such an LC
+    /// takes new work (relocation, evacuation and consolidation targets) or
+    /// is suspended as idle.
+    [[nodiscard]] bool takes_new_work() const {
+      return power == LcPower::kOn && !draining && health == LcHealth::kHealthy;
+    }
   };
 
   void handle_oneway(const net::Envelope& env);
@@ -311,6 +278,9 @@ class GroupManager final : public sim::Actor {
   void gl_check_gm_liveness();
   /// GL half of the gray pass: flag slow GMs off the dispatch path.
   void gl_flag_slow_gms();
+  /// GMs that take new work (LC assignments, VM dispatch): those not
+  /// flagged slow, or every GM when the whole fleet is flagged.
+  [[nodiscard]] std::vector<GmInfo> work_candidates() const;
   void handle_assign_lc(const AssignLcRequest& req, net::Responder responder);
   void handle_submit(const SubmitVmRequest& req, telemetry::SpanContext ctx,
                      net::Responder responder);
@@ -344,8 +314,11 @@ class GroupManager final : public sim::Actor {
   [[nodiscard]] telemetry::Telemetry* tel() const {
     return endpoint_.network().telemetry();
   }
-  /// Mirror one of the Counters fields into the metrics registry.
-  void bump(std::string_view counter) { telemetry::count(tel(), counter); }
+  /// Count one event in the metrics registry, the only tally of GM and GL
+  /// events: every reader (benches, obs, CLI, tests) reads it by name.
+  void bump(std::string_view counter, std::uint64_t delta = 1) {
+    telemetry::count(tel(), counter, delta);
+  }
 
   net::RpcEndpoint endpoint_;
   coord::LeaderElection election_;
@@ -411,8 +384,6 @@ class GroupManager final : public sim::Actor {
   /// mode (cleared on every role change so baselines never mix).
   obs::SlownessScorer scorer_;
   double service_stretch_ = 1.0;  ///< gray-fault injection (1 = healthy)
-
-  Counters counters_;
 };
 
 }  // namespace snooze::core

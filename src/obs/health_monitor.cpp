@@ -83,6 +83,14 @@ void HealthMonitor::start() {
 
 void HealthMonitor::tick() { sample_now(); }
 
+std::uint64_t HealthMonitor::alerts_fired() const {
+  return system_.telemetry().metrics().value("slo.alerts_fired");
+}
+
+std::uint64_t HealthMonitor::alerts_cleared() const {
+  return system_.telemetry().metrics().value("slo.alerts_cleared");
+}
+
 double HealthMonitor::failover_mttr() const {
   return mttr_count_ ? mttr_sum_ / static_cast<double>(mttr_count_) : kNaN;
 }
@@ -162,15 +170,15 @@ void HealthMonitor::sample_now() {
   const double work = system_.total_work();
 
   // --- throughput counters (cumulative; rates derived over the window) -----
-  double placements = 0.0, migrations = 0.0;
-  for (const auto& gm : system_.group_managers()) {
-    placements += static_cast<double>(gm->counters().placements_ok);
-    migrations += static_cast<double>(gm->counters().migrations_completed);
-  }
+  const telemetry::MetricsRegistry& metrics = system_.telemetry().metrics();
+  const auto counter = [&metrics](std::string_view name) {
+    return static_cast<double>(metrics.value(name));
+  };
+  const double placements = counter("gm.placements_ok");
+  const double migrations = counter("gm.migrations_completed");
   // The registry counter, not the per-node fences: a GM's fence restarts
   // from zero with the GM, and a cumulative column must never fall.
-  const auto* fenced = system_.telemetry().metrics().find_counter("fence.rejected");
-  const double fence_rejected = fenced == nullptr ? 0.0 : static_cast<double>(fenced->value());
+  const double fence_rejected = counter("fence.rejected");
 
   // --- interference ---------------------------------------------------------
   // Per-VM penalties across profiled running VMs (read-only host state).
@@ -208,10 +216,9 @@ void HealthMonitor::sample_now() {
   // cluster and a 200-LC production shape.
   double summary_bytes_per_gm = kNaN;
   double summary_staleness = kNaN;
-  double total_bytes = 0.0;
+  const double total_bytes = counter("gm.summary_bytes");
   double senders = 0.0;
   for (const auto& gm : system_.group_managers()) {
-    total_bytes += static_cast<double>(gm->counters().summary_bytes_sent);
     if (gm->is_leader()) {
       const double s = gm->summary_staleness();
       if (s >= 0.0) summary_staleness = s;
@@ -242,18 +249,13 @@ void HealthMonitor::sample_now() {
     if (gm->is_leader()) gray_slow += static_cast<double>(gm->gm_probation_count());
     breaker_open_s += gm->breaker_open_seconds();
   }
-  double hedges_won = 0.0;
-  if (const telemetry::Counter* c =
-          system_.telemetry().metrics().find_counter("rpc.hedges_won")) {
-    hedges_won = static_cast<double>(c->value());
-  }
+  const double hedges_won = counter("rpc.hedges_won");
   telemetry::gauge_set(&system_.telemetry(), "gray.slow_nodes", gray_slow);
   telemetry::gauge_set(&system_.telemetry(), "gray.quarantined", gray_quarantined);
 
   // --- latency percentiles --------------------------------------------------
   double p50 = kNaN, p99 = kNaN;
-  if (const telemetry::Histogram* h =
-          system_.telemetry().metrics().find_histogram("client.submit_latency");
+  if (const telemetry::Histogram* h = metrics.find_histogram("client.submit_latency");
       h != nullptr && h->count() > 0) {
     p50 = h->percentile(0.5);
     p99 = h->percentile(0.99);
@@ -353,11 +355,6 @@ void HealthMonitor::evaluate_slos(double now) {
   for (const auto& sli : slis) {
     const auto transition = slo_.observe(sli.name, sli.value, sli.threshold, now);
     if (!transition) continue;
-    if (transition->fired) {
-      ++alerts_fired_;
-    } else {
-      ++alerts_cleared_;
-    }
     std::string detail = std::string("sli=") + sli.name +
                          " value=" + fmt6(transition->value) +
                          " threshold=" + fmt6(transition->threshold);

@@ -74,8 +74,9 @@ class HealthMonitor final : public sim::Actor {
   /// actually fed the SloEvaluator, so a drifting or silently-dropped SLI
   /// fails tier-1 instead of rotting as NaN.
   [[nodiscard]] static std::vector<std::string> sli_names();
-  [[nodiscard]] std::uint64_t alerts_fired() const { return alerts_fired_; }
-  [[nodiscard]] std::uint64_t alerts_cleared() const { return alerts_cleared_; }
+  /// Alert transitions so far (the registry's slo.alerts_fired/_cleared).
+  [[nodiscard]] std::uint64_t alerts_fired() const;
+  [[nodiscard]] std::uint64_t alerts_cleared() const;
 
   /// Completed failover episodes observed so far and their mean duration
   /// (NaN while no episode has completed).
@@ -148,8 +149,6 @@ class HealthMonitor final : public sim::Actor {
   double mttr_sum_ = 0.0;
   std::uint64_t mttr_count_ = 0;
 
-  std::uint64_t alerts_fired_ = 0;
-  std::uint64_t alerts_cleared_ = 0;
   bool started_ = false;
 };
 

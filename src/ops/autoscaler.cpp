@@ -35,6 +35,14 @@ void Autoscaler::start() {
   });
 }
 
+std::uint64_t Autoscaler::scale_ups() const {
+  return system_.telemetry().metrics().value("ops.scale_ups");
+}
+
+std::uint64_t Autoscaler::scale_downs() const {
+  return system_.telemetry().metrics().value("ops.scale_downs");
+}
+
 void Autoscaler::tick() {
   core::GroupManager* leader = system_.leader();
   if (leader == nullptr || leader->reconciling()) {
@@ -58,7 +66,6 @@ void Autoscaler::tick() {
   if (up_streak_ >= config_.up_stable_checks) {
     const std::size_t woken = command_wake(config_.max_step);
     if (woken > 0) {
-      ++scale_ups_;
       last_action_ = now();
       up_streak_ = 0;
       system_.trace().record("autoscale", "ops.scale_up",
@@ -85,7 +92,6 @@ void Autoscaler::tick() {
     if (budget == 0) return;
     const std::size_t suspended = command_suspend(budget);
     if (suspended > 0) {
-      ++scale_downs_;
       last_action_ = now();
       down_streak_ = 0;
       system_.trace().record("autoscale", "ops.scale_down",

@@ -45,8 +45,9 @@ class Autoscaler final : public sim::Actor {
   void stop() { started_ = false; }
   [[nodiscard]] bool running() const { return started_; }
 
-  [[nodiscard]] std::uint64_t scale_ups() const { return scale_ups_; }
-  [[nodiscard]] std::uint64_t scale_downs() const { return scale_downs_; }
+  /// Capacity actions so far (the registry's ops.scale_ups/_downs).
+  [[nodiscard]] std::uint64_t scale_ups() const;
+  [[nodiscard]] std::uint64_t scale_downs() const;
   /// Fleet utilization at the last tick (NaN before the first decision input).
   [[nodiscard]] double last_utilization() const { return last_utilization_; }
   [[nodiscard]] const AutoscalerConfig& config() const { return config_; }
@@ -64,8 +65,6 @@ class Autoscaler final : public sim::Actor {
   int down_streak_ = 0;
   sim::Time last_action_ = -1e18;
   double last_utilization_;
-  std::uint64_t scale_ups_ = 0;
-  std::uint64_t scale_downs_ = 0;
   bool started_ = false;
   bool timer_armed_ = false;
 };

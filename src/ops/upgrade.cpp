@@ -18,33 +18,29 @@ void RollingUpgrade::start() {
   // Plan the waves from current node versions: LC waves first (the wide,
   // cheap part of the fleet), then GMs one at a time, the acting GL last so
   // the upgrade itself causes at most one leader election.
-  if (config_.include_lcs) {
-    Wave wave;
-    auto& lcs = system_.local_controllers();
-    for (std::size_t i = 0; i < lcs.size(); ++i) {
-      if (lcs[i]->software_version() >= config_.target_version) continue;
-      wave.nodes.push_back(i);
-      if (wave.nodes.size() == config_.wave_size) {
-        waves_.push_back(wave);
-        wave.nodes.clear();
-      }
+  Wave wave;
+  auto& lcs = system_.local_controllers();
+  for (std::size_t i = 0; i < lcs.size(); ++i) {
+    if (lcs[i]->software_version() >= config_.target_version) continue;
+    wave.nodes.push_back(i);
+    if (wave.nodes.size() == config_.wave_size) {
+      waves_.push_back(wave);
+      wave.nodes.clear();
     }
-    if (!wave.nodes.empty()) waves_.push_back(wave);
   }
-  if (config_.include_gms) {
-    const core::GroupManager* leader = system_.leader();
-    auto& gms = system_.group_managers();
-    std::size_t leader_index = gms.size();
-    for (std::size_t i = 0; i < gms.size(); ++i) {
-      if (gms[i]->software_version() >= config_.target_version) continue;
-      if (gms[i].get() == leader) {
-        leader_index = i;
-        continue;
-      }
-      waves_.push_back(Wave{true, {i}});
+  if (!wave.nodes.empty()) waves_.push_back(wave);
+  const core::GroupManager* leader = system_.leader();
+  auto& gms = system_.group_managers();
+  std::size_t leader_index = gms.size();
+  for (std::size_t i = 0; i < gms.size(); ++i) {
+    if (gms[i]->software_version() >= config_.target_version) continue;
+    if (gms[i].get() == leader) {
+      leader_index = i;
+      continue;
     }
-    if (leader_index < gms.size()) waves_.push_back(Wave{true, {leader_index}});
+    waves_.push_back(Wave{true, {i}});
   }
+  if (leader_index < gms.size()) waves_.push_back(Wave{true, {leader_index}});
 
   if (waves_.empty()) {
     state_ = UpgradeState::kDone;

@@ -48,8 +48,6 @@ struct UpgradeConfig {
   sim::Time settle_time = 15.0;      ///< soak after a wave before gating the next
   sim::Time gm_restart_grace = 2.0;  ///< let resign / step-down propagate
   sim::Time rollback_after = 60.0;   ///< SLO-paused this long → roll back
-  bool include_lcs = true;
-  bool include_gms = true;
 };
 
 enum class UpgradeState { kIdle, kRunning, kPaused, kDone, kRolledBack };

@@ -121,6 +121,11 @@ void MetricsRegistry::flush_gauges() {
   for (auto& [name, gauge] : gauges_) gauge->flush();
 }
 
+std::uint64_t MetricsRegistry::value(std::string_view name) const {
+  const Counter* c = find_counter(name);
+  return c == nullptr ? 0 : c->value();
+}
+
 const Counter* MetricsRegistry::find_counter(std::string_view name) const {
   const auto it = counters_.find(name);
   return it == counters_.end() ? nullptr : it->second.get();

@@ -149,6 +149,9 @@ class MetricsRegistry {
   /// Call at end-of-run / before exporting so the last held value is weighed.
   void flush_gauges();
 
+  /// A counter's value without creating it; 0 when it was never bumped.
+  [[nodiscard]] std::uint64_t value(std::string_view name) const;
+
   /// Lookup without creating; nullptr when the metric does not exist.
   [[nodiscard]] const Counter* find_counter(std::string_view name) const;
   [[nodiscard]] const Gauge* find_gauge(std::string_view name) const;

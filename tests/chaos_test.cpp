@@ -472,10 +472,8 @@ TEST(Invariants, DuplicateUnderOneGmIsResolved) {
   }
   system.engine().run_until(system.engine().now() + 60.0);
   EXPECT_TRUE(checker.ok()) << checker.report();
-  std::uint64_t resolved = 0;
-  for (const auto& gm : system.group_managers()) {
-    resolved += gm->counters().duplicates_resolved;
-  }
+  const std::uint64_t resolved =
+      system.telemetry().metrics().value("gm.duplicates_resolved");
   EXPECT_GE(resolved, 1u);
   // Exactly one live copy remains.
   std::size_t live = 0;
@@ -522,14 +520,10 @@ TEST(Invariants, DuplicateAcrossGmsIsResolved) {
   }
   system.engine().run_until(system.engine().now() + 60.0);
   EXPECT_TRUE(checker.ok()) << checker.report();
-  std::uint64_t revoked = 0;
-  std::uint64_t honored = 0;
-  for (const auto& gm : system.group_managers()) {
-    revoked += gm->counters().cross_gm_duplicates_revoked;
-    honored += gm->counters().revokes_honored;
-  }
-  EXPECT_GE(revoked, 1u) << "the GL never issued a revocation";
-  EXPECT_GE(honored, 1u) << "no GM honored the revocation";
+  const telemetry::MetricsRegistry& metrics = system.telemetry().metrics();
+  EXPECT_GE(metrics.value("gl.cross_gm_duplicates_revoked"), 1u)
+      << "the GL never issued a revocation";
+  EXPECT_GE(metrics.value("gm.revokes_honored"), 1u) << "no GM honored the revocation";
   std::size_t live = 0;
   for (const auto& lc : lcs) {
     if (lc->host().vms().count(vm.id) > 0) ++live;

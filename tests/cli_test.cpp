@@ -2,6 +2,7 @@
 // the Graphviz hierarchy exporter.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -456,5 +457,44 @@ TEST(Cli, IncidentListShowAndCsv) {
   EXPECT_FALSE(s->execute("incident csv").ok);
   EXPECT_FALSE(s->execute("incident frob").ok);
 }
+
+// Numeric arguments parse by the chaos script parser's rules: the whole
+// token is a finite number, a count or index a whole one in range, a VM
+// dimension > 0 and a lifetime >= 0, and a run at most one virtual day.
+// Read leniently, these inputs hung the shell (run), crashed a node the
+// operator did not name (fail), placed NaN-sized or unrequested VMs
+// (submit), or quietly acted on a truncated or wrapped number (top,
+// upgrade, incident; chaos seed -5 ran seed 2^64 - 5).
+class CliRejectsNumber : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(CliRejectsNumber, AndChangesNothing) {
+  auto s = session();
+  const double now = s->system().engine().now();
+  const auto r = s->execute(GetParam());
+  EXPECT_FALSE(r.ok) << r.output;
+  EXPECT_EQ(r.output.rfind(tokenize(GetParam()).front() + ": ", 0), 0u) << r.output;
+  EXPECT_EQ(s->system().engine().now(), now);
+  EXPECT_EQ(s->system().client().submitted(), 0u);
+  for (const auto& gm : s->system().group_managers()) EXPECT_TRUE(gm->alive());
+  for (const auto& lc : s->system().local_controllers()) EXPECT_TRUE(lc->alive());
+}
+
+std::string row_name(const ::testing::TestParamInfo<const char*>& info) {
+  std::string name = info.param;
+  for (char& c : name) {
+    if (std::isalnum(static_cast<unsigned char>(c)) == 0) c = '_';
+  }
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Cli, CliRejectsNumber,
+                         ::testing::Values("run inf", "run nan", "run 1e300", "run 86401",
+                                           "fail gm abc", "fail lc 1x", "fail lc -1",
+                                           "submit 2 nan", "submit 2x", "submit 1.5",
+                                           "submit 2 0", "submit 2 0.1 0.1 0.1 -1",
+                                           "top 3x", "upgrade start 2x",
+                                           "upgrade start 3 1.5", "incident show 1x",
+                                           "chaos seed -5"),
+                         row_name);
 
 }  // namespace

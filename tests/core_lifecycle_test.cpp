@@ -143,10 +143,8 @@ TEST(Energy, SuspendedLcIgnoresHeartbeatTimeouts) {
   system.engine().run_until(system.engine().now() + 120.0);
   ASSERT_EQ(system.suspended_lc_count(), 4u);
   // A suspended node sends no heartbeats; the GM must NOT declare it failed.
-  std::uint64_t failures = 0;
-  for (const auto& gm : system.group_managers()) {
-    failures += gm->counters().lc_failures_detected;
-  }
+  const std::uint64_t failures =
+      system.telemetry().metrics().value("gm.lc_failures_detected");
   EXPECT_EQ(failures, 0u);
 }
 
@@ -177,10 +175,7 @@ TEST(Anomaly, OverloadEventsAreRateLimited) {
   system.client().submit_all(vms, 0.2);
   const double t0 = system.engine().now();
   system.engine().run_until(t0 + 100.0);
-  std::uint64_t overloads = 0;
-  for (const auto& gm : system.group_managers()) {
-    overloads += gm->counters().overload_events;
-  }
+  const std::uint64_t overloads = system.telemetry().metrics().value("gm.overload_events");
   // One report at most every 2 check periods (10 s) per LC: <= 10/LC in 100 s.
   EXPECT_GE(overloads, 2u);
   EXPECT_LE(overloads, 22u);
@@ -198,10 +193,8 @@ TEST(Anomaly, NoUnderloadPingPong) {
   }
   system.client().submit_all(vms, 0.1);
   system.engine().run_until(system.engine().now() + 300.0);
-  std::uint64_t migrations = 0;
-  for (const auto& gm : system.group_managers()) {
-    migrations += gm->counters().migrations_completed;
-  }
+  const std::uint64_t migrations =
+      system.telemetry().metrics().value("gm.migrations_completed");
   // A couple of initial consolidating moves are fine; sustained churn is not.
   EXPECT_LE(migrations, 4u);
   EXPECT_EQ(system.running_vm_count(), 4u);
@@ -261,11 +254,9 @@ TEST(Reconfiguration, MigrationCapBoundsDisruptionPerRound) {
   }
   system.client().submit_all(vms, 0.2);
   system.engine().run_until(system.engine().now() + 500.0);
-  std::uint64_t commanded = 0, rounds = 0;
-  for (const auto& gm : system.group_managers()) {
-    commanded += gm->counters().migrations_commanded;
-    rounds += gm->counters().reconfigurations;
-  }
+  const std::uint64_t commanded =
+      system.telemetry().metrics().value("gm.migrations_commanded");
+  const std::uint64_t rounds = system.telemetry().metrics().value("gm.reconfigurations");
   ASSERT_GE(rounds, 1u);
   EXPECT_LE(commanded, rounds * 2);  // never more than the cap per round
   // Successive capped rounds still make packing progress (each round

@@ -4,6 +4,8 @@
 // periodic ACO reconfiguration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/snooze.hpp"
 
 namespace {
@@ -235,7 +237,10 @@ TEST(FaultTolerance, GlDetectsGmFailure) {
   }
   system.engine().run_until(system.engine().now() + 30.0);
   EXPECT_EQ(gl->known_gm_count(), 1u);
-  EXPECT_GE(gl->counters().gm_failures_detected, 1u);
+  const auto failed = system.trace().of_kind("gl.gm_failed");
+  EXPECT_GE(std::count_if(failed.begin(), failed.end(),
+                          [&](const auto& r) { return r.actor == gl->name(); }),
+            1);
 }
 
 TEST(FaultTolerance, LcFailureDetectedAndVmsLost) {
@@ -264,10 +269,8 @@ TEST(FaultTolerance, LcFailureDetectedAndVmsLost) {
   system.engine().run_until(system.engine().now() + 30.0);
   // Without snapshot recovery the VMs are gone (paper: "VMs are terminated").
   EXPECT_EQ(system.running_vm_count(), 8u - lost);
-  std::uint64_t detected = 0;
-  for (const auto& gm : system.group_managers()) {
-    detected += gm->counters().lc_failures_detected;
-  }
+  const std::uint64_t detected =
+      system.telemetry().metrics().value("gm.lc_failures_detected");
   EXPECT_GE(detected, 1u);
 }
 
@@ -346,14 +349,8 @@ TEST(Relocation, OverloadTriggersMigration) {
   }
   system.client().submit_all(vms, 0.2);
   system.engine().run_until(system.engine().now() + 120.0);
-  std::uint64_t overloads = 0;
-  std::uint64_t migrations = 0;
-  for (const auto& gm : system.group_managers()) {
-    overloads += gm->counters().overload_events;
-    migrations += gm->counters().migrations_completed;
-  }
-  EXPECT_GE(overloads, 1u);
-  EXPECT_GE(migrations, 1u);
+  EXPECT_GE(system.telemetry().metrics().value("gm.overload_events"), 1u);
+  EXPECT_GE(system.telemetry().metrics().value("gm.migrations_completed"), 1u);
   EXPECT_EQ(system.running_vm_count(), 3u);  // nothing lost in flight
 }
 
@@ -373,10 +370,8 @@ TEST(Relocation, UnderloadEvacuatesColdNode) {
   }
   system.client().submit_all(vms, 0.2);
   system.engine().run_until(system.engine().now() + 180.0);
-  std::uint64_t underloads = 0;
-  for (const auto& gm : system.group_managers()) {
-    underloads += gm->counters().underload_events;
-  }
+  const std::uint64_t underloads =
+      system.telemetry().metrics().value("gm.underload_events");
   EXPECT_GE(underloads, 1u);
   EXPECT_EQ(system.running_vm_count(), 4u);
 }
@@ -412,10 +407,7 @@ TEST(Energy, SuspendedNodesAreWokenForPlacement) {
   EXPECT_EQ(system.client().succeeded(), 1u);
   EXPECT_EQ(system.running_vm_count(), 1u);
   EXPECT_EQ(system.suspended_lc_count(), 3u);
-  std::uint64_t wakeups = 0;
-  for (const auto& gm : system.group_managers()) {
-    wakeups += gm->counters().wakeups;
-  }
+  const std::uint64_t wakeups = system.telemetry().metrics().value("gm.wakeups");
   EXPECT_GE(wakeups, 1u);
 }
 
@@ -453,10 +445,8 @@ TEST(Reconfiguration, AcoConsolidationPacksVms) {
   system.client().submit_all(vms, 0.2);
   system.engine().run_until(system.engine().now() + 300.0);
 
-  std::uint64_t reconfigurations = 0;
-  for (const auto& gm : system.group_managers()) {
-    reconfigurations += gm->counters().reconfigurations;
-  }
+  const std::uint64_t reconfigurations =
+      system.telemetry().metrics().value("gm.reconfigurations");
   EXPECT_GE(reconfigurations, 1u);
   EXPECT_EQ(system.running_vm_count(), 6u);
   // 6 x 0.25 VMs fit on 2 LCs; round-robin had spread them over ~6.

@@ -148,7 +148,10 @@ TEST(Reconcile, NewGlFinishesReconciliationWithinWindow) {
   GroupManager* new_gl = system.leader();
   ASSERT_NE(new_gl, nullptr);
   EXPECT_FALSE(new_gl->reconciling());
-  EXPECT_EQ(new_gl->counters().reconciliations, 1u);
+  const auto reconciled = system.trace().of_kind("gl.reconciled");
+  EXPECT_EQ(std::count_if(reconciled.begin(), reconciled.end(),
+                          [&](const auto& r) { return r.actor == new_gl->name(); }),
+            1);
 
   const auto* hist =
       system.telemetry().metrics().find_histogram("reconcile.duration");
@@ -254,7 +257,11 @@ TEST(LeaderTerm, GlStateDiesWithItsTerm) {
 
   // Round robin resumes at the old cursor: one step per earlier dispatch.
   const std::vector<GmInfo> infos = gl->gm_infos();
-  const std::uint64_t cursor = gl->counters().dispatches;
+  const auto& spans = system.telemetry().spans().spans();
+  const auto cursor = static_cast<std::size_t>(
+      std::count_if(spans.begin(), spans.end(), [&](const telemetry::SpanRecord& s) {
+        return s.name == "gl.dispatch" && s.actor == gl->name();
+      }));
   ASSERT_NE(cursor % infos.size(), 0u) << "a fresh cursor would pick the same GM";
   std::optional<SubmitVmResponse> next;
   submit(gl, next);

@@ -40,15 +40,14 @@ struct GrayCounters {
 };
 
 GrayCounters sum_gray(core::SnoozeSystem& system) {
+  const telemetry::MetricsRegistry& metrics = system.telemetry().metrics();
   GrayCounters out;
-  for (const auto& gm : system.group_managers()) {
-    out.slow_flags += gm->counters().slow_flags;
-    out.probations += gm->counters().probations;
-    out.quarantines += gm->counters().quarantines;
-    out.quarantines_deferred += gm->counters().quarantines_deferred;
-    out.reinstatements += gm->counters().reinstatements;
-    out.quarantine_flaps += gm->counters().quarantine_flaps;
-  }
+  out.probations = metrics.value("gm.lc_probations");
+  out.slow_flags = out.probations + metrics.value("gl.gm_slow_flagged");
+  out.quarantines = metrics.value("gm.lc_quarantines");
+  out.quarantines_deferred = metrics.value("gm.quarantines_deferred");
+  out.reinstatements = metrics.value("gm.lc_reinstatements");
+  out.quarantine_flaps = metrics.value("gm.quarantine_flaps");
   return out;
 }
 
@@ -169,10 +168,7 @@ TEST(GrayFailure, SlowGmIsFlaggedByGlButNeverKilled) {
   // manages its LCs.
   EXPECT_EQ(system.gl_address(), gl);
   EXPECT_TRUE(slow_gm->alive());
-  std::uint64_t stepdowns = 0;
-  for (const auto& gm : system.group_managers()) {
-    stepdowns += gm->counters().stepdowns;
-  }
+  const std::uint64_t stepdowns = system.telemetry().metrics().value("gl.stepdowns");
   EXPECT_EQ(stepdowns, 0u) << "a slow-but-alive GM triggered an election";
 
   // Hysteresis: once the GM recovers, the flag clears.

@@ -12,7 +12,8 @@
 //   - every SLI HealthMonitor::sli_names() promises is actually produced by
 //     evaluate_slos() (it appears in SloEvaluator::status() after sampling),
 //     and nothing undeclared is fed to the evaluator;
-//   - every declared SLI has a positive threshold configured in SloConfig.
+//   - every declared SLI has a positive threshold configured in SloConfig;
+//   - every GM/GL counter equals the trace records emitted beside it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "chaos/injector.hpp"
 #include "core/snooze.hpp"
 #include "obs/health_monitor.hpp"
 
@@ -126,6 +128,72 @@ TEST_F(MetricsLint, EverySloReferencedSliIsProducedAndNothingUndeclared) {
     EXPECT_TRUE(std::binary_search(declared.begin(), declared.end(), name))
         << "SLI fed to the evaluator but missing from sli_names(): " << name;
     EXPECT_GT(st.threshold, 0.0) << "SLI has no positive threshold: " << name;
+  }
+}
+
+// The registry is the only tally of GM and GL events, so nothing else
+// catches a dropped bump: each counter below must equal the trace records
+// emitted beside it (each kind comes from exactly one site). The run turns on
+// every path they count: energy savings (suspend, wake), ACO reconfiguration
+// (migrations), a gray LC (probation, quarantine, reinstatement) and GM
+// (slow flag), an isolated GL (election, stepdown, GM failure, reconcile)
+// and an LC crash.
+TEST(MetricsTally, EveryGmAndGlCounterMatchesItsTraceRecords) {
+  core::SystemSpec spec;
+  spec.entry_points = 2;
+  spec.group_managers = 5;  // the GL baselines a slow GM against >= 3 peers
+  spec.local_controllers = 12;
+  spec.seed = 4;  // every pair below is non-zero at this seed
+  spec.config.energy_savings = true;
+  spec.config.idle_threshold = 20.0;
+  spec.config.consolidation = core::ConsolidationKind::kAco;
+  spec.config.reconfiguration_period = 60.0;
+  core::SnoozeSystem system(spec);
+  system.start();
+  ASSERT_TRUE(system.run_until_stable(60.0));
+
+  std::vector<core::VmDescriptor> vms;
+  for (int i = 0; i < 10; ++i) {
+    vms.push_back(system.make_vm({0.2, 0.2, 0.2}, i % 2 == 0 ? 90.0 : 0.0));
+  }
+  system.client().submit_all(vms, 1.0);
+  const chaos::FaultSchedule schedule = chaos::parse_script(
+      "duration 300\n"
+      "10 slow lc 1 factor=4 #1\n"
+      "130 unslow #1\n"
+      "15 slow gm 1 factor=4 #2\n"
+      "95 unslow #2\n"
+      "100 isolate gl #3\n"
+      "150 heal #3\n"
+      "200 crash lc 5 #4\n");
+  chaos::ChaosInjector injector(system, schedule);
+  injector.start();
+  system.engine().run_until(system.engine().now() + 180.0);
+  std::vector<core::VmDescriptor> late;
+  for (int i = 0; i < 6; ++i) late.push_back(system.make_vm({0.3, 0.3, 0.3}));
+  system.client().submit_all(late, 1.0);
+  system.engine().run_until(system.engine().now() + 200.0);
+
+  const telemetry::MetricsRegistry& metrics = system.telemetry().metrics();
+  const std::vector<std::pair<const char*, const char*>> pairs = {
+      {"gm.suspends", "gm.suspend"},
+      {"gm.wakeups", "gm.wakeup"},
+      {"gm.reconfigurations", "gm.reconfiguration"},
+      {"gm.migrations_completed", "gm.migration_done"},
+      {"gm.placements_ok", "gm.vm_placed"},
+      {"gm.lc_failures_detected", "gm.lc_failed"},
+      {"gm.lc_probations", "gm.lc_probation"},
+      {"gm.lc_quarantines", "gm.lc_quarantined"},
+      {"gm.lc_reinstatements", "gm.lc_reinstated"},
+      {"gm.elections_won", "gm.elected_gl"},
+      {"gl.stepdowns", "gm.stepdown"},
+      {"gl.reconciles", "gl.reconciled"},
+      {"gl.gm_failures_detected", "gl.gm_failed"},
+      {"gl.gm_slow_flagged", "gl.gm_slow"},
+  };
+  for (const auto& [counter, kind] : pairs) {
+    EXPECT_EQ(metrics.value(counter), system.trace().count(kind)) << counter;
+    EXPECT_GT(metrics.value(counter), 0u) << counter << ": the run no longer exercises it";
   }
 }
 
