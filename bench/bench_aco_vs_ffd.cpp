@@ -9,9 +9,14 @@
 // baseline the paper criticizes) and ACO over multiple seeds, and report
 // hosts / utilization / energy (host energy over a one-hour window plus the
 // energy of computing the placement on a management node).
+//
+// Artifact: --json=<path> writes every run's deterministic numbers (hosts,
+// utilization and host energy of FFD and ACO per size and seed). It leaves
+// out the computation-energy term, which follows the solver's speed.
 
 #include <cstdio>
 
+#include <fstream>
 #include <memory>
 
 #include "bench_common.hpp"
@@ -35,11 +40,18 @@ struct Summary {
   util::RunningStats hosts_saved_pct, energy_saved_pct;
 };
 
+struct Run {
+  std::size_t vms = 0;
+  std::uint64_t seed = 0;
+  PlacementMetrics ffd, aco;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
   const std::size_t seeds = static_cast<std::size_t>(args.get_int("seeds", 10));
+  const std::string json_path = args.get("json", "");
   const std::vector<std::size_t> sizes = {50, 100, 150, 200, 300};
 
   bench::print_header(
@@ -59,6 +71,7 @@ int main(int argc, char** argv) {
   }
 
   Summary overall;
+  std::vector<Run> runs;
   for (std::size_t n : sizes) {
     Summary row;
     for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
@@ -75,6 +88,7 @@ int main(int argc, char** argv) {
       // FFD is effectively free to compute; ACO pays its runtime in energy.
       const auto m_ffd = evaluate_placement(inst, ffd, window, 1e-4);
       const auto m_aco = evaluate_placement(inst, aco.placement, window, aco.runtime_s);
+      runs.push_back({n, seed, m_ffd, m_aco});
 
       row.ffd_hosts.add(static_cast<double>(m_ffd.hosts_used));
       row.aco_hosts.add(static_cast<double>(m_aco.hosts_used));
@@ -115,5 +129,27 @@ int main(int argc, char** argv) {
               "(paper: 4.1%%), %zu runs\n",
               overall.hosts_saved_pct.mean() * 100.0,
               overall.energy_saved_pct.mean() * 100.0, overall.energy_saved_pct.count());
+
+  if (!json_path.empty()) {
+    std::ofstream out(json_path);
+    if (!out) {
+      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
+      return 1;
+    }
+    out << "{\n  \"benchmark\": \"aco_vs_ffd\",\n  \"seeds\": " << seeds
+        << ",\n  \"runs\": [\n";
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      const Run& r = runs[i];
+      out << "    {\"vms\": " << r.vms << ", \"seed\": " << r.seed
+          << ", \"ffd_hosts\": " << r.ffd.hosts_used << ", \"aco_hosts\": " << r.aco.hosts_used
+          << ", \"ffd_util\": " << r.ffd.avg_cpu_utilization
+          << ", \"aco_util\": " << r.aco.avg_cpu_utilization
+          << ", \"ffd_host_kj\": " << r.ffd.energy_joules / 1000.0
+          << ", \"aco_host_kj\": " << r.aco.energy_joules / 1000.0 << "}"
+          << (i + 1 < runs.size() ? ",\n" : "\n");
+    }
+    out << "  ]\n}\n";
+    std::printf("wrote %s\n", json_path.c_str());
+  }
   return 0;
 }

@@ -117,27 +117,39 @@ void InvariantChecker::check_leaders() {
 void InvariantChecker::check_duplicates() {
   // A VM counts towards duplication while actively running (or booting) on a
   // host; the migration source parked in kMigrating is the legal transient.
-  std::map<core::VmId, int> active_hosts;
+  // Once the active ids are sorted, a run of equal ids is one VM active on
+  // that many hosts.
+  active_ids_.clear();
   for (const auto& lc : system_.local_controllers()) {
     if (!lc->alive()) continue;
     for (const auto& [id, vm] : lc->host().vms()) {
       const auto state = vm->state();
       if (state == hypervisor::VmState::kBooting ||
           state == hypervisor::VmState::kRunning) {
-        ++active_hosts[id];
+        active_ids_.push_back(id);
       }
     }
   }
+  std::sort(active_ids_.begin(), active_ids_.end());
+  std::vector<std::pair<core::VmId, std::size_t>> duplicates;  // ascending ids
+  for (auto run = active_ids_.begin(); run != active_ids_.end();) {
+    const auto end = std::find_if(run, active_ids_.end(),
+                                  [id = *run](core::VmId other) { return other != id; });
+    const auto count = static_cast<std::size_t>(end - run);
+    if (count >= 2) duplicates.emplace_back(*run, count);
+    run = end;
+  }
   for (auto it = duplicate_since_.begin(); it != duplicate_since_.end();) {
-    const auto found = active_hosts.find(it->first);
-    if (found == active_hosts.end() || found->second < 2) {
+    const auto found = std::lower_bound(
+        duplicates.begin(), duplicates.end(), it->first,
+        [](const auto& duplicate, core::VmId id) { return duplicate.first < id; });
+    if (found == duplicates.end() || found->first != it->first) {
       it = duplicate_since_.erase(it);  // resolved
     } else {
       ++it;
     }
   }
-  for (const auto& [id, count] : active_hosts) {
-    if (count < 2) continue;
+  for (const auto& [id, count] : duplicates) {
     const auto [it, inserted] = duplicate_since_.emplace(id, now());
     if (inserted) continue;
     if (now() - it->second > options_.duplicate_grace) {
@@ -154,7 +166,7 @@ void InvariantChecker::check_energy() {
   for (const auto& lc : system_.local_controllers()) {
     const double joules = lc->energy_joules(now());
     total += joules;
-    auto [it, inserted] = last_energy_.emplace(lc->name(), joules);
+    auto [it, inserted] = last_energy_.try_emplace(lc->name(), joules);
     if (!inserted) {
       if (joules + kSlack < it->second) {
         violation("energy meter of " + lc->name() + " went backwards (" +

@@ -90,6 +90,7 @@ class InvariantChecker final : public sim::Actor {
   sim::Time multi_leader_since_ = -1.0;
   std::uint64_t last_stale_accepts_ = 0;
   std::map<core::VmId, sim::Time> duplicate_since_;
+  std::vector<core::VmId> active_ids_;  ///< check_duplicates' reused buffer
   std::map<std::string, double> last_energy_;
   double last_total_energy_ = 0.0;
   net::TrafficStats last_traffic_;

@@ -1,10 +1,15 @@
 #include "consolidation/aco.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <numeric>
 
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -13,41 +18,123 @@ namespace snooze::consolidation {
 
 namespace {
 
+/// VMs whose demand vectors are bit-identical form one class: within a pick
+/// they share the fit test and eta^beta, so each is computed once per class.
+/// Continuous sizes give one class per VM.
+struct DemandClasses {
+  std::vector<std::uint32_t> of;       ///< class of each VM
+  std::vector<ResourceVector> demand;  ///< demand vector of each class
+
+  explicit DemandClasses(const Instance& instance) : of(instance.vm_count()) {
+    using Bits = std::array<std::uint64_t, ResourceVector::kDims>;
+    std::map<Bits, std::uint32_t> index;
+    for (std::size_t vm = 0; vm < instance.vm_count(); ++vm) {
+      const ResourceVector& d = instance.vm_demands[vm];
+      Bits bits{};
+      for (std::size_t k = 0; k < bits.size(); ++k) bits[k] = std::bit_cast<std::uint64_t>(d[k]);
+      const auto [it, inserted] =
+          index.try_emplace(bits, static_cast<std::uint32_t>(demand.size()));
+      if (inserted) demand.push_back(d);
+      of[vm] = it->second;
+    }
+  }
+};
+
+/// tau^alpha for one cycle, host-major so that a host's column is
+/// contiguous. Ants fill hosts in index order, so the columns any ant has
+/// reached form a prefix: a column is computed when the first ant reaches
+/// it. Instances with a host per VM (E1, E9) leave most columns untouched.
+class PheromonePowers {
+ public:
+  PheromonePowers(const std::vector<double>& tau, std::size_t vms, std::size_t hosts,
+                  double alpha)
+      : tau_(tau), vms_(vms), hosts_(hosts), alpha_(alpha), table_(vms * hosts) {}
+
+  /// Forget the columns of the previous cycle; no ant may be running.
+  void reset() { ready_ = 0; }
+
+  /// tau[vm][host]^alpha for every VM, indexed by VM. A filled column is
+  /// not written again until reset(), so the caller reads it unlocked.
+  const double* column(std::size_t host) {
+    std::lock_guard lock(mutex_);
+    for (; ready_ <= host; ++ready_) {
+      double* col = table_.data() + ready_ * vms_;
+      for (std::size_t vm = 0; vm < vms_; ++vm) {
+        col[vm] = std::pow(tau_[vm * hosts_ + ready_], alpha_);
+      }
+    }
+    return table_.data() + host * vms_;
+  }
+
+ private:
+  const std::vector<double>& tau_;  ///< row-major (VM, host) pheromone
+  std::size_t vms_;
+  std::size_t hosts_;
+  double alpha_;
+  std::mutex mutex_;  ///< guards ready_ and the columns from ready_ on
+  std::size_t ready_ = 0;  ///< columns [0, ready_) are filled
+  std::vector<double> table_;
+};
+
+/// One ant's buffers, sized once per solve so that no pick allocates.
+struct AntScratch {
+  AntScratch(std::size_t vms, std::size_t classes)
+      : class_pick(classes, 0), class_fits(classes), class_eta_beta(classes) {
+    unassigned.reserve(vms);
+    candidates.reserve(vms);
+    weights.reserve(vms);
+  }
+
+  std::vector<std::size_t> unassigned;  ///< ascending VM indices
+  std::vector<std::size_t> candidates;  ///< feasible VMs of the current pick
+  std::vector<double> weights;          ///< their weights, same order
+  std::uint64_t pick = 0;               ///< picks made so far, over all walks
+  std::vector<std::uint64_t> class_pick;  ///< pick whose entries a class holds
+  std::vector<char> class_fits;
+  std::vector<double> class_eta_beta;
+};
+
 /// One ant's walk: fill hosts in index order, choosing the next VM among the
-/// feasible ones by the probabilistic decision rule.
-Placement construct_solution(const Instance& instance,
-                             const std::vector<std::vector<double>>& tau,
-                             const AcoParams& params, util::Rng& rng) {
+/// feasible ones by the probabilistic decision rule. Each weight is
+/// tau^alpha (from the cycle's table) times eta^beta (from the VM's demand
+/// class at this pick), appended in VM index order.
+Placement construct_solution(const Instance& instance, const DemandClasses& classes,
+                             PheromonePowers& tau_alpha, const AcoParams& params,
+                             util::Rng& rng, AntScratch& s) {
   const std::size_t n = instance.vm_count();
   Placement placement(n);
-  std::vector<bool> assigned(n, false);
-  std::size_t remaining = n;
+  s.unassigned.resize(n);
+  std::iota(s.unassigned.begin(), s.unassigned.end(), std::size_t{0});
 
-  std::vector<double> weights;
-  std::vector<std::size_t> feasible;
-
-  for (std::size_t host = 0; host < instance.host_count() && remaining > 0; ++host) {
+  for (std::size_t host = 0; host < instance.host_count() && !s.unassigned.empty(); ++host) {
     ResourceVector residual = instance.host_capacities[host];
+    const double* tau_pow = tau_alpha.column(host);
     for (;;) {
-      feasible.clear();
-      weights.clear();
-      for (std::size_t vm = 0; vm < n; ++vm) {
-        if (assigned[vm]) continue;
-        if (!instance.vm_demands[vm].fits_within(residual)) continue;
-        feasible.push_back(vm);
-        const double eta = aco_heuristic(residual, instance.vm_demands[vm]);
-        const double t = tau[vm][host];
-        double w = std::pow(t, params.alpha) * std::pow(eta, params.beta);
+      ++s.pick;
+      s.candidates.clear();
+      s.weights.clear();
+      for (const std::size_t vm : s.unassigned) {
+        const std::uint32_t c = classes.of[vm];
+        if (s.class_pick[c] != s.pick) {
+          s.class_pick[c] = s.pick;
+          const ResourceVector& d = classes.demand[c];
+          s.class_fits[c] = d.fits_within(residual);
+          if (s.class_fits[c]) {
+            s.class_eta_beta[c] = std::pow(aco_heuristic(residual, d), params.beta);
+          }
+        }
+        if (!s.class_fits[c]) continue;
+        s.candidates.push_back(vm);
+        double w = tau_pow[vm] * s.class_eta_beta[c];
         if (!std::isfinite(w) || w <= 0.0) w = 1e-12;
-        weights.push_back(w);
+        s.weights.push_back(w);
       }
-      if (feasible.empty()) break;
-      const std::size_t pick = rng.weighted_index(weights);
-      const std::size_t vm = feasible[pick < feasible.size() ? pick : 0];
+      if (s.candidates.empty()) break;
+      const std::size_t pick = rng.weighted_index(s.weights);
+      const std::size_t vm = s.candidates[pick < s.candidates.size() ? pick : 0];
       placement.assign(vm, static_cast<HostIndex>(host));
       residual -= instance.vm_demands[vm];
-      assigned[vm] = true;
-      --remaining;
+      s.unassigned.erase(std::lower_bound(s.unassigned.begin(), s.unassigned.end(), vm));
     }
   }
   return placement;
@@ -87,12 +174,18 @@ AcoResult AcoConsolidation::solve(const Instance& instance) const {
     return result;
   }
 
-  // Pheromone matrix over (VM, host) pairs.
-  std::vector<std::vector<double>> tau(
-      n, std::vector<double>(instance.host_count(), params_.tau0));
+  // Pheromone matrix over (VM, host) pairs, row-major.
+  const std::size_t host_count = instance.host_count();
+  std::vector<double> tau(n * host_count, params_.tau0);
+  PheromonePowers tau_alpha(tau, n, host_count, params_.alpha);
+  const DemandClasses classes(instance);
+  // Built in place: a copied vector would not keep the reserved capacity.
+  std::vector<AntScratch> scratch;
+  scratch.reserve(params_.ants);
+  for (std::size_t a = 0; a < params_.ants; ++a) scratch.emplace_back(n, classes.demand.size());
 
   util::Rng master(params_.seed);
-  std::size_t best_hosts = instance.host_count() + 1;
+  std::size_t best_hosts = host_count + 1;
   double best_score = std::numeric_limits<double>::infinity();
   double best_slack = std::numeric_limits<double>::infinity();
   bool have_best = false;
@@ -107,8 +200,10 @@ AcoResult AcoConsolidation::solve(const Instance& instance) const {
     for (std::size_t a = 0; a < params_.ants; ++a) rngs.push_back(master.fork());
 
     std::vector<Placement> solutions(params_.ants);
+    tau_alpha.reset();  // this cycle's tau, powered as ants reach each host
     auto run_ant = [&](std::size_t a) {
-      solutions[a] = construct_solution(instance, tau, params_, rngs[a]);
+      solutions[a] = construct_solution(instance, classes, tau_alpha, params_, rngs[a],
+                                        scratch[a]);
     };
     if (pool) {
       pool->parallel_for(params_.ants, run_ant);
@@ -136,15 +231,13 @@ AcoResult AcoConsolidation::solve(const Instance& instance) const {
     // Pheromone update: evaporation everywhere, reinforcement on the pairs
     // of the best-so-far solution (elitist global update).
     const double keep = 1.0 - params_.rho;
-    for (auto& row : tau) {
-      for (double& t : row) t *= keep;
-    }
+    for (double& t : tau) t *= keep;
     if (have_best) {
       const double deposit =
           params_.rho * params_.q / static_cast<double>(std::max<std::size_t>(1, best_hosts));
       for (std::size_t vm = 0; vm < n; ++vm) {
         const HostIndex h = result.placement.host_of(vm);
-        if (h != kUnassigned) tau[vm][static_cast<std::size_t>(h)] += deposit;
+        if (h != kUnassigned) tau[vm * host_count + static_cast<std::size_t>(h)] += deposit;
       }
     }
     result.best_per_cycle.push_back(have_best ? best_hosts : 0);

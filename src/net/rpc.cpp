@@ -218,11 +218,15 @@ sim::Time RpcEndpoint::hedge_delay(Address to, const HedgePolicy& policy) const 
   sim::Time p99 = policy.min_delay;
   const auto it = dest_stats_.find(to);
   if (it != dest_stats_.end() && it->second.count > 0) {
+    // The p99 is the element a sort of the ring would put at
+    // floor(0.99 * (n - 1)); selecting it needs no full sort.
     const std::size_t n = std::min(it->second.count, DestStats::kRing);
-    std::array<float, DestStats::kRing> sorted{};
-    std::copy_n(it->second.latency.begin(), n, sorted.begin());
-    std::sort(sorted.begin(), sorted.begin() + static_cast<std::ptrdiff_t>(n));
-    p99 = sorted[static_cast<std::size_t>(0.99 * static_cast<double>(n - 1))];
+    std::array<float, DestStats::kRing> ring{};
+    std::copy_n(it->second.latency.begin(), n, ring.begin());
+    const auto rank = static_cast<std::ptrdiff_t>(0.99 * static_cast<double>(n - 1));
+    std::nth_element(ring.begin(), ring.begin() + rank,
+                     ring.begin() + static_cast<std::ptrdiff_t>(n));
+    p99 = ring[static_cast<std::size_t>(rank)];
   }
   return std::clamp(p99, policy.min_delay, policy.max_delay);
 }

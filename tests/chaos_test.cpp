@@ -433,7 +433,9 @@ TEST(Invariants, DuplicateVmInstanceIsReported) {
   system.engine().run_until(system.engine().now() + 30.0);
   EXPECT_FALSE(checker.ok());
   ASSERT_FALSE(checker.violations().empty());
-  EXPECT_NE(checker.violations().front().find("duplicate"), std::string::npos)
+  EXPECT_NE(checker.violations().front().find("duplicate VM " + std::to_string(vm.id) +
+                                              " active on 2 hosts"),
+            std::string::npos)
       << checker.violations().front();
 }
 

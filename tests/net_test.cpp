@@ -3,6 +3,7 @@
 // RPC layer (immediate + deferred replies, timeouts, crash semantics).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -910,6 +911,75 @@ TEST_F(RpcTest, HedgeTimesOutOnceWhenBothCopiesDie) {
   engine.run();
   EXPECT_EQ(result, false);
   EXPECT_EQ(callbacks, 1);
+}
+
+TEST_F(RpcTest, DerivedHedgeDelayIsTheP99OfTheLatencyRing) {
+  // 40 replies with known, distinct service times wrap the 32-sample
+  // latency ring. Then each hedged call's primary stalls and its backup is
+  // answered at once: the backup must leave at the element a sort of the
+  // ring puts at floor(0.99 * (n - 1)), clamped to [min_delay, max_delay].
+  constexpr int kReplies = 40;
+  std::vector<float> ring;  // model of the endpoint's ring, oldest first
+  auto note = [&ring](double latency) {
+    ring.push_back(static_cast<float>(latency));
+    if (ring.size() > 32) ring.erase(ring.begin());
+  };
+  auto expected_delay = [&ring](const net::HedgePolicy& policy) {
+    std::vector<float> sorted = ring;
+    std::sort(sorted.begin(), sorted.end());
+    const double p99 =
+        sorted[static_cast<std::size_t>(0.99 * static_cast<double>(sorted.size() - 1))];
+    return std::clamp(p99, policy.min_delay, policy.max_delay);
+  };
+
+  int served = 0;
+  bool hedging = false;
+  int copies = 0;
+  double backup_arrival = 0.0;
+  server.set_request_handler([&](const Envelope&, net::Responder r) {
+    if (!hedging) {
+      const double service = 0.01 * ((served++ * 7) % kReplies + 1);
+      engine.schedule(service, [r]() mutable { r.respond(std::make_shared<Pong>()); });
+      return;
+    }
+    if (++copies % 2 == 1) return;  // the primary stalls
+    backup_arrival = engine.now();
+    r.respond(std::make_shared<Pong>());
+  });
+  for (int i = 0; i < kReplies; ++i) {
+    engine.schedule_at(static_cast<double>(i), [&] {
+      const double sent = engine.now();
+      client.call(server.address(), ping(), 1.0, [&, sent](bool ok, const MsgPtr&) {
+        ASSERT_TRUE(ok);
+        note(engine.now() - sent);
+      });
+    });
+  }
+  engine.run();
+  ASSERT_EQ(served, kReplies);
+  ASSERT_EQ(ring.size(), 32u);
+  hedging = true;
+
+  net::HedgePolicy inside;      // p99 within the default [0.02, 2.0]
+  net::HedgePolicy capped;      // p99 above max_delay
+  capped.max_delay = 0.25;
+  net::HedgePolicy floored;     // p99 below min_delay
+  floored.min_delay = 0.45;
+  for (const net::HedgePolicy& policy : {inside, capped, floored}) {
+    const double want = expected_delay(policy);
+    const double sent = engine.now();
+    std::optional<bool> result;
+    client.call_with_hedging(server.address(), ping(), 5.0, policy,
+                             [&](bool ok, const MsgPtr&) {
+                               result = ok;
+                               note(engine.now() - (sent + want));
+                             });
+    engine.run();
+    ASSERT_EQ(result, true);
+    // The backup reached the server one network hop (1 ms) after it left.
+    EXPECT_NEAR(backup_arrival - 1e-3 - sent, want, 1e-9);
+  }
+  EXPECT_NEAR(expected_delay(inside), 0.392, 1e-6);
 }
 
 // --- Timeout streaks ------------------------------------------------------------
