@@ -13,8 +13,12 @@ ResourceEstimator::ResourceEstimator(std::size_t window, EstimatorKind kind,
 void ResourceEstimator::add(const ResourceVector& sample) {
   ++samples_;
   if (kind_ == EstimatorKind::kWindowMax) {
-    recent_.push_back(sample);
-    if (recent_.size() > window_) recent_.pop_front();
+    if (recent_.size() < window_) {
+      if (recent_.empty()) recent_.reserve(window_);
+      recent_.push_back(sample);
+    } else {
+      recent_[(samples_ - 1) % window_] = sample;  // overwrite the oldest
+    }
   } else {
     if (samples_ == 1) {
       ewma_ = sample;

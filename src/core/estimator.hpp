@@ -8,7 +8,7 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
+#include <vector>
 
 #include "hypervisor/resources.hpp"
 
@@ -34,7 +34,10 @@ class ResourceEstimator {
   std::size_t window_;
   EstimatorKind kind_;
   double alpha_;
-  std::deque<hypervisor::ResourceVector> recent_;
+  /// Window-max samples: a ring of at most window_ slots, reserved on the
+  /// first sample. Sample k (from 1) lands in slot (k - 1) % window_, so
+  /// once the ring is full each sample overwrites the oldest one.
+  std::vector<hypervisor::ResourceVector> recent_;
   hypervisor::ResourceVector ewma_;
   std::size_t samples_ = 0;
 };

@@ -160,23 +160,29 @@ void GroupManager::prune_submission_book() {
   const sim::Time retention = config_.submission_book_retention;
   if (retention <= 0.0) return;
   auto& book = term_->completed_submissions;
+  const auto& inventory = term_->vm_inventory;
+  // A live VM's book entry is only refreshed on placement *changes*, so
+  // retention alone would prune (and then duplicate on a client replay)
+  // long-lived idle VMs: anything the inventory still lists as running is
+  // exempt. Book and inventory both ascend by VmId, so one walk over the
+  // two finds those without a lookup per entry.
+  auto live = inventory.begin();
   for (auto it = book.begin(); it != book.end();) {
-    // A live VM's book entry is only refreshed on placement *changes*, so
-    // retention alone would prune (and then duplicate on a client replay)
-    // long-lived idle VMs: anything the inventory still lists as running is
-    // exempt.
-    if (now() - it->second.at > retention && term_->vm_inventory.count(it->first) == 0) {
-      it = book.erase(it);
-    } else {
-      ++it;
+    if (now() - it->second.at > retention) {
+      while (live != inventory.end() && live->first < it->first) ++live;
+      if (live == inventory.end() || live->first != it->first) {
+        it = book.erase(it);
+        continue;
+      }
     }
+    ++it;
   }
 }
 
 void GroupManager::handle_summary_delta(const GmSummaryDelta& delta,
                                         net::Responder responder) {
   auto ack = std::make_shared<GmSummaryAck>();
-  ack->seq = delta.seq;
+  ack->seq = delta.update.seq;
   if (!term_) {
     // Not an authority on the stream (includes the degenerate self-send
     // right after a step-down): refuse, the GM re-anchors at the real GL.
@@ -185,15 +191,9 @@ void GroupManager::handle_summary_delta(const GmSummaryDelta& delta,
     return;
   }
   LeaderTerm::GmRecord& record = term_->gms[delta.gm];
-  SummaryUpdate update;
-  update.snapshot = delta.snapshot;
-  update.stream = delta.stream;
-  update.seq = delta.seq;
-  update.placed = delta.placed;
-  update.removed = delta.removed;
   const std::uint64_t seq_before = record.decoder.last_seq();
   const bool synced_before = record.decoder.synced();
-  if (!record.decoder.apply(update)) {
+  if (!record.decoder.apply(delta.update)) {
     bump("gl.summary_rejected");
     trace_event("gl.summary_rejected", "gm=" + std::to_string(delta.gm));
     ack->ok = false;
@@ -220,7 +220,7 @@ void GroupManager::handle_summary_delta(const GmSummaryDelta& delta,
   // but its stale placements must not regress the inventory.
   const bool advanced = record.decoder.last_seq() != seq_before ||
                         record.decoder.synced() != synced_before;
-  if (delta.snapshot) {
+  if (delta.update.snapshot) {
     // Re-anchor: claims this GM no longer makes are removals, then the full
     // state is re-asserted. Both paths are idempotent.
     const VmLocationMap& state = record.decoder.state();
@@ -231,8 +231,8 @@ void GroupManager::handle_summary_delta(const GmSummaryDelta& delta,
     for (const VmId vm : gone) note_vm_removed(delta.gm, vm);
     for (const auto& [vm, lc] : state) note_vm_placed(delta.gm, vm, lc);
   } else if (advanced) {
-    for (const auto& [vm, lc] : delta.placed) note_vm_placed(delta.gm, vm, lc);
-    for (const VmId vm : delta.removed) note_vm_removed(delta.gm, vm);
+    for (const auto& [vm, lc] : delta.update.placed) note_vm_placed(delta.gm, vm, lc);
+    for (const VmId vm : delta.update.removed) note_vm_removed(delta.gm, vm);
   }
   resolve_conflicts_for(delta.gm);
   ack->ok = true;

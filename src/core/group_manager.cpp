@@ -223,7 +223,9 @@ void GroupManager::gm_emit_summary() {
   }
   auto msg = net::make_message<GmSummaryDelta>();
   msg->gm = endpoint_.address();
-  VmLocationMap locations;
+  const std::size_t vms = vm_count();
+  VmLocations locations;
+  locations.reserve(vms);
   double worst_age = 0.0;
   for (const auto& [addr, lc] : lcs_) {
     if (lc.power != LcPower::kOn) continue;
@@ -231,18 +233,14 @@ void GroupManager::gm_emit_summary() {
     worst_age = std::max(worst_age, now() - lc.last_heartbeat);
     for (const auto& [id, vm] : lc.vms) {
       msg->used += vm.demand();
-      locations[id] = addr;
+      locations.emplace_back(id, addr);
     }
   }
   msg->lc_count = static_cast<std::uint32_t>(lcs_.size());
-  msg->vm_count = static_cast<std::uint32_t>(vm_count());
+  msg->vm_count = static_cast<std::uint32_t>(vms);
   msg->worst_lc_heartbeat_age = worst_age;
-  const SummaryUpdate update = summary_encoder_.encode(locations);
-  msg->snapshot = update.snapshot;
-  msg->stream = update.stream;
-  msg->seq = update.seq;
-  msg->placed = update.placed;
-  msg->removed = update.removed;
+  msg->update = summary_encoder_.encode(std::move(locations));
+  const SummaryUpdate& update = msg->update;
   if (update.snapshot) {
     bump("gm.summary_snapshots");
     // Snapshots are the rare re-anchor points of the stream (first contact,
@@ -322,7 +320,8 @@ void GroupManager::handle_monitor(const LcMonitorData& data) {
   record.draining = data.draining;
   // Reconcile the VM set: adopt new VMs (e.g. inherited after a GM failure),
   // drop those the LC no longer reports, update demand estimators.
-  std::set<VmId> reported;
+  std::vector<VmId>& reported = reported_scratch_;
+  reported.clear();
   for (const auto& usage : data.vms) {
     // Duplicate resolution: a VM this GM already records on a *different* LC
     // is an orphan copy (e.g. a StartVm that landed right before a partition
@@ -358,7 +357,7 @@ void GroupManager::handle_monitor(const LcMonitorData& data) {
         continue;  // not adopted: the next report no longer lists it
       }
     }
-    reported.insert(usage.vm);
+    reported.push_back(usage.vm);
     auto [vm_it, inserted] = record.vms.try_emplace(usage.vm);
     if (inserted) {
       vm_it->second.estimator = ResourceEstimator(config_.estimator_window, config_.estimator_kind, config_.estimator_ewma_alpha);
@@ -381,8 +380,9 @@ void GroupManager::handle_monitor(const LcMonitorData& data) {
   for (const auto& usage : data.vms) {
     record.worst_penalty = std::min(record.worst_penalty, usage.penalty);
   }
+  std::sort(reported.begin(), reported.end());
   for (auto vm_it = record.vms.begin(); vm_it != record.vms.end();) {
-    if (reported.count(vm_it->first) == 0) {
+    if (!std::binary_search(reported.begin(), reported.end(), vm_it->first)) {
       vm_it = record.vms.erase(vm_it);
     } else {
       ++vm_it;

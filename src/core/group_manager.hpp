@@ -362,6 +362,8 @@ class GroupManager final : public sim::Actor {
   /// placement replay ack a submission whose VM is about to be killed.
   /// Entries lift on re-placement, termination, or LC removal.
   std::set<std::pair<net::Address, VmId>> condemned_vms_;
+  /// The VM ids one monitoring report lists, reused from report to report.
+  std::vector<VmId> reported_scratch_;
 
   // --- summary stream --------------------------------------------------------
   // Encoder state for the outbound stream. The stream id is bumped on

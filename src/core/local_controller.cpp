@@ -206,6 +206,7 @@ void LocalController::send_monitor_data() {
   // consume — the monitoring stream under-reports exactly the way a stolen
   // node's perf counters do, which is what makes gray failures hard to see.
   data->used = host_.used(now()).scaled(1.0 - cpu_steal_);
+  data->vms.reserve(host_.vm_count());
   for (const auto& [id, vm] : host_.vms()) {
     const auto meta = vm_meta_.find(id);
     const bool migrating = meta != vm_meta_.end() && meta->second.migrating;

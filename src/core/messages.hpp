@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/summary_codec.hpp"
 #include "core/types.hpp"
 #include "net/network.hpp"
 
@@ -57,14 +58,11 @@ struct GmSummaryDelta final : net::Message {
   /// age this GM currently observes, so the GL tracks fleet-wide liveness
   /// health in O(GMs) instead of receiving per-LC heartbeats.
   double worst_lc_heartbeat_age = 0.0;
-  bool snapshot = false;
-  std::uint64_t stream = 0;  ///< sender incarnation (see SummaryUpdate)
-  std::uint64_t seq = 0;     ///< per-stream sequence; deltas apply in order
-  std::vector<std::pair<VmId, Address>> placed;  ///< new or moved VMs
-  std::vector<VmId> removed;                     ///< VMs no longer hosted
+  /// The encoder's snapshot or delta, applied by the GL's decoder as sent.
+  SummaryUpdate update;
   [[nodiscard]] std::string_view type() const override { return "gm.summary_d"; }
   [[nodiscard]] std::size_t wire_size() const override {
-    return 104 + placed.size() * 16 + removed.size() * 8;
+    return 104 + update.placed.size() * 16 + update.removed.size() * 8;
   }
 };
 

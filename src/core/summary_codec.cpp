@@ -1,8 +1,18 @@
 #include "core/summary_codec.hpp"
 
+#include <algorithm>
+
 namespace snooze::core {
 
-SummaryUpdate SummaryEncoder::encode(const VmLocationMap& current) {
+SummaryUpdate SummaryEncoder::encode(VmLocations current) {
+  // Into VmLocations form: ascending by VmId, one entry per VM. A VM listed
+  // under two LCs (mid-migration, both report it) keeps the higher address.
+  std::sort(current.begin(), current.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first < b.first : a.second > b.second;
+  });
+  current.erase(std::unique(current.begin(), current.end(),
+                            [](const auto& a, const auto& b) { return a.first == b.first; }),
+                current.end());
   SummaryUpdate update;
   update.stream = stream_;
   update.seq = next_seq_++;
@@ -11,9 +21,9 @@ SummaryUpdate SummaryEncoder::encode(const VmLocationMap& current) {
   // against *our* idea of the base is unsafe; snapshot instead.
   update.snapshot = need_snapshot_ || unacked_;
   if (update.snapshot) {
-    update.placed.assign(current.begin(), current.end());
+    update.placed = current;
   } else {
-    // Both maps are ordered by VmId: one linear merge yields adds, moves and
+    // Both sides ascend by VmId: one linear merge yields adds, moves and
     // removals without lookups.
     auto cur = current.begin();
     auto base = base_.begin();
@@ -31,7 +41,7 @@ SummaryUpdate SummaryEncoder::encode(const VmLocationMap& current) {
       }
     }
   }
-  sent_ = current;
+  sent_ = std::move(current);
   need_snapshot_ = false;
   unacked_ = true;
   return update;

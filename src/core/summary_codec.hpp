@@ -25,8 +25,13 @@
 namespace snooze::core {
 
 /// Where each VM of one GM currently runs — the state a summary stream
-/// replicates from GM to GL.
+/// replicates from GM to GL — as the GL's decoder keeps it.
 using VmLocationMap = std::map<VmId, net::Address>;
+
+/// The same state as the GM's encoder keeps it: one (VM, LC) pair per VM,
+/// ascending by VmId. A flat vector, so each summary period builds it with
+/// one reserve and one sort, and the encoder keeps its bases without trees.
+using VmLocations = std::vector<std::pair<VmId, net::Address>>;
 
 /// One encoded summary: either a self-contained snapshot (`snapshot` set,
 /// `placed` lists every VM, `removed` empty) or a delta against the
@@ -39,21 +44,24 @@ struct SummaryUpdate {
   /// sequence numbers. Snapshots re-anchor the decoder to their stream.
   std::uint64_t stream = 0;
   std::uint64_t seq = 0;
-  std::vector<std::pair<VmId, net::Address>> placed;  ///< new or moved VMs
-  std::vector<VmId> removed;                          ///< VMs no longer hosted
+  VmLocations placed;         ///< new or moved VMs
+  std::vector<VmId> removed;  ///< VMs no longer hosted
 };
 
-/// GM side: turns the current VM-location map into the smallest update that
+/// GM side: turns the current VM locations into the smallest update that
 /// is provably safe to send. Deltas are only ever computed against the last
 /// *acknowledged* state — an un-acked previous update (timeout, loss) or an
 /// explicit nack forces the next update to be a snapshot, so the GL can
 /// never apply a delta against a base it does not hold.
 class SummaryEncoder {
  public:
-  /// Encode the next update for `current`. Emits a snapshot when one is
-  /// needed (first send, forced, or the previous update was never
-  /// positively acked); otherwise a delta against the acked base.
-  SummaryUpdate encode(const VmLocationMap& current);
+  /// Encode the next update for `current`: (VM, LC) pairs in any order, a
+  /// VM listed under several LCs keeping the highest address. The encoder
+  /// sorts them into VmLocations form and keeps that as the state sent.
+  /// Emits a snapshot when one is needed (first send, forced, or the
+  /// previous update was never positively acked); otherwise a delta against
+  /// the acked base.
+  SummaryUpdate encode(VmLocations current);
 
   /// Positive ack for `seq` from the GL: the state sent under that sequence
   /// becomes the delta base. Acks for anything but the latest sequence are
@@ -77,8 +85,8 @@ class SummaryEncoder {
   [[nodiscard]] std::uint64_t stream() const { return stream_; }
 
  private:
-  VmLocationMap base_;  ///< state as of the last positively acked update
-  VmLocationMap sent_;  ///< state encoded into the latest update
+  VmLocations base_;  ///< state as of the last positively acked update
+  VmLocations sent_;  ///< state encoded into the latest update
   std::uint64_t stream_ = 0;
   std::uint64_t next_seq_ = 1;
   bool need_snapshot_ = true;  ///< first contact or forced

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 
 #include "hypervisor/resources.hpp"
@@ -19,7 +20,10 @@ namespace snooze::hypervisor {
 using VmId = std::uint64_t;
 constexpr VmId kNullVm = 0;
 
-/// Utilization multiplier at virtual time t, in [0, 1].
+/// Utilization multiplier at virtual time t, in [0, 1]. Must be a pure
+/// function of t: a Vm reads its trace once per instant and answers repeated
+/// reads at that instant (energy meter, host usage, monitoring report) from
+/// the value it remembered.
 using UtilizationFn = std::function<double(double t)>;
 
 enum class VmState { kPending, kBooting, kRunning, kMigrating, kStopped, kFailed };
@@ -51,12 +55,14 @@ class Vm {
   /// Utilization multiplier at time t (1.0 if no trace installed).
   [[nodiscard]] double utilization(double t) const;
 
-  void set_utilization(UtilizationFn fn) { utilization_ = std::move(fn); }
-
  private:
   VmSpec spec_;
   VmState state_ = VmState::kPending;
   UtilizationFn utilization_;
+  /// The last instant the trace was read at (NaN: none, never equal to a
+  /// time) and its clamped value.
+  mutable double read_at_ = std::numeric_limits<double>::quiet_NaN();
+  mutable double read_value_ = 1.0;
 };
 
 }  // namespace snooze::hypervisor

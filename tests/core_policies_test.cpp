@@ -3,6 +3,10 @@
 // relocation planning, and trace-spec materialization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <vector>
+
 #include "core/estimator.hpp"
 #include "core/policies.hpp"
 #include "core/relocation.hpp"
@@ -38,6 +42,24 @@ TEST(Estimator, WindowEvictsOldSamples) {
   est.add({0.1, 0.1, 0.1});
   est.add({0.2, 0.2, 0.2});  // the 0.9 sample leaves the window
   EXPECT_DOUBLE_EQ(est.estimate().cpu(), 0.2);
+
+  // A window of three fed twelve samples wraps its ring four times; every
+  // estimate is the component-wise max of the last three samples.
+  const double v[] = {0.7, 0.2, 0.9, 0.1, 0.3, 0.4, 0.8, 0.05, 0.6, 0.5, 0.15, 0.25};
+  const std::size_t n = std::size(v);
+  std::vector<ResourceVector> fed;
+  ResourceEstimator ring(3, EstimatorKind::kWindowMax);
+  for (std::size_t i = 0; i < n; ++i) {
+    fed.push_back({v[i], v[(i + 4) % n], v[(i + 9) % n]});
+    ring.add(fed.back());
+    ResourceVector expect;
+    for (std::size_t k = fed.size() - std::min<std::size_t>(fed.size(), 3); k < fed.size(); ++k) {
+      for (std::size_t d = 0; d < ResourceVector::kDims; ++d) {
+        expect[d] = std::max(expect[d], fed[k][d]);
+      }
+    }
+    EXPECT_EQ(ring.estimate(), expect) << "after sample " << i;
+  }
 }
 
 TEST(Estimator, EwmaConvergesTowardSignal) {

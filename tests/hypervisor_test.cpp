@@ -92,6 +92,10 @@ TEST(Vm, UsedScalesWithUtilization) {
   hypervisor::Vm vm(spec, [](double t) { return t < 10.0 ? 0.5 : 1.0; });
   EXPECT_DOUBLE_EQ(vm.used(0.0).cpu(), 0.2);
   EXPECT_DOUBLE_EQ(vm.used(20.0).cpu(), 0.4);
+  // The Vm remembers only the last instant it read: a repeat read there and
+  // a read back at an earlier instant both follow the trace.
+  EXPECT_DOUBLE_EQ(vm.used(20.0).cpu(), 0.4);
+  EXPECT_DOUBLE_EQ(vm.used(0.0).cpu(), 0.2);
 }
 
 TEST(Vm, NoTraceMeansFullUtilization) {
@@ -103,10 +107,10 @@ TEST(Vm, NoTraceMeansFullUtilization) {
 
 TEST(Vm, UtilizationClampedToUnitInterval) {
   hypervisor::VmSpec spec;
-  hypervisor::Vm vm(spec, [](double) { return 1.7; });
-  EXPECT_DOUBLE_EQ(vm.utilization(0.0), 1.0);
-  vm.set_utilization([](double) { return -0.3; });
-  EXPECT_DOUBLE_EQ(vm.utilization(0.0), 0.0);
+  hypervisor::Vm above(spec, [](double) { return 1.7; });
+  EXPECT_DOUBLE_EQ(above.utilization(0.0), 1.0);
+  hypervisor::Vm below(spec, [](double) { return -0.3; });
+  EXPECT_DOUBLE_EQ(below.utilization(0.0), 0.0);
 }
 
 // --- Host ---------------------------------------------------------------------

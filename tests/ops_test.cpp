@@ -351,19 +351,23 @@ TEST(SubmissionBook, PrunesTerminatedEntries) {
   system.start();
   ASSERT_TRUE(system.run_until_stable(60.0));
 
+  // The second VM never ends. Its book entry stops refreshing as the others
+  // do, but the GL's inventory still lists it, so it must survive the prune.
   std::vector<VmDescriptor> vms;
-  for (int i = 0; i < 3; ++i) {
-    vms.push_back(system.make_vm({0.15, 0.1, 0.1}, 8.0, constant_trace(0.5)));
+  for (int i = 0; i < 4; ++i) {
+    const double lifetime = i == 1 ? 0.0 : 8.0;
+    vms.push_back(system.make_vm({0.15, 0.1, 0.1}, lifetime, constant_trace(0.5)));
   }
   system.client().submit_all(vms, 0.2);
   system.engine().run_until(system.engine().now() + 5.0);
   ASSERT_NE(system.leader(), nullptr);
-  EXPECT_GT(system.leader()->submission_book_size(), 0u);
+  EXPECT_GT(system.leader()->submission_book_size(), 1u);
 
   // Lifetimes (8 s) expire, then the retention window (20 s) passes.
   system.engine().run_until(system.engine().now() + 60.0);
   ASSERT_NE(system.leader(), nullptr);
-  EXPECT_EQ(system.leader()->submission_book_size(), 0u);
+  EXPECT_EQ(system.leader()->submission_book_size(), 1u);
+  EXPECT_EQ(system.leader()->vm_inventory().count(vms[1].id), 1u);
 }
 
 }  // namespace

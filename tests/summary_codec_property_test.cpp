@@ -32,6 +32,7 @@ using core::SummaryEncoder;
 using core::SummaryUpdate;
 using core::VmId;
 using core::VmLocationMap;
+using core::VmLocations;
 
 // --- operation vocabulary ---------------------------------------------------
 
@@ -112,6 +113,10 @@ std::vector<Op> generate_ops(std::uint64_t seed, std::size_t count) {
 
 // --- interpreter -------------------------------------------------------------
 
+/// The encoder's input for the full-summary reference `m`: one (VM, LC) pair
+/// per VM.
+VmLocations locations_of(const VmLocationMap& m) { return {m.begin(), m.end()}; }
+
 std::string dump_map(const VmLocationMap& m) {
   std::ostringstream out;
   out << "{";
@@ -154,7 +159,7 @@ std::optional<std::string> run_codec_ops(const std::vector<Op>& ops) {
   auto round = [&](bool deliver, bool ack_arrives,
                    bool duplicate) -> std::optional<std::string> {
     const VmLocationMap at_encode = truth;
-    const SummaryUpdate update = enc.encode(truth);
+    const SummaryUpdate update = enc.encode(locations_of(truth));
     history.push_back({update, at_encode});
     if (!deliver) {
       enc.on_nack(update.seq);  // transport timeout
@@ -267,7 +272,7 @@ std::optional<std::string> run_codec_ops(const std::vector<Op>& ops) {
   if (auto f = round(true, true, false)) return f;
   if (auto f = round(true, true, false)) return f;
   if (dec.state() != truth) return fail("decoder != truth after clean rounds");
-  const SummaryUpdate steady = enc.encode(truth);
+  const SummaryUpdate steady = enc.encode(locations_of(truth));
   if (steady.snapshot) return *fail("steady-state update is still a snapshot");
   if (!steady.placed.empty() || !steady.removed.empty()) {
     return fail("steady-state delta is not empty");
@@ -331,7 +336,7 @@ TEST(SummaryCodec, FirstUpdateIsASnapshot) {
   SummaryEncoder enc;
   enc.reset(7);
   VmLocationMap m{{1, 10}, {2, 11}};
-  const SummaryUpdate u = enc.encode(m);
+  const SummaryUpdate u = enc.encode(locations_of(m));
   EXPECT_TRUE(u.snapshot);
   EXPECT_EQ(u.stream, 7u);
   EXPECT_EQ(u.seq, 1u);
@@ -339,18 +344,29 @@ TEST(SummaryCodec, FirstUpdateIsASnapshot) {
   EXPECT_TRUE(u.removed.empty());
 }
 
+TEST(SummaryCodec, NormalizedLocationsKeepTheHigherLc) {
+  // Listed in LC-address order, as a GM scans its LCs; VM 2 is mid-migration
+  // and both LC 10 and LC 12 report it.
+  SummaryEncoder enc;
+  enc.reset(1);
+  const VmLocations listed{{2, 10}, {5, 10}, {1, 11}, {2, 12}, {3, 12}};
+  const SummaryUpdate u = enc.encode(listed);
+  ASSERT_TRUE(u.snapshot);
+  EXPECT_EQ(u.placed, (VmLocations{{1, 11}, {2, 12}, {3, 12}, {5, 10}}));
+}
+
 TEST(SummaryCodec, DeltaCarriesOnlyChurn) {
   SummaryEncoder enc;
   SummaryDecoder dec;
   enc.reset(1);
   VmLocationMap m{{1, 10}, {2, 11}, {3, 12}};
-  const SummaryUpdate snap = enc.encode(m);
+  const SummaryUpdate snap = enc.encode(locations_of(m));
   ASSERT_TRUE(dec.apply(snap));
   enc.on_ack(snap.seq);
   m.erase(2);       // leave
   m[3] = 13;        // move
   m[4] = 14;        // join
-  const SummaryUpdate delta = enc.encode(m);
+  const SummaryUpdate delta = enc.encode(locations_of(m));
   EXPECT_FALSE(delta.snapshot);
   EXPECT_EQ(delta.placed.size(), 2u);   // the move + the join
   EXPECT_EQ(delta.removed.size(), 1u);  // the leave
@@ -362,10 +378,10 @@ TEST(SummaryCodec, LostAckForcesSnapshot) {
   SummaryEncoder enc;
   enc.reset(1);
   VmLocationMap m{{1, 10}};
-  const SummaryUpdate first = enc.encode(m);
+  const SummaryUpdate first = enc.encode(locations_of(m));
   enc.on_nack(first.seq);  // timeout: the GL's base is unknown
   m[2] = 11;
-  const SummaryUpdate second = enc.encode(m);
+  const SummaryUpdate second = enc.encode(locations_of(m));
   EXPECT_TRUE(second.snapshot) << "an un-acked base must never seed a delta";
 }
 
@@ -374,10 +390,10 @@ TEST(SummaryCodec, UnsyncedDecoderRejectsDeltas) {
   SummaryDecoder dec;
   enc.reset(1);
   VmLocationMap m{{1, 10}};
-  const SummaryUpdate snap = enc.encode(m);
+  const SummaryUpdate snap = enc.encode(locations_of(m));
   enc.on_ack(snap.seq);  // the ack arrived, but the decoder never saw snap
   m[2] = 11;
-  const SummaryUpdate delta = enc.encode(m);
+  const SummaryUpdate delta = enc.encode(locations_of(m));
   EXPECT_FALSE(delta.snapshot);
   EXPECT_FALSE(dec.apply(delta)) << "delta without an anchoring snapshot";
 }
@@ -387,13 +403,13 @@ TEST(SummaryCodec, SequenceGapRejected) {
   SummaryDecoder dec;
   enc.reset(1);
   VmLocationMap m{{1, 10}};
-  ASSERT_TRUE(dec.apply(enc.encode(m)));
+  ASSERT_TRUE(dec.apply(enc.encode(locations_of(m))));
   enc.on_ack(enc.last_seq());
   m[2] = 11;
-  const SummaryUpdate lost = enc.encode(m);  // never delivered
+  const SummaryUpdate lost = enc.encode(locations_of(m));  // never delivered
   enc.on_ack(lost.seq);  // and yet acked?! simulate a corrupt peer
   m[3] = 12;
-  const SummaryUpdate next = enc.encode(m);
+  const SummaryUpdate next = enc.encode(locations_of(m));
   EXPECT_FALSE(next.snapshot);
   EXPECT_FALSE(dec.apply(next)) << "seq gap must be rejected, not applied";
   EXPECT_EQ(dec.state(), (VmLocationMap{{1, 10}}));
@@ -404,11 +420,11 @@ TEST(SummaryCodec, StaleSnapshotReplayCannotRegress) {
   SummaryDecoder dec;
   enc.reset(1);
   VmLocationMap m{{1, 10}};
-  const SummaryUpdate old_snap = enc.encode(m);
+  const SummaryUpdate old_snap = enc.encode(locations_of(m));
   ASSERT_TRUE(dec.apply(old_snap));
   enc.on_ack(old_snap.seq);
   m[2] = 11;
-  const SummaryUpdate delta = enc.encode(m);
+  const SummaryUpdate delta = enc.encode(locations_of(m));
   ASSERT_TRUE(dec.apply(delta));
   enc.on_ack(delta.seq);
   // The network redelivers the original snapshot out of order.
@@ -424,8 +440,8 @@ TEST(SummaryCodec, OldIncarnationSnapshotRejected) {
   new_enc.reset(2);  // the GM restarted
   VmLocationMap old_m{{1, 10}};
   VmLocationMap new_m{{2, 20}};
-  const SummaryUpdate ghost = old_enc.encode(old_m);  // stuck in the network
-  ASSERT_TRUE(dec.apply(new_enc.encode(new_m)));
+  const SummaryUpdate ghost = old_enc.encode(locations_of(old_m));  // stuck in the network
+  ASSERT_TRUE(dec.apply(new_enc.encode(locations_of(new_m))));
   EXPECT_FALSE(dec.apply(ghost)) << "a previous life's snapshot is stale";
   EXPECT_EQ(dec.state(), new_m);
 }

@@ -16,7 +16,9 @@ of the window's samples:
   inclusive  the function is anywhere on the stack (counted once a sample)
 
 Symbols come from `nm` on the main program and each mapped library; only
-functions with a symbol appear (inlined code counts for its caller).
+functions with a symbol appear (inlined code counts for its caller). Exits
+non-zero when no sample falls in the window: the dump is then not of a
+window run, or the symbols no longer name the window's root.
 """
 import bisect
 import collections
@@ -181,7 +183,7 @@ def main():
 
     print("%s: %s, %d in the window (under %s)" % (dump, header, window, ROOT))
     if window == 0:
-        return
+        sys.exit("window_split.py: no sample under %s" % ROOT)
     for title, counter in (("self", self_count), ("self(bin)", self_bin),
                            ("inclusive", inclusive)):
         print("\n%-10s %7s  function" % (title, "share"))
