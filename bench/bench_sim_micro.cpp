@@ -34,7 +34,7 @@ struct NullEndpoint final : net::Endpoint {
 };
 
 void BM_NetworkUnicast(benchmark::State& state) {
-  struct Ping final : net::Message {
+  struct Ping final : net::MessageOf<Ping> {
     [[nodiscard]] std::string_view type() const override { return "ping"; }
   };
   for (auto _ : state) {

@@ -1,6 +1,7 @@
 #include "chaos/invariants.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <sstream>
 
 #include "hypervisor/vm.hpp"
@@ -15,8 +16,11 @@ InvariantChecker::InvariantChecker(core::SnoozeSystem& system, Options options)
 
 void InvariantChecker::start() {
   // Seed the monotonicity baselines so the first sample has no false delta.
+  // The LC list is fixed when the system is built, so a position names one
+  // LC for the whole run.
+  last_energy_.clear();
   for (const auto& lc : system_.local_controllers()) {
-    last_energy_[lc->name()] = lc->energy_joules(now());
+    last_energy_.push_back(lc->energy_joules(now()));
   }
   last_total_energy_ = system_.total_energy();
   last_traffic_ = system_.network().stats();
@@ -163,17 +167,17 @@ void InvariantChecker::check_duplicates() {
 void InvariantChecker::check_energy() {
   constexpr double kSlack = 1e-9;
   double total = 0.0;
-  for (const auto& lc : system_.local_controllers()) {
-    const double joules = lc->energy_joules(now());
+  const auto& lcs = system_.local_controllers();
+  assert(lcs.size() == last_energy_.size());
+  for (std::size_t i = 0; i < lcs.size(); ++i) {
+    const double joules = lcs[i]->energy_joules(now());
     total += joules;
-    auto [it, inserted] = last_energy_.try_emplace(lc->name(), joules);
-    if (!inserted) {
-      if (joules + kSlack < it->second) {
-        violation("energy meter of " + lc->name() + " went backwards (" +
-                  std::to_string(it->second) + " -> " + std::to_string(joules) + " J)");
-      }
-      it->second = joules;
+    double& last = last_energy_[i];
+    if (joules + kSlack < last) {
+      violation("energy meter of " + lcs[i]->name() + " went backwards (" +
+                std::to_string(last) + " -> " + std::to_string(joules) + " J)");
     }
+    last = joules;
   }
   if (total + kSlack < last_total_energy_) {
     violation("total energy went backwards");

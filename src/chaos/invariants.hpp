@@ -91,7 +91,7 @@ class InvariantChecker final : public sim::Actor {
   std::uint64_t last_stale_accepts_ = 0;
   std::map<core::VmId, sim::Time> duplicate_since_;
   std::vector<core::VmId> active_ids_;  ///< check_duplicates' reused buffer
-  std::map<std::string, double> last_energy_;
+  std::vector<double> last_energy_;  ///< per LC, in local_controllers() order
   double last_total_energy_ = 0.0;
   net::TrafficStats last_traffic_;
 

@@ -27,7 +27,7 @@ enum class Op {
   kGetData,
 };
 
-struct Request final : net::Message {
+struct Request final : net::MessageOf<Request> {
   Op op = Op::kPing;
   SessionId session = kNullSession;
   std::string path;
@@ -43,7 +43,7 @@ struct Request final : net::Message {
   }
 };
 
-struct Response final : net::Message {
+struct Response final : net::MessageOf<Response> {
   bool ok = false;
   SessionId session = kNullSession;
   std::string path;  ///< actual path for kCreate (sequence suffix applied)
@@ -60,7 +60,7 @@ struct Response final : net::Message {
 };
 
 /// One-way notification for a fired watch (one-shot, like ZooKeeper).
-struct WatchEvent final : net::Message {
+struct WatchEvent final : net::MessageOf<WatchEvent> {
   enum class Kind { kCreated, kDeleted, kChildrenChanged };
   std::string path;
   Kind kind = Kind::kDeleted;

@@ -28,7 +28,7 @@ std::string Service::parent_of(const std::string& path) {
 net::MsgPtr Service::handle(const net::Envelope& env) {
   const auto* req = net::msg_cast<Request>(env.payload);
   if (req == nullptr) return nullptr;
-  bump("coord.requests");
+  telemetry::count(tel(), requests_);
   auto resp = std::make_shared<Response>();
   switch (req->op) {
     case Op::kOpenSession: {

@@ -60,6 +60,8 @@ class Service final : public sim::Actor {
   void bump(std::string_view counter) { telemetry::count(tel(), counter); }
 
   net::RpcEndpoint endpoint_;
+  /// Bumped per request, so looked up once.
+  telemetry::CounterRef<"coord.requests"> requests_;
   std::map<std::string, Znode> nodes_;
   std::map<SessionId, Session> sessions_;
   SessionId next_session_ = 1;

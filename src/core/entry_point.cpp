@@ -13,7 +13,7 @@ EntryPoint::EntryPoint(sim::Engine& engine, net::Network& network,
       trace_(trace) {
   endpoint_.set_message_handler([this](const net::Envelope& env) {
     if (const auto* hb = net::msg_cast<GlHeartbeat>(env.payload)) {
-      telemetry::count(endpoint_.network().telemetry(), "ep.gl_heartbeats");
+      telemetry::count(endpoint_.network().telemetry(), gl_heartbeats_);
       if (hb->epoch >= epoch_) {
         epoch_ = hb->epoch;
         gl_ = hb->gl;

@@ -10,6 +10,7 @@
 #include "core/messages.hpp"
 #include "net/rpc.hpp"
 #include "sim/trace.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace snooze::core {
 
@@ -28,6 +29,8 @@ class EntryPoint final : public sim::Actor {
 
  private:
   net::RpcEndpoint endpoint_;
+  /// Bumped per GL heartbeat, so looked up once.
+  telemetry::CounterRef<"ep.gl_heartbeats"> gl_heartbeats_;
   net::GroupId gl_group_;
   sim::Trace* trace_;
   net::Address gl_ = net::kNullAddress;

@@ -100,7 +100,7 @@ void GroupManager::step_down(const char* reason) {
 
 void GroupManager::gl_tick_heartbeat() {
   if (!term_) return;
-  bump("gl.heartbeats");
+  telemetry::count(tel(), hot_.gl_heartbeats);
   auto hb = std::make_shared<GlHeartbeat>();
   hb->gl = endpoint_.address();
   hb->epoch = my_epoch_;

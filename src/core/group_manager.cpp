@@ -192,7 +192,7 @@ void GroupManager::handle_request(const net::Envelope& env, net::Responder respo
 // ---------------------------------------------------------------------------
 
 void GroupManager::gm_tick_heartbeat() {
-  bump("gm.heartbeats");
+  telemetry::count(tel(), hot_.gm_heartbeats);
   auto hb = net::make_message<GmHeartbeat>();
   hb->gm = endpoint_.address();
   endpoint_.multicast(gm_group_, hb);
@@ -242,16 +242,16 @@ void GroupManager::gm_emit_summary() {
   msg->update = summary_encoder_.encode(std::move(locations));
   const SummaryUpdate& update = msg->update;
   if (update.snapshot) {
-    bump("gm.summary_snapshots");
+    telemetry::count(tel(), hot_.summary_snapshots);
     // Snapshots are the rare re-anchor points of the stream (first contact,
     // lost ack, GL change); tracing them lets golden traces pin the
     // delta -> snapshot -> delta sequence around a reconnect.
     trace_event("gm.summary_snapshot", "stream=" + std::to_string(update.stream) +
                                            " seq=" + std::to_string(update.seq));
   } else {
-    bump("gm.summary_deltas");
+    telemetry::count(tel(), hot_.summary_deltas);
   }
-  bump("gm.summary_bytes", msg->wire_size());
+  telemetry::count(tel(), hot_.summary_bytes, msg->wire_size());
   const std::uint64_t seq = update.seq;
   endpoint_.call(current_gl_, msg, config_.rpc_timeout,
                  [this, seq](bool ok, const net::MsgPtr& reply) {
@@ -484,7 +484,7 @@ void GroupManager::gm_probe_peers() {
     }
   }
   for (const net::Address target : targets) {
-    bump("gray.probes");
+    telemetry::count(tel(), hot_.probes);
     const sim::Time sent = now();
     endpoint_.call_with_hedging(
         target, std::make_shared<ProbeRequest>(), config_.gray.probe_timeout,

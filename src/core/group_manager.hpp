@@ -319,8 +319,19 @@ class GroupManager final : public sim::Actor {
   void bump(std::string_view counter, std::uint64_t delta = 1) {
     telemetry::count(tel(), counter, delta);
   }
+  /// Handles of the counters bumped every period or probe round; the rest
+  /// go by name.
+  struct HotCounters {
+    telemetry::CounterRef<"gm.heartbeats"> gm_heartbeats;
+    telemetry::CounterRef<"gl.heartbeats"> gl_heartbeats;
+    telemetry::CounterRef<"gm.summary_snapshots"> summary_snapshots;
+    telemetry::CounterRef<"gm.summary_deltas"> summary_deltas;
+    telemetry::CounterRef<"gm.summary_bytes"> summary_bytes;
+    telemetry::CounterRef<"gray.probes"> probes;
+  };
 
   net::RpcEndpoint endpoint_;
+  HotCounters hot_;
   coord::LeaderElection election_;
   SnoozeConfig config_;
   net::GroupId gl_group_;

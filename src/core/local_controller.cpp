@@ -188,7 +188,7 @@ void LocalController::check_gm_liveness() {
 
 void LocalController::send_heartbeat() {
   if (state_ != State::kAssigned || !serving()) return;
-  bump("lc.heartbeats");
+  telemetry::count(tel(), heartbeats_);
   auto hb = net::make_message<LcHeartbeat>();
   hb->lc = endpoint_.address();
   endpoint_.send(gm_, hb);
@@ -197,7 +197,7 @@ void LocalController::send_heartbeat() {
 void LocalController::send_monitor_data() {
   host_.touch(now());  // keep the energy meter tracking the current draw
   if (state_ != State::kAssigned || !serving()) return;
-  bump("lc.monitor_reports");
+  telemetry::count(tel(), monitor_reports_);
   auto data = net::make_message<LcMonitorData>();
   data->lc = endpoint_.address();
   data->capacity = host_.capacity();

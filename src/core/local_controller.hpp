@@ -159,6 +159,9 @@ class LocalController final : public sim::Actor {
   void bump(std::string_view counter) { telemetry::count(tel(), counter); }
 
   net::RpcEndpoint endpoint_;
+  /// Handles of the counters bumped every period; the rest go by name.
+  telemetry::CounterRef<"lc.heartbeats"> heartbeats_;
+  telemetry::CounterRef<"lc.monitor_reports"> monitor_reports_;
   hypervisor::Host host_;
   SnoozeConfig config_;
   net::GroupId gl_group_;

@@ -26,14 +26,14 @@ using net::Address;
 /// GL -> multicast group (EPs, GMs, discovering LCs). Carries the leader's
 /// election epoch in the inherited `epoch` field; higher wins, lower is a
 /// deposed leader whose heartbeats are ignored.
-struct GlHeartbeat final : net::Message {
+struct GlHeartbeat final : net::MessageOf<GlHeartbeat> {
   Address gl = net::kNullAddress;
   [[nodiscard]] std::string_view type() const override { return "gl.heartbeat"; }
   [[nodiscard]] std::size_t wire_size() const override { return 24; }
 };
 
 /// GM -> its LC multicast group.
-struct GmHeartbeat final : net::Message {
+struct GmHeartbeat final : net::MessageOf<GmHeartbeat> {
   Address gm = net::kNullAddress;
   [[nodiscard]] std::string_view type() const override { return "gm.heartbeat"; }
   [[nodiscard]] std::size_t wire_size() const override { return 16; }
@@ -48,7 +48,7 @@ struct GmHeartbeat final : net::Message {
 /// ack; a freshly elected GL rebuilds its submission book from these during
 /// the reconciliation window. See core/summary_codec.hpp for the exact
 /// safety argument.
-struct GmSummaryDelta final : net::Message {
+struct GmSummaryDelta final : net::MessageOf<GmSummaryDelta> {
   Address gm = net::kNullAddress;
   ResourceVector used;      ///< estimated VM demand over the GM's LCs
   ResourceVector capacity;  ///< total capacity of powered-on LCs
@@ -66,7 +66,7 @@ struct GmSummaryDelta final : net::Message {
   }
 };
 
-struct GmSummaryAck final : net::Message {
+struct GmSummaryAck final : net::MessageOf<GmSummaryAck> {
   bool ok = false;  ///< false: update rejected, sender must snapshot
   std::uint64_t seq = 0;
   [[nodiscard]] std::string_view type() const override { return "gm.summary_d.r"; }
@@ -74,14 +74,14 @@ struct GmSummaryAck final : net::Message {
 };
 
 /// LC -> GM liveness heartbeat.
-struct LcHeartbeat final : net::Message {
+struct LcHeartbeat final : net::MessageOf<LcHeartbeat> {
   Address lc = net::kNullAddress;
   [[nodiscard]] std::string_view type() const override { return "lc.heartbeat"; }
   [[nodiscard]] std::size_t wire_size() const override { return 16; }
 };
 
 /// LC -> GM: periodic per-VM monitoring data (paper §II.B).
-struct LcMonitorData final : net::Message {
+struct LcMonitorData final : net::MessageOf<LcMonitorData> {
   Address lc = net::kNullAddress;
   ResourceVector capacity;
   ResourceVector reserved;  ///< sum of requested capacity of hosted VMs
@@ -129,14 +129,14 @@ struct LcMonitorData final : net::Message {
 // --------------------------------------------------------------------------
 
 /// LC -> GL: request a GM assignment (RPC).
-struct AssignLcRequest final : net::Message {
+struct AssignLcRequest final : net::MessageOf<AssignLcRequest> {
   Address lc = net::kNullAddress;
   ResourceVector capacity;
   [[nodiscard]] std::string_view type() const override { return "gl.assign_lc"; }
   [[nodiscard]] std::size_t wire_size() const override { return 48; }
 };
 
-struct AssignLcResponse final : net::Message {
+struct AssignLcResponse final : net::MessageOf<AssignLcResponse> {
   bool ok = false;
   Address gm = net::kNullAddress;
   [[nodiscard]] std::string_view type() const override { return "gl.assign_lc.r"; }
@@ -144,7 +144,7 @@ struct AssignLcResponse final : net::Message {
 };
 
 /// LC -> GM: join the GM's group (RPC).
-struct LcJoinRequest final : net::Message {
+struct LcJoinRequest final : net::MessageOf<LcJoinRequest> {
   Address lc = net::kNullAddress;
   ResourceVector capacity;
   /// Lease epoch the LC mints for this GM relationship (monotone per LC).
@@ -155,7 +155,7 @@ struct LcJoinRequest final : net::Message {
   [[nodiscard]] std::size_t wire_size() const override { return 56; }
 };
 
-struct LcJoinResponse final : net::Message {
+struct LcJoinResponse final : net::MessageOf<LcJoinResponse> {
   bool ok = false;
   net::GroupId heartbeat_group = 0;  ///< GM's heartbeat multicast group
   [[nodiscard]] std::string_view type() const override { return "gm.join_lc.r"; }
@@ -163,7 +163,7 @@ struct LcJoinResponse final : net::Message {
 };
 
 /// Promoted GM -> its former LCs: rejoin the hierarchy immediately.
-struct GmResign final : net::Message {
+struct GmResign final : net::MessageOf<GmResign> {
   Address gm = net::kNullAddress;
   [[nodiscard]] std::string_view type() const override { return "gm.resign"; }
   [[nodiscard]] std::size_t wire_size() const override { return 16; }
@@ -173,7 +173,7 @@ struct GmResign final : net::Message {
 /// receiver's high-water mark. Sent in place of the normal response; the
 /// deposed sender must step down and re-join its election (GL) or drop the
 /// fenced-off LC (GM).
-struct StaleEpochError final : net::Message {
+struct StaleEpochError final : net::MessageOf<StaleEpochError> {
   /// The receiver's current high-water epoch for the violated domain.
   std::uint64_t observed = 0;
   [[nodiscard]] std::string_view type() const override { return "fence.stale"; }
@@ -185,12 +185,12 @@ struct StaleEpochError final : net::Message {
 // --------------------------------------------------------------------------
 
 /// Client -> EP: who is the current GL? (RPC)
-struct GlQueryRequest final : net::Message {
+struct GlQueryRequest final : net::MessageOf<GlQueryRequest> {
   [[nodiscard]] std::string_view type() const override { return "ep.gl_query"; }
   [[nodiscard]] std::size_t wire_size() const override { return 8; }
 };
 
-struct GlQueryResponse final : net::Message {
+struct GlQueryResponse final : net::MessageOf<GlQueryResponse> {
   bool ok = false;
   Address gl = net::kNullAddress;
   [[nodiscard]] std::string_view type() const override { return "ep.gl_query.r"; }
@@ -198,7 +198,7 @@ struct GlQueryResponse final : net::Message {
 };
 
 /// Client -> GL: submit one VM (RPC).
-struct SubmitVmRequest final : net::Message {
+struct SubmitVmRequest final : net::MessageOf<SubmitVmRequest> {
   VmDescriptor vm;
   [[nodiscard]] std::string_view type() const override { return "gl.submit_vm"; }
   [[nodiscard]] std::size_t wire_size() const override {
@@ -206,7 +206,7 @@ struct SubmitVmRequest final : net::Message {
   }
 };
 
-struct SubmitVmResponse final : net::Message {
+struct SubmitVmResponse final : net::MessageOf<SubmitVmResponse> {
   bool ok = false;
   Address lc = net::kNullAddress;  ///< where the VM ended up
   Address gm = net::kNullAddress;
@@ -215,7 +215,7 @@ struct SubmitVmResponse final : net::Message {
 };
 
 /// GL -> GM: try to place this VM on one of your LCs (RPC).
-struct PlacementRequest final : net::Message {
+struct PlacementRequest final : net::MessageOf<PlacementRequest> {
   VmDescriptor vm;
   [[nodiscard]] std::string_view type() const override { return "gm.place_vm"; }
   [[nodiscard]] std::size_t wire_size() const override {
@@ -223,7 +223,7 @@ struct PlacementRequest final : net::Message {
   }
 };
 
-struct PlacementResponse final : net::Message {
+struct PlacementResponse final : net::MessageOf<PlacementResponse> {
   bool ok = false;
   Address lc = net::kNullAddress;
   [[nodiscard]] std::string_view type() const override { return "gm.place_vm.r"; }
@@ -231,7 +231,7 @@ struct PlacementResponse final : net::Message {
 };
 
 /// GM -> LC: start this VM (RPC; reply after the boot delay).
-struct StartVmRequest final : net::Message {
+struct StartVmRequest final : net::MessageOf<StartVmRequest> {
   VmDescriptor vm;
   [[nodiscard]] std::string_view type() const override { return "lc.start_vm"; }
   [[nodiscard]] std::size_t wire_size() const override {
@@ -239,7 +239,7 @@ struct StartVmRequest final : net::Message {
   }
 };
 
-struct StartVmResponse final : net::Message {
+struct StartVmResponse final : net::MessageOf<StartVmResponse> {
   bool ok = false;
   [[nodiscard]] std::string_view type() const override { return "lc.start_vm.r"; }
   [[nodiscard]] std::size_t wire_size() const override { return 12; }
@@ -249,7 +249,7 @@ struct StartVmResponse final : net::Message {
 /// StartVm call timed out — the LC may or may not have started the VM, and a
 /// possibly-started orphan must not keep running once the GM reports the
 /// placement as failed (the GL will start the VM elsewhere).
-struct StopVmRequest final : net::Message {
+struct StopVmRequest final : net::MessageOf<StopVmRequest> {
   VmId vm = hypervisor::kNullVm;
   [[nodiscard]] std::string_view type() const override { return "lc.stop_vm"; }
   [[nodiscard]] std::size_t wire_size() const override { return 24; }  // + lease epoch
@@ -260,7 +260,7 @@ struct StopVmRequest final : net::Message {
 /// from delta summaries) proves two GMs host the same VM and the incumbent
 /// re-asserted it — the challenger's copy is the orphan of a partition-torn
 /// StartVm and must go.
-struct RevokeVmRequest final : net::Message {
+struct RevokeVmRequest final : net::MessageOf<RevokeVmRequest> {
   VmId vm = hypervisor::kNullVm;
   Address lc = net::kNullAddress;
   [[nodiscard]] std::string_view type() const override { return "gm.revoke_vm"; }
@@ -268,7 +268,7 @@ struct RevokeVmRequest final : net::Message {
 };
 
 /// LC -> GM: a VM reached the end of its lifetime and was stopped.
-struct VmTerminated final : net::Message {
+struct VmTerminated final : net::MessageOf<VmTerminated> {
   Address lc = net::kNullAddress;
   VmId vm = hypervisor::kNullVm;
   [[nodiscard]] std::string_view type() const override { return "gm.vm_done"; }
@@ -281,7 +281,7 @@ struct VmTerminated final : net::Message {
 
 /// LC -> GM: local anomaly detection (paper §II.A: LCs "detect local
 /// overload/underload anomaly situations and report them").
-struct AnomalyEvent final : net::Message {
+struct AnomalyEvent final : net::MessageOf<AnomalyEvent> {
   enum class Kind { kOverload, kUnderload, kInterference };
   Address lc = net::kNullAddress;
   Kind kind = Kind::kOverload;
@@ -295,14 +295,14 @@ struct AnomalyEvent final : net::Message {
 
 /// GM -> source LC: live-migrate a VM to `destination` (RPC: acknowledged
 /// when the migration *starts*; completion arrives as MigrationDone).
-struct MigrateVmRequest final : net::Message {
+struct MigrateVmRequest final : net::MessageOf<MigrateVmRequest> {
   VmId vm = hypervisor::kNullVm;
   Address destination = net::kNullAddress;
   [[nodiscard]] std::string_view type() const override { return "lc.migrate_vm"; }
   [[nodiscard]] std::size_t wire_size() const override { return 24; }
 };
 
-struct MigrateVmResponse final : net::Message {
+struct MigrateVmResponse final : net::MessageOf<MigrateVmResponse> {
   bool ok = false;
   [[nodiscard]] std::string_view type() const override { return "lc.migrate_vm.r"; }
   [[nodiscard]] std::size_t wire_size() const override { return 12; }
@@ -310,7 +310,7 @@ struct MigrateVmResponse final : net::Message {
 
 /// Source LC -> destination LC: hand over the VM at the end of pre-copy
 /// (RPC; carries the descriptor so the destination can reconstruct state).
-struct AdoptVmRequest final : net::Message {
+struct AdoptVmRequest final : net::MessageOf<AdoptVmRequest> {
   VmDescriptor vm;
   double downtime_s = 0.0;
   double remaining_lifetime_s = 0.0;  ///< 0 = unbounded
@@ -320,14 +320,14 @@ struct AdoptVmRequest final : net::Message {
   }
 };
 
-struct AdoptVmResponse final : net::Message {
+struct AdoptVmResponse final : net::MessageOf<AdoptVmResponse> {
   bool ok = false;
   [[nodiscard]] std::string_view type() const override { return "lc.adopt_vm.r"; }
   [[nodiscard]] std::size_t wire_size() const override { return 12; }
 };
 
 /// Source LC -> GM: migration finished (or failed).
-struct MigrationDone final : net::Message {
+struct MigrationDone final : net::MessageOf<MigrationDone> {
   VmId vm = hypervisor::kNullVm;
   Address from = net::kNullAddress;
   Address to = net::kNullAddress;
@@ -348,12 +348,12 @@ struct MigrationDone final : net::Message {
 /// GM -> LC and GL -> GM: latency probe (RPC, idempotent — the canonical
 /// call_with_hedging site). The round-trip time, scored peer-relative,
 /// is the primary fail-slow signal.
-struct ProbeRequest final : net::Message {
+struct ProbeRequest final : net::MessageOf<ProbeRequest> {
   [[nodiscard]] std::string_view type() const override { return "gray.probe"; }
   [[nodiscard]] std::size_t wire_size() const override { return 8; }
 };
 
-struct ProbeResponse final : net::Message {
+struct ProbeResponse final : net::MessageOf<ProbeResponse> {
   [[nodiscard]] std::string_view type() const override { return "gray.probe.r"; }
   [[nodiscard]] std::size_t wire_size() const override { return 8; }
 };
@@ -364,24 +364,24 @@ struct ProbeResponse final : net::Message {
 
 /// GM -> LC: transition to the low-power state (RPC ack, then the LC goes
 /// silent until woken).
-struct SuspendRequest final : net::Message {
+struct SuspendRequest final : net::MessageOf<SuspendRequest> {
   [[nodiscard]] std::string_view type() const override { return "lc.suspend"; }
   [[nodiscard]] std::size_t wire_size() const override { return 8; }
 };
 
-struct SuspendResponse final : net::Message {
+struct SuspendResponse final : net::MessageOf<SuspendResponse> {
   bool ok = false;
   [[nodiscard]] std::string_view type() const override { return "lc.suspend.r"; }
   [[nodiscard]] std::size_t wire_size() const override { return 12; }
 };
 
 /// GM -> LC: wake up (models Wake-on-LAN; processed even while suspended).
-struct WakeupRequest final : net::Message {
+struct WakeupRequest final : net::MessageOf<WakeupRequest> {
   [[nodiscard]] std::string_view type() const override { return "lc.wakeup"; }
   [[nodiscard]] std::size_t wire_size() const override { return 8; }
 };
 
-struct WakeupResponse final : net::Message {
+struct WakeupResponse final : net::MessageOf<WakeupResponse> {
   bool ok = false;
   [[nodiscard]] std::string_view type() const override { return "lc.wakeup.r"; }
   [[nodiscard]] std::size_t wire_size() const override { return 12; }

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-
+#include <limits>
 
 namespace snooze::net {
 
@@ -38,16 +38,14 @@ void Responder::respond(MsgPtr reply) const {
 
 RpcEndpoint::RpcEndpoint(sim::Engine& engine, Network& network, Address address,
                          std::string name)
-    : engine_(engine),
-      network_(network),
-      address_(address),
-      name_(std::move(name)),
-      alive_(std::make_shared<bool>(true)) {
+    : engine_(engine), network_(network), address_(address), name_(std::move(name)) {
   network_.attach(address_, this);
 }
 
 RpcEndpoint::~RpcEndpoint() {
-  *alive_ = false;
+  // The timers capture `this`: none may fire once the endpoint is gone.
+  pending_.for_each([this](PendingCall& attempt) { engine_.cancel(attempt.timeout_event); });
+  groups_.for_each([this](CallGroup& group) { engine_.cancel(group.pending_event); });
   network_.detach(address_);
 }
 
@@ -72,8 +70,8 @@ void RpcEndpoint::call(Address to, MsgPtr request, sim::Time timeout, ReplyCallb
 
 RpcEndpoint::CallGroup& RpcEndpoint::open_group(Address to, MsgPtr request,
                                                 sim::Time timeout, ReplyCallback cb) {
-  const std::uint64_t id = next_group_id_++;
-  CallGroup& group = groups_[id];
+  const std::uint64_t id = groups_.acquire();
+  CallGroup& group = *groups_.find(id);
   group.id = id;
   group.cb = std::move(cb);
   group.request = std::move(request);
@@ -83,24 +81,31 @@ RpcEndpoint::CallGroup& RpcEndpoint::open_group(Address to, MsgPtr request,
 }
 
 void RpcEndpoint::send_attempt(CallGroup& group) {
-  const std::uint64_t id = next_rpc_id_++;
-  group.attempts.push_back(id);
+  const std::uint64_t id = pending_.acquire();
+  if (group.first_attempt == 0) {
+    group.first_attempt = id;
+  } else {
+    pending_.find(group.last_attempt)->next_attempt = id;
+  }
+  group.last_attempt = id;
+  ++group.attempts;
   const Message& request = *group.request;
 
   // One rpc span per attempt, parented under the request's context — a
   // retried RPC shows up as sibling attempt spans, the timed-out ones marked
-  // status=timeout.
+  // status=timeout. Untraced requests skip building the span name.
   telemetry::Telemetry* tel = network_.telemetry();
-  telemetry::count(tel, "rpc.calls");
-  PendingCall& pending = pending_[id];
-  pending.span = telemetry::begin_span(tel, request.ctx,
-                                       "rpc:" + std::string(request.type()), name_);
+  telemetry::count(tel, metrics_.calls);
+  PendingCall& pending = *pending_.find(id);
+  if (request.ctx.valid()) {
+    pending.span = telemetry::begin_span(tel, request.ctx,
+                                         "rpc:" + std::string(request.type()), name_);
+  }
   pending.started = engine_.now();
   pending.to = group.to;
   pending.group = group.id;
-  pending.timeout_event = engine_.schedule(group.timeout, [this, token = alive_, id] {
-    if (*token) on_attempt_timeout(id);
-  });
+  pending.timeout_event =
+      engine_.schedule(group.timeout, [this, id] { on_attempt_timeout(id); });
   // The request travels under the attempt span; the fencing token rides the
   // envelope.
   Envelope env{address_, group.to, group.request,
@@ -109,82 +114,82 @@ void RpcEndpoint::send_attempt(CallGroup& group) {
 }
 
 void RpcEndpoint::on_attempt_timeout(std::uint64_t id) {
-  const auto it = pending_.find(id);
-  if (it == pending_.end()) return;
-  // Soft timeout: the attempt no longer paces the call, but its pending
-  // entry stays alive — a slow (not lost) reply can still win the group
-  // until the group itself resolves.
-  PendingCall& attempt = it->second;
-  attempt.timed_out = true;
-  attempt.timeout_event = 0;
+  PendingCall* attempt = pending_.find(id);
+  if (attempt == nullptr) return;
+  // Soft timeout: the attempt no longer paces the call, but it stays alive —
+  // a slow (not lost) reply can still win the group until the group itself
+  // resolves.
+  attempt->timed_out = true;
+  attempt->timeout_event = 0;
   telemetry::Telemetry* tel = network_.telemetry();
-  telemetry::count(tel, "rpc.timeouts");
-  telemetry::end_span(tel, attempt.span, "timeout");
-  attempt.span = {};
-  note_timeout(attempt.to);
+  telemetry::count(tel, metrics_.timeouts);
+  telemetry::end_span(tel, attempt->span, "timeout");
+  attempt->span = {};
+  note_timeout(attempt->to);
 
-  const auto git = groups_.find(attempt.group);
-  if (git == groups_.end()) return;
-  CallGroup& group = git->second;
-  if (group.hedged) {
-    finish_if_exhausted(group.id);
+  CallGroup* group = groups_.find(attempt->group);
+  if (group == nullptr) return;
+  if (group->hedged) {
+    finish_if_exhausted(group->id);
     return;
   }
-  if (static_cast<int>(group.attempts.size()) >= group.policy.max_attempts) {
-    complete_group(group.id, false, nullptr, 0);
+  if (group->attempts >= group->policy.max_attempts) {
+    complete_group(group->id, false, nullptr, 0);
     return;
   }
-  telemetry::count(tel, "rpc.retries");
-  const sim::Time delay = group.policy.next_backoff(group.backoff, engine_.rng());
-  if (group.deadline >= 0.0 && engine_.now() + delay >= group.deadline) {
+  telemetry::count(tel, metrics_.retries);
+  const sim::Time delay = group->policy.next_backoff(group->backoff, engine_.rng());
+  if (group->deadline >= 0.0 && engine_.now() + delay >= group->deadline) {
     // The overall budget is spent before the next attempt could start:
     // report the failure now rather than retrying past the deadline.
-    telemetry::count(tel, "rpc.deadline_exceeded");
-    complete_group(group.id, false, nullptr, 0);
+    telemetry::count(tel, metrics_.deadline_exceeded);
+    complete_group(group->id, false, nullptr, 0);
     return;
   }
-  group.backoff = delay;
-  group.pending_event = engine_.schedule(delay, [this, token = alive_, id = group.id] {
-    if (*token) launch_next_attempt(id);
-  });
+  group->backoff = delay;
+  group->pending_event =
+      engine_.schedule(delay, [this, id = group->id] { launch_next_attempt(id); });
 }
 
 void RpcEndpoint::launch_next_attempt(std::uint64_t group_id) {
-  const auto it = groups_.find(group_id);
-  if (it == groups_.end()) return;  // a late reply already won
-  it->second.pending_event = 0;
-  if (it->second.hedged) telemetry::count(network_.telemetry(), "rpc.hedges");
-  send_attempt(it->second);
+  CallGroup* group = groups_.find(group_id);
+  if (group == nullptr) return;  // a late reply already won
+  group->pending_event = 0;
+  if (group->hedged) telemetry::count(network_.telemetry(), metrics_.hedges);
+  send_attempt(*group);
 }
 
 void RpcEndpoint::complete_group(std::uint64_t group_id, bool ok, const MsgPtr& reply,
                                  std::uint64_t winner) {
-  const auto it = groups_.find(group_id);
-  if (it == groups_.end()) return;
-  CallGroup group = std::move(it->second);
-  groups_.erase(it);
-  engine_.cancel(group.pending_event);
+  CallGroup* group = groups_.find(group_id);
+  if (group == nullptr) return;
+  engine_.cancel(group->pending_event);
   telemetry::Telemetry* tel = network_.telemetry();
-  for (const std::uint64_t id : group.attempts) {
-    const auto p = pending_.find(id);
-    if (p == pending_.end()) continue;
-    engine_.cancel(p->second.timeout_event);
-    telemetry::end_span(tel, p->second.span, ok ? "superseded" : "failed");
-    pending_.erase(p);
+  for (std::uint64_t id = group->first_attempt; id != 0;) {
+    PendingCall& attempt = *pending_.find(id);
+    engine_.cancel(attempt.timeout_event);
+    telemetry::end_span(tel, attempt.span, ok ? "superseded" : "failed");
+    const std::uint64_t next = attempt.next_attempt;
+    pending_.release(id);
+    id = next;
   }
-  if (ok && group.hedged && winner != group.attempts.front()) {
-    telemetry::count(tel, "rpc.hedges_won");
+  if (ok && group->hedged && winner != group->first_attempt) {
+    telemetry::count(tel, metrics_.hedges_won);
   }
-  group.cb(ok, reply);
+  // Release the group before the callback runs: it may start new calls.
+  ReplyCallback cb = std::move(group->cb);
+  groups_.release(group_id);
+  cb(ok, reply);
 }
 
 void RpcEndpoint::finish_if_exhausted(std::uint64_t group_id) {
-  const auto it = groups_.find(group_id);
-  if (it == groups_.end()) return;
-  if (it->second.pending_event != 0) return;  // a retry/hedge is still scheduled
-  for (const std::uint64_t id : it->second.attempts) {
-    const auto p = pending_.find(id);
-    if (p != pending_.end() && !p->second.timed_out) return;  // still in flight
+  const CallGroup* group = groups_.find(group_id);
+  if (group == nullptr) return;
+  if (group->pending_event != 0) return;  // a retry/hedge is still scheduled
+  for (std::uint64_t id = group->first_attempt; id != 0;) {
+    const PendingCall& attempt = *pending_.find(id);
+    if (!attempt.timed_out) return;  // still in flight
+    id = attempt.next_attempt;
   }
   complete_group(group_id, false, nullptr, 0);
 }
@@ -208,9 +213,8 @@ void RpcEndpoint::call_with_hedging(Address to, MsgPtr request, sim::Time timeou
   const sim::Time delay = hedge_delay(to, policy);
   if (delay >= timeout) return;  // no room left for a useful backup attempt
   group.timeout = timeout - delay;  // the backup gives up with the primary
-  group.pending_event = engine_.schedule(delay, [this, token = alive_, id = group.id] {
-    if (*token) launch_next_attempt(id);
-  });
+  group.pending_event =
+      engine_.schedule(delay, [this, id = group.id] { launch_next_attempt(id); });
 }
 
 sim::Time RpcEndpoint::hedge_delay(Address to, const HedgePolicy& policy) const {
@@ -219,14 +223,23 @@ sim::Time RpcEndpoint::hedge_delay(Address to, const HedgePolicy& policy) const 
   const auto it = dest_stats_.find(to);
   if (it != dest_stats_.end() && it->second.count > 0) {
     // The p99 is the element a sort of the ring would put at
-    // floor(0.99 * (n - 1)); selecting it needs no full sort.
+    // floor(0.99 * (n - 1)). For n <= 100 that rank is n - 2 (0 for n = 1):
+    // the second-largest sample, which equals the largest when it repeats,
+    // or the only sample. One pass finds it.
+    static_assert(DestStats::kRing <= 100);
     const std::size_t n = std::min(it->second.count, DestStats::kRing);
-    std::array<float, DestStats::kRing> ring{};
-    std::copy_n(it->second.latency.begin(), n, ring.begin());
-    const auto rank = static_cast<std::ptrdiff_t>(0.99 * static_cast<double>(n - 1));
-    std::nth_element(ring.begin(), ring.begin() + rank,
-                     ring.begin() + static_cast<std::ptrdiff_t>(n));
-    p99 = ring[static_cast<std::size_t>(rank)];
+    const std::array<float, DestStats::kRing>& ring = it->second.latency;
+    float first = ring[0];
+    float second = -std::numeric_limits<float>::infinity();
+    for (std::size_t i = 1; i < n; ++i) {
+      if (ring[i] > first) {
+        second = first;
+        first = ring[i];
+      } else if (ring[i] > second) {
+        second = ring[i];
+      }
+    }
+    p99 = n == 1 ? first : second;
   }
   return std::clamp(p99, policy.min_delay, policy.max_delay);
 }
@@ -245,7 +258,7 @@ void RpcEndpoint::note_reply(Address to, sim::Time latency) {
     // time it spent broken.
     breaker_open_s_ += engine_.now() - d.opened_at;
     d.open = false;
-    telemetry::count(network_.telemetry(), "rpc.breaker_closed");
+    telemetry::count(network_.telemetry(), metrics_.breaker_closed);
     telemetry::gauge_set(network_.telemetry(), "rpc.breaker_open_s", breaker_open_s_);
   }
 }
@@ -255,7 +268,7 @@ void RpcEndpoint::note_timeout(Address to) {
   if (++d.consecutive_timeouts >= DestStats::kBrokenStreak && !d.open) {
     d.open = true;
     d.opened_at = engine_.now();
-    telemetry::count(network_.telemetry(), "rpc.breaker_opened");
+    telemetry::count(network_.telemetry(), metrics_.breaker_opened);
   }
 }
 
@@ -277,12 +290,12 @@ void RpcEndpoint::go_down() {
   network_.set_node_up(address_, false);
   // A crashed process loses its in-flight calls silently (spans are closed
   // so the trace shows where the caller died mid-call).
-  for (auto& [id, pending] : pending_) {
-    engine_.cancel(pending.timeout_event);
-    telemetry::end_span(network_.telemetry(), pending.span, "caller_down");
-  }
+  pending_.for_each([this](PendingCall& attempt) {
+    engine_.cancel(attempt.timeout_event);
+    telemetry::end_span(network_.telemetry(), attempt.span, "caller_down");
+  });
   pending_.clear();
-  for (auto& [id, group] : groups_) engine_.cancel(group.pending_event);
+  groups_.for_each([this](CallGroup& group) { engine_.cancel(group.pending_event); });
   groups_.clear();
   // Bank the time of streaks that die open; the restarted process starts
   // with fresh latency rings and no streaks.
@@ -312,20 +325,20 @@ void RpcEndpoint::on_message(const Envelope& env) {
     }
     return;
   }
-  const auto it = pending_.find(env.rpc_id);
-  if (it == pending_.end()) return;  // reply after the call fully resolved
-  engine_.cancel(it->second.timeout_event);
+  PendingCall* attempt = pending_.find(env.rpc_id);
+  if (attempt == nullptr) return;  // reply after the call fully resolved
+  engine_.cancel(attempt->timeout_event);
+  attempt->timeout_event = 0;
   telemetry::Telemetry* tel = network_.telemetry();
-  const sim::Time latency = engine_.now() - it->second.started;
-  telemetry::observe(tel, "rpc.latency", latency);
-  note_reply(it->second.to, latency);
+  const sim::Time latency = engine_.now() - attempt->started;
+  telemetry::observe(tel, metrics_.latency, latency);
+  note_reply(attempt->to, latency);
   // The first reply — even one arriving after its own soft timeout —
   // resolves the whole group and cancels any scheduled retry or hedge.
-  const std::uint64_t group_id = it->second.group;
-  if (it->second.timed_out) telemetry::count(tel, "rpc.late_replies_won");
-  telemetry::end_span(tel, it->second.span, "ok");
-  pending_.erase(it);
-  complete_group(group_id, true, env.payload, env.rpc_id);
+  if (attempt->timed_out) telemetry::count(tel, metrics_.late_replies_won);
+  telemetry::end_span(tel, attempt->span, "ok");
+  attempt->span = {};
+  complete_group(attempt->group, true, env.payload, env.rpc_id);
 }
 
 }  // namespace snooze::net

@@ -16,6 +16,11 @@
 // still wins — it cancels the scheduled retry instead of racing it.
 // call_with_hedging() launches one backup attempt after a p99-derived delay
 // (idempotent call sites only).
+//
+// Attempts and call groups live in two slabs whose ids pack a slot and a
+// generation; the timers an endpoint schedules capture only (this, id), so
+// std::function keeps them inline. Once the slabs have grown to the
+// endpoint's peak of outstanding calls, a call allocates nothing here.
 #pragma once
 
 #include <array>
@@ -103,6 +108,7 @@ class RpcEndpoint final : public Endpoint {
   using ReplyCallback = std::function<void(bool ok, const MsgPtr& reply)>;
 
   RpcEndpoint(sim::Engine& engine, Network& network, Address address, std::string name);
+  /// Cancels the endpoint's pending timers, so the engine must outlive it.
   ~RpcEndpoint() override;
 
   RpcEndpoint(const RpcEndpoint&) = delete;
@@ -160,13 +166,88 @@ class RpcEndpoint final : public Endpoint {
   void on_message(const Envelope& env) override;
 
  private:
+  /// Entries addressed by an id that packs (slot + 1) << 32 | generation, as
+  /// sim::EventId does. Releasing an entry moves its slot's generation, so an
+  /// id that outlives its entry (a second reply, the timer of a resolved
+  /// call) finds nothing, even once the slot serves a new entry. No id is 0,
+  /// the Envelope's mark of a one-way message.
+  template <typename T>
+  class Slab {
+   public:
+    /// Claim a default-constructed entry; returns its id.
+    std::uint64_t acquire() {
+      std::uint32_t slot = free_;
+      if (slot != kNoSlot) {
+        free_ = slots_[slot].next_free;
+      } else {
+        slot = static_cast<std::uint32_t>(slots_.size());
+        slots_.emplace_back();
+      }
+      slots_[slot].live = true;
+      return id_of(slot);
+    }
+
+    /// The live entry `id` names; nullptr once it was released.
+    T* find(std::uint64_t id) {
+      const std::uint64_t hi = id >> 32;
+      if (hi == 0 || hi > slots_.size()) return nullptr;
+      Slot& s = slots_[hi - 1];
+      return s.live && s.generation == static_cast<std::uint32_t>(id) ? &s.value
+                                                                       : nullptr;
+    }
+
+    /// Destroy the entry `id` names (it must be live); its id goes stale.
+    void release(std::uint64_t id) {
+      const auto slot = static_cast<std::uint32_t>((id >> 32) - 1);
+      Slot& s = slots_[slot];
+      s.value = T{};
+      s.live = false;
+      ++s.generation;
+      s.next_free = free_;
+      free_ = slot;
+    }
+
+    /// Call f(entry) for every live entry.
+    template <typename F>
+    void for_each(F&& f) {
+      for (Slot& s : slots_) {
+        if (s.live) f(s.value);
+      }
+    }
+
+    /// Release every live entry.
+    void clear() {
+      for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
+        if (slots_[slot].live) release(id_of(slot));
+      }
+    }
+
+   private:
+    static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+    struct Slot {
+      T value{};
+      std::uint32_t generation = 0;
+      std::uint32_t next_free = kNoSlot;
+      bool live = false;
+    };
+    [[nodiscard]] std::uint64_t id_of(std::uint32_t slot) const {
+      return (std::uint64_t{slot} + 1) << 32 | slots_[slot].generation;
+    }
+
+    std::vector<Slot> slots_;
+    std::uint32_t free_ = kNoSlot;
+  };
+
+  /// One attempt of a call group. Every attempt stays live until its group
+  /// resolves, so the group reaches all of them through next_attempt.
   struct PendingCall {
     sim::EventId timeout_event = 0;
     telemetry::SpanContext span;  ///< per-attempt rpc span (invalid if untraced)
     sim::Time started = 0.0;
     Address to = kNullAddress;
-    std::uint64_t group = 0;  ///< the call group this attempt belongs to
-    bool timed_out = false;   ///< soft timeout fired, reply may still win
+    std::uint64_t group = 0;         ///< the call group this attempt belongs to
+    std::uint64_t next_attempt = 0;  ///< the group's next attempt; 0 ends the list
+    bool timed_out = false;  ///< soft timeout fired, reply may still win
   };
 
   /// One logical call: its request, callback and retry or hedge schedule.
@@ -181,8 +262,10 @@ class RpcEndpoint final : public Endpoint {
     RetryPolicy policy;       ///< retry groups: attempt budget and backoff
     sim::Time backoff = 0.0;  ///< last retry backoff (0 before the first)
     sim::Time deadline = -1.0;  ///< no retry starts at or past it; < 0: none
-    std::vector<std::uint64_t> attempts;  ///< rpc ids of every attempt sent
-    sim::EventId pending_event = 0;       ///< scheduled retry / hedge launch
+    std::uint64_t first_attempt = 0;  ///< head of the attempt list (sending order)
+    std::uint64_t last_attempt = 0;   ///< its tail
+    int attempts = 0;                 ///< attempts sent
+    sim::EventId pending_event = 0;   ///< scheduled retry / hedge launch
     bool hedged = false;
   };
 
@@ -197,15 +280,29 @@ class RpcEndpoint final : public Endpoint {
     sim::Time opened_at = 0.0;
   };
 
+  /// Handles of the rpc.* metrics (looked up once, see MetricRef).
+  struct Metrics {
+    telemetry::CounterRef<"rpc.calls"> calls;
+    telemetry::CounterRef<"rpc.timeouts"> timeouts;
+    telemetry::CounterRef<"rpc.retries"> retries;
+    telemetry::CounterRef<"rpc.deadline_exceeded"> deadline_exceeded;
+    telemetry::CounterRef<"rpc.hedges"> hedges;
+    telemetry::CounterRef<"rpc.hedges_won"> hedges_won;
+    telemetry::CounterRef<"rpc.late_replies_won"> late_replies_won;
+    telemetry::CounterRef<"rpc.breaker_opened"> breaker_opened;
+    telemetry::CounterRef<"rpc.breaker_closed"> breaker_closed;
+    telemetry::HistogramRef<"rpc.latency"> latency;
+  };
+
   CallGroup& open_group(Address to, MsgPtr request, sim::Time timeout, ReplyCallback cb);
-  /// Send the group's next attempt. Its soft timeout leaves the pending entry
+  /// Send the group's next attempt. Its soft timeout leaves the attempt
   /// alive, so a late reply can still win the group.
   void send_attempt(CallGroup& group);
   /// Soft timeout of attempt `id`: schedule the retry, or fail the group.
   void on_attempt_timeout(std::uint64_t id);
   /// Fire the group's scheduled retry or hedge.
   void launch_next_attempt(std::uint64_t group_id);
-  /// Resolve a call group exactly once and reap its outstanding attempts.
+  /// Resolve a call group exactly once and reap its attempts.
   void complete_group(std::uint64_t group_id, bool ok, const MsgPtr& reply,
                       std::uint64_t winner);
   /// Fail the group if every attempt timed out and nothing else is scheduled.
@@ -220,13 +317,11 @@ class RpcEndpoint final : public Endpoint {
   Address address_;
   std::string name_;
   bool up_ = true;
-  std::uint64_t next_rpc_id_ = 1;
-  std::uint64_t next_group_id_ = 1;
-  std::unordered_map<std::uint64_t, PendingCall> pending_;
-  std::unordered_map<std::uint64_t, CallGroup> groups_;
+  Slab<PendingCall> pending_;
+  Slab<CallGroup> groups_;
   std::unordered_map<Address, DestStats> dest_stats_;
   double breaker_open_s_ = 0.0;
-  std::shared_ptr<bool> alive_;
+  Metrics metrics_;
   MessageHandler on_oneway_;
   RequestHandler on_request_;
 };

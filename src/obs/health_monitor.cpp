@@ -250,8 +250,8 @@ void HealthMonitor::sample_now() {
     breaker_open_s += gm->breaker_open_seconds();
   }
   const double hedges_won = counter("rpc.hedges_won");
-  telemetry::gauge_set(&system_.telemetry(), "gray.slow_nodes", gray_slow);
-  telemetry::gauge_set(&system_.telemetry(), "gray.quarantined", gray_quarantined);
+  telemetry::gauge_set(&system_.telemetry(), gauges_.slow_nodes, gray_slow);
+  telemetry::gauge_set(&system_.telemetry(), gauges_.quarantined, gray_quarantined);
 
   // --- latency percentiles --------------------------------------------------
   double p50 = kNaN, p99 = kNaN;
@@ -363,9 +363,9 @@ void HealthMonitor::evaluate_slos(double now) {
     telemetry::count(&system_.telemetry(),
                      transition->fired ? "slo.alerts_fired" : "slo.alerts_cleared");
   }
-  telemetry::gauge_set(&system_.telemetry(), "slo.firing",
+  telemetry::gauge_set(&system_.telemetry(), gauges_.slo_firing,
                        static_cast<double>(slo_.firing_count()));
-  telemetry::gauge_set(&system_.telemetry(), "slo.flaps_per_hour",
+  telemetry::gauge_set(&system_.telemetry(), gauges_.slo_flaps,
                        store_.latest(col_.slo_flaps));
 }
 

@@ -49,6 +49,7 @@
 #include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
 #include "sim/actor.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace snooze::obs {
 
@@ -112,6 +113,14 @@ class HealthMonitor final : public sim::Actor {
   core::SnoozeSystem& system_;
   TimeSeriesStore store_;
   SloEvaluator slo_;
+
+  /// Gauges set on every sample, so looked up once.
+  struct Gauges {
+    telemetry::GaugeRef<"gray.slow_nodes"> slow_nodes;
+    telemetry::GaugeRef<"gray.quarantined"> quarantined;
+    telemetry::GaugeRef<"slo.firing"> slo_firing;
+    telemetry::GaugeRef<"slo.flaps_per_hour"> slo_flaps;
+  } gauges_;
 
   // Column indices (registered once in the constructor).
   struct Cols {

@@ -5,6 +5,11 @@
 // null check and the invalid-context check into the call site.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
+#include <string_view>
+#include <type_traits>
+
 #include "sim/engine.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
@@ -76,6 +81,74 @@ inline void gauge_add(Telemetry* t, std::string_view name, double delta) {
 
 inline void gauge_set(Telemetry* t, std::string_view name, double value) {
   if (t != nullptr) t->metrics().gauge(name).set(value);
+}
+
+// --- hot-path handles --------------------------------------------------------
+
+/// A metric name given as a template argument: `CounterRef<"rpc.calls">`.
+template <std::size_t N>
+struct MetricName {
+  constexpr MetricName(const char (&name)[N]) {  // NOLINT(google-explicit-constructor)
+    std::copy_n(name, N, chars);
+  }
+  [[nodiscard]] constexpr std::string_view view() const { return {chars, N - 1}; }
+  char chars[N]{};
+};
+
+/// A registry metric updated once per message or tick: the name is looked up
+/// on the first update, later updates go through the kept pointer. The
+/// lookup is lazy, so a metric nothing updates never enters the registry,
+/// exactly as with a by-name update, and exports do not change. A handle
+/// follows the Telemetry it is given: another one (or null) looks up again.
+/// The name lives in the type, so a handle is two pointers (thousands of
+/// endpoints each keep a dozen).
+template <typename Metric, MetricName Name>
+class MetricRef {
+ public:
+  /// The metric in `t`'s registry, created on first use; null when `t` is.
+  Metric* get(Telemetry* t) {
+    if (t != owner_) {
+      owner_ = t;
+      metric_ = t == nullptr ? nullptr : &lookup(t->metrics());
+    }
+    return metric_;
+  }
+
+ private:
+  static Metric& lookup(MetricsRegistry& registry) {
+    if constexpr (std::is_same_v<Metric, Counter>) {
+      return registry.counter(Name.view());
+    } else if constexpr (std::is_same_v<Metric, Gauge>) {
+      return registry.gauge(Name.view());
+    } else {
+      return registry.histogram(Name.view());
+    }
+  }
+
+  Telemetry* owner_ = nullptr;
+  Metric* metric_ = nullptr;
+};
+
+template <MetricName Name>
+using CounterRef = MetricRef<Counter, Name>;
+template <MetricName Name>
+using GaugeRef = MetricRef<Gauge, Name>;
+template <MetricName Name>
+using HistogramRef = MetricRef<Histogram, Name>;
+
+template <MetricName Name>
+void count(Telemetry* t, CounterRef<Name>& ref, std::uint64_t delta = 1) {
+  if (Counter* c = ref.get(t)) c->inc(delta);
+}
+
+template <MetricName Name>
+void gauge_set(Telemetry* t, GaugeRef<Name>& ref, double value) {
+  if (Gauge* g = ref.get(t)) g->set(value);
+}
+
+template <MetricName Name>
+void observe(Telemetry* t, HistogramRef<Name>& ref, double value) {
+  if (Histogram* h = ref.get(t)) h->observe(value);
 }
 
 /// Open a child span of `parent`; no-op (invalid context) without telemetry

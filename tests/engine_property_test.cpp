@@ -730,12 +730,12 @@ TEST(EngineRescale, DrainAloneShrinksGeometryBack) {
 
 // --- dead-timeout leak tests -------------------------------------------------
 
-struct Ping final : net::Message {
+struct Ping final : net::MessageOf<Ping> {
   [[nodiscard]] std::string_view type() const override { return "ping"; }
   [[nodiscard]] std::size_t wire_size() const override { return 64; }
 };
 
-struct Pong final : net::Message {
+struct Pong final : net::MessageOf<Pong> {
   [[nodiscard]] std::string_view type() const override { return "pong"; }
 };
 

@@ -8,6 +8,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/messages.hpp"
 #include "net/network.hpp"
 #include "net/rpc.hpp"
 
@@ -18,13 +19,13 @@ using net::Address;
 using net::Envelope;
 using net::MsgPtr;
 
-struct Ping final : net::Message {
+struct Ping final : net::MessageOf<Ping> {
   int value = 0;
   [[nodiscard]] std::string_view type() const override { return "ping"; }
   [[nodiscard]] std::size_t wire_size() const override { return 100; }
 };
 
-struct Pong final : net::Message {
+struct Pong final : net::MessageOf<Pong> {
   int value = 0;
   [[nodiscard]] std::string_view type() const override { return "pong"; }
 };
@@ -39,6 +40,28 @@ MsgPtr ping(int v = 0) {
   auto m = std::make_shared<Ping>();
   m->value = v;
   return m;
+}
+
+// msg_cast<T> must hand back the message itself for T and nothing for any
+// other type, also one with T's exact layout: the kind tag decides, not the
+// bytes. Both overloads; an empty MsgPtr casts to nothing.
+template <typename T, typename Other>
+void expect_cast_tells_apart() {
+  static_assert(sizeof(T) == sizeof(Other));
+  const auto msg = std::make_shared<T>();
+  const MsgPtr ptr = msg;
+  EXPECT_EQ(net::msg_cast<T>(ptr), msg.get());
+  EXPECT_EQ(net::msg_cast<T>(*ptr), msg.get());
+  EXPECT_EQ(net::msg_cast<Other>(ptr), nullptr);
+  EXPECT_EQ(net::msg_cast<Other>(*ptr), nullptr);
+  EXPECT_EQ(net::msg_cast<T>(MsgPtr{}), nullptr);
+}
+
+TEST(MsgCast, KindTagTellsSameLayoutTypesApart) {
+  expect_cast_tells_apart<Ping, Pong>();  // one int each
+  expect_cast_tells_apart<Pong, Ping>();
+  expect_cast_tells_apart<core::GmHeartbeat, core::LcHeartbeat>();  // one Address each
+  expect_cast_tells_apart<core::LcHeartbeat, core::GmHeartbeat>();
 }
 
 class NetworkTest : public testing::Test {
@@ -619,24 +642,45 @@ TEST_F(NetworkTest, ReachableReflectsCrashesAndPartitions) {
 // --- RPC edge cases ----------------------------------------------------------
 
 TEST_F(RpcTest, ResponderDoubleReplyIsNoop) {
-  server.set_request_handler([](const Envelope&, net::Responder r) {
+  // Request v is answered twice, with 10v + 1 and then 10v + 2.
+  std::vector<std::uint64_t> ids;
+  server.set_request_handler([&](const Envelope& env, net::Responder r) {
+    ids.push_back(env.rpc_id);
+    const int v = net::msg_cast<Ping>(env.payload)->value;
     auto first = std::make_shared<Pong>();
-    first->value = 1;
+    first->value = 10 * v + 1;
     r.respond(first);
     auto second = std::make_shared<Pong>();
-    second->value = 2;
+    second->value = 10 * v + 2;
     r.respond(second);  // must be ignored at the caller
   });
   int callbacks = 0;
   std::optional<int> got;
-  client.call(server.address(), ping(), 5.0, [&](bool ok, const MsgPtr& reply) {
+  int second_callbacks = 0;
+  std::optional<int> second_got;
+  client.call(server.address(), ping(1), 5.0, [&](bool ok, const MsgPtr& reply) {
     ++callbacks;
     ASSERT_TRUE(ok);
     got = net::msg_cast<Pong>(reply)->value;
+    // The first call is resolved and its slot free: this call takes it over
+    // while the first call's second reply is still in flight. That stale
+    // reply carries the old id and must not resolve this call.
+    client.call(server.address(), ping(2), 5.0, [&](bool ok2, const MsgPtr& reply2) {
+      ++second_callbacks;
+      ASSERT_TRUE(ok2);
+      second_got = net::msg_cast<Pong>(reply2)->value;
+    });
   });
   engine.run();
   EXPECT_EQ(callbacks, 1);
-  EXPECT_EQ(got, 1);
+  EXPECT_EQ(got, 11);
+  EXPECT_EQ(second_callbacks, 1);
+  EXPECT_EQ(second_got, 21);
+  // The second call reused the first one's slot (the id's high half) under
+  // a new generation (its low half).
+  ASSERT_EQ(ids.size(), 2u);
+  EXPECT_EQ(ids[1] >> 32, ids[0] >> 32);
+  EXPECT_NE(ids[1], ids[0]);
 }
 
 TEST_F(RpcTest, PendingCallDroppedByCrashEvenAfterRecovery) {
@@ -980,6 +1024,53 @@ TEST_F(RpcTest, DerivedHedgeDelayIsTheP99OfTheLatencyRing) {
     EXPECT_NEAR(backup_arrival - 1e-3 - sent, want, 1e-9);
   }
   EXPECT_NEAR(expected_delay(inside), 0.392, 1e-6);
+
+  // Short rings, each toward a fresh server (a sample is its service time
+  // plus two 1 ms hops): one sample is the delay itself; with two, rank 0
+  // is the smaller; when the maximum repeats, rank n - 2 is that maximum,
+  // not the next value down.
+  struct ShortRing {
+    std::vector<double> services;
+    double want;
+  };
+  for (const ShortRing& c : {ShortRing{{0.1}, 0.102}, ShortRing{{0.3, 0.1}, 0.102},
+                             ShortRing{{0.3, 0.1, 0.3, 0.2}, 0.302}}) {
+    net::RpcEndpoint fresh(engine, network, network.allocate_address(), "fresh");
+    ring.clear();
+    std::size_t next = 0;
+    hedging = false;
+    copies = 0;
+    fresh.set_request_handler([&](const Envelope&, net::Responder r) {
+      if (!hedging) {
+        engine.schedule(c.services[next++],
+                        [r]() mutable { r.respond(std::make_shared<Pong>()); });
+        return;
+      }
+      if (++copies % 2 == 1) return;  // the primary stalls
+      backup_arrival = engine.now();
+      r.respond(std::make_shared<Pong>());
+    });
+    for (std::size_t i = 0; i < c.services.size(); ++i) {
+      const double sent = engine.now();
+      client.call(fresh.address(), ping(), 1.0, [&, sent](bool ok, const MsgPtr&) {
+        ASSERT_TRUE(ok);
+        note(engine.now() - sent);
+      });
+      engine.run();
+    }
+    ASSERT_EQ(ring.size(), c.services.size());
+    hedging = true;
+    const net::HedgePolicy policy;
+    const double want = expected_delay(policy);
+    EXPECT_NEAR(want, c.want, 1e-6);
+    const double sent = engine.now();
+    std::optional<bool> result;
+    client.call_with_hedging(fresh.address(), ping(), 5.0, policy,
+                             [&](bool ok, const MsgPtr&) { result = ok; });
+    engine.run();
+    ASSERT_EQ(result, true);
+    EXPECT_NEAR(backup_arrival - 1e-3 - sent, want, 1e-9);
+  }
 }
 
 // --- Timeout streaks ------------------------------------------------------------

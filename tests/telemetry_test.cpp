@@ -158,6 +158,30 @@ TEST(MetricsRegistry, CreateOnFirstUseAndFind) {
   EXPECT_EQ(registry.counters().size(), 1u);
 }
 
+TEST(MetricRef, LooksUpOnFirstUpdateAndFollowsTheTelemetry) {
+  sim::Engine engine;
+  telemetry::Telemetry first(engine);
+  telemetry::Telemetry second(engine);
+  telemetry::CounterRef<"c"> counter;
+  telemetry::GaugeRef<"g"> gauge;
+  telemetry::HistogramRef<"h"> histogram;
+  telemetry::count(nullptr, counter);  // no telemetry: nothing to bump
+  // Like a by-name update, the handle creates nothing until it is used.
+  EXPECT_EQ(first.metrics().find_counter("c"), nullptr);
+  telemetry::count(&first, counter);
+  telemetry::count(&first, counter, 2);
+  telemetry::gauge_set(&first, gauge, 2.0);
+  telemetry::observe(&first, histogram, 0.5);
+  EXPECT_EQ(first.metrics().value("c"), 3u);
+  EXPECT_EQ(first.metrics().find_gauge("g")->current(), 2.0);
+  EXPECT_EQ(first.metrics().find_histogram("h")->count(), 1u);
+  // Handed another Telemetry, the handle looks the name up there.
+  telemetry::count(&second, counter);
+  EXPECT_EQ(second.metrics().value("c"), 1u);
+  EXPECT_EQ(first.metrics().value("c"), 3u);
+  EXPECT_EQ(second.metrics().find_histogram("h"), nullptr);
+}
+
 // --- spans -------------------------------------------------------------------------
 
 TEST(SpanCollector, BuildsTreeWithParentLinks) {
