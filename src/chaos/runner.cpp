@@ -22,7 +22,6 @@ ChaosRunResult run_chaos_schedule(const ChaosRunConfig& cfg,
   spec.entry_points = cfg.topology.entry_points;
   spec.group_managers = cfg.topology.group_managers;
   spec.local_controllers = cfg.topology.local_controllers;
-  spec.host_template.topology = cfg.host_topology;
   spec.config = cfg.config;
   spec.seed = cfg.seed;
   core::SnoozeSystem system(spec);
@@ -67,13 +66,10 @@ ChaosRunResult run_chaos_schedule(const ChaosRunConfig& cfg,
   // injected failures. VMs run unbounded: each accepted one must survive to
   // the final check unless its host was deliberately crashed.
   for (std::size_t i = 0; i < cfg.vms; ++i) {
-    const interference::MemProfile profile =
-        cfg.vm_profiles.empty() ? interference::MemProfile{}
-                                : cfg.vm_profiles[i % cfg.vm_profiles.size()];
     system.engine().schedule(
         cfg.vm_inter_arrival * static_cast<double>(i + 1),
-        [&system, &checker, profile] {
-      const core::VmDescriptor vm = system.make_vm({0.15, 0.15, 0.15}, 0.0, {}, profile);
+        [&system, &checker] {
+      const core::VmDescriptor vm = system.make_vm({0.15, 0.15, 0.15});
       const core::VmId id = vm.id;
       system.client().submit(vm, [&checker, id](bool ok, net::Address, sim::Time) {
         if (ok) checker.note_accepted(id);

@@ -13,7 +13,6 @@
 #include "chaos/invariants.hpp"
 #include "chaos/schedule.hpp"
 #include "core/config.hpp"
-#include "interference/model.hpp"
 #include "obs/incident.hpp"
 #include "ops/autoscaler.hpp"
 #include "ops/upgrade.hpp"
@@ -29,14 +28,6 @@ struct ChaosRunConfig {
 
   std::size_t vms = 12;                 ///< workload size
   sim::Time vm_inter_arrival = 1.5;     ///< submission spacing
-  /// Socket/LLC topology stamped on every host (flat = default single-pool
-  /// hosts; enabling it alone changes no event order — the interference
-  /// model only bites when VM profiles are present too).
-  interference::TopologySpec host_topology{};
-  /// Memory-subsystem profiles cycled over the staggered submissions
-  /// (VM i gets vm_profiles[i % size]; empty = unprofiled workload).
-  /// Burst VMs stay unprofiled.
-  std::vector<interference::MemProfile> vm_profiles;
   sim::Time stabilize_bound = 30.0;  ///< initial hierarchy formation bound
   /// Post-heal reconvergence bound. A node recovered right at the horizon
   /// still needs a full boot (90 s with the default power model) before it

@@ -90,8 +90,7 @@ std::string CliSession::help() {
          "  incident show <id>                         evidence chain for one episode\n"
          "  incident csv <file>                        export the incident report\n"
          "  slo                                        SLIs vs SLO thresholds (pass/fail)\n"
-         "  top [n]                                    busiest LC nodes (incl. per-socket\n"
-         "                                             util and interference penalty)\n"
+         "  top [n]                                    busiest LC nodes\n"
          "  upgrade start [version] [wave_size]        SLO-gated rolling upgrade\n"
          "  upgrade status                             waves, versions, pauses\n"
          "  autoscale on | off | status                GL-driven LC power scaling\n"

@@ -7,12 +7,9 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <numeric>
 
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace snooze::consolidation {
 
@@ -50,13 +47,12 @@ class PheromonePowers {
                   double alpha)
       : tau_(tau), vms_(vms), hosts_(hosts), alpha_(alpha), table_(vms * hosts) {}
 
-  /// Forget the columns of the previous cycle; no ant may be running.
+  /// Forget the columns of the previous cycle.
   void reset() { ready_ = 0; }
 
   /// tau[vm][host]^alpha for every VM, indexed by VM. A filled column is
-  /// not written again until reset(), so the caller reads it unlocked.
+  /// not written again until reset().
   const double* column(std::size_t host) {
-    std::lock_guard lock(mutex_);
     for (; ready_ <= host; ++ready_) {
       double* col = table_.data() + ready_ * vms_;
       for (std::size_t vm = 0; vm < vms_; ++vm) {
@@ -71,12 +67,11 @@ class PheromonePowers {
   std::size_t vms_;
   std::size_t hosts_;
   double alpha_;
-  std::mutex mutex_;  ///< guards ready_ and the columns from ready_ on
   std::size_t ready_ = 0;  ///< columns [0, ready_) are filled
   std::vector<double> table_;
 };
 
-/// One ant's buffers, sized once per solve so that no pick allocates.
+/// The ants' buffers, sized once per solve so that no pick allocates.
 struct AntScratch {
   AntScratch(std::size_t vms, std::size_t classes)
       : class_pick(classes, 0), class_fits(classes), class_eta_beta(classes) {
@@ -179,49 +174,27 @@ AcoResult AcoConsolidation::solve(const Instance& instance) const {
   std::vector<double> tau(n * host_count, params_.tau0);
   PheromonePowers tau_alpha(tau, n, host_count, params_.alpha);
   const DemandClasses classes(instance);
-  // Built in place: a copied vector would not keep the reserved capacity.
-  std::vector<AntScratch> scratch;
-  scratch.reserve(params_.ants);
-  for (std::size_t a = 0; a < params_.ants; ++a) scratch.emplace_back(n, classes.demand.size());
+  AntScratch scratch(n, classes.demand.size());
 
   util::Rng master(params_.seed);
   std::size_t best_hosts = host_count + 1;
-  double best_score = std::numeric_limits<double>::infinity();
   double best_slack = std::numeric_limits<double>::infinity();
   bool have_best = false;
 
-  std::unique_ptr<util::ThreadPool> pool;
-  if (params_.threads > 1) pool = std::make_unique<util::ThreadPool>(params_.threads);
-
   for (std::size_t cycle = 0; cycle < params_.cycles; ++cycle) {
-    // Pre-fork one RNG per ant so results do not depend on thread count.
-    std::vector<util::Rng> rngs;
-    rngs.reserve(params_.ants);
-    for (std::size_t a = 0; a < params_.ants; ++a) rngs.push_back(master.fork());
-
-    std::vector<Placement> solutions(params_.ants);
     tau_alpha.reset();  // this cycle's tau, powered as ants reach each host
-    auto run_ant = [&](std::size_t a) {
-      solutions[a] = construct_solution(instance, classes, tau_alpha, params_, rngs[a],
-                                        scratch[a]);
-    };
-    if (pool) {
-      pool->parallel_for(params_.ants, run_ant);
-    } else {
-      for (std::size_t a = 0; a < params_.ants; ++a) run_ant(a);
-    }
-
-    // Compare local solutions; keep the lowest score (hosts used, plus the
-    // weighted interference penalty when the instance carries profiles).
-    for (auto& solution : solutions) {
+    // Ants walk one after another on the cycle's tau, each on its own RNG
+    // forked from the master in ant order. A walk that completes replaces
+    // the best so far if it uses fewer hosts, or as many with less slack.
+    for (std::size_t a = 0; a < params_.ants; ++a) {
+      util::Rng rng = master.fork();
+      Placement solution =
+          construct_solution(instance, classes, tau_alpha, params_, rng, scratch);
       if (!solution.complete()) continue;  // instance not packable by this walk
       const std::size_t hosts = solution.hosts_used();
-      const double solution_score = score(instance, solution);
       const double slack = packing_slack(instance, solution);
-      if (!have_best || solution_score < best_score ||
-          (solution_score == best_score && slack < best_slack)) {
+      if (!have_best || hosts < best_hosts || (hosts == best_hosts && slack < best_slack)) {
         best_hosts = hosts;
-        best_score = solution_score;
         best_slack = slack;
         result.placement = std::move(solution);
         have_best = true;

@@ -1,9 +1,9 @@
 // Ant Colony Optimization for VM consolidation (paper §III.A).
 //
 // Multiple artificial ants construct VM→host assignments probabilistically
-// and simultaneously within multiple cycles. Ants communicate indirectly by
-// depositing pheromone on (VM, host) pairs in a pheromone matrix. Within a
-// cycle each ant fills hosts one at a time: among the still-unassigned VMs
+// within multiple cycles. Ants communicate indirectly by depositing
+// pheromone on (VM, host) pairs in a pheromone matrix. Within a cycle each
+// ant fills hosts one at a time: among the still-unassigned VMs
 // that fit into the current host it picks the next VM with probability
 //
 //     p(v, l) = tau[v][l]^alpha * eta(v, l)^beta / sum over feasible v'
@@ -14,10 +14,9 @@
 // reinforced in the matrix and all pheromone evaporates by factor rho — the
 // stochastic exploration / exploitation balance of classic ACO.
 //
-// The ants of one cycle are independent, so they run in parallel on a thread
-// pool ("the algorithm is well suited for parallelization", §III.A); each
-// ant owns a deterministically forked RNG stream, making the result
-// reproducible for a given seed regardless of thread count.
+// The ants of one cycle are independent: they walk one after another on the
+// same pheromone matrix, and each ant gets its own RNG stream, forked from
+// the seed's master stream in ant order, so a seed fixes the result.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +35,6 @@ struct AcoParams {
   double tau0 = 1.0;         ///< initial pheromone level
   double q = 1.0;            ///< deposit scale: delta = q / hosts(best)
   std::uint64_t seed = 1;
-  std::size_t threads = 1;   ///< worker threads for parallel ants (1 = serial)
 };
 
 struct AcoResult {
@@ -54,9 +52,10 @@ class AcoConsolidation {
 
   [[nodiscard]] const AcoParams& params() const { return params_; }
 
-  /// Pack all VMs of `instance`. The result placement is feasible whenever
-  /// the instance is packable at all into the given hosts (greedy fallback
-  /// inside each ant guarantees completeness if first-fit succeeds).
+  /// Pack all VMs of `instance`. Each walk fills the hosts in index order; a
+  /// walk that runs out of hosts leaves VMs unassigned and is skipped. When
+  /// no walk of any cycle completes, `feasible` is false, `hosts_used` is 0
+  /// and every VM is unassigned, even if the instance is packable.
   [[nodiscard]] AcoResult solve(const Instance& instance) const;
 
  private:

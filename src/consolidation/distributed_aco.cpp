@@ -5,8 +5,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "util/thread_pool.hpp"
-
 namespace snooze::consolidation {
 
 namespace {
@@ -54,7 +52,7 @@ DistributedAcoResult DistributedAcoConsolidation::solve(const Instance& instance
   }
 
   // --- solve every shard with an independent colony ----------------------------
-  auto solve_shard = [&](std::size_t s) {
+  for (std::size_t s = 0; s < k; ++s) {
     Shard& shard = shards[s];
     Instance sub;
     for (std::size_t vm : shard.vm_ids) sub.vm_demands.push_back(instance.vm_demands[vm]);
@@ -63,14 +61,7 @@ DistributedAcoResult DistributedAcoConsolidation::solve(const Instance& instance
     }
     AcoParams colony = params_.colony;
     colony.seed = params_.colony.seed + 0x9E37u * (s + 1);
-    colony.threads = 1;  // parallelism lives at the shard level here
     shard.result = AcoConsolidation(colony).solve(sub);
-  };
-  if (params_.threads > 1 && k > 1) {
-    util::ThreadPool pool(params_.threads);
-    pool.parallel_for(k, solve_shard);
-  } else {
-    for (std::size_t s = 0; s < k; ++s) solve_shard(s);
   }
 
   double max_shard_time = 0.0;

@@ -3,8 +3,10 @@
 //
 // Mirrors how consolidation distributes across Snooze Group Managers: the
 // fleet is split into shards (one per GM), each shard packs its own VMs onto
-// its own hosts with an independent ant colony — shards run in parallel and
-// never exchange pheromone, exactly like GMs that only see their own LCs.
+// its own hosts with an independent ant colony, and shards never exchange
+// pheromone, exactly like GMs that only see their own LCs. The shards are
+// solved one after another; `critical_path_s` (slowest shard plus the tail)
+// models GMs that solve them concurrently.
 // An optional tail-repacking pass then emulates light inter-GM cooperation:
 // each shard donates its least-filled hosts' VMs to one joint ACO round, so
 // the fragmentation that sharding introduces at shard boundaries is partly
@@ -28,7 +30,6 @@ struct DistributedAcoParams {
   bool repack_tail = true;      ///< run the cooperative tail pass
   double tail_fraction = 0.34;  ///< share of each shard's least-filled hosts
                                 ///< whose VMs join the tail pass
-  std::size_t threads = 1;      ///< shards solved concurrently
 };
 
 struct DistributedAcoResult {

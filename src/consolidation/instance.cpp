@@ -68,56 +68,4 @@ bool Placement::feasible(const Instance& instance) const {
   return true;
 }
 
-double interference_cost(const Instance& instance, const Placement& placement) {
-  if (!instance.interference_aware()) return 0.0;
-  double cost = 0.0;
-  for (std::size_t h = 0; h < instance.host_count(); ++h) {
-    const interference::TopologySpec& topo =
-        h < instance.host_topologies.size() ? instance.host_topologies[h]
-                                            : interference::TopologySpec{};
-    if (topo.flat()) continue;
-    // Profiled VMs on this host, in index order (the hypervisor's arrival
-    // order stand-in), greedily pinned to the least-pressured socket.
-    const std::size_t sockets = topo.sockets.size();
-    std::vector<std::vector<interference::MemProfile>> per_socket(sockets);
-    std::vector<interference::SocketPressure> pressure(sockets);
-    for (std::size_t vm = 0; vm < placement.vm_count(); ++vm) {
-      if (placement.host_of(vm) != static_cast<HostIndex>(h)) continue;
-      if (vm >= instance.vm_profiles.size() || !instance.vm_profiles[vm].present()) {
-        continue;
-      }
-      std::size_t best = 0;
-      double best_demand = std::numeric_limits<double>::infinity();
-      for (std::size_t s = 0; s < sockets; ++s) {
-        const auto& sock = topo.sockets[s];
-        const double demand =
-            pressure[s].llc_demand_mb / std::max(sock.llc_mb, 1e-9) +
-            pressure[s].bw_demand_gbps / std::max(sock.mem_bw_gbps, 1e-9);
-        if (demand < best_demand) {
-          best_demand = demand;
-          best = s;
-        }
-      }
-      per_socket[best].push_back(instance.vm_profiles[vm]);
-      pressure[best] += instance.vm_profiles[vm];
-    }
-    for (std::size_t s = 0; s < sockets; ++s) {
-      for (std::size_t i = 0; i < per_socket[s].size(); ++i) {
-        interference::SocketPressure neighbors;
-        for (std::size_t j = 0; j < per_socket[s].size(); ++j) {
-          if (j != i) neighbors += per_socket[s][j];
-        }
-        cost += 1.0 - interference::degradation_multiplier(per_socket[s][i], neighbors,
-                                                           topo.sockets[s]);
-      }
-    }
-  }
-  return cost;
-}
-
-double score(const Instance& instance, const Placement& placement) {
-  return static_cast<double>(placement.hosts_used()) +
-         instance.interference_weight * interference_cost(instance, placement);
-}
-
 }  // namespace snooze::consolidation

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "hypervisor/resources.hpp"
-#include "interference/model.hpp"
 
 namespace snooze::consolidation {
 
@@ -24,20 +23,6 @@ constexpr HostIndex kUnassigned = -1;
 struct Instance {
   std::vector<ResourceVector> vm_demands;
   std::vector<ResourceVector> host_capacities;
-
-  /// Optional interference extension: per-VM memory profiles (index-aligned
-  /// with vm_demands) and per-host socket topologies (index-aligned with
-  /// host_capacities). Empty vectors — the default — keep the problem pure
-  /// capacity bin-packing; interference_weight scales the penalty term in
-  /// scoring (see interference_cost / score).
-  std::vector<interference::MemProfile> vm_profiles;
-  std::vector<interference::TopologySpec> host_topologies;
-  double interference_weight = 0.0;
-
-  [[nodiscard]] bool interference_aware() const {
-    return interference_weight > 0.0 && !vm_profiles.empty() &&
-           !host_topologies.empty();
-  }
 
   [[nodiscard]] std::size_t vm_count() const { return vm_demands.size(); }
   [[nodiscard]] std::size_t host_count() const { return host_capacities.size(); }
@@ -80,16 +65,5 @@ class Placement {
  private:
   std::vector<HostIndex> assignment_;
 };
-
-/// Total interference penalty of a placement: VMs on each host are assigned
-/// to sockets greedily (least-pressured first, in VM index order — the same
-/// deterministic rule the hypervisor applies), then each VM contributes
-/// (1 - multiplier) given its socket neighbors. 0 when the instance carries
-/// no profiles or topologies.
-double interference_cost(const Instance& instance, const Placement& placement);
-
-/// Consolidation score: hosts_used + interference_weight * interference_cost.
-/// Reduces to plain hosts_used for capacity-only instances.
-double score(const Instance& instance, const Placement& placement);
 
 }  // namespace snooze::consolidation

@@ -14,10 +14,7 @@ namespace snooze::core {
 enum class DispatchPolicyKind { kRoundRobin, kLeastLoaded };
 
 /// Which policy a Group Manager uses to place a VM on an LC.
-/// kLeastInterference scores feasible LCs by predicted memory-subsystem
-/// contention and falls back to capacity-only (best-fit) scoring when the
-/// fleet has no socket topology or the VM no profile.
-enum class PlacementPolicyKind { kFirstFit, kRoundRobin, kBestFit, kLeastInterference };
+enum class PlacementPolicyKind { kFirstFit, kRoundRobin, kBestFit };
 
 /// Which algorithm periodic reconfiguration runs.
 enum class ConsolidationKind { kNone, kFfd, kBfd, kAco };
@@ -45,14 +42,6 @@ struct SloConfig {
   double energy_min_vm_hours = 0.05;
   double fence_rejected_per_min_max = 30.0;  ///< stale-command rejection rate
   double heartbeat_staleness_max_s = 3.0;    ///< worst LC heartbeat age seen by GMs
-
-  /// Fleet p99 interference penalty (1 - throughput multiplier) across
-  /// profiled running VMs. NaN (and thus never breaching) until profiled VMs
-  /// report from socketed hosts.
-  double interference_p99_penalty_max = 0.35;
-  /// Degraded-VM-seconds accumulated per minute: each profiled VM adds
-  /// (1 - multiplier) seconds per second of wall time it runs degraded.
-  double degraded_vm_seconds_per_min_max = 30.0;
 
   /// Summary-stream health. The delta stream's steady state is one
   /// near-empty header (~100 bytes) per sending GM per period *regardless of
@@ -158,20 +147,6 @@ struct SnoozeConfig {
   /// packing. LCs reject migrations they cannot absorb, so a truncated plan
   /// degrades gracefully.
   std::size_t max_migrations_per_reconfiguration = 0;
-
-  // --- interference management ---------------------------------------------
-  /// Master switch for interference-aware control: LC-side penalty anomaly
-  /// reports and GM-side targeted relocation. The model itself (penalties,
-  /// monitoring columns) is always on but inert without socket topologies.
-  bool interference_aware = false;
-  /// An LC reports a kInterference anomaly when its worst VM multiplier
-  /// stays below this threshold for `interference_sustain_s`.
-  double interference_relocation_threshold = 0.85;
-  sim::Time interference_sustain_s = 10.0;
-  /// Weight of the interference term in consolidation scoring: the packer
-  /// minimizes hosts_used + weight * sum-of-penalties. 0 keeps the packing
-  /// purely capacity-driven.
-  double consolidation_interference_weight = 0.0;
 
   // --- energy management ----------------------------------------------------
   bool energy_savings = false;

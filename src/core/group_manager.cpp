@@ -11,9 +11,6 @@
 namespace snooze::core {
 
 namespace {
-/// Sentinel for "no socket booked" in the optimistic placement bookkeeping.
-constexpr std::size_t kNoSocket = static_cast<std::size_t>(-1);
-
 /// Roll a VM's requested capacity back out of an LC's reserved total,
 /// clamped at zero (the LC's next monitoring report is the ground truth).
 void release(ResourceVector& reserved, const ResourceVector& requested) {
@@ -111,12 +108,6 @@ LcInfo GroupManager::lc_info(net::Address addr, const LcRecord& record) {
   info.draining = record.draining;
   info.probation = record.health != LcHealth::kHealthy;
   info.vm_count = static_cast<std::uint32_t>(record.vms.size());
-  info.worst_penalty = record.worst_penalty;
-  info.sockets.reserve(record.sockets.size());
-  for (const auto& s : record.sockets) {
-    info.sockets.push_back(LcInfo::SocketInfo{s.llc_mb, s.mem_bw_gbps, s.llc_demand_mb,
-                                              s.bw_demand_gbps, s.vms});
-  }
   return info;
 }
 
@@ -371,14 +362,7 @@ void GroupManager::handle_monitor(const LcMonitorData& data) {
     }
     vm_it->second.requested = usage.requested;
     vm_it->second.migrating = usage.migrating;
-    vm_it->second.profile = usage.profile;
-    vm_it->second.penalty = usage.penalty;
     vm_it->second.estimator.add(usage.used);
-  }
-  record.sockets = data.sockets;
-  record.worst_penalty = 1.0;
-  for (const auto& usage : data.vms) {
-    record.worst_penalty = std::min(record.worst_penalty, usage.penalty);
   }
   std::sort(reported.begin(), reported.end());
   for (auto vm_it = record.vms.begin(); vm_it != record.vms.end();) {
@@ -681,32 +665,9 @@ void GroupManager::place_on(net::Address lc, const VmDescriptor& vm,
   // LC refuses. The LC's own monitoring reports (which include booting VMs)
   // remain the ground truth.
   const auto pre = lcs_.find(lc);
-  std::size_t booked_socket = kNoSocket;
   if (pre != lcs_.end()) {
     pre->second.reserved += vm.requested;
     pre->second.idle_since = -1.0;
-    // Book the memory profile too, mirroring the host's auto socket choice
-    // (lowest relative demand, population tiebreak), so back-to-back
-    // interference-aware placements inside one monitoring window see each
-    // other's pressure instead of stacking onto the same "quiet" socket.
-    // The next monitor report overwrites this with ground truth.
-    if (vm.mem_profile.present() && !pre->second.sockets.empty()) {
-      auto& socks = pre->second.sockets;
-      double best_score = 1e300;
-      for (std::size_t s = 0; s < socks.size(); ++s) {
-        const double demand =
-            socks[s].llc_demand_mb / std::max(socks[s].llc_mb, 1e-9) +
-            socks[s].bw_demand_gbps / std::max(socks[s].mem_bw_gbps, 1e-9);
-        const double score = demand + 1e-3 * static_cast<double>(socks[s].vms);
-        if (score < best_score) {
-          best_score = score;
-          booked_socket = s;
-        }
-      }
-      socks[booked_socket].llc_demand_mb += vm.mem_profile.llc_mb;
-      socks[booked_socket].bw_demand_gbps += vm.mem_profile.bw_gbps;
-      ++socks[booked_socket].vms;
-    }
   }
   auto start = std::make_shared<StartVmRequest>();
   start->vm = vm;
@@ -716,7 +677,7 @@ void GroupManager::place_on(net::Address lc, const VmDescriptor& vm,
   const sim::Time sent = now();
   inflight_placements_.insert({lc, vm.id});
   endpoint_.call(lc, start, timeout,
-                 [this, lc, vm, span, responder, booked_socket, sent](bool ok, const net::MsgPtr& reply) {
+                 [this, lc, vm, span, responder, sent](bool ok, const net::MsgPtr& reply) {
     inflight_placements_.erase({lc, vm.id});
     if (ok && handle_stale_lc_reply(reply, lc)) {
       fail_placement(span, "fenced", responder);
@@ -746,15 +707,7 @@ void GroupManager::place_on(net::Address lc, const VmDescriptor& vm,
       responder.respond(placement);
       return;
     }
-    if (it != lcs_.end()) {
-      release(it->second.reserved, vm.requested);
-      if (booked_socket != kNoSocket && booked_socket < it->second.sockets.size()) {
-        auto& sock = it->second.sockets[booked_socket];
-        sock.llc_demand_mb = std::max(0.0, sock.llc_demand_mb - vm.mem_profile.llc_mb);
-        sock.bw_demand_gbps = std::max(0.0, sock.bw_demand_gbps - vm.mem_profile.bw_gbps);
-        if (sock.vms > 0) --sock.vms;
-      }
-    }
+    if (it != lcs_.end()) release(it->second.reserved, vm.requested);
     if (resp == nullptr) {
       // Timeout: the LC may have started the VM and only the response was
       // lost — or (fail-slow) is still booting it. Abort the potential
@@ -805,7 +758,7 @@ std::vector<VmLoad> GroupManager::vm_loads(const LcRecord& record) const {
   out.reserve(record.vms.size());
   for (const auto& [id, vm] : record.vms) {
     if (vm.migrating) continue;  // already moving; not relocation material
-    out.push_back(VmLoad{id, vm.demand(), vm.requested, vm.profile, vm.penalty});
+    out.push_back(VmLoad{id, vm.demand(), vm.requested});
   }
   return out;
 }
@@ -820,46 +773,18 @@ void GroupManager::handle_anomaly(const AnomalyEvent& event) {
     others.push_back(lc_info(addr, lc));
   }
 
-  // With interference management on, capacity moves must not park a VM
-  // where its predicted multiplier falls below the relocation threshold —
-  // the interference planner would immediately move it away again.
-  const double min_multiplier =
-      config_.interference_aware ? config_.interference_relocation_threshold : 0.0;
   std::vector<RelocationMove> moves;
   if (event.kind == AnomalyEvent::Kind::kOverload) {
     bump("gm.overload_events");
     trace_event("gm.overload_event");
     moves = plan_overload_relocation(source, vm_loads(it->second), others,
-                                     config_.overload_threshold, min_multiplier);
-  } else if (event.kind == AnomalyEvent::Kind::kUnderload) {
+                                     config_.overload_threshold);
+  } else {
     bump("gm.underload_events");
     trace_event("gm.underload_event");
     moves = plan_underload_relocation(source, vm_loads(it->second), others,
                                       config_.underload_threshold,
-                                      config_.overload_threshold, min_multiplier);
-  } else {
-    if (!config_.interference_aware) return;
-    bump("gm.interference_events");
-    trace_event("gm.interference_event");
-    // In-flight migrations are invisible to the monitoring reports the
-    // planner prices targets with: exclude their destinations (the "empty"
-    // host a noisy VM is already heading for) and their VMs (committed as
-    // victims even if the source's migrating flag has not reported back yet).
-    std::vector<LcInfo> targets;
-    targets.reserve(others.size());
-    for (const LcInfo& lc : others) {
-      bool inbound = false;
-      for (const auto& [vm, dest] : inflight_migrations_) {
-        if (dest == lc.lc) { inbound = true; break; }
-      }
-      if (!inbound) targets.push_back(lc);
-    }
-    std::vector<VmLoad> loads = vm_loads(it->second);
-    std::erase_if(loads, [this](const VmLoad& v) {
-      return inflight_migrations_.count(v.vm) > 0;
-    });
-    moves = plan_interference_relocation(source, loads, targets,
-                                         config_.overload_threshold);
+                                      config_.overload_threshold);
   }
   execute_moves(moves);
 }
@@ -945,28 +870,12 @@ void GroupManager::gm_reconfigure() {
   std::map<net::Address, std::size_t> host_index;
   for (std::size_t h = 0; h < hosts.size(); ++h) host_index[hosts[h]] = h;
 
-  // With interference-aware consolidation on, extend the instance so the
-  // packer trades hosts saved against delivered performance.
-  const bool interference =
-      config_.interference_aware && config_.consolidation_interference_weight > 0.0;
-  if (interference) {
-    instance.interference_weight = config_.consolidation_interference_weight;
-    for (const net::Address addr : hosts) {
-      interference::TopologySpec topo;
-      for (const auto& s : lcs_.find(addr)->second.sockets) {
-        topo.sockets.push_back(interference::SocketSpec{s.llc_mb, s.mem_bw_gbps});
-      }
-      instance.host_topologies.push_back(std::move(topo));
-    }
-  }
-
   consolidation::Placement current;
   std::vector<consolidation::HostIndex> current_raw;
   for (const auto& [addr, lc] : lcs_) {
     if (!lc.takes_new_work()) continue;
     for (const auto& [id, vm] : lc.vms) {
       instance.vm_demands.push_back(vm.requested);
-      if (interference) instance.vm_profiles.push_back(vm.profile);
       vm_keys.emplace_back(addr, id);
       current_raw.push_back(static_cast<consolidation::HostIndex>(host_index[addr]));
     }
@@ -995,14 +904,8 @@ void GroupManager::gm_reconfigure() {
       return;
   }
   if (!target.feasible(instance)) return;
-  // Accept only strict improvements. Capacity-only instances compare hosts
-  // used (the historical rule, score == hosts_used there); interference-
-  // aware instances compare the combined score, so a plan that keeps the
-  // host count but un-crowds hot sockets is still worth executing.
-  if (consolidation::score(instance, target) >=
-      consolidation::score(instance, current)) {
-    return;
-  }
+  // Accept only strict improvements: the target must use fewer hosts.
+  if (target.hosts_used() >= current.hosts_used()) return;
 
   bump("gm.reconfigurations");
   trace_event("gm.reconfiguration");

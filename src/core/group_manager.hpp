@@ -90,8 +90,7 @@ class GroupManager final : public sim::Actor {
   /// non-draining LCs of this group, first-fit with headroom accounting.
   /// Returns the number of migrations commanded.
   std::size_t evacuate_lc(net::Address source);
-  /// Migrations this GM commanded that have not completed yet (the set the
-  /// interference planner keeps away from).
+  /// Migrations this GM commanded that have not completed yet.
   [[nodiscard]] std::size_t inflight_migration_count() const {
     return inflight_migrations_.size();
   }
@@ -156,8 +155,6 @@ class GroupManager final : public sim::Actor {
     bool has_descriptor = false;
     VmDescriptor descriptor;  ///< known iff this GM placed the VM
     bool migrating = false;   ///< reported in flight by the LC (don't re-move)
-    interference::MemProfile profile;  ///< from the latest monitor report
-    double penalty = 1.0;              ///< current throughput multiplier
     [[nodiscard]] ResourceVector demand() const {
       return estimator.empty() ? requested : estimator.estimate();
     }
@@ -179,10 +176,6 @@ class GroupManager final : public sim::Actor {
     /// Reported by the LC while it empties out for a restart: no new
     /// placements, no relocation/consolidation targets, no suspends.
     bool draining = false;
-    /// Per-socket shared-resource state from the latest monitor report
-    /// (empty for flat hosts) and the worst VM multiplier on the node.
-    std::vector<LcMonitorData::SocketReport> sockets;
-    double worst_penalty = 1.0;
     /// Gray-failure containment state machine (apply_containment()).
     LcHealth health = LcHealth::kHealthy;
     sim::Time probation_since = 0.0;
@@ -356,10 +349,7 @@ class GroupManager final : public sim::Actor {
   /// loop over it.
   util::FlatMap<net::Address, LcRecord> lcs_;
   /// Destinations of migrations this GM commanded that have not completed
-  /// yet. Monitoring reports lag the command, so without this the
-  /// interference planner would keep routing victims at a target that looks
-  /// empty but already has a noisy VM on the wire towards it (co-location
-  /// ping-pong). Cleared on MigrationDone, LC rejection, or command timeout.
+  /// yet. Cleared on MigrationDone, LC rejection, or command timeout.
   std::map<VmId, net::Address> inflight_migrations_;
   /// (LC, VM) pairs with an in-flight StartVm this GM issued. A slow LC's
   /// monitoring report can list the booting copy before the ack arrives;

@@ -210,20 +210,8 @@ void LocalController::send_monitor_data() {
   for (const auto& [id, vm] : host_.vms()) {
     const auto meta = vm_meta_.find(id);
     const bool migrating = meta != vm_meta_.end() && meta->second.migrating;
-    data->vms.push_back(LcMonitorData::VmUsage{id, vm->spec().requested, vm->used(now()),
-                                               migrating, vm->spec().mem_profile,
-                                               host_.vm_penalty(id)});
-  }
-  // Socketed hosts report per-socket shared-resource pressure so the GM can
-  // score placements; flat hosts add nothing to the wire.
-  if (!host_.topology().flat()) {
-    for (std::size_t s = 0; s < host_.socket_count(); ++s) {
-      const auto& spec = host_.topology().sockets[s];
-      const auto pressure = host_.socket_pressure(s);
-      data->sockets.push_back(LcMonitorData::SocketReport{
-          spec.llc_mb, spec.mem_bw_gbps, pressure.llc_demand_mb,
-          pressure.bw_demand_gbps, pressure.vms});
-    }
+    data->vms.push_back(
+        LcMonitorData::VmUsage{id, vm->spec().requested, vm->used(now()), migrating});
   }
   data->draining = draining_;
   endpoint_.send(gm_, data);
@@ -232,31 +220,13 @@ void LocalController::send_monitor_data() {
 void LocalController::check_anomalies() {
   if (state_ != State::kAssigned || !serving()) return;
   const double utilization = host_.utilization(now());
-  // Sustained-interference tracking runs outside the rate limiter so the
-  // sustain window measures real time spent below the threshold.
-  double worst = 1.0;
-  if (config_.interference_aware) {
-    worst = host_.worst_penalty();
-    if (worst < config_.interference_relocation_threshold) {
-      if (interference_low_since_ < 0.0) interference_low_since_ = now();
-    } else {
-      interference_low_since_ = -1.0;
-    }
-  }
   // Rate-limit anomaly reports: one per two check periods.
   if (now() - last_anomaly_ < 2.0 * config_.anomaly_check_period) return;
   AnomalyEvent::Kind kind;
-  double value = utilization;
   if (utilization > config_.overload_threshold) {
     kind = AnomalyEvent::Kind::kOverload;
   } else if (utilization < config_.underload_threshold && host_.vm_count() > 0) {
     kind = AnomalyEvent::Kind::kUnderload;
-  } else if (interference_low_since_ >= 0.0 &&
-             now() - interference_low_since_ >= config_.interference_sustain_s) {
-    // Capacity anomalies take precedence: migrating for interference while
-    // overloaded would fight the overload relocation.
-    kind = AnomalyEvent::Kind::kInterference;
-    value = worst;
   } else {
     return;
   }
@@ -264,12 +234,10 @@ void LocalController::check_anomalies() {
   auto event = std::make_shared<AnomalyEvent>();
   event->lc = endpoint_.address();
   event->kind = kind;
-  event->utilization = value;
+  event->utilization = utilization;
   endpoint_.send(gm_, event);
   bump("lc.anomalies");
-  trace_event(kind == AnomalyEvent::Kind::kOverload    ? "lc.overload"
-              : kind == AnomalyEvent::Kind::kUnderload ? "lc.underload"
-                                                       : "lc.interference");
+  trace_event(kind == AnomalyEvent::Kind::kOverload ? "lc.overload" : "lc.underload");
 }
 
 // --- command handling -----------------------------------------------------------
@@ -350,7 +318,6 @@ void LocalController::handle_start_vm(const StartVmRequest& req,
   spec.requested = req.vm.requested;
   spec.memory_mb = req.vm.memory_mb;
   spec.dirty_rate_mbps = req.vm.dirty_rate_mbps;
-  spec.mem_profile = req.vm.mem_profile;
   hypervisor::Vm& vm = host_.place(spec, make_trace(req.vm.trace));
   vm.set_state(hypervisor::VmState::kBooting);
   VmMeta meta;
@@ -369,13 +336,10 @@ void LocalController::handle_start_vm(const StartVmRequest& req,
     host_.touch(now());
     auto& meta_ref = vm_meta_[id];
     if (meta_ref.descriptor.lifetime_s > 0.0) {
-      // Contention stretches runtime: a VM delivering a fraction `penalty`
-      // of its throughput needs 1/penalty the wall time to finish the same
-      // work. Exactly 1.0 (and a no-op) for unprofiled or flat deployments.
-      // CPU steal compounds the same way: (1-steal) delivered cycles per
-      // second means 1/(1-steal) the wall time.
-      const double stretched = meta_ref.descriptor.lifetime_s / host_.vm_penalty(id) /
-                               std::max(1e-6, 1.0 - cpu_steal_);
+      // CPU steal stretches runtime: (1-steal) delivered cycles per second
+      // means 1/(1-steal) the wall time to finish the same work.
+      const double stretched =
+          meta_ref.descriptor.lifetime_s / std::max(1e-6, 1.0 - cpu_steal_);
       meta_ref.stop_at = now() + stretched;
       meta_ref.stop_event = after(stretched, [this, id] { terminate_vm(id); });
     }
@@ -533,17 +497,14 @@ void LocalController::handle_adopt(const AdoptVmRequest& req, net::Responder res
   spec.requested = req.vm.requested;
   spec.memory_mb = req.vm.memory_mb;
   spec.dirty_rate_mbps = req.vm.dirty_rate_mbps;
-  spec.mem_profile = req.vm.mem_profile;
   hypervisor::Vm& vm = host_.place(spec, make_trace(req.vm.trace));
   vm.set_state(hypervisor::VmState::kRunning);
   VmMeta meta;
   meta.descriptor = req.vm;
   if (req.remaining_lifetime_s > 0.0) {
-    // Re-stretch against the contention on the new host (see handle_start_vm).
-    const double stretched = req.remaining_lifetime_s / host_.vm_penalty(req.vm.id);
-    meta.stop_at = now() + stretched;
+    meta.stop_at = now() + req.remaining_lifetime_s;
     const VmId id = req.vm.id;
-    meta.stop_event = after(stretched, [this, id] { terminate_vm(id); });
+    meta.stop_event = after(req.remaining_lifetime_s, [this, id] { terminate_vm(id); });
   }
   vm_meta_[req.vm.id] = meta;
   set_running_vms(running_vms_.current() + 1.0);

@@ -183,9 +183,6 @@ class LocalController final : public sim::Actor {
   net::GroupId gm_group_ = 0;
   sim::Time last_gm_heartbeat_ = 0.0;
   sim::Time last_anomaly_ = -1e9;
-  /// When the worst VM multiplier first dipped below the relocation
-  /// threshold (-1 while healthy). Drives the sustained-penalty anomaly.
-  sim::Time interference_low_since_ = -1.0;
   hypervisor::MigrationModel migration_model_;
   double service_stretch_ = 1.0;  ///< gray-fault injection (1 = healthy)
   double cpu_steal_ = 0.0;        ///< gray-fault injection (0 = healthy)

@@ -94,34 +94,13 @@ struct LcMonitorData final : net::MessageOf<LcMonitorData> {
     /// GM inheriting the LC after a failover learns about half-finished
     /// migrations and does not command a second one.
     bool migrating = false;
-    /// Memory-subsystem profile + the throughput multiplier the VM currently
-    /// experiences. Profile-less VMs serialize neither (penalty is then 1 by
-    /// construction), keeping legacy traffic byte-identical.
-    interference::MemProfile profile;
-    double penalty = 1.0;
   };
   std::vector<VmUsage> vms;
-  /// Per-socket shared-resource report (empty on flat hosts): capacity and
-  /// aggregated demand of the socket's LLC and memory-bandwidth pools.
-  struct SocketReport {
-    double llc_mb = 0.0;
-    double mem_bw_gbps = 0.0;
-    double llc_demand_mb = 0.0;
-    double bw_demand_gbps = 0.0;
-    std::uint32_t vms = 0;
-  };
-  std::vector<SocketReport> sockets;
   /// True while the node is being drained for maintenance (rolling upgrade):
   /// the GM must stop placing new VMs on it and let it empty out.
   bool draining = false;
   [[nodiscard]] std::string_view type() const override { return "lc.monitor"; }
-  [[nodiscard]] std::size_t wire_size() const override {
-    std::size_t bytes = 96 + vms.size() * 72 + sockets.size() * 40;
-    for (const auto& vm : vms) {
-      if (vm.profile.present()) bytes += 32;  // profile (24) + penalty (8)
-    }
-    return bytes;
-  }
+  [[nodiscard]] std::size_t wire_size() const override { return 96 + vms.size() * 72; }
 };
 
 // --------------------------------------------------------------------------
@@ -201,9 +180,7 @@ struct GlQueryResponse final : net::MessageOf<GlQueryResponse> {
 struct SubmitVmRequest final : net::MessageOf<SubmitVmRequest> {
   VmDescriptor vm;
   [[nodiscard]] std::string_view type() const override { return "gl.submit_vm"; }
-  [[nodiscard]] std::size_t wire_size() const override {
-    return 120 + profile_wire_bytes(vm.mem_profile);
-  }
+  [[nodiscard]] std::size_t wire_size() const override { return 120; }
 };
 
 struct SubmitVmResponse final : net::MessageOf<SubmitVmResponse> {
@@ -218,9 +195,7 @@ struct SubmitVmResponse final : net::MessageOf<SubmitVmResponse> {
 struct PlacementRequest final : net::MessageOf<PlacementRequest> {
   VmDescriptor vm;
   [[nodiscard]] std::string_view type() const override { return "gm.place_vm"; }
-  [[nodiscard]] std::size_t wire_size() const override {
-    return 120 + profile_wire_bytes(vm.mem_profile);
-  }
+  [[nodiscard]] std::size_t wire_size() const override { return 120; }
 };
 
 struct PlacementResponse final : net::MessageOf<PlacementResponse> {
@@ -234,9 +209,7 @@ struct PlacementResponse final : net::MessageOf<PlacementResponse> {
 struct StartVmRequest final : net::MessageOf<StartVmRequest> {
   VmDescriptor vm;
   [[nodiscard]] std::string_view type() const override { return "lc.start_vm"; }
-  [[nodiscard]] std::size_t wire_size() const override {
-    return 120 + profile_wire_bytes(vm.mem_profile);
-  }
+  [[nodiscard]] std::size_t wire_size() const override { return 120; }
 };
 
 struct StartVmResponse final : net::MessageOf<StartVmResponse> {
@@ -282,13 +255,10 @@ struct VmTerminated final : net::MessageOf<VmTerminated> {
 /// LC -> GM: local anomaly detection (paper §II.A: LCs "detect local
 /// overload/underload anomaly situations and report them").
 struct AnomalyEvent final : net::MessageOf<AnomalyEvent> {
-  enum class Kind { kOverload, kUnderload, kInterference };
+  enum class Kind { kOverload, kUnderload };
   Address lc = net::kNullAddress;
   Kind kind = Kind::kOverload;
-  /// kOverload/kUnderload: bottleneck utilization. kInterference: the worst
-  /// (smallest) throughput multiplier observed across the LC's VMs, reusing
-  /// the slot so the wire size stays fixed.
-  double utilization = 0.0;
+  double utilization = 0.0;  ///< bottleneck utilization
   [[nodiscard]] std::string_view type() const override { return "gm.anomaly"; }
   [[nodiscard]] std::size_t wire_size() const override { return 28; }
 };
@@ -315,9 +285,7 @@ struct AdoptVmRequest final : net::MessageOf<AdoptVmRequest> {
   double downtime_s = 0.0;
   double remaining_lifetime_s = 0.0;  ///< 0 = unbounded
   [[nodiscard]] std::string_view type() const override { return "lc.adopt_vm"; }
-  [[nodiscard]] std::size_t wire_size() const override {
-    return 128 + profile_wire_bytes(vm.mem_profile);
-  }
+  [[nodiscard]] std::size_t wire_size() const override { return 128; }
 };
 
 struct AdoptVmResponse final : net::MessageOf<AdoptVmResponse> {

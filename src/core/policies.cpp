@@ -104,45 +104,6 @@ Address BestFitPlacement::choose(const VmDescriptor& vm, const std::vector<LcInf
   return best;
 }
 
-double predicted_penalty(const VmDescriptor& vm, const LcInfo& lc) {
-  if (!vm.mem_profile.present() || lc.sockets.empty()) return 0.0;
-  // The VM would land on whichever socket degrades it least; the aggregated
-  // per-socket demand stands in for the neighbors it would join.
-  double best_multiplier = 0.0;
-  for (const auto& s : lc.sockets) {
-    interference::SocketPressure neighbors;
-    neighbors.llc_demand_mb = s.llc_demand_mb;
-    neighbors.bw_demand_gbps = s.bw_demand_gbps;
-    neighbors.vms = s.vms;
-    const interference::SocketSpec spec{s.llc_mb, s.mem_bw_gbps};
-    best_multiplier = std::max(
-        best_multiplier, interference::degradation_multiplier(vm.mem_profile, neighbors, spec));
-  }
-  return 1.0 - best_multiplier;
-}
-
-Address LeastInterferencePlacement::choose(const VmDescriptor& vm,
-                                           const std::vector<LcInfo>& lcs) {
-  Address best = net::kNullAddress;
-  double best_penalty = std::numeric_limits<double>::infinity();
-  double best_residual = std::numeric_limits<double>::infinity();
-  for (const LcInfo& lc : lcs) {
-    if (!lc.fits(vm.requested)) continue;
-    // Capacity-only fallback: predicted_penalty is 0 for every LC when the
-    // VM has no profile or no socket reports exist, and the residual
-    // tiebreak below reduces this policy to best-fit.
-    const double penalty = predicted_penalty(vm, lc);
-    const double residual = (lc.capacity - (lc.reserved + vm.requested)).l1_norm();
-    if (penalty < best_penalty ||
-        (penalty == best_penalty && residual < best_residual)) {
-      best_penalty = penalty;
-      best_residual = residual;
-      best = lc.lc;
-    }
-  }
-  return best;
-}
-
 std::unique_ptr<PlacementPolicy> make_placement_policy(PlacementPolicyKind kind) {
   switch (kind) {
     case PlacementPolicyKind::kFirstFit:
@@ -151,8 +112,6 @@ std::unique_ptr<PlacementPolicy> make_placement_policy(PlacementPolicyKind kind)
       return std::make_unique<RoundRobinPlacement>();
     case PlacementPolicyKind::kBestFit:
       return std::make_unique<BestFitPlacement>();
-    case PlacementPolicyKind::kLeastInterference:
-      return std::make_unique<LeastInterferencePlacement>();
   }
   return std::make_unique<FirstFitPlacement>();
 }

@@ -54,19 +54,6 @@ struct LcInfo {
   bool probation = false;
   std::uint32_t vm_count = 0;
 
-  /// Per-socket shared-resource state from the latest monitor report (empty
-  /// for flat hosts). Capacity + aggregated demand per socket.
-  struct SocketInfo {
-    double llc_mb = 0.0;
-    double mem_bw_gbps = 0.0;
-    double llc_demand_mb = 0.0;
-    double bw_demand_gbps = 0.0;
-    std::uint32_t vms = 0;
-  };
-  std::vector<SocketInfo> sockets;
-  /// Smallest throughput multiplier across the LC's VMs (1.0 = none degraded).
-  double worst_penalty = 1.0;
-
   [[nodiscard]] bool fits(const ResourceVector& demand) const {
     return powered_on && !draining && !probation &&
            (reserved + demand).fits_within(capacity);
@@ -132,20 +119,6 @@ class BestFitPlacement final : public PlacementPolicy {
  public:
   Address choose(const VmDescriptor& vm, const std::vector<LcInfo>& lcs) override;
 };
-
-/// Interference-aware placement: among feasible LCs, minimize the worst-case
-/// throughput multiplier the VM (and its new neighbors) would see on the
-/// LC's least-pressured socket. Falls back to capacity-only best-fit scoring
-/// when the VM has no profile or no LC reports socket state.
-class LeastInterferencePlacement final : public PlacementPolicy {
- public:
-  Address choose(const VmDescriptor& vm, const std::vector<LcInfo>& lcs) override;
-};
-
-/// Predicted penalty (1 - multiplier) for placing `vm` on the best socket of
-/// `lc`; 0 when either side lacks interference data. Shared by placement and
-/// relocation planning.
-double predicted_penalty(const VmDescriptor& vm, const LcInfo& lc);
 
 std::unique_ptr<PlacementPolicy> make_placement_policy(PlacementPolicyKind kind);
 

@@ -28,47 +28,12 @@ bool would_overload(const Target& t, const ResourceVector& estimated,
          overload_threshold;
 }
 
-/// True when landing `vm` on `t` would degrade it below `min_multiplier` —
-/// i.e. the capacity planner would create the very contention the
-/// interference planner relocates away from, and the two would ping-pong
-/// the VM forever. Prices the incoming VM only (the aggregate socket demand
-/// cannot attribute neighbor sensitivity); 0 disables the guard.
-bool would_degrade(const Target& t, const VmLoad& vm, double min_multiplier) {
-  if (min_multiplier <= 0.0 || !vm.profile.present()) return false;
-  VmDescriptor descriptor;
-  descriptor.id = vm.vm;
-  descriptor.requested = vm.requested;
-  descriptor.mem_profile = vm.profile;
-  return 1.0 - predicted_penalty(descriptor, t.info) < min_multiplier;
-}
-
-/// Mirror the host's auto socket choice for a tentatively assigned VM so
-/// subsequent candidates in the same plan price its pressure.
-void book_profile(LcInfo& lc, const interference::MemProfile& profile) {
-  if (!profile.present() || lc.sockets.empty()) return;
-  std::size_t best = 0;
-  double best_demand = 1e300;
-  for (std::size_t s = 0; s < lc.sockets.size(); ++s) {
-    const auto& sock = lc.sockets[s];
-    const double demand = sock.llc_demand_mb / std::max(sock.llc_mb, 1e-9) +
-                          sock.bw_demand_gbps / std::max(sock.mem_bw_gbps, 1e-9);
-    if (demand < best_demand) {
-      best_demand = demand;
-      best = s;
-    }
-  }
-  lc.sockets[best].llc_demand_mb += profile.llc_mb;
-  lc.sockets[best].bw_demand_gbps += profile.bw_gbps;
-  lc.sockets[best].vms += 1;
-}
-
 }  // namespace
 
 std::vector<RelocationMove> plan_overload_relocation(const LcInfo& overloaded,
                                                      const std::vector<VmLoad>& vms,
                                                      const std::vector<LcInfo>& other_lcs,
-                                                     double overload_threshold,
-                                                     double min_multiplier) {
+                                                     double overload_threshold) {
   std::vector<RelocationMove> plan;
   auto targets = sorted_targets(other_lcs);
   if (targets.empty() || vms.empty()) return plan;
@@ -85,12 +50,10 @@ std::vector<RelocationMove> plan_overload_relocation(const LcInfo& overloaded,
     for (Target& t : targets) {
       if (!t.info.fits(vm.requested)) continue;
       if (would_overload(t, vm.estimated, overload_threshold)) continue;
-      if (would_degrade(t, vm, min_multiplier)) continue;
       plan.push_back(RelocationMove{vm.vm, overloaded.lc, t.info.lc});
       t.info.reserved += vm.requested;
       t.info.estimated_used += vm.estimated;
       t.info.vm_count += 1;
-      book_profile(t.info, vm.profile);
       residual_used -= vm.estimated;
       break;
     }
@@ -107,8 +70,7 @@ std::vector<RelocationMove> plan_underload_relocation(const LcInfo& underloaded,
                                                       const std::vector<VmLoad>& vms,
                                                       const std::vector<LcInfo>& other_lcs,
                                                       double underload_threshold,
-                                                      double overload_threshold,
-                                                      double min_multiplier) {
+                                                      double overload_threshold) {
   std::vector<RelocationMove> plan;
   if (vms.empty()) return plan;
 
@@ -139,12 +101,10 @@ std::vector<RelocationMove> plan_underload_relocation(const LcInfo& underloaded,
       if (t.info.lc == underloaded.lc) continue;
       if (!t.info.fits(vm.requested)) continue;
       if (would_overload(t, vm.estimated, overload_threshold)) continue;
-      if (would_degrade(t, vm, min_multiplier)) continue;
       plan.push_back(RelocationMove{vm.vm, underloaded.lc, t.info.lc});
       t.info.reserved += vm.requested;
       t.info.estimated_used += vm.estimated;
       t.info.vm_count += 1;
-      book_profile(t.info, vm.profile);
       receives[i] = true;
       placed = true;
       break;
@@ -161,47 +121,6 @@ std::vector<RelocationMove> plan_underload_relocation(const LcInfo& underloaded,
     }
   }
   return plan;
-}
-
-std::vector<RelocationMove> plan_interference_relocation(const LcInfo& degraded,
-                                                         const std::vector<VmLoad>& vms,
-                                                         const std::vector<LcInfo>& other_lcs,
-                                                         double overload_threshold) {
-  // The noisiest profiled VM: largest shared-resource demand, weighted the
-  // same way the degradation model weights overcommit (LLC 1.5x).
-  const VmLoad* victim = nullptr;
-  double victim_noise = 0.0;
-  for (const VmLoad& vm : vms) {
-    if (!vm.profile.present()) continue;
-    const double noise = 1.5 * vm.profile.llc_mb + vm.profile.bw_gbps;
-    if (victim == nullptr || noise > victim_noise) {
-      victim = &vm;
-      victim_noise = noise;
-    }
-  }
-  if (victim == nullptr) return {};
-
-  VmDescriptor descriptor;
-  descriptor.id = victim->vm;
-  descriptor.requested = victim->requested;
-  descriptor.mem_profile = victim->profile;
-
-  const LcInfo* best = nullptr;
-  double best_penalty = 1.0 - victim->penalty;  // must strictly improve
-  for (const LcInfo& lc : other_lcs) {
-    if (lc.lc == degraded.lc || !lc.fits(victim->requested)) continue;
-    if ((lc.estimated_used + victim->estimated).max_utilization(lc.capacity) >
-        overload_threshold) {
-      continue;
-    }
-    const double penalty = predicted_penalty(descriptor, lc);
-    if (penalty < best_penalty) {
-      best_penalty = penalty;
-      best = &lc;
-    }
-  }
-  if (best == nullptr) return {};
-  return {RelocationMove{victim->vm, degraded.lc, best->lc}};
 }
 
 }  // namespace snooze::core

@@ -26,26 +26,14 @@ struct VmLoad {
   VmId vm = hypervisor::kNullVm;
   ResourceVector estimated;
   ResourceVector requested;
-  /// Memory-subsystem profile (from the latest monitor report); absent for
-  /// legacy VMs, which the interference planner then never selects.
-  interference::MemProfile profile;
-  /// Throughput multiplier the VM currently experiences on its host.
-  double penalty = 1.0;
 };
 
 /// Plan moves off an overloaded LC. Targets are powered-on LCs ordered by
 /// ascending utilization; reservation feasibility is respected. Returns an
 /// empty plan when no target can absorb any VM.
-///
-/// `min_multiplier` (both planners): with interference management on, a
-/// capacity move must not park a profiled VM where its predicted throughput
-/// multiplier drops below this floor — the interference planner would
-/// immediately relocate it away again and the two planners would ping-pong
-/// the VM forever. 0 (the default) disables the guard.
 std::vector<RelocationMove> plan_overload_relocation(
     const LcInfo& overloaded, const std::vector<VmLoad>& vms,
-    const std::vector<LcInfo>& other_lcs, double overload_threshold,
-    double min_multiplier = 0.0);
+    const std::vector<LcInfo>& other_lcs, double overload_threshold);
 
 /// Plan the full evacuation of an underloaded LC onto moderately loaded
 /// targets. Returns an empty plan unless *every* VM can be rehomed (partial
@@ -53,16 +41,6 @@ std::vector<RelocationMove> plan_overload_relocation(
 std::vector<RelocationMove> plan_underload_relocation(
     const LcInfo& underloaded, const std::vector<VmLoad>& vms,
     const std::vector<LcInfo>& other_lcs, double underload_threshold,
-    double overload_threshold, double min_multiplier = 0.0);
-
-/// Plan a single targeted move off an LC suffering sustained memory-subsystem
-/// interference: evict the most aggressive profiled VM (largest shared-
-/// resource demand) to the feasible target where its predicted penalty is
-/// smallest — and strictly better than what it suffers today, so the plan
-/// never thrashes. At most one move: relieving the socket re-prices every
-/// remaining multiplier, so further moves are planned on fresh reports.
-std::vector<RelocationMove> plan_interference_relocation(
-    const LcInfo& degraded, const std::vector<VmLoad>& vms,
-    const std::vector<LcInfo>& other_lcs, double overload_threshold);
+    double overload_threshold);
 
 }  // namespace snooze::core

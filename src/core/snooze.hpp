@@ -16,6 +16,5 @@
 #include "core/system.hpp"
 #include "energy/energy_meter.hpp"
 #include "energy/power_model.hpp"
-#include "workload/cluster.hpp"
 #include "workload/traces.hpp"
 #include "workload/vm_generator.hpp"

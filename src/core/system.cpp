@@ -26,13 +26,11 @@ SnoozeSystem::SnoozeSystem(SystemSpec spec)
   }
   util::Rng host_rng(spec_.seed ^ 0x9E3779B97F4A7C15ull);
   for (std::size_t i = 0; i < spec_.local_controllers; ++i) {
-    hypervisor::HostSpec host = spec_.host_specs.empty()
-                                    ? spec_.host_template
-                                    : spec_.host_specs[i % spec_.host_specs.size()];
+    hypervisor::HostSpec host = spec_.host_template;
     char name[32];
     std::snprintf(name, sizeof(name), "lc-%03zu", i);
     host.name = name;
-    if (spec_.host_specs.empty() && spec_.host_capacity_spread > 0.0) {
+    if (spec_.host_capacity_spread > 0.0) {
       const double f = 1.0 + host_rng.uniform(-spec_.host_capacity_spread,
                                               spec_.host_capacity_spread);
       host.capacity = host.capacity.scaled(f);
@@ -155,7 +153,7 @@ std::string SnoozeSystem::hierarchy_dump() {
 }
 
 VmDescriptor SnoozeSystem::make_vm(const ResourceVector& requested, double lifetime_s,
-                                   TraceSpec trace, interference::MemProfile profile) {
+                                   TraceSpec trace) {
   VmDescriptor vm;
   vm.id = next_vm_id_++;
   vm.requested = requested;
@@ -163,7 +161,6 @@ VmDescriptor SnoozeSystem::make_vm(const ResourceVector& requested, double lifet
   vm.dirty_rate_mbps = 25.0 + requested.cpu() * 150.0;
   vm.lifetime_s = lifetime_s;
   vm.trace = trace;
-  vm.mem_profile = profile;
   return vm;
 }
 

@@ -30,12 +30,10 @@ struct SystemSpec {
   std::size_t group_managers = 2;
   std::size_t local_controllers = 16;
   hypervisor::HostSpec host_template{};  ///< name is overridden per node
-  double host_capacity_spread = 0.0;     ///< heterogeneity (see workload::ClusterSpec)
-  /// Explicit per-LC host specs (e.g. from workload::build_cluster with
-  /// mixed socket topologies). When non-empty it overrides host_template and
-  /// host_capacity_spread; LC i uses host_specs[i % size] with the name
-  /// still rewritten to the canonical lc-NNN form.
-  std::vector<hypervisor::HostSpec> host_specs;
+  /// Heterogeneity: LC i's capacity is host_template's scaled by a factor
+  /// drawn from U(1 - spread, 1 + spread) per LC, seeded from `seed`.
+  /// 0 = homogeneous.
+  double host_capacity_spread = 0.0;
   SnoozeConfig config{};
   net::LatencyModel latency{};
   std::uint64_t seed = 42;
@@ -89,10 +87,9 @@ class SnoozeSystem {
   /// Human-readable hierarchy snapshot (the CLI's "live visualization").
   [[nodiscard]] std::string hierarchy_dump();
 
-  /// Build a VM descriptor with a fresh unique id. `profile` (absent by
-  /// default) attaches a memory-subsystem profile for the interference model.
+  /// Build a VM descriptor with a fresh unique id.
   VmDescriptor make_vm(const ResourceVector& requested, double lifetime_s = 0.0,
-                       TraceSpec trace = {}, interference::MemProfile profile = {});
+                       TraceSpec trace = {});
 
   // --- fault injection --------------------------------------------------------
   /// Crash the current GL. Returns the index of the crashed GM, or -1.

@@ -7,7 +7,6 @@
 
 #include "hypervisor/resources.hpp"
 #include "hypervisor/vm.hpp"
-#include "interference/model.hpp"
 
 namespace snooze::core {
 
@@ -41,16 +40,6 @@ struct VmDescriptor {
   double dirty_rate_mbps = 50.0;
   double lifetime_s = 0.0;  ///< 0 = runs until stopped
   TraceSpec trace;
-  /// Memory-subsystem profile for the interference model. Absent (kNone) by
-  /// default and then serialized as zero bytes, so profile-less deployments
-  /// keep their exact wire traffic.
-  interference::MemProfile mem_profile;
 };
-
-/// Extra wire bytes a descriptor's memory profile costs (class byte + two
-/// doubles, padded). Zero when absent — see VmDescriptor::mem_profile.
-inline std::size_t profile_wire_bytes(const interference::MemProfile& p) {
-  return p.present() ? 24 : 0;
-}
 
 }  // namespace snooze::core

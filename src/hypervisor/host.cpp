@@ -16,10 +16,7 @@ ResourceVector Host::reserved() const {
 
 ResourceVector Host::used(double t) const {
   ResourceVector total;
-  // Effective usage: contention slows a VM down, so it delivers (and burns)
-  // a penalty-scaled share. On flat hosts the multiplier is exactly 1.0 and
-  // the scaling is a bit-exact no-op.
-  for (const auto& [id, vm] : vms_) total += vm->used(t).scaled(vm_penalty(id));
+  for (const auto& [id, vm] : vms_) total += vm->used(t);
   return total;
 }
 
@@ -31,25 +28,21 @@ bool Host::can_place(const ResourceVector& requested) const {
   return (reserved() + requested).fits_within(spec_.capacity);
 }
 
-Vm& Host::place(VmSpec spec, UtilizationFn utilization, std::size_t socket) {
+Vm& Host::place(VmSpec spec, UtilizationFn utilization) {
   assert(can_place(spec.requested));
   if (spec.id == kNullVm) spec.id = next_local_id_++;
-  const std::size_t s = pick_socket(spec.mem_profile, socket);
   auto vm = std::make_unique<Vm>(spec, std::move(utilization));
   vm->set_state(VmState::kRunning);
   Vm& ref = *vm;
   vms_[spec.id] = std::move(vm);
-  socket_of_[ref.id()] = s;
   return ref;
 }
 
-Vm& Host::adopt(std::unique_ptr<Vm> vm, std::size_t socket) {
+Vm& Host::adopt(std::unique_ptr<Vm> vm) {
   assert(vm != nullptr);
   assert(can_place(vm->spec().requested));
-  const std::size_t s = pick_socket(vm->spec().mem_profile, socket);
   Vm& ref = *vm;
   vms_[vm->id()] = std::move(vm);
-  socket_of_[ref.id()] = s;
   return ref;
 }
 
@@ -58,7 +51,6 @@ std::unique_ptr<Vm> Host::evict(VmId id) {
   if (it == vms_.end()) return nullptr;
   std::unique_ptr<Vm> vm = std::move(it->second);
   vms_.erase(it);
-  socket_of_.erase(id);
   return vm;
 }
 
@@ -77,79 +69,6 @@ std::vector<VmId> Host::vm_ids() const {
   out.reserve(vms_.size());
   for (const auto& [id, vm] : vms_) out.push_back(id);
   return out;
-}
-
-std::size_t Host::socket_of(VmId id) const {
-  const auto it = socket_of_.find(id);
-  return it == socket_of_.end() ? 0 : it->second;
-}
-
-interference::SocketPressure Host::socket_pressure(std::size_t socket) const {
-  interference::SocketPressure pressure;
-  for (const auto& [id, vm] : vms_) {
-    if (socket_of(id) == socket) pressure += vm->spec().mem_profile;
-  }
-  return pressure;
-}
-
-double Host::socket_utilization(std::size_t socket, double t) const {
-  if (spec_.topology.flat()) return utilization(t);
-  ResourceVector total;
-  for (const auto& [id, vm] : vms_) {
-    if (socket_of(id) == socket) total += vm->used(t).scaled(vm_penalty(id));
-  }
-  const double share = 1.0 / static_cast<double>(socket_count());
-  return total.max_utilization(spec_.capacity.scaled(share));
-}
-
-double Host::vm_penalty(VmId id) const {
-  if (spec_.topology.flat()) return 1.0;
-  const auto it = vms_.find(id);
-  if (it == vms_.end() || !it->second->spec().mem_profile.present()) return 1.0;
-  const std::size_t s = socket_of(id);
-  interference::SocketPressure neighbors;
-  for (const auto& [other_id, vm] : vms_) {
-    if (other_id != id && socket_of(other_id) == s) neighbors += vm->spec().mem_profile;
-  }
-  const std::size_t spec_idx = std::min(s, spec_.topology.sockets.size() - 1);
-  return interference::degradation_multiplier(it->second->spec().mem_profile, neighbors,
-                                              spec_.topology.sockets[spec_idx]);
-}
-
-double Host::worst_penalty() const {
-  double worst = 1.0;
-  if (spec_.topology.flat()) return worst;
-  for (const auto& [id, vm] : vms_) worst = std::min(worst, vm_penalty(id));
-  return worst;
-}
-
-std::size_t Host::pick_socket(const interference::MemProfile& profile,
-                              std::size_t requested) const {
-  if (spec_.topology.flat()) return 0;
-  const std::size_t n = spec_.topology.sockets.size();
-  if (requested != kAutoSocket) return std::min(requested, n - 1);
-  // Least-pressured socket: fewest profiled VMs, then lowest combined demand
-  // relative to capacity, then lowest index — fully deterministic.
-  std::vector<std::size_t> population(n, 0);
-  for (const auto& [id, s] : socket_of_) {
-    if (s < n) ++population[s];
-  }
-  std::size_t best = 0;
-  double best_score = 1e300;
-  for (std::size_t s = 0; s < n; ++s) {
-    const interference::SocketPressure p = socket_pressure(s);
-    const auto& sock = spec_.topology.sockets[s];
-    const double demand = p.llc_demand_mb / std::max(sock.llc_mb, 1e-9) +
-                          p.bw_demand_gbps / std::max(sock.mem_bw_gbps, 1e-9);
-    const double score = profile.present()
-                             ? demand + 1e-3 * static_cast<double>(population[s])
-                             : static_cast<double>(population[s]);
-    if (score < best_score) {
-      best_score = score;
-      best = s;
-    }
-  }
-  return best;
 }
 
 void Host::set_power_state(double t, energy::PowerState state) {

@@ -12,7 +12,6 @@
 #include "energy/energy_meter.hpp"
 #include "hypervisor/resources.hpp"
 #include "hypervisor/vm.hpp"
-#include "interference/model.hpp"
 
 namespace snooze::hypervisor {
 
@@ -20,9 +19,6 @@ struct HostSpec {
   std::string name = "host";
   ResourceVector capacity{1.0, 1.0, 1.0};
   energy::PowerModel power;
-  /// Socket/LLC-domain layout. Flat (empty) by default: co-location is free
-  /// and every interference multiplier is exactly 1.
-  interference::TopologySpec topology;
 };
 
 class Host {
@@ -46,14 +42,10 @@ class Host {
   [[nodiscard]] bool can_place(const ResourceVector& requested) const;
 
   /// Add a VM (caller checked can_place, asserts otherwise in debug).
-  /// `socket` pins the VM to a socket; kAutoSocket picks the least-pressured
-  /// one deterministically. Ignored on flat hosts (everything lands on 0).
-  static constexpr std::size_t kAutoSocket = static_cast<std::size_t>(-1);
-  Vm& place(VmSpec spec, UtilizationFn utilization = nullptr,
-            std::size_t socket = kAutoSocket);
+  Vm& place(VmSpec spec, UtilizationFn utilization = nullptr);
 
   /// Move an already-constructed VM object onto this host.
-  Vm& adopt(std::unique_ptr<Vm> vm, std::size_t socket = kAutoSocket);
+  Vm& adopt(std::unique_ptr<Vm> vm);
 
   /// Remove and return the VM (nullptr if unknown).
   std::unique_ptr<Vm> evict(VmId id);
@@ -64,29 +56,6 @@ class Host {
   [[nodiscard]] bool idle() const { return vms_.empty(); }
   [[nodiscard]] std::vector<VmId> vm_ids() const;
   [[nodiscard]] const std::map<VmId, std::unique_ptr<Vm>>& vms() const { return vms_; }
-
-  // --- interference -------------------------------------------------------
-  [[nodiscard]] const interference::TopologySpec& topology() const {
-    return spec_.topology;
-  }
-  [[nodiscard]] std::size_t socket_count() const { return spec_.topology.socket_count(); }
-
-  /// Socket the VM runs on (0 for flat hosts / unknown VMs).
-  [[nodiscard]] std::size_t socket_of(VmId id) const;
-
-  /// Aggregated memory-subsystem demand of the profiled VMs on `socket`.
-  [[nodiscard]] interference::SocketPressure socket_pressure(std::size_t socket) const;
-
-  /// Bottleneck utilization of the VMs pinned to `socket` against an even
-  /// per-socket share of host capacity (flat host: whole-host utilization).
-  [[nodiscard]] double socket_utilization(std::size_t socket, double t) const;
-
-  /// Throughput multiplier in (0,1] the VM currently experiences from its
-  /// socket neighbors. Exactly 1.0 on flat hosts and for unknown VMs.
-  [[nodiscard]] double vm_penalty(VmId id) const;
-
-  /// Smallest multiplier across all hosted VMs (1.0 when none degraded).
-  [[nodiscard]] double worst_penalty() const;
 
   // --- power --------------------------------------------------------------
   [[nodiscard]] energy::PowerState power_state() const { return meter_.state(); }
@@ -100,12 +69,8 @@ class Host {
   [[nodiscard]] const energy::EnergyMeter& meter() const { return meter_; }
 
  private:
-  [[nodiscard]] std::size_t pick_socket(const interference::MemProfile& profile,
-                                        std::size_t requested) const;
-
   HostSpec spec_;
   std::map<VmId, std::unique_ptr<Vm>> vms_;
-  std::map<VmId, std::size_t> socket_of_;
   energy::EnergyMeter meter_;
   VmId next_local_id_ = 1;
 };

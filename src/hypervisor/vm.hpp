@@ -13,7 +13,6 @@
 #include <string>
 
 #include "hypervisor/resources.hpp"
-#include "interference/model.hpp"
 
 namespace snooze::hypervisor {
 
@@ -35,9 +34,6 @@ struct VmSpec {
   ResourceVector requested;    ///< reserved capacity (packing input)
   double memory_mb = 2048.0;   ///< RAM footprint, drives migration duration
   double dirty_rate_mbps = 50.0;  ///< page-dirty rate during live migration
-  /// Memory-subsystem profile (LLC working set + bandwidth demand). Absent
-  /// by default: the VM is invisible to the interference model.
-  interference::MemProfile mem_profile;
 };
 
 class Vm {

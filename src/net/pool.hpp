@@ -7,8 +7,8 @@
 // of std::allocate_shared through a per-size-class freelist, so steady-state
 // traffic recycles blocks instead of hitting the global allocator.
 //
-// The pool is intentionally not thread-safe: the simulator is single
-// threaded by design (the ACO thread pool never allocates messages).
+// The pool is intentionally not thread-safe: the whole stack is single
+// threaded by design.
 // Determinism: allocation order has no observable effect on the simulation.
 #pragma once
 

@@ -61,8 +61,6 @@ HealthMonitor::HealthMonitor(core::SnoozeSystem& system, std::size_t max_rows)
   col_.submit_p99 = store_.add_column("submit.p99_s");
   col_.slo_firing = store_.add_column("slo.firing");
   col_.slo_flaps = store_.add_column("slo.flaps_per_hour");
-  col_.interference_p99 = store_.add_column("interference.p99_penalty");
-  col_.degraded_vm_s = store_.add_column("interference.degraded_vm_s");
   col_.summary_bytes_per_gm = store_.add_column("summary.bytes_per_gm_period");
   col_.summary_staleness = store_.add_column("summary.staleness_s");
   col_.gray_slow_nodes = store_.add_column("gray.slow_nodes");
@@ -180,33 +178,6 @@ void HealthMonitor::sample_now() {
   // from zero with the GM, and a cumulative column must never fall.
   const double fence_rejected = counter("fence.rejected");
 
-  // --- interference ---------------------------------------------------------
-  // Per-VM penalties across profiled running VMs (read-only host state).
-  std::vector<double> penalties;
-  double penalty_sum = 0.0;
-  for (const auto& lc : system_.local_controllers()) {
-    if (!lc->alive() || lc->suspended()) continue;
-    const hypervisor::Host& host = lc->host();
-    for (const auto& [id, vm] : host.vms()) {
-      if (!vm->spec().mem_profile.present()) continue;
-      const double penalty = 1.0 - host.vm_penalty(id);
-      penalties.push_back(penalty);
-      penalty_sum += penalty;
-    }
-  }
-  double interference_p99 = kNaN;
-  if (!penalties.empty()) {
-    std::sort(penalties.begin(), penalties.end());
-    const std::size_t idx = static_cast<std::size_t>(
-        0.99 * static_cast<double>(penalties.size() - 1) + 0.5);
-    interference_p99 = penalties[std::min(idx, penalties.size() - 1)];
-  }
-  if (last_sample_time_ >= 0.0) {
-    degraded_vm_s_accum_ += last_penalty_sum_ * (now - last_sample_time_);
-  }
-  last_penalty_sum_ = penalty_sum;
-  last_sample_time_ = now;
-
   // --- summary protocol ----------------------------------------------------
   // Bytes per summary-sending GM per period over the trailing rate window,
   // and the stalest GM summary at the acting GL (NaN until there is a rate
@@ -288,8 +259,6 @@ void HealthMonitor::sample_now() {
   const double flap_window = slo_.config().flap_window_s;
   row[col_.slo_flaps] =
       flap_window > 0.0 ? slo_.flaps_in_window(now) * 3600.0 / flap_window : 0.0;
-  row[col_.interference_p99] = interference_p99;
-  row[col_.degraded_vm_s] = degraded_vm_s_accum_;
   row[col_.summary_bytes_per_gm] = summary_bytes_per_gm;
   row[col_.summary_staleness] = summary_staleness;
   row[col_.gray_slow_nodes] = gray_slow;
@@ -302,10 +271,9 @@ void HealthMonitor::sample_now() {
 }
 
 std::vector<std::string> HealthMonitor::sli_names() {
-  return {"degraded_vm_rate",    "energy_per_vm_hour",
-          "failover_mttr",       "fence_rejected_rate",
-          "heartbeat_staleness", "interference_p99_penalty",
-          "submit_p50",          "submit_p99",
+  return {"energy_per_vm_hour",   "failover_mttr",
+          "fence_rejected_rate",  "heartbeat_staleness",
+          "submit_p50",           "submit_p99",
           "summary_bytes_per_gm", "summary_staleness"};
 }
 
@@ -320,16 +288,9 @@ void HealthMonitor::evaluate_slos(double now) {
 
   // Stale-command rejections per minute over the trailing window.
   double fence_rate = kNaN;
-  double degraded_rate = kNaN;
   const double span = store_.span_over(kRateWindow);
   if (!std::isnan(span) && span > 0.0) {
     fence_rate = store_.delta_over(col_.fence_rejected, kRateWindow) * 60.0 / span;
-    // Degraded-VM-seconds accumulated per minute. NaN until a profiled VM
-    // has ever reported (rate 0.0 would count as a "good" sample and feed
-    // the hysteresis streaks of pre-interference deployments).
-    if (degraded_vm_s_accum_ > 0.0 || last_penalty_sum_ > 0.0) {
-      degraded_rate = store_.delta_over(col_.degraded_vm_s, kRateWindow) * 60.0 / span;
-    }
   }
 
   // Fixed evaluation order: SLI names sort the trace records deterministically.
@@ -338,13 +299,10 @@ void HealthMonitor::evaluate_slos(double now) {
     double value;
     double threshold;
   } slis[] = {
-      {"degraded_vm_rate", degraded_rate, cfg.degraded_vm_seconds_per_min_max},
       {"energy_per_vm_hour", energy_sli, cfg.energy_per_vm_hour_max_j},
       {"failover_mttr", failover_mttr(), cfg.failover_mttr_max_s},
       {"fence_rejected_rate", fence_rate, cfg.fence_rejected_per_min_max},
       {"heartbeat_staleness", store_.latest(col_.hb_staleness), cfg.heartbeat_staleness_max_s},
-      {"interference_p99_penalty", store_.latest(col_.interference_p99),
-       cfg.interference_p99_penalty_max},
       {"submit_p50", store_.latest(col_.submit_p50), cfg.submit_p50_max_s},
       {"submit_p99", store_.latest(col_.submit_p99), cfg.submit_p99_max_s},
       {"summary_bytes_per_gm", store_.latest(col_.summary_bytes_per_gm),
@@ -425,8 +383,7 @@ std::string HealthMonitor::top(std::size_t n) const {
   });
   if (n != 0 && nodes.size() > n) nodes.resize(n);
 
-  util::Table table({"node", "power", "vms", "util", "sock_util", "penalty", "gray",
-                     "hb_age", "energy_j"});
+  util::Table table({"node", "power", "vms", "util", "gray", "hb_age", "energy_j"});
   for (const Node& node : nodes) {
     const core::LocalController& lc = *node.lc;
     const bool alive = lc.alive();
@@ -437,24 +394,9 @@ std::string HealthMonitor::top(std::size_t n) const {
       gray = health == 0 ? "ok" : health == 1 ? "probation" : "quarantine";
       break;
     }
-    std::string sock_util = "-";
-    std::string penalty = "-";
-    if (alive) {
-      const hypervisor::Host& host = lc.host();
-      if (!host.topology().flat()) {
-        sock_util.clear();
-        for (std::size_t s = 0; s < host.socket_count(); ++s) {
-          if (s != 0) sock_util += "/";
-          sock_util += util::Table::pct(host.socket_utilization(s, now));
-        }
-      }
-      const double worst = host.worst_penalty();
-      if (worst < 1.0) penalty = util::Table::pct(1.0 - worst);
-    }
     table.add_row({lc.name(), alive ? power_state_name(lc.power_state()) : "dead",
                    std::to_string(node.vms),
-                   alive ? util::Table::pct(lc.host().utilization(now)) : "-", sock_util,
-                   penalty, gray,
+                   alive ? util::Table::pct(lc.host().utilization(now)) : "-", gray,
                    alive ? util::Table::num(lc.gm_heartbeat_age(now), 2) : "-",
                    util::Table::num(node.energy, 0)});
   }

@@ -21,10 +21,6 @@
 //                         60 s window of the series
 //   heartbeat_staleness   max age of the newest GM heartbeat across assigned,
 //                         powered-on LCs (s)
-//   interference_p99      p99 of (1 - throughput multiplier) across profiled
-//                         running VMs; NaN while none report
-//   degraded_vm_rate      degraded-VM-seconds accumulated per minute over a
-//                         trailing 60 s window
 //   summary_bytes_per_gm  GM->GL summary bytes per sending (alive, non-GL) GM
 //                         per summary period over a trailing 60 s window; NaN
 //                         until the window holds a sample and a GM sends
@@ -84,13 +80,6 @@ class HealthMonitor final : public sim::Actor {
   [[nodiscard]] std::uint64_t failover_episodes() const { return mttr_count_; }
   [[nodiscard]] double failover_mttr() const;
 
-  /// Latest fleet p99 interference penalty (NaN while no profiled VM runs).
-  [[nodiscard]] double interference_p99() const {
-    return store_.latest(col_.interference_p99);
-  }
-  /// Time-integral of summed per-VM interference penalty (degraded VM-seconds).
-  [[nodiscard]] double degraded_vm_seconds() const { return degraded_vm_s_accum_; }
-
   /// Times the trace ring trimmed records the incremental scan never saw.
   /// Each gap resets the open-episode bookkeeping (an election or
   /// reconciliation may have been inside the trimmed span); MTTR episodes
@@ -129,7 +118,6 @@ class HealthMonitor final : public sim::Actor {
     std::size_t work_vm_s, hb_staleness, queue_depth;
     std::size_t placements, migrations, submits, fence_rejected;
     std::size_t mttr_s, failovers, submit_p50, submit_p99, slo_firing, slo_flaps;
-    std::size_t interference_p99, degraded_vm_s;
     std::size_t summary_bytes_per_gm, summary_staleness;
     std::size_t gray_slow_nodes, gray_quarantined, rpc_hedges_won, breaker_open_s;
   } col_{};
@@ -141,13 +129,6 @@ class HealthMonitor final : public sim::Actor {
     double bytes;
   };
   std::vector<BytesSample> summary_bytes_window_;
-
-  /// Degraded-VM-seconds integrator: every profiled running VM contributes
-  /// (1 - multiplier) seconds per second of wall time, accumulated sample to
-  /// sample (left Riemann sum on the monitor cadence).
-  double degraded_vm_s_accum_ = 0.0;
-  double last_penalty_sum_ = 0.0;
-  double last_sample_time_ = -1.0;
 
   // Incremental sim-trace scan state (survives ring-buffer trimming via the
   // dropped() offset).

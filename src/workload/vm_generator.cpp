@@ -7,26 +7,11 @@ namespace snooze::workload {
 
 std::vector<VmClass> default_vm_classes() {
   return {
-      {"small", ResourceVector{0.0625, 0.0625, 0.0625}, 1024.0, 25.0, {}},
-      {"medium", ResourceVector{0.125, 0.125, 0.125}, 2048.0, 50.0, {}},
-      {"large", ResourceVector{0.25, 0.25, 0.25}, 4096.0, 75.0, {}},
-      {"xlarge", ResourceVector{0.5, 0.5, 0.5}, 8192.0, 100.0, {}},
+      {"small", ResourceVector{0.0625, 0.0625, 0.0625}, 1024.0, 25.0},
+      {"medium", ResourceVector{0.125, 0.125, 0.125}, 2048.0, 50.0},
+      {"large", ResourceVector{0.25, 0.25, 0.25}, 4096.0, 75.0},
+      {"xlarge", ResourceVector{0.5, 0.5, 0.5}, 8192.0, 100.0},
   };
-}
-
-std::vector<VmClass> interference_vm_classes() {
-  using interference::CacheIntensity;
-  using interference::MemProfile;
-  auto classes = default_vm_classes();
-  // Streaming batch worker: big bandwidth appetite, small cache footprint.
-  classes[0].mem_profile = MemProfile{CacheIntensity::kLow, 2.0, 4.0};
-  // Web/API serving: moderate on both shared resources.
-  classes[1].mem_profile = MemProfile{CacheIntensity::kMedium, 6.0, 6.0};
-  // In-memory cache: LLC-resident working set, noticeable bandwidth.
-  classes[2].mem_profile = MemProfile{CacheIntensity::kHigh, 10.0, 8.0};
-  // Analytics/scan: thrashes the LLC and saturates bandwidth.
-  classes[3].mem_profile = MemProfile{CacheIntensity::kHigh, 14.0, 14.0};
-  return classes;
 }
 
 std::vector<VmSpec> VmGenerator::batch(std::size_t n) {
@@ -52,7 +37,6 @@ VmSpec ClassVmGenerator::next() {
   spec.requested = cls.demand;
   spec.memory_mb = cls.memory_mb;
   spec.dirty_rate_mbps = cls.dirty_rate_mbps;
-  spec.mem_profile = cls.mem_profile;
   return spec;
 }
 

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "hypervisor/vm.hpp"
-#include "interference/model.hpp"
 #include "util/rng.hpp"
 
 namespace snooze::workload {
@@ -24,19 +23,11 @@ struct VmClass {
   ResourceVector demand;  ///< fraction of host capacity per dimension
   double memory_mb = 2048.0;
   double dirty_rate_mbps = 50.0;
-  /// Memory-subsystem profile emitted with every VM of this class (absent by
-  /// default, leaving legacy workloads untouched by the interference model).
-  interference::MemProfile mem_profile;
 };
 
 /// The default class mix (relative to a host normalized to 1.0 per
 /// dimension): small / medium / large / xlarge in the usual 1:2:4:8 ratio.
 std::vector<VmClass> default_vm_classes();
-
-/// A profiled class mix for interference experiments: the default sizes
-/// annotated with memory-subsystem profiles from cache-friendly batch
-/// workers up to LLC-thrashing analytics VMs.
-std::vector<VmClass> interference_vm_classes();
 
 class VmGenerator {
  public:

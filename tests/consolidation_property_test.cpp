@@ -24,7 +24,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "consolidation/aco.hpp"
@@ -33,7 +32,6 @@
 #include "consolidation/instance.hpp"
 #include "consolidation/migration_plan.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -228,15 +226,11 @@ AcoResult solve(const AcoParams& params_, const Instance& instance) {
 
   util::Rng master(params_.seed);
   std::size_t best_hosts = instance.host_count() + 1;
-  double best_score = std::numeric_limits<double>::infinity();
   double best_slack = std::numeric_limits<double>::infinity();
   bool have_best = false;
 
-  std::unique_ptr<util::ThreadPool> pool;
-  if (params_.threads > 1) pool = std::make_unique<util::ThreadPool>(params_.threads);
-
   for (std::size_t cycle = 0; cycle < params_.cycles; ++cycle) {
-    // Pre-fork one RNG per ant so results do not depend on thread count.
+    // Pre-fork one RNG per ant.
     std::vector<util::Rng> rngs;
     rngs.reserve(params_.ants);
     for (std::size_t a = 0; a < params_.ants; ++a) rngs.push_back(master.fork());
@@ -245,23 +239,15 @@ AcoResult solve(const AcoParams& params_, const Instance& instance) {
     auto run_ant = [&](std::size_t a) {
       solutions[a] = construct_solution(instance, tau, params_, rngs[a]);
     };
-    if (pool) {
-      pool->parallel_for(params_.ants, run_ant);
-    } else {
-      for (std::size_t a = 0; a < params_.ants; ++a) run_ant(a);
-    }
+    for (std::size_t a = 0; a < params_.ants; ++a) run_ant(a);
 
-    // Compare local solutions; keep the lowest score (hosts used, plus the
-    // weighted interference penalty when the instance carries profiles).
+    // Compare local solutions; keep the fewest hosts used.
     for (auto& solution : solutions) {
       if (!solution.complete()) continue;  // instance not packable by this walk
       const std::size_t hosts = solution.hosts_used();
-      const double solution_score = score(instance, solution);
       const double slack = packing_slack(instance, solution);
-      if (!have_best || solution_score < best_score ||
-          (solution_score == best_score && slack < best_slack)) {
+      if (!have_best || hosts < best_hosts || (hosts == best_hosts && slack < best_slack)) {
         best_hosts = hosts;
-        best_score = solution_score;
         best_slack = slack;
         result.placement = std::move(solution);
         have_best = true;
@@ -297,10 +283,9 @@ AcoResult solve(const AcoParams& params_, const Instance& instance) {
 /// Differential instance for `seed`. The family cycles with seed % 4: one
 /// flavor, a few flavors, continuous sizes, or flavors mixed with continuous
 /// sizes (the live consolidation loop's shape). Independently of the family,
-/// seed % 5 < 2 gives heterogeneous host capacities, seed % 7 < 2 adds
-/// memory profiles and socket topologies, and seed % 3 picks one host per
-/// VM, about one per two, or about one per four (which may leave VMs
-/// unplaced, so no walk completes).
+/// seed % 5 < 2 gives heterogeneous host capacities, and seed % 3 picks one
+/// host per VM, about one per two, or about one per four (which may leave
+/// VMs unplaced, so no walk completes).
 Instance differential_instance(std::uint64_t seed) {
   util::Rng rng(seed * 7919 + 17);
   const std::vector<consolidation::ResourceVector> menu = {
@@ -332,28 +317,11 @@ Instance differential_instance(std::uint64_t seed) {
       instance.host_capacities.emplace_back(1.0, 1.0, 1.0);
     }
   }
-  if (seed % 7 < 2) {
-    for (std::size_t i = 0; i < n_vms; ++i) {
-      interference::MemProfile profile;
-      profile.intensity =
-          static_cast<interference::CacheIntensity>(rng.uniform_int<int>(0, 3));
-      profile.llc_mb = rng.uniform(0.0, 12.0);
-      profile.bw_gbps = rng.uniform(0.0, 15.0);
-      instance.vm_profiles.push_back(profile);
-    }
-    for (std::size_t h = 0; h < n_hosts; ++h) {
-      instance.host_topologies.push_back(
-          interference::TopologySpec::uniform(rng.uniform_int<std::size_t>(1, 2)));
-    }
-    instance.interference_weight = rng.uniform(0.2, 2.0);
-  }
   return instance;
 }
 
 /// Colony parameters for `seed`: non-integer exponents, tau0 away from 1,
-/// every evaporation regime, and 4 worker threads when seed % 11 < 5 (11 is
-/// coprime to the instance's moduli, so every family, host regime and
-/// profile setting runs serial and parallel).
+/// and every evaporation regime.
 consolidation::AcoParams differential_params(std::uint64_t seed) {
   util::Rng rng(seed);
   const double alphas[] = {1.0, 0.7, 2.0, 1.3};
@@ -368,7 +336,6 @@ consolidation::AcoParams differential_params(std::uint64_t seed) {
   params.tau0 = tau0s[rng.uniform_int<std::size_t>(0, 2)];
   params.rho = rhos[rng.uniform_int<std::size_t>(0, 3)];
   params.seed = seed;
-  params.threads = seed % 11 < 5 ? 4 : 1;
   return params;
 }
 

@@ -226,18 +226,6 @@ TEST(Aco, DeterministicForSeed) {
   EXPECT_EQ(a.hosts_used, b.hosts_used);
 }
 
-TEST(Aco, ParallelAntsMatchSerial) {
-  const auto inst = uniform_instance(40, 5);
-  AcoParams serial;
-  serial.seed = 7;
-  serial.threads = 1;
-  AcoParams parallel = serial;
-  parallel.threads = 4;
-  const auto a = AcoConsolidation(serial).solve(inst);
-  const auto b = AcoConsolidation(parallel).solve(inst);
-  EXPECT_EQ(a.placement, b.placement);
-}
-
 TEST(Aco, BestPerCycleIsMonotoneNonIncreasing) {
   const auto inst = uniform_instance(60, 11);
   AcoParams params;

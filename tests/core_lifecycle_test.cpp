@@ -367,6 +367,24 @@ TEST(Messages, MonitorDataSizeGrowsWithVmCount) {
   EXPECT_GT(big.wire_size(), small.wire_size());
 }
 
+// The exact byte counts feed `net.bytes_sent`; a change here moves every
+// traffic figure, so it must be deliberate.
+TEST(Messages, WireSizesArePinned) {
+  LcMonitorData monitor;
+  EXPECT_EQ(monitor.wire_size(), 96u);
+  monitor.vms.resize(1);
+  EXPECT_EQ(monitor.wire_size(), 168u);
+  monitor.vms.resize(3);
+  monitor.vms[1].migrating = true;
+  EXPECT_EQ(monitor.wire_size(), 312u);
+
+  EXPECT_EQ(SubmitVmRequest{}.wire_size(), 120u);
+  EXPECT_EQ(PlacementRequest{}.wire_size(), 120u);
+  EXPECT_EQ(StartVmRequest{}.wire_size(), 120u);
+  EXPECT_EQ(AdoptVmRequest{}.wire_size(), 128u);
+  EXPECT_EQ(AnomalyEvent{}.wire_size(), 28u);
+}
+
 TEST(Messages, TypeTagsAreDistinct) {
   GlHeartbeat a;
   GmHeartbeat b;

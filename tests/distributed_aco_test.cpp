@@ -53,17 +53,6 @@ TEST(DistributedAco, DeterministicForSeed) {
   EXPECT_EQ(a.placement, b.placement);
 }
 
-TEST(DistributedAco, ParallelShardsMatchSerial) {
-  const auto inst = uniform_instance(60, 5);
-  auto serial = default_params();
-  serial.threads = 1;
-  auto parallel = default_params();
-  parallel.threads = 4;
-  const auto a = DistributedAcoConsolidation(serial).solve(inst);
-  const auto b = DistributedAcoConsolidation(parallel).solve(inst);
-  EXPECT_EQ(a.placement, b.placement);
-}
-
 TEST(DistributedAco, SingleShardMatchesQualityOfCentralized) {
   const auto inst = uniform_instance(50, 9);
   auto params = default_params(1);

@@ -150,22 +150,6 @@ const Scenario kScenarios[] = {
        cfg.ops.upgrade_config.settle_time = 10.0;
        cfg.ops.upgrade_config.rollback_after = 15.0;
      }},
-    // Noisy neighbor: first-fit packs three cache-hot VMs onto one
-    // single-socket host, the multiplier collapses, the sustained penalty
-    // crosses the relocation threshold (lc.interference), and the GM peels
-    // victims off (gm.interference_event) until every VM runs alone and the
-    // penalty clears. Underload anomalies are disabled because penalty-scaled
-    // usage on the contended host sits below the default underload threshold
-    // and would otherwise pre-empt the interference anomaly (capacity kinds
-    // take precedence).
-    {"interference_noisy_neighbor", 1515, {2, 4, 1}, 3,
-     "duration 130\n",
-     [](chaos::ChaosRunConfig& cfg) {
-       cfg.config.interference_aware = true;
-       cfg.config.underload_threshold = 0.0;
-       cfg.host_topology = interference::TopologySpec::uniform(1, 8.0, 10.0);
-       cfg.vm_profiles = {{interference::CacheIntensity::kHigh, 6.0, 6.0}};
-     }},
     // Delta-summary stream at scale: 3 GMs / 200 LCs, one GM isolated
     // mid-stream and healed. Pins the delta -> (nack/timeout) -> snapshot ->
     // delta sequence byte-exactly: the reconnecting GM must re-anchor the GL
@@ -204,16 +188,6 @@ const Scenario kScenarios[] = {
      "120 unslow #2\n",
      [](chaos::ChaosRunConfig& cfg) { cfg.incidents = true; },
      /*pin_incidents=*/true},
-    // Capacity-only fallback: the interference-aware placement policy on a
-    // profile-less workload must degrade to pure capacity scoring (every
-    // predicted penalty is zero, the residual-capacity tiebreak decides).
-    // Pins that the fallback path neither migrates nor raises anomalies.
-    {"interference_fallback", 1616, {2, 6, 1}, 6,
-     "duration 30\n",
-     [](chaos::ChaosRunConfig& cfg) {
-       cfg.config.placement_policy = core::PlacementPolicyKind::kLeastInterference;
-       cfg.host_topology = interference::TopologySpec::uniform(2);
-     }},
 };
 
 chaos::ChaosRunConfig make_config(const Scenario& sc) {

@@ -127,7 +127,7 @@ TEST(Drain, EvacuationCompletesInFlightMigrations) {
 // restart, and promotion to GL. Each must forget the LCs together with every
 // migration it commanded there: the MigrateVm callbacks die with a crash and
 // the MigrationDone reports go to the LCs' next GM, so a record that survived
-// would keep those VMs and destinations out of interference planning for good.
+// would never be cleared.
 enum class GiveUp { kCrashRestart, kDrain, kPromotion };
 
 void PrintTo(GiveUp way, std::ostream* os) {

@@ -1,8 +1,7 @@
 // Unit tests for the util library: stats accumulators, RNG, tables, CSV,
-// args parsing, the flat map and the thread pool.
+// args parsing and the flat map.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -17,7 +16,6 @@
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -537,42 +535,6 @@ TEST(FlatMap, MutableIterationWritesThrough) {
   EXPECT_EQ(map.size(), 2u);
   EXPECT_EQ(map.count(20), 0u);
   EXPECT_EQ(map.find(30)->second, 31);
-}
-
-// --- ThreadPool --------------------------------------------------------------------
-
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(2);
-  auto f = pool.submit([] { return 21 * 2; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, ParallelForCoversAllIndices) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(64);
-  pool.parallel_for(64, [&](std::size_t i) { hits[i]++; });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForZeroIsNoop) {
-  ThreadPool pool(2);
-  pool.parallel_for(0, [](std::size_t) { FAIL() << "must not run"; });
-}
-
-TEST(ThreadPool, ManyTasksComplete) {
-  ThreadPool pool(3);
-  std::atomic<int> sum{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 200; ++i) {
-    futures.push_back(pool.submit([&sum] { sum += 1; }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(sum.load(), 200);
-}
-
-TEST(ThreadPool, SizeReflectsWorkerCount) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.size(), 3u);
 }
 
 }  // namespace

@@ -1,12 +1,11 @@
 // Tests for the workload library: utilization traces (determinism, bounds,
-// shape), VM request generators and the cluster builder.
+// shape), VM request generators and arrival processes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 
 #include "workload/arrival.hpp"
-#include "workload/cluster.hpp"
 #include "workload/traces.hpp"
 #include "workload/vm_generator.hpp"
 
@@ -183,50 +182,6 @@ TEST(VmGenerator, CorrelatedDimensionsTrackEachOther) {
 TEST(VmGenerator, BatchProducesRequestedCount) {
   workload::UniformVmGenerator gen(0.1, 0.3, 1);
   EXPECT_EQ(gen.batch(17).size(), 17u);
-}
-
-// --- Cluster builder ------------------------------------------------------------------
-
-TEST(Cluster, HomogeneousByDefault) {
-  workload::ClusterSpec spec;
-  spec.hosts = 10;
-  const auto hosts = workload::build_cluster(spec);
-  ASSERT_EQ(hosts.size(), 10u);
-  for (const auto& h : hosts) {
-    EXPECT_EQ(h.capacity, spec.capacity);
-  }
-}
-
-TEST(Cluster, NamesAreUnique) {
-  workload::ClusterSpec spec;
-  spec.hosts = 5;
-  const auto hosts = workload::build_cluster(spec);
-  EXPECT_NE(hosts[0].name, hosts[4].name);
-}
-
-TEST(Cluster, SpreadIntroducesHeterogeneity) {
-  workload::ClusterSpec spec;
-  spec.hosts = 20;
-  spec.capacity_spread = 0.3;
-  const auto hosts = workload::build_cluster(spec);
-  bool any_diff = false;
-  for (const auto& h : hosts) {
-    EXPECT_GE(h.capacity.cpu(), 0.7 - 1e-9);
-    EXPECT_LE(h.capacity.cpu(), 1.3 + 1e-9);
-    if (std::abs(h.capacity.cpu() - 1.0) > 1e-9) any_diff = true;
-  }
-  EXPECT_TRUE(any_diff);
-}
-
-TEST(Cluster, DeterministicForSeed) {
-  workload::ClusterSpec spec;
-  spec.hosts = 8;
-  spec.capacity_spread = 0.2;
-  const auto a = workload::build_cluster(spec);
-  const auto b = workload::build_cluster(spec);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].capacity, b[i].capacity);
-  }
 }
 
 // --- Arrival processes --------------------------------------------------------
