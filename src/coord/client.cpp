@@ -1,7 +1,5 @@
 #include "coord/client.hpp"
 
-#include "util/logging.hpp"
-
 namespace snooze::coord {
 
 Client::Client(sim::Engine& engine, net::Network& network, net::Address service,
@@ -53,20 +51,10 @@ void Client::ping() {
     if (ok && !resp->ok) {
       // Service no longer knows the session: it expired (e.g. after a long
       // partition). Surface to the owner so it can rejoin from scratch.
-      LOG_DEBUG << name() << ": coord session expired";
       session_ = kNullSession;
       if (on_expired_) on_expired_(false);
     }
   });
-}
-
-void Client::close_session() {
-  if (!has_session()) return;
-  auto req = std::make_shared<Request>();
-  req->op = Op::kCloseSession;
-  req->session = session_;
-  session_ = kNullSession;
-  request(std::move(req), [](bool, const Response*) {});
 }
 
 void Client::create(const std::string& path, const std::string& data, bool ephemeral,
@@ -112,16 +100,6 @@ void Client::get_children(const std::string& path, bool watch, ChildrenCb cb) {
   req->watch = watch;
   request(std::move(req), [cb = std::move(cb)](bool ok, const Response* resp) {
     if (cb) cb(ok && resp->ok, ok ? resp->children : std::vector<std::string>{});
-  });
-}
-
-void Client::get_data(const std::string& path, DataCb cb) {
-  auto req = std::make_shared<Request>();
-  req->op = Op::kGetData;
-  req->session = session_;
-  req->path = path;
-  request(std::move(req), [cb = std::move(cb)](bool ok, const Response* resp) {
-    if (cb) cb(ok && resp->ok, ok ? resp->data : std::string{});
   });
 }
 

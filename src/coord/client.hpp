@@ -1,11 +1,12 @@
 // Coordination client: a component-side session to the coordination service.
 //
 // Owns its own network endpoint (a "client connection"), keeps its session
-// alive with pings, and exposes the async znode API used by the leader
-// election recipe. When the owning component crashes, calling go_down()
-// silences the pings so the session expires server-side, deleting the
-// component's ephemeral znodes — exactly the ZooKeeper failure behaviour the
-// Snooze GL election depends on.
+// alive with pings, and exposes the async znode calls the leader election
+// recipe makes (create, delete, exists, children). A session ends only by
+// expiry: when the owning component crashes, crash() silences the pings so
+// the session expires server-side, deleting the component's ephemeral
+// znodes — exactly the ZooKeeper failure behaviour the Snooze GL election
+// depends on.
 #pragma once
 
 #include <functional>
@@ -24,7 +25,6 @@ class Client final : public sim::Actor {
   using CreateCb = std::function<void(bool ok, const std::string& actual_path)>;
   using ExistsCb = std::function<void(bool ok, bool exists)>;
   using ChildrenCb = std::function<void(bool ok, const std::vector<std::string>& children)>;
-  using DataCb = std::function<void(bool ok, const std::string& data)>;
   using WatchHandler = std::function<void(const WatchEvent& event)>;
 
   Client(sim::Engine& engine, net::Network& network, net::Address service,
@@ -41,14 +41,12 @@ class Client final : public sim::Actor {
   void set_expiry_handler(StatusCb handler) { on_expired_ = std::move(handler); }
 
   void open_session(sim::Time session_timeout, StatusCb cb);
-  void close_session();
 
   void create(const std::string& path, const std::string& data, bool ephemeral,
               bool sequential, CreateCb cb);
   void remove(const std::string& path, StatusCb cb);
   void exists(const std::string& path, bool watch, ExistsCb cb);
   void get_children(const std::string& path, bool watch, ChildrenCb cb);
-  void get_data(const std::string& path, DataCb cb);
 
   /// Crash the client connection: pings stop, the session will expire.
   void crash() override;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <charconv>
 
-#include "util/logging.hpp"
-
 namespace snooze::coord {
 
 std::uint64_t epoch_from_node(const std::string& node) {
@@ -111,7 +109,6 @@ void LeaderElection::evaluate() {
     if (me == sorted.begin()) {
       if (!leader_) {
         leader_ = true;
-        LOG_DEBUG << name() << ": elected leader (" << my_node_ << ")";
         if (on_elected_) on_elected_(epoch_from_node(my_node_));
       }
       return;
@@ -141,18 +138,6 @@ void LeaderElection::resign() {
   // exists) and re-enter the queue with a fresh, strictly higher sequence.
   client_.remove(election_path_ + "/" + old,
                  [this](bool) { create_candidate_node(); });
-}
-
-void LeaderElection::leader_data(Client::DataCb cb) {
-  client_.get_children(election_path_, /*watch=*/false,
-                       [this, cb = std::move(cb)](bool ok, const std::vector<std::string>& children) {
-    if (!ok || children.empty()) {
-      cb(false, {});
-      return;
-    }
-    const std::string first = *std::min_element(children.begin(), children.end());
-    client_.get_data(election_path_ + "/" + first, cb);
-  });
 }
 
 void LeaderElection::crash() {

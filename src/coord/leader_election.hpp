@@ -39,8 +39,8 @@ class LeaderElection final : public sim::Actor {
                  std::string name, std::string election_path = "/election");
 
   /// Join the election: opens a session, creates the candidate znode, and
-  /// evaluates leadership. `data` is published on the znode (candidate's
-  /// contact address).
+  /// evaluates leadership. `data` (the candidate's contact address) rides the
+  /// znode's create request.
   void start(const std::string& data, ElectedCb on_elected);
 
   /// Register the demotion hook (may be set before or after start()).
@@ -61,9 +61,6 @@ class LeaderElection final : public sim::Actor {
   [[nodiscard]] net::Address client_address() const { return client_.address(); }
   [[nodiscard]] bool started() const { return started_; }
   [[nodiscard]] const std::string& my_node() const { return my_node_; }
-
-  /// Read the current leader's published data (async, for tests/EPs).
-  void leader_data(Client::DataCb cb);
 
   void crash() override;
   void recover() override;

@@ -19,19 +19,17 @@ constexpr SessionId kNullSession = 0;
 enum class Op {
   kOpenSession,
   kPing,
-  kCloseSession,
   kCreate,
   kDelete,
   kExists,
   kGetChildren,
-  kGetData,
 };
 
 struct Request final : net::MessageOf<Request> {
   Op op = Op::kPing;
   SessionId session = kNullSession;
   std::string path;
-  std::string data;
+  std::string data;  ///< kCreate payload: counted on the wire, not stored
   bool ephemeral = false;
   bool sequential = false;
   bool watch = false;
@@ -47,13 +45,12 @@ struct Response final : net::MessageOf<Response> {
   bool ok = false;
   SessionId session = kNullSession;
   std::string path;  ///< actual path for kCreate (sequence suffix applied)
-  std::string data;
   bool exists = false;
   std::vector<std::string> children;
 
   [[nodiscard]] std::string_view type() const override { return "coord.response"; }
   [[nodiscard]] std::size_t wire_size() const override {
-    std::size_t n = 48 + path.size() + data.size();
+    std::size_t n = 48 + path.size();
     for (const auto& c : children) n += c.size() + 4;
     return n;
   }

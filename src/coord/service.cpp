@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#include "util/logging.hpp"
-
 namespace snooze::coord {
 
 Service::Service(sim::Engine& engine, net::Network& network, net::Address address,
@@ -54,12 +52,6 @@ net::MsgPtr Service::handle(const net::Envelope& env) {
       resp->session = req->session;
       return resp;
     }
-    case Op::kCloseSession: {
-      const auto it = sessions_.find(req->session);
-      if (it != sessions_.end()) expire_session(req->session);
-      resp->ok = true;
-      return resp;
-    }
     case Op::kCreate:
       return handle_create(*req, env.from);
     case Op::kDelete:
@@ -76,13 +68,6 @@ net::MsgPtr Service::handle(const net::Envelope& env) {
       resp->path = req->path;
       resp->children = children_of(req->path);
       if (req->watch) child_watches_[req->path].insert(env.from);
-      return resp;
-    }
-    case Op::kGetData: {
-      const auto it = nodes_.find(req->path);
-      resp->ok = it != nodes_.end();
-      resp->path = req->path;
-      if (it != nodes_.end()) resp->data = it->second.data;
       return resp;
     }
   }
@@ -112,7 +97,6 @@ net::MsgPtr Service::handle_create(const Request& req, net::Address /*from*/) {
     return resp;
   }
   Znode node;
-  node.data = req.data;
   if (req.ephemeral) {
     node.ephemeral_owner = req.session;
     sessions_[req.session].ephemeral_nodes.insert(path);
@@ -153,7 +137,6 @@ void Service::check_expiry() {
     if (now() - session.last_ping > session.timeout) expired.push_back(id);
   }
   for (SessionId id : expired) {
-    LOG_DEBUG << "coord: session " << id << " expired at t=" << now();
     bump("coord.sessions_expired");
     expire_session(id);
   }

@@ -32,7 +32,6 @@ class Service final : public sim::Actor {
 
  private:
   struct Znode {
-    std::string data;
     SessionId ephemeral_owner = kNullSession;  // 0 = persistent
     std::uint64_t next_sequence = 0;
   };

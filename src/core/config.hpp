@@ -5,7 +5,6 @@
 
 #include <cstddef>
 
-#include "core/estimator.hpp"
 #include "sim/engine.hpp"
 
 namespace snooze::core {
@@ -17,7 +16,7 @@ enum class DispatchPolicyKind { kRoundRobin, kLeastLoaded };
 enum class PlacementPolicyKind { kFirstFit, kRoundRobin, kBestFit };
 
 /// Which algorithm periodic reconfiguration runs.
-enum class ConsolidationKind { kNone, kFfd, kBfd, kAco };
+enum class ConsolidationKind { kNone, kFfd, kAco };
 
 /// Declarative service-level objectives evaluated by obs::SloEvaluator
 /// against the live TimeSeriesStore. Thresholds are maxima ("the SLI must
@@ -116,10 +115,6 @@ struct SnoozeConfig {
   sim::Time lc_monitor_period = 2.0;     ///< LC -> GM resource monitoring
   sim::Time gm_summary_period = 2.0;     ///< GM -> GL aggregated summary
   std::size_t estimator_window = 5;      ///< sliding window length (samples)
-  /// Window-max is conservative (never under-estimates recent demand);
-  /// EWMA is smoother and tracks trends (see core/estimator.hpp).
-  EstimatorKind estimator_kind = EstimatorKind::kWindowMax;
-  double estimator_ewma_alpha = 0.3;
 
   // --- scheduling -----------------------------------------------------------
   DispatchPolicyKind dispatch_policy = DispatchPolicyKind::kRoundRobin;
@@ -142,11 +137,6 @@ struct SnoozeConfig {
   sim::Time reconfiguration_period = 0.0;  ///< 0 disables the timer
   std::size_t aco_ants = 6;
   std::size_t aco_cycles = 6;
-  /// Cap on live migrations issued per reconfiguration round (0 = no cap).
-  /// Bounds the disruption of a single round; the next round continues the
-  /// packing. LCs reject migrations they cannot absorb, so a truncated plan
-  /// degrades gracefully.
-  std::size_t max_migrations_per_reconfiguration = 0;
 
   // --- energy management ----------------------------------------------------
   bool energy_savings = false;

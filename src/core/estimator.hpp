@@ -1,10 +1,10 @@
 // Resource-demand estimation (paper §II.B).
 //
 // Group Managers estimate each VM's demand from the monitoring samples the
-// LCs report. Two estimators are provided: sliding-window component-wise
-// maximum (conservative — never underestimates recent demand) and EWMA
-// (smooth — tracks the trend). Scheduling uses the estimate, not the raw
-// instantaneous sample, so placement decisions survive short spikes.
+// LCs report: the component-wise maximum over a sliding window of recent
+// samples, which never underestimates recent demand. Scheduling uses the
+// estimate, not the raw instantaneous sample, so placement decisions
+// survive short spikes.
 #pragma once
 
 #include <cstddef>
@@ -14,13 +14,9 @@
 
 namespace snooze::core {
 
-enum class EstimatorKind { kWindowMax, kEwma };
-
 class ResourceEstimator {
  public:
-  explicit ResourceEstimator(std::size_t window = 5,
-                             EstimatorKind kind = EstimatorKind::kWindowMax,
-                             double ewma_alpha = 0.3);
+  explicit ResourceEstimator(std::size_t window = 5);
 
   void add(const hypervisor::ResourceVector& sample);
 
@@ -32,13 +28,10 @@ class ResourceEstimator {
 
  private:
   std::size_t window_;
-  EstimatorKind kind_;
-  double alpha_;
   /// Window-max samples: a ring of at most window_ slots, reserved on the
   /// first sample. Sample k (from 1) lands in slot (k - 1) % window_, so
   /// once the ring is full each sample overwrites the oldest one.
   std::vector<hypervisor::ResourceVector> recent_;
-  hypervisor::ResourceVector ewma_;
   std::size_t samples_ = 0;
 };
 

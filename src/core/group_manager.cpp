@@ -6,7 +6,6 @@
 #include "consolidation/greedy.hpp"
 #include "consolidation/migration_plan.hpp"
 #include "net/pool.hpp"
-#include "util/logging.hpp"
 
 namespace snooze::core {
 
@@ -351,7 +350,7 @@ void GroupManager::handle_monitor(const LcMonitorData& data) {
     reported.push_back(usage.vm);
     auto [vm_it, inserted] = record.vms.try_emplace(usage.vm);
     if (inserted) {
-      vm_it->second.estimator = ResourceEstimator(config_.estimator_window, config_.estimator_kind, config_.estimator_ewma_alpha);
+      vm_it->second.estimator = ResourceEstimator(config_.estimator_window);
       if (usage.migrating) {
         // Failover reconciliation: the previous GM commanded this migration;
         // we inherit it in flight and let the idempotent MigrationDone /
@@ -601,7 +600,6 @@ void GroupManager::resign_lcs() {
   lcs_.clear();
   condemned_vms_.clear();
   inflight_placements_.clear();
-  inflight_migrations_.clear();
 }
 
 void GroupManager::stop_vm(net::Address lc, VmId vm) {
@@ -693,7 +691,7 @@ void GroupManager::place_on(net::Address lc, const VmDescriptor& vm,
       if (it != lcs_.end()) {
         VmRecord record;
         record.requested = vm.requested;
-        record.estimator = ResourceEstimator(config_.estimator_window, config_.estimator_kind, config_.estimator_ewma_alpha);
+        record.estimator = ResourceEstimator(config_.estimator_window);
         record.has_descriptor = true;
         record.descriptor = vm;
         it->second.vms[vm.id] = std::move(record);
@@ -797,24 +795,16 @@ void GroupManager::execute_moves(const std::vector<RelocationMove>& moves) {
     req->destination = move.to;
     stamp_lease(*req, move.from);
     const net::Address source = move.from;
-    inflight_migrations_[move.vm] = move.to;
     endpoint_.call(source, req, config_.rpc_timeout,
-                   [this, source, vm = move.vm](bool ok, const net::MsgPtr& reply) {
+                   [this, source](bool ok, const net::MsgPtr& reply) {
       // The ack only confirms the migration started; completion arrives
       // as a MigrationDone one-way message.
-      if (ok) {
-        handle_stale_lc_reply(reply, source);
-        const auto* resp = net::msg_cast<MigrateVmResponse>(reply);
-        if (resp != nullptr && !resp->ok) inflight_migrations_.erase(vm);
-      } else {
-        inflight_migrations_.erase(vm);
-      }
+      if (ok) handle_stale_lc_reply(reply, source);
     });
   }
 }
 
 void GroupManager::handle_migration_done(const MigrationDone& done) {
-  inflight_migrations_.erase(done.vm);
   // Actual/predicted pre-copy ratio: ~1 on a healthy source, proportional to
   // the slowdown on a fail-slow one. Dimensionless, so peers are directly
   // comparable regardless of VM size.
@@ -889,9 +879,6 @@ void GroupManager::gm_reconfigure() {
     case ConsolidationKind::kFfd:
       target = consolidation::first_fit_decreasing(instance);
       break;
-    case ConsolidationKind::kBfd:
-      target = consolidation::best_fit_decreasing(instance);
-      break;
     case ConsolidationKind::kAco: {
       consolidation::AcoParams params;
       params.ants = config_.aco_ants;
@@ -913,10 +900,6 @@ void GroupManager::gm_reconfigure() {
   std::vector<RelocationMove> moves;
   moves.reserve(plan.size());
   for (const auto& migration : plan.migrations) {
-    if (config_.max_migrations_per_reconfiguration > 0 &&
-        moves.size() >= config_.max_migrations_per_reconfiguration) {
-      break;  // bound the disruption; the next round continues the packing
-    }
     moves.push_back(RelocationMove{vm_keys[migration.vm].second,
                                    hosts[static_cast<std::size_t>(migration.from)],
                                    hosts[static_cast<std::size_t>(migration.to)]});

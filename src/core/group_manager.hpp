@@ -90,10 +90,6 @@ class GroupManager final : public sim::Actor {
   /// non-draining LCs of this group, first-fit with headroom accounting.
   /// Returns the number of migrations commanded.
   std::size_t evacuate_lc(net::Address source);
-  /// Migrations this GM commanded that have not completed yet.
-  [[nodiscard]] std::size_t inflight_migration_count() const {
-    return inflight_migrations_.size();
-  }
 
   // --- cluster autoscaling (GL-driven, executed per GM) ----------------------
   /// Wake up to `n` suspended LCs; returns how many wakeups were commanded.
@@ -348,9 +344,6 @@ class GroupManager final : public sim::Actor {
   /// order. Insert/erase shift the table, so neither may happen under a
   /// loop over it.
   util::FlatMap<net::Address, LcRecord> lcs_;
-  /// Destinations of migrations this GM commanded that have not completed
-  /// yet. Cleared on MigrationDone, LC rejection, or command timeout.
-  std::map<VmId, net::Address> inflight_migrations_;
   /// (LC, VM) pairs with an in-flight StartVm this GM issued. A slow LC's
   /// monitoring report can list the booting copy before the ack arrives;
   /// adopting it would smuggle an unconfirmed placement into the summary

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "net/pool.hpp"
-#include "util/logging.hpp"
 
 namespace snooze::core {
 
@@ -208,8 +207,7 @@ void LocalController::send_monitor_data() {
   data->used = host_.used(now()).scaled(1.0 - cpu_steal_);
   data->vms.reserve(host_.vm_count());
   for (const auto& [id, vm] : host_.vms()) {
-    const auto meta = vm_meta_.find(id);
-    const bool migrating = meta != vm_meta_.end() && meta->second.migrating;
+    const bool migrating = vm->state() == hypervisor::VmState::kMigrating;
     data->vms.push_back(
         LcMonitorData::VmUsage{id, vm->spec().requested, vm->used(now()), migrating});
   }
@@ -372,9 +370,7 @@ void LocalController::terminate_vm(hypervisor::VmId vm) {
 void LocalController::handle_migrate(const MigrateVmRequest& req, net::Responder responder) {
   hypervisor::Vm* vm = host_.find(req.vm);
   auto resp = std::make_shared<MigrateVmResponse>();
-  const auto meta_it = vm_meta_.find(req.vm);
-  if (vm == nullptr || meta_it == vm_meta_.end() || meta_it->second.migrating ||
-      vm->state() != hypervisor::VmState::kRunning) {
+  if (vm == nullptr || vm->state() != hypervisor::VmState::kRunning) {
     resp->ok = false;
     responder.respond(resp);
     return;
@@ -382,7 +378,6 @@ void LocalController::handle_migrate(const MigrateVmRequest& req, net::Responder
   resp->ok = true;
   responder.respond(resp);  // acknowledged: migration accepted
 
-  meta_it->second.migrating = true;
   vm->set_state(hypervisor::VmState::kMigrating);
   // The migration link carries one transfer at a time; later requests queue.
   migration_queue_.emplace_back(req.vm, req.destination);
@@ -465,7 +460,6 @@ void LocalController::run_migration(hypervisor::VmId id, net::Address dest) {
       } else {
         // Abort: the VM keeps running here.
         if (vm2 != nullptr) vm2->set_state(hypervisor::VmState::kRunning);
-        if (meta2 != vm_meta_.end()) meta2->second.migrating = false;
         bump("lc.migrations_failed");
         trace_event("lc.migration_failed");
       }

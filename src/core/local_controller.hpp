@@ -117,7 +117,6 @@ class LocalController final : public sim::Actor {
     VmDescriptor descriptor;
     sim::Time stop_at = 0.0;  ///< absolute termination time (0 = unbounded)
     sim::EventId stop_event = 0;
-    bool migrating = false;
   };
 
   void handle_oneway(const net::Envelope& env);

@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "util/rng.hpp"
-
 namespace snooze::core {
 
 SnoozeSystem::SnoozeSystem(SystemSpec spec)
@@ -24,17 +22,11 @@ SnoozeSystem::SnoozeSystem(SystemSpec spec)
                                                   spec_.config, kGlHeartbeatGroup,
                                                   "gm-" + std::to_string(i), &trace_));
   }
-  util::Rng host_rng(spec_.seed ^ 0x9E3779B97F4A7C15ull);
   for (std::size_t i = 0; i < spec_.local_controllers; ++i) {
     hypervisor::HostSpec host = spec_.host_template;
     char name[32];
     std::snprintf(name, sizeof(name), "lc-%03zu", i);
     host.name = name;
-    if (spec_.host_capacity_spread > 0.0) {
-      const double f = 1.0 + host_rng.uniform(-spec_.host_capacity_spread,
-                                              spec_.host_capacity_spread);
-      host.capacity = host.capacity.scaled(f);
-    }
     lcs_.push_back(std::make_unique<LocalController>(engine_, network_, std::move(host),
                                                      spec_.config, kGlHeartbeatGroup,
                                                      &trace_));
@@ -162,52 +154,6 @@ VmDescriptor SnoozeSystem::make_vm(const ResourceVector& requested, double lifet
   vm.lifetime_s = lifetime_s;
   vm.trace = trace;
   return vm;
-}
-
-void SnoozeSystem::enable_auto_roles(std::size_t min_group_managers,
-                                     sim::Time check_period) {
-  min_group_managers_ = min_group_managers;
-  // Self-rescheduling supervisor tick on the engine (the SnoozeSystem is the
-  // framework here — in a fully symmetric deployment this logic would live
-  // on every node, triggered by the same GL/GM heartbeat observations).
-  // The closure keeps only a weak reference to itself (the scheduled event
-  // owns the strong one) so the chain never forms a shared_ptr cycle.
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [this, check_period,
-           weak = std::weak_ptr<std::function<void()>>(tick)] {
-    auto_role_check();
-    if (auto self = weak.lock()) {
-      engine_.schedule(check_period, [self] { (*self)(); });
-    }
-  };
-  engine_.schedule(check_period, [tick] { (*tick)(); });
-}
-
-void SnoozeSystem::auto_role_check() {
-  if (min_group_managers_ == 0) return;
-  std::size_t live_gms = 0;
-  for (const auto& gm : gms_) {
-    if (gm->alive()) ++live_gms;
-  }
-  if (live_gms >= min_group_managers_) return;
-
-  // Promote an idle LC: retire the LC role, start a GM on the same machine.
-  for (auto& lc : lcs_) {
-    if (!lc->alive() || lc->vm_count() > 0 ||
-        lc->power_state() != energy::PowerState::kOn) {
-      continue;
-    }
-    const std::string machine = lc->host().spec().name;
-    lc->fail();  // the machine leaves the LC role (it hosts no VMs)
-    trace_.record(machine, "system.role_promoted", "lc -> gm");
-    auto gm = std::make_unique<GroupManager>(engine_, network_, coord_->address(),
-                                             spec_.config, kGlHeartbeatGroup,
-                                             machine + "-gm", &trace_);
-    gm->start();
-    gms_.push_back(std::move(gm));
-    ++role_promotions_;
-    return;  // one promotion per supervisor tick
-  }
 }
 
 int SnoozeSystem::fail_gl() {

@@ -30,10 +30,6 @@ struct SystemSpec {
   std::size_t group_managers = 2;
   std::size_t local_controllers = 16;
   hypervisor::HostSpec host_template{};  ///< name is overridden per node
-  /// Heterogeneity: LC i's capacity is host_template's scaled by a factor
-  /// drawn from U(1 - spread, 1 + spread) per LC, seeded from `seed`.
-  /// 0 = homogeneous.
-  double host_capacity_spread = 0.0;
   SnoozeConfig config{};
   net::LatencyModel latency{};
   std::uint64_t seed = 42;
@@ -97,25 +93,7 @@ class SnoozeSystem {
   void fail_gm(std::size_t index) { gms_.at(index)->fail(); }
   void fail_lc(std::size_t index) { lcs_.at(index)->fail(); }
 
-  // --- autonomous role management (paper §V future work) -----------------------
-  /// "We plan to make the system even more autonomic by removing the
-  /// distinction between GMs and LCs. Consequently, the decisions when a
-  /// node should play the role of GM or LC in the hierarchy will be taken by
-  /// the framework instead of the system administrator."
-  ///
-  /// When enabled, a supervisor watches the number of live GM-role nodes;
-  /// whenever it falls below `min_group_managers` (e.g. after repeated GM
-  /// failures), an idle Local Controller is promoted: its LC role retires
-  /// and a Group Manager starts on the same machine, joining the hierarchy
-  /// like any other GM.
-  void enable_auto_roles(std::size_t min_group_managers,
-                         sim::Time check_period = 5.0);
-
-  [[nodiscard]] std::size_t role_promotions() const { return role_promotions_; }
-
  private:
-  void auto_role_check();
-
   SystemSpec spec_;
   sim::Engine engine_;
   net::Network network_;
@@ -127,8 +105,6 @@ class SnoozeSystem {
   std::vector<std::unique_ptr<LocalController>> lcs_;
   std::unique_ptr<Client> client_;
   VmId next_vm_id_ = 1;
-  std::size_t min_group_managers_ = 0;  ///< 0 = auto role management off
-  std::size_t role_promotions_ = 0;
 };
 
 }  // namespace snooze::core

@@ -38,14 +38,6 @@ Vm& Host::place(VmSpec spec, UtilizationFn utilization) {
   return ref;
 }
 
-Vm& Host::adopt(std::unique_ptr<Vm> vm) {
-  assert(vm != nullptr);
-  assert(can_place(vm->spec().requested));
-  Vm& ref = *vm;
-  vms_[vm->id()] = std::move(vm);
-  return ref;
-}
-
 std::unique_ptr<Vm> Host::evict(VmId id) {
   const auto it = vms_.find(id);
   if (it == vms_.end()) return nullptr;

@@ -44,9 +44,6 @@ class Host {
   /// Add a VM (caller checked can_place, asserts otherwise in debug).
   Vm& place(VmSpec spec, UtilizationFn utilization = nullptr);
 
-  /// Move an already-constructed VM object onto this host.
-  Vm& adopt(std::unique_ptr<Vm> vm);
-
   /// Remove and return the VM (nullptr if unknown).
   std::unique_ptr<Vm> evict(VmId id);
 

@@ -45,32 +45,15 @@ bool Network::blocked(Address from, Address to) const {
 }
 
 LinkFaults Network::effective_faults(Address from, Address to) const {
-  LinkFaults out;
-  out.drop = drop_probability_;
-  out.reorder_delay = 0.0;
-  out.flaky_latency = 0.0;
-  auto fold = [&out](const LinkFaults& f) {
-    // Independent loss processes compose; the strongest duplication /
-    // reordering / flaky knob wins; latency spikes stack.
-    out.drop = 1.0 - (1.0 - out.drop) * (1.0 - f.drop);
-    out.duplicate = std::max(out.duplicate, f.duplicate);
-    if (f.reorder > out.reorder ||
-        (f.reorder == out.reorder && f.reorder_delay > out.reorder_delay)) {
-      out.reorder = f.reorder;
-      out.reorder_delay = f.reorder_delay;
-    }
-    out.extra_latency += f.extra_latency;
-    if (f.flaky_latency > out.flaky_latency) {
-      out.flaky_latency = f.flaky_latency;
-      out.flaky_start = f.flaky_start;
-      out.flaky_stop = f.flaky_stop;
-    }
-  };
-  if (const auto it = node_faults_.find(from); it != node_faults_.end()) fold(it->second);
-  if (const auto it = node_faults_.find(to); it != node_faults_.end()) fold(it->second);
-  if (const auto it = link_faults_.find({from, to}); it != link_faults_.end()) {
-    fold(it->second);
+  const auto it = link_faults_.find({from, to});
+  if (it == link_faults_.end()) {
+    LinkFaults out;
+    out.drop = drop_probability_;
+    return out;
   }
+  // The link's loss process and the global one compose independently.
+  LinkFaults out = it->second;
+  out.drop = 1.0 - (1.0 - drop_probability_) * (1.0 - out.drop);
   return out;
 }
 
@@ -233,8 +216,7 @@ bool Network::reachable(Address from, Address to) const {
 }
 
 void Network::update_fault_flag() {
-  any_faults_ =
-      drop_probability_ > 0.0 || !link_faults_.empty() || !node_faults_.empty();
+  any_faults_ = drop_probability_ > 0.0 || !link_faults_.empty();
 }
 
 void Network::set_link_faults(Address from, Address to, LinkFaults faults) {
@@ -258,23 +240,8 @@ LinkFaults Network::link_faults(Address from, Address to) const {
   return it == link_faults_.end() ? LinkFaults{} : it->second;
 }
 
-void Network::set_node_faults(Address node, LinkFaults faults) {
-  if (faults.clear()) {
-    node_faults_.erase(node);
-  } else {
-    node_faults_[node] = faults;
-  }
-  update_fault_flag();
-}
-
-void Network::clear_node_faults(Address node) {
-  node_faults_.erase(node);
-  update_fault_flag();
-}
-
 void Network::clear_all_faults() {
   link_faults_.clear();
-  node_faults_.clear();
   flaky_bursting_.clear();
   update_fault_flag();
 }

@@ -2,9 +2,9 @@
 //
 // Models unicast with a configurable latency distribution, multicast groups
 // (the heartbeat channels of the Snooze hierarchy), and fault injection:
-// node crashes (blackhole), probabilistic message loss (global, per node and
-// per directed link), message duplication, bounded reordering, latency
-// spikes, and partitions. Also the accounting point for the control-traffic
+// node crashes (blackhole), probabilistic message loss (global and per
+// directed link), message duplication, bounded reordering, latency spikes,
+// and partitions. Also the accounting point for the control-traffic
 // measurements of the management-overhead experiment.
 #pragma once
 
@@ -43,10 +43,8 @@ struct TrafficStats {
   std::uint64_t bytes_sent = 0;
 };
 
-/// Fault knobs applied to traffic on a node or a directed link. Several
-/// scopes may apply to one message (global, sender node, receiver node,
-/// link): drop probabilities compose independently, extra latencies add up,
-/// duplication/reordering use the strongest applicable knob.
+/// Fault knobs applied to traffic on a directed link. A link's drop
+/// probability composes independently with the global one.
 struct LinkFaults {
   double drop = 0.0;            ///< probability a message is silently lost
   double duplicate = 0.0;       ///< probability a second copy is delivered
@@ -115,12 +113,8 @@ class Network {
   void clear_link_faults(Address from, Address to);
   [[nodiscard]] LinkFaults link_faults(Address from, Address to) const;
 
-  /// Fault knobs applied to every message a node sends or receives.
-  void set_node_faults(Address node, LinkFaults faults);
-  void clear_node_faults(Address node);
-
-  /// Remove every per-link and per-node fault entry (global drop and
-  /// partitions are separate knobs and stay untouched).
+  /// Remove every per-link fault entry (global drop and partitions are
+  /// separate knobs and stay untouched).
   void clear_all_faults();
 
   /// Partition the network into groups; traffic crosses partitions only if
@@ -166,7 +160,7 @@ class Network {
   };
 
   [[nodiscard]] bool blocked(Address from, Address to) const;
-  /// Combined fault view for one message (global + nodes + link).
+  /// Combined fault view for one message (global + link).
   [[nodiscard]] LinkFaults effective_faults(Address from, Address to) const;
   void deliver_after(sim::Time delay, Envelope env);
   void complete_delivery(std::uint32_t index);
@@ -185,7 +179,6 @@ class Network {
   std::vector<std::set<Address>> partitions_;
   double drop_probability_ = 0.0;
   std::map<std::pair<Address, Address>, LinkFaults> link_faults_;
-  std::map<Address, LinkFaults> node_faults_;
   /// Burst state of the flaky-link process per directed link. Advanced one
   /// step per message that crosses a link with flaky_latency > 0; erased
   /// whenever the faults feeding it are cleared.

@@ -256,10 +256,6 @@ class Engine {
   void bucket_cancel(Bucket& bucket, const Entry& entry);
   /// Move far events whose bucket is now inside the near window.
   void promote_far();
-  /// Absolute time of the first bucket past the near window.
-  [[nodiscard]] Time horizon_time() const {
-    return static_cast<double>(cursor_ + num_buckets_) * width_;
-  }
   /// Recompute the cached minimum of the far map (time and bucket) after any
   /// mutation of its front or of the bucket width.
   void update_far_min();

@@ -20,10 +20,6 @@ class RunningStats {
   [[nodiscard]] double max() const { return count_ ? max_ : 0.0; }
   [[nodiscard]] double sum() const { return sum_; }
 
-  /// Fold another accumulator into this one, as if every sample of `other`
-  /// had been added here (Chan et al. parallel variance combination).
-  void merge(const RunningStats& other);
-
   void clear();
 
  private:
@@ -48,12 +44,6 @@ class Percentiles {
   [[nodiscard]] double mean() const;
   [[nodiscard]] double min() { return percentile(0.0); }
   [[nodiscard]] double max() { return percentile(1.0); }
-
-  /// Fold another accumulator's samples into this one.
-  void merge(const Percentiles& other) {
-    samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
-    sorted_ = false;
-  }
 
   void clear() { samples_.clear(); sorted_ = false; }
 

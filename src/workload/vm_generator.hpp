@@ -34,8 +34,6 @@ class VmGenerator {
   virtual ~VmGenerator() = default;
   /// Produce the next VM request (ids are assigned sequentially from 1).
   virtual VmSpec next() = 0;
-
-  std::vector<VmSpec> batch(std::size_t n);
 };
 
 /// Draw a class uniformly (or per supplied weights) from a class list.
@@ -61,19 +59,6 @@ class UniformVmGenerator final : public VmGenerator {
 
  private:
   double lo_, hi_;
-  util::Rng rng_;
-  hypervisor::VmId next_id_ = 1;
-};
-
-/// Correlated demands: one size factor u ~ U(lo,hi) scaled per dimension by
-/// (1 ± spread). Models real VMs whose CPU/memory/network scale together.
-class CorrelatedVmGenerator final : public VmGenerator {
- public:
-  CorrelatedVmGenerator(double lo, double hi, double spread, std::uint64_t seed);
-  VmSpec next() override;
-
- private:
-  double lo_, hi_, spread_;
   util::Rng rng_;
   hypervisor::VmId next_id_ = 1;
 };

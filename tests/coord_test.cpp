@@ -128,16 +128,6 @@ TEST_F(CoordTest, PingsKeepSessionAlive) {
   EXPECT_TRUE(service.node_exists("/e"));
 }
 
-TEST_F(CoordTest, CloseSessionDeletesEphemerals) {
-  auto client = make_client("c1");
-  client.open_session(5.0, nullptr);
-  engine.run_until(0.5);
-  client.create("/e", "", true, false, nullptr);
-  engine.schedule(0.5, [&] { client.close_session(); });
-  engine.run_until(2.0);
-  EXPECT_FALSE(service.node_exists("/e"));
-}
-
 TEST_F(CoordTest, DeleteNodeWatchFires) {
   auto owner = make_client("owner");
   auto watcher = make_client("watcher");
@@ -180,32 +170,6 @@ TEST_F(CoordTest, ChildWatchFiresOnNewChild) {
   engine.schedule(0.5, [&] { owner.create("/p/c", "", false, false, nullptr); });
   engine.run_until(2.0);
   EXPECT_EQ(seen, coord::WatchEvent::Kind::kChildrenChanged);
-}
-
-TEST_F(CoordTest, GetDataReturnsStoredData) {
-  auto client = make_client("c1");
-  client.open_session(5.0, nullptr);
-  engine.run_until(0.5);
-  client.create("/d", "payload", false, false, nullptr);
-  std::optional<std::string> data;
-  engine.schedule(0.5, [&] {
-    client.get_data("/d", [&](bool ok, const std::string& d) {
-      ASSERT_TRUE(ok);
-      data = d;
-    });
-  });
-  engine.run_until(2.0);
-  EXPECT_EQ(data, "payload");
-}
-
-TEST_F(CoordTest, GetDataMissingNodeFails) {
-  auto client = make_client("c1");
-  client.open_session(5.0, nullptr);
-  engine.run_until(0.5);
-  std::optional<bool> ok;
-  client.get_data("/missing", [&](bool v, const std::string&) { ok = v; });
-  engine.run_until(1.0);
-  EXPECT_EQ(ok, false);
 }
 
 TEST_F(CoordTest, RemoveMissingNodeFails) {
@@ -356,22 +320,6 @@ TEST_F(ElectionTest, MiddleCandidateCrashDoesNotPromoteTail) {
   engine.run_until(15.0);
   EXPECT_TRUE(a->is_leader());
   EXPECT_FALSE(c->is_leader());
-}
-
-TEST_F(ElectionTest, LeaderDataReadable) {
-  auto a = make_candidate("a");
-  auto b = make_candidate("b");
-  a->start("contact-of-a", nullptr);
-  engine.run_until(1.0);
-  b->start("contact-of-b", nullptr);
-  engine.run_until(2.0);
-  std::optional<std::string> data;
-  b->leader_data([&](bool ok, const std::string& d) {
-    ASSERT_TRUE(ok);
-    data = d;
-  });
-  engine.run_until(3.0);
-  EXPECT_EQ(data, "contact-of-a");
 }
 
 TEST_F(ElectionTest, ElectionEpochsAreMonotoneAcrossPromotions) {

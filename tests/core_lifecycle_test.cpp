@@ -236,91 +236,49 @@ TEST(Client, CallbackCarriesHostingLc) {
   EXPECT_EQ(host->vm_count(), 1u);
 }
 
-// --- Reconfiguration knobs -----------------------------------------------------------
-
-TEST(Reconfiguration, MigrationCapBoundsDisruptionPerRound) {
-  SystemSpec spec = spec_of(2, 6);
-  spec.config.placement_policy = PlacementPolicyKind::kRoundRobin;
-  spec.config.consolidation = ConsolidationKind::kAco;
-  spec.config.reconfiguration_period = 60.0;
-  spec.config.max_migrations_per_reconfiguration = 2;
-  spec.config.underload_threshold = 0.0;
-  SnoozeSystem system(spec);
-  system.start();
-  ASSERT_TRUE(system.run_until_stable(60.0));
-  std::vector<VmDescriptor> vms;
-  for (int i = 0; i < 6; ++i) {
-    vms.push_back(system.make_vm({0.25, 0.25, 0.25}, 0.0, constant_trace(0.9)));
-  }
-  system.client().submit_all(vms, 0.2);
-  system.engine().run_until(system.engine().now() + 500.0);
-  const std::uint64_t commanded =
-      system.telemetry().metrics().value("gm.migrations_commanded");
-  const std::uint64_t rounds = system.telemetry().metrics().value("gm.reconfigurations");
-  ASSERT_GE(rounds, 1u);
-  EXPECT_LE(commanded, rounds * 2);  // never more than the cap per round
-  // Successive capped rounds still make packing progress (each round
-  // re-plans from scratch, so with a cap of 2 the fleet shrinks stepwise
-  // from the 6 hosts round-robin spread them over).
-  std::size_t hosts_with_vms = 0;
-  for (const auto& lc : system.local_controllers()) {
-    if (lc->vm_count() > 0) ++hosts_with_vms;
-  }
-  EXPECT_LE(hosts_with_vms, 4u);
-  EXPECT_EQ(system.running_vm_count(), 6u);
-}
+// --- Migration link ----------------------------------------------------------------
 
 TEST(Migration, OutboundMigrationsSerializeOnTheLink) {
-  // Two VMs leave the same source LC in one reconfiguration round: the
-  // second transfer must wait for the first (one migration link per node).
-  SystemSpec spec = spec_of(2, 4);
-  spec.config.consolidation = ConsolidationKind::kBfd;
-  spec.config.reconfiguration_period = 60.0;
-  spec.config.underload_threshold = 0.0;
-  spec.config.placement_policy = PlacementPolicyKind::kRoundRobin;
+  // Three VMs leave the same source LC at once: each transfer must wait for
+  // the one before it (one migration link per node).
+  SystemSpec spec = spec_of(2, 4);  // first-fit placement packs one LC
+  spec.config.underload_threshold = 0.0;  // no relocation moves them back
   SnoozeSystem system(spec);
   system.start();
   ASSERT_TRUE(system.run_until_stable(60.0));
   std::vector<VmDescriptor> vms;
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 0; i < 3; ++i) {
     vms.push_back(system.make_vm({0.2, 0.2, 0.2}, 0.0, constant_trace(0.9)));
   }
   system.client().submit_all(vms, 0.1);
-  system.engine().run_until(system.engine().now() + 400.0);
-  EXPECT_EQ(system.running_vm_count(), 4u);
+  system.engine().run_until(system.engine().now() + 30.0);
+  LocalController* source = nullptr;
+  for (auto& lc : system.local_controllers()) {
+    if (lc->vm_count() == 3) source = lc.get();
+  }
+  ASSERT_NE(source, nullptr);
+  GroupManager* owner = nullptr;
+  for (auto& gm : system.group_managers()) {
+    if (gm->address() == source->gm()) owner = gm.get();
+  }
+  ASSERT_NE(owner, nullptr);
+  ASSERT_EQ(owner->evacuate_lc(source->address()), 3u);
+  system.engine().run_until(system.engine().now() + 200.0);
+  EXPECT_EQ(system.running_vm_count(), 3u);
+  EXPECT_EQ(source->vm_count(), 0u);
   const auto starts = system.trace().of_kind("lc.migration_start");
-  ASSERT_GE(starts.size(), 2u);
   // Any two migration starts from the SAME node must be separated by at
   // least one full transfer (>= memory_mb / bandwidth seconds).
+  std::size_t same_source_pairs = 0;
   for (std::size_t i = 0; i < starts.size(); ++i) {
     for (std::size_t j = i + 1; j < starts.size(); ++j) {
       if (starts[i].actor != starts[j].actor) continue;
+      ++same_source_pairs;
       const double gap = std::abs(starts[j].time - starts[i].time);
       EXPECT_GE(gap, 10.0) << starts[i].actor;  // >= ~2 GB over 125 MB/s
     }
   }
-}
-
-TEST(Estimation, EwmaEstimatorWorksEndToEnd) {
-  SystemSpec spec = spec_of(2, 4);
-  spec.config.estimator_kind = EstimatorKind::kEwma;
-  spec.config.estimator_ewma_alpha = 0.4;
-  SnoozeSystem system(spec);
-  system.start();
-  ASSERT_TRUE(system.run_until_stable(60.0));
-  std::vector<VmDescriptor> vms;
-  for (int i = 0; i < 4; ++i) {
-    vms.push_back(system.make_vm({0.25, 0.25, 0.25}, 0.0, constant_trace(0.5)));
-  }
-  system.client().submit_all(vms, 0.2);
-  system.engine().run_until(system.engine().now() + 60.0);
-  EXPECT_EQ(system.running_vm_count(), 4u);
-  // The GL summary reflects the EWMA-estimated demand (~0.5 of requested).
-  GroupManager* gl = system.leader();
-  ASSERT_NE(gl, nullptr);
-  const auto infos = gl->gm_infos();
-  ASSERT_FALSE(infos.empty());
-  EXPECT_NEAR(infos[0].used.cpu(), 0.5, 0.1);
+  EXPECT_GE(same_source_pairs, 1u);
 }
 
 // --- Whole-system determinism -------------------------------------------------------

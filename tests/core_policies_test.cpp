@@ -27,7 +27,7 @@ TEST(Estimator, EmptyEstimateIsZero) {
 }
 
 TEST(Estimator, WindowMaxTracksComponentWiseMax) {
-  ResourceEstimator est(3, EstimatorKind::kWindowMax);
+  ResourceEstimator est(3);
   est.add({0.1, 0.5, 0.2});
   est.add({0.4, 0.2, 0.1});
   const auto e = est.estimate();
@@ -37,7 +37,7 @@ TEST(Estimator, WindowMaxTracksComponentWiseMax) {
 }
 
 TEST(Estimator, WindowEvictsOldSamples) {
-  ResourceEstimator est(2, EstimatorKind::kWindowMax);
+  ResourceEstimator est(2);
   est.add({0.9, 0.9, 0.9});
   est.add({0.1, 0.1, 0.1});
   est.add({0.2, 0.2, 0.2});  // the 0.9 sample leaves the window
@@ -48,7 +48,7 @@ TEST(Estimator, WindowEvictsOldSamples) {
   const double v[] = {0.7, 0.2, 0.9, 0.1, 0.3, 0.4, 0.8, 0.05, 0.6, 0.5, 0.15, 0.25};
   const std::size_t n = std::size(v);
   std::vector<ResourceVector> fed;
-  ResourceEstimator ring(3, EstimatorKind::kWindowMax);
+  ResourceEstimator ring(3);
   for (std::size_t i = 0; i < n; ++i) {
     fed.push_back({v[i], v[(i + 4) % n], v[(i + 9) % n]});
     ring.add(fed.back());
@@ -60,19 +60,6 @@ TEST(Estimator, WindowEvictsOldSamples) {
     }
     EXPECT_EQ(ring.estimate(), expect) << "after sample " << i;
   }
-}
-
-TEST(Estimator, EwmaConvergesTowardSignal) {
-  ResourceEstimator est(1, EstimatorKind::kEwma, 0.5);
-  est.add({1.0, 1.0, 1.0});
-  for (int i = 0; i < 20; ++i) est.add({0.0, 0.0, 0.0});
-  EXPECT_LT(est.estimate().cpu(), 0.01);
-}
-
-TEST(Estimator, EwmaFirstSampleIsExact) {
-  ResourceEstimator est(1, EstimatorKind::kEwma, 0.3);
-  est.add({0.6, 0.4, 0.2});
-  EXPECT_DOUBLE_EQ(est.estimate().cpu(), 0.6);
 }
 
 // --- helpers ----------------------------------------------------------------------

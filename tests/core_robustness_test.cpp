@@ -290,83 +290,4 @@ TEST(Scale, ThousandNodeGlFailoverStillWorks) {
   EXPECT_EQ(system.assigned_lc_count(), 1000u);
 }
 
-// --- Autonomous role management (paper §V future work) ----------------------------
-
-TEST(AutoRoles, PromotesIdleLcWhenGmsFallShort) {
-  SnoozeSystem system(base_spec(2, 6));  // GL + one worker GM
-  system.enable_auto_roles(2);
-  system.start();
-  ASSERT_TRUE(system.run_until_stable(60.0));
-  // Kill the only worker GM; the framework must promote an LC to GM.
-  for (std::size_t i = 0; i < 2; ++i) {
-    if (!system.group_managers()[i]->is_leader()) system.fail_gm(i);
-  }
-  system.engine().run_until(system.engine().now() + 60.0);
-  EXPECT_GE(system.role_promotions(), 1u);
-  EXPECT_GE(system.trace().count("system.role_promoted"), 1u);
-  // The remaining five LC-role machines rejoin under the promoted GM.
-  EXPECT_TRUE(system.run_until_stable(system.engine().now() + 60.0));
-  EXPECT_EQ(system.assigned_lc_count(), 5u);
-  // And the hierarchy serves submissions again.
-  std::vector<VmDescriptor> vms{system.make_vm({0.2, 0.2, 0.2}, 0.0,
-                                               constant_trace(0.5))};
-  system.client().submit_all(vms, 0.0);
-  system.engine().run_until(system.engine().now() + 60.0);
-  EXPECT_EQ(system.client().succeeded(), 1u);
-}
-
-TEST(AutoRoles, NoPromotionWhileHealthy) {
-  SnoozeSystem system(base_spec(3, 6));
-  system.enable_auto_roles(2);
-  system.start();
-  ASSERT_TRUE(system.run_until_stable(60.0));
-  system.engine().run_until(system.engine().now() + 120.0);
-  EXPECT_EQ(system.role_promotions(), 0u);
-  EXPECT_EQ(system.assigned_lc_count(), 6u);
-}
-
-TEST(AutoRoles, BusyLcsAreNeverPromoted) {
-  SnoozeSystem system(base_spec(2, 2));
-  system.enable_auto_roles(2);
-  system.start();
-  ASSERT_TRUE(system.run_until_stable(60.0));
-  // Occupy every LC with a VM (0.6 per dimension: two VMs can never share a
-  // host, so each of the two LCs hosts exactly one), then remove the GM.
-  std::vector<VmDescriptor> vms;
-  for (int i = 0; i < 2; ++i) {
-    vms.push_back(system.make_vm({0.6, 0.6, 0.6}, 0.0, constant_trace(0.8)));
-  }
-  system.client().submit_all(vms, 0.2);
-  system.engine().run_until(system.engine().now() + 30.0);
-  ASSERT_EQ(system.running_vm_count(), 2u);
-  for (std::size_t i = 0; i < 2; ++i) {
-    if (!system.group_managers()[i]->is_leader()) system.fail_gm(i);
-  }
-  system.engine().run_until(system.engine().now() + 120.0);
-  // Both machines host VMs: sacrificing one would kill its VMs, so the
-  // framework must not promote.
-  EXPECT_EQ(system.role_promotions(), 0u);
-  EXPECT_EQ(system.running_vm_count(), 2u);
-}
-
-TEST(Degraded, HeterogeneousClusterRespectsPerHostCapacity) {
-  SystemSpec spec = base_spec(2, 6);
-  spec.host_capacity_spread = 0.4;  // hosts between 0.6x and 1.4x
-  SnoozeSystem system(spec);
-  system.start();
-  ASSERT_TRUE(system.run_until_stable(60.0));
-  std::vector<VmDescriptor> vms;
-  for (int i = 0; i < 6; ++i) {
-    vms.push_back(system.make_vm({0.55, 0.55, 0.55}, 0.0, constant_trace(0.9)));
-  }
-  system.client().submit_all(vms, 0.5);
-  system.engine().run_until(system.engine().now() + 120.0);
-  // Whatever was placed, no LC may exceed its own capacity.
-  for (const auto& lc : system.local_controllers()) {
-    EXPECT_TRUE(lc->host().reserved().fits_within(lc->host().capacity()))
-        << lc->name();
-  }
-  EXPECT_GE(system.client().succeeded(), 1u);
-}
-
 }  // namespace

@@ -171,18 +171,6 @@ TEST(Host, FindLocatesVm) {
   EXPECT_EQ(host.vm_ids(), (std::vector<hypervisor::VmId>{7}));
 }
 
-TEST(Host, AdoptTransfersOwnership) {
-  hypervisor::Host a(host_spec()), b(host_spec());
-  hypervisor::VmSpec vm;
-  vm.id = 3;
-  vm.requested = {0.5, 0.5, 0.5};
-  a.place(vm);
-  b.adopt(a.evict(3));
-  EXPECT_EQ(a.vm_count(), 0u);
-  EXPECT_EQ(b.vm_count(), 1u);
-  EXPECT_DOUBLE_EQ(b.reserved().cpu(), 0.5);
-}
-
 // --- Migration model -------------------------------------------------------------
 
 TEST(Migration, ZeroDirtyRateIsSinglePass) {

@@ -54,43 +54,6 @@ TEST(RunningStats, SingleSampleHasZeroVariance) {
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
 }
 
-TEST(RunningStats, MergeMatchesSequentialAdds) {
-  RunningStats a;
-  RunningStats b;
-  RunningStats all;
-  for (const double x : {1.0, 4.0, 9.0}) {
-    a.add(x);
-    all.add(x);
-  }
-  for (const double x : {-2.0, 16.0, 25.0, 3.5}) {
-    b.add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_DOUBLE_EQ(a.sum(), all.sum());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmptyEitherSide) {
-  RunningStats a;
-  a.add(2.0);
-  a.add(6.0);
-  RunningStats empty;
-  RunningStats copy = a;
-  copy.merge(empty);  // no-op
-  EXPECT_EQ(copy.count(), 2u);
-  EXPECT_DOUBLE_EQ(copy.mean(), 4.0);
-  empty.merge(a);  // adopt
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 4.0);
-  EXPECT_DOUBLE_EQ(empty.min(), 2.0);
-  EXPECT_DOUBLE_EQ(empty.max(), 6.0);
-}
-
 TEST(RunningStats, ClearResets) {
   RunningStats s;
   s.add(1.0);
@@ -146,30 +109,6 @@ TEST(Percentiles, QuantileClampedToValidRange) {
   p.add(2.0);
   EXPECT_DOUBLE_EQ(p.percentile(-0.5), 1.0);
   EXPECT_DOUBLE_EQ(p.percentile(2.0), 2.0);
-}
-
-TEST(Percentiles, MergeCombinesSamples) {
-  Percentiles a;
-  a.add(1.0);
-  a.add(3.0);
-  Percentiles b;
-  b.add(2.0);
-  b.add(4.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 4u);
-  EXPECT_DOUBLE_EQ(a.median(), 2.5);
-  EXPECT_DOUBLE_EQ(a.min(), 1.0);
-  EXPECT_DOUBLE_EQ(a.max(), 4.0);
-}
-
-TEST(Percentiles, MergeEmptyIsNoop) {
-  Percentiles a;
-  a.add(5.0);
-  Percentiles empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  empty.merge(a);
-  EXPECT_DOUBLE_EQ(empty.median(), 5.0);
 }
 
 TEST(Percentiles, QueryThenAddThenQuery) {

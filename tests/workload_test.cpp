@@ -168,22 +168,6 @@ TEST(VmGenerator, UniformStaysInRange) {
   }
 }
 
-TEST(VmGenerator, CorrelatedDimensionsTrackEachOther) {
-  workload::CorrelatedVmGenerator gen(0.1, 0.5, 0.1, 5);
-  for (int i = 0; i < 100; ++i) {
-    const auto vm = gen.next();
-    const double cpu = vm.requested.cpu();
-    // Each dimension within +-10% plus clamping slack of the shared size.
-    EXPECT_NEAR(vm.requested.memory(), cpu, cpu * 0.25);
-    EXPECT_NEAR(vm.requested.network(), cpu, cpu * 0.25);
-  }
-}
-
-TEST(VmGenerator, BatchProducesRequestedCount) {
-  workload::UniformVmGenerator gen(0.1, 0.3, 1);
-  EXPECT_EQ(gen.batch(17).size(), 17u);
-}
-
 // --- Arrival processes --------------------------------------------------------
 
 TEST(Arrivals, DiurnalPeaksTroughsAndFloor) {
