@@ -1,6 +1,5 @@
 #include "chaos/invariants.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <sstream>
 
@@ -22,6 +21,9 @@ void InvariantChecker::start() {
   for (const auto& lc : system_.local_controllers()) {
     last_energy_.push_back(lc->energy_joules(now()));
   }
+  hosts_.assign(system_.local_controllers().size(), HostView{});
+  active_hosts_.clear();
+  duplicates_.clear();
   last_total_energy_ = system_.total_energy();
   last_traffic_ = system_.network().stats();
   every(options_.sample_period, [this] {
@@ -47,6 +49,11 @@ void InvariantChecker::violation(const std::string& message) {
 }
 
 void InvariantChecker::sample() {
+  // Live leaders, read once for check_leaders and check_epochs.
+  leaders_.clear();
+  for (const auto& gm : system_.group_managers()) {
+    if (gm->alive() && gm->is_leader()) leaders_.push_back(gm.get());
+  }
   check_leaders();
   check_duplicates();
   check_energy();
@@ -70,10 +77,7 @@ void InvariantChecker::check_epochs() {
   // Distinct terms: two live, mutually reachable leaders must disagree on
   // their election epoch (equal epochs mean the fencing tokens cannot order
   // them and the fence is useless).
-  std::vector<core::GroupManager*> leaders;
-  for (const auto& gm : system_.group_managers()) {
-    if (gm->alive() && gm->is_leader()) leaders.push_back(gm.get());
-  }
+  const auto& leaders = leaders_;
   for (std::size_t i = 0; i < leaders.size(); ++i) {
     for (std::size_t j = i + 1; j < leaders.size(); ++j) {
       if (leaders[i]->epoch() == leaders[j]->epoch() &&
@@ -86,13 +90,10 @@ void InvariantChecker::check_epochs() {
 }
 
 void InvariantChecker::check_leaders() {
-  // Collect live leaders, then look for a pair that can still talk to each
-  // other: leaders on both sides of a partition are the expected Snooze
-  // behaviour, mutually reachable leaders must resolve within the grace.
-  std::vector<core::GroupManager*> leaders;
-  for (const auto& gm : system_.group_managers()) {
-    if (gm->alive() && gm->is_leader()) leaders.push_back(gm.get());
-  }
+  // Look for a pair of live leaders that can still talk to each other:
+  // leaders on both sides of a partition are the expected Snooze behaviour,
+  // mutually reachable leaders must resolve within the grace.
+  const auto& leaders = leaders_;
   bool reachable_pair = false;
   for (std::size_t i = 0; i < leaders.size() && !reachable_pair; ++i) {
     for (std::size_t j = i + 1; j < leaders.size(); ++j) {
@@ -121,47 +122,75 @@ void InvariantChecker::check_leaders() {
 void InvariantChecker::check_duplicates() {
   // A VM counts towards duplication while actively running (or booting) on a
   // host; the migration source parked in kMigrating is the legal transient.
-  // Once the active ids are sorted, a run of equal ids is one VM active on
-  // that many hosts.
-  active_ids_.clear();
-  for (const auto& lc : system_.local_controllers()) {
-    if (!lc->alive()) continue;
-    for (const auto& [id, vm] : lc->host().vms()) {
-      const auto state = vm->state();
-      if (state == hypervisor::VmState::kBooting ||
-          state == hypervisor::VmState::kRunning) {
-        active_ids_.push_back(id);
-      }
+  // Every state move goes through the host and bumps its change count, so a
+  // host whose LC liveness and count are as last seen still has the active
+  // ids its view holds.
+  const auto& lcs = system_.local_controllers();
+  assert(lcs.size() == hosts_.size());
+  for (std::size_t i = 0; i < lcs.size(); ++i) {
+    const core::LocalController& lc = *lcs[i];
+    HostView& view = hosts_[i];
+    if (view.alive != lc.alive() || view.changes != lc.host().change_count()) {
+      reread_host(view, lc);
     }
   }
-  std::sort(active_ids_.begin(), active_ids_.end());
-  std::vector<std::pair<core::VmId, std::size_t>> duplicates;  // ascending ids
-  for (auto run = active_ids_.begin(); run != active_ids_.end();) {
-    const auto end = std::find_if(run, active_ids_.end(),
-                                  [id = *run](core::VmId other) { return other != id; });
-    const auto count = static_cast<std::size_t>(end - run);
-    if (count >= 2) duplicates.emplace_back(*run, count);
-    run = end;
-  }
   for (auto it = duplicate_since_.begin(); it != duplicate_since_.end();) {
-    const auto found = std::lower_bound(
-        duplicates.begin(), duplicates.end(), it->first,
-        [](const auto& duplicate, core::VmId id) { return duplicate.first < id; });
-    if (found == duplicates.end() || found->first != it->first) {
+    if (duplicates_.count(it->first) == 0) {
       it = duplicate_since_.erase(it);  // resolved
     } else {
       ++it;
     }
   }
-  for (const auto& [id, count] : duplicates) {
+  for (const core::VmId id : duplicates_) {
     const auto [it, inserted] = duplicate_since_.emplace(id, now());
     if (inserted) continue;
     if (now() - it->second > options_.duplicate_grace) {
       violation("duplicate VM " + std::to_string(id) + " active on " +
-                std::to_string(count) + " hosts past the grace window");
+                std::to_string(active_hosts_.at(id)) + " hosts past the grace window");
       it->second = now();  // one report per exceeded window
     }
   }
+}
+
+void InvariantChecker::reread_host(HostView& view, const core::LocalController& lc) {
+  view.alive = lc.alive();
+  view.changes = lc.host().change_count();
+  reread_.clear();
+  if (view.alive) {
+    for (const auto& [id, vm] : lc.host().vms()) {  // ascending ids
+      const auto state = vm->state();
+      if (state == hypervisor::VmState::kBooting ||
+          state == hypervisor::VmState::kRunning) {
+        reread_.push_back(id);
+      }
+    }
+  }
+  const auto enter = [this](core::VmId id) {
+    if (++active_hosts_[id] == 2) duplicates_.insert(id);
+  };
+  const auto leave = [this](core::VmId id) {
+    const auto it = active_hosts_.find(id);
+    assert(it != active_hosts_.end());
+    if (--it->second == 1) {
+      duplicates_.erase(id);
+    } else if (it->second == 0) {
+      active_hosts_.erase(it);
+    }
+  };
+  // Both lists ascend: one merge finds the ids that left and entered.
+  auto before = view.active.begin();
+  auto after = reread_.begin();
+  while (before != view.active.end() || after != reread_.end()) {
+    if (after == reread_.end() || (before != view.active.end() && *before < *after)) {
+      leave(*before++);
+    } else if (before == view.active.end() || *after < *before) {
+      enter(*after++);
+    } else {
+      ++before;
+      ++after;
+    }
+  }
+  view.active.swap(reread_);
 }
 
 void InvariantChecker::check_energy() {

@@ -22,9 +22,11 @@
 // crashed) is hosted exactly once.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/system.hpp"
@@ -73,9 +75,20 @@ class InvariantChecker final : public sim::Actor {
   [[nodiscard]] std::string report() const;
 
  private:
+  /// check_duplicates' view of one LC's host as of the last time it changed:
+  /// the LC's liveness, the host's change count and the ids active there.
+  struct HostView {
+    bool alive = false;
+    std::uint64_t changes = 0;
+    std::vector<core::VmId> active;  ///< ascending; empty while the LC is down
+  };
+
   void sample();
   void check_leaders();
   void check_duplicates();
+  /// Re-read one host's active ids and move the per-id host counts by the
+  /// difference to what the view held.
+  void reread_host(HostView& view, const core::LocalController& lc);
   void check_energy();
   void check_traffic();
   void check_epochs();
@@ -87,10 +100,15 @@ class InvariantChecker final : public sim::Actor {
   std::vector<core::VmId> accepted_;
   std::set<core::VmId> excused_;
 
+  std::vector<core::GroupManager*> leaders_;  ///< live leaders at this sample
   sim::Time multi_leader_since_ = -1.0;
   std::uint64_t last_stale_accepts_ = 0;
   std::map<core::VmId, sim::Time> duplicate_since_;
-  std::vector<core::VmId> active_ids_;  ///< check_duplicates' reused buffer
+
+  std::vector<HostView> hosts_;  ///< per LC, in local_controllers() order
+  std::vector<core::VmId> reread_;  ///< a changed host's new active ids
+  std::unordered_map<core::VmId, std::size_t> active_hosts_;  ///< hosts per active id
+  std::set<core::VmId> duplicates_;  ///< ids active on two or more hosts
   std::vector<double> last_energy_;  ///< per LC, in local_controllers() order
   double last_total_energy_ = 0.0;
   net::TrafficStats last_traffic_;

@@ -37,9 +37,13 @@ class Client final : public sim::Actor {
   // --- statistics -------------------------------------------------------------
   // The registry's client.submissions/successes/failures (0 on a network
   // without telemetry).
-  [[nodiscard]] std::uint64_t submitted() const { return tally("client.submissions"); }
-  [[nodiscard]] std::uint64_t succeeded() const { return tally("client.successes"); }
-  [[nodiscard]] std::uint64_t failed() const { return tally("client.failures"); }
+  [[nodiscard]] std::uint64_t submitted() const {
+    return telemetry::value(tel(), reads_.submitted);
+  }
+  [[nodiscard]] std::uint64_t succeeded() const {
+    return telemetry::value(tel(), reads_.succeeded);
+  }
+  [[nodiscard]] std::uint64_t failed() const { return telemetry::value(tel(), reads_.failed); }
   [[nodiscard]] util::Percentiles& latencies() { return latencies_; }
 
  private:
@@ -50,9 +54,6 @@ class Client final : public sim::Actor {
 
   [[nodiscard]] telemetry::Telemetry* tel() const {
     return endpoint_.network().telemetry();
-  }
-  [[nodiscard]] std::uint64_t tally(std::string_view counter) const {
-    return tel() != nullptr ? tel()->metrics().value(counter) : 0;
   }
 
   /// Backoff before the next discovery round, per RetryPolicy semantics.
@@ -76,6 +77,12 @@ class Client final : public sim::Actor {
                                  .multiplier = 2.0, .max_backoff = 8.0};
 
   util::Percentiles latencies_;
+  /// The statistics' registry reads (a cache, so the const readers fill it).
+  mutable struct {
+    telemetry::CounterReader<"client.submissions"> submitted;
+    telemetry::CounterReader<"client.successes"> succeeded;
+    telemetry::CounterReader<"client.failures"> failed;
+  } reads_;
 };
 
 }  // namespace snooze::core

@@ -124,6 +124,7 @@ void GroupManager::gl_check_gm_liveness() {
   if (!term_) return;
   const sim::Time window =
       config_.gm_summary_period * config_.heartbeat_timeout_factor;
+  std::vector<VmId> dropped;
   for (auto it = term_->gms.begin(); it != term_->gms.end();) {
     if (now() - it->second.last_summary > window) {
       // Gracefully remove the failed GM so no new VMs land on it.
@@ -131,13 +132,13 @@ void GroupManager::gl_check_gm_liveness() {
       trace_event("gl.gm_failed");
       const net::Address gone = it->first;
       it = term_->gms.erase(it);
-      drop_gm_inventory(gone);
+      drop_gm_inventory(gone, dropped);
       scorer_.forget(gone);
     } else {
       ++it;
     }
   }
-  prune_submission_book();
+  prune_submission_book(dropped);
 }
 
 void GroupManager::gl_flag_slow_gms() {
@@ -156,7 +157,12 @@ void GroupManager::gl_flag_slow_gms() {
   }
 }
 
-void GroupManager::prune_submission_book() {
+void GroupManager::book_submission(VmId vm, net::Address lc, net::Address gm) {
+  term_->completed_submissions[vm] = {lc, gm, now()};
+  if (config_.submission_book_retention > 0.0) term_->book_writes.emplace_back(now(), vm);
+}
+
+void GroupManager::prune_submission_book(const std::vector<VmId>& dropped) {
   const sim::Time retention = config_.submission_book_retention;
   if (retention <= 0.0) return;
   auto& book = term_->completed_submissions;
@@ -164,19 +170,25 @@ void GroupManager::prune_submission_book() {
   // A live VM's book entry is only refreshed on placement *changes*, so
   // retention alone would prune (and then duplicate on a client replay)
   // long-lived idle VMs: anything the inventory still lists as running is
-  // exempt. Book and inventory both ascend by VmId, so one walk over the
-  // two finds those without a lookup per entry.
-  auto live = inventory.begin();
-  for (auto it = book.begin(); it != book.end();) {
-    if (now() - it->second.at > retention) {
-      while (live != inventory.end() && live->first < it->first) ++live;
-      if (live == inventory.end() || live->first != it->first) {
-        it = book.erase(it);
-        continue;
-      }
+  // exempt. So an entry becomes prunable in two ways only: its last write
+  // expires (and reaches the front of book_writes), or it has expired and its
+  // VM leaves the inventory. note_vm_removed erases the entry with the
+  // inventory's, so the latter happens only in drop_gm_inventory, whose VMs
+  // arrive in `dropped`. A write whose entry was rewritten or erased since
+  // needs no skipping: the check reads the entry itself.
+  const auto prune = [&](VmId vm) {
+    const auto it = book.find(vm);
+    if (it != book.end() && now() - it->second.at > retention &&
+        inventory.count(vm) == 0) {
+      book.erase(it);
     }
-    ++it;
+  };
+  auto& writes = term_->book_writes;
+  while (!writes.empty() && now() - writes.front().first > retention) {
+    prune(writes.front().second);
+    writes.pop_front();
   }
+  for (const VmId vm : dropped) prune(vm);
 }
 
 void GroupManager::handle_summary_delta(const GmSummaryDelta& delta,
@@ -240,18 +252,17 @@ void GroupManager::handle_summary_delta(const GmSummaryDelta& delta,
 }
 
 void GroupManager::note_vm_placed(net::Address gm, VmId vm, net::Address lc) {
-  auto& book = term_->completed_submissions;
   auto& conflicts = term_->vm_conflicts;
   const auto [it, inserted] =
       term_->vm_inventory.try_emplace(vm, VmOwnership{gm, lc, now()});
   if (inserted) {
-    book[vm] = {lc, gm, now()};
+    book_submission(vm, lc, gm);
     return;
   }
   VmOwnership& owner = it->second;
   if (owner.gm == gm) {
     owner.lc = lc;  // intra-GM move (migration); not a duplicate
-    book[vm] = {lc, gm, now()};
+    book_submission(vm, lc, gm);
     return;
   }
   if (owner.lc == lc) {
@@ -263,7 +274,7 @@ void GroupManager::note_vm_placed(net::Address gm, VmId vm, net::Address lc) {
         c != conflicts.end() && c->second.challenger == gm) {
       conflicts.erase(c);
     }
-    book[vm] = {lc, gm, now()};
+    book_submission(vm, lc, gm);
     return;
   }
   // Same VM id claimed by two GMs on different LCs: a true cross-GM
@@ -293,8 +304,7 @@ void GroupManager::note_vm_removed(net::Address gm, VmId vm) {
     // The incumbent dropped the VM while a challenger waits: the challenger
     // simply becomes the owner — no instance was ever a duplicate for long.
     it->second = VmOwnership{c->second.challenger, c->second.challenger_lc, now()};
-    term_->completed_submissions[vm] = {c->second.challenger_lc, c->second.challenger,
-                                        now()};
+    book_submission(vm, c->second.challenger_lc, c->second.challenger);
     conflicts.erase(c);
     return;
   }
@@ -333,14 +343,13 @@ void GroupManager::resolve_conflicts_for(net::Address gm) {
     } else {
       term_->vm_inventory[vm] =
           VmOwnership{conflict.challenger, conflict.challenger_lc, now()};
-      term_->completed_submissions[vm] = {conflict.challenger_lc, conflict.challenger,
-                                          now()};
+      book_submission(vm, conflict.challenger_lc, conflict.challenger);
     }
     it = conflicts.erase(it);
   }
 }
 
-void GroupManager::drop_gm_inventory(net::Address gm) {
+void GroupManager::drop_gm_inventory(net::Address gm, std::vector<VmId>& dropped) {
   auto& conflicts = term_->vm_conflicts;
   auto& inventory = term_->vm_inventory;
   for (auto it = conflicts.begin(); it != conflicts.end();) {
@@ -357,6 +366,7 @@ void GroupManager::drop_gm_inventory(net::Address gm) {
   }
   for (auto it = inventory.begin(); it != inventory.end();) {
     if (it->second.gm == gm) {
+      dropped.push_back(it->first);
       it = inventory.erase(it);
     } else {
       ++it;
@@ -511,7 +521,7 @@ void GroupManager::dispatch_linear_search(VmDescriptor vm,
     if (resp != nullptr && resp->ok) {
       if (term_) {
         term_->inflight_submissions.erase(vm.id);
-        term_->completed_submissions[vm.id] = {resp->lc, gm, now()};
+        book_submission(vm.id, resp->lc, gm);
       }
       telemetry::end_span(tel(), span, "ok");
       SubmitVmResponse out;

@@ -14,8 +14,10 @@
 // stepdowns, reconciles) is tallied in the metrics registry, not here.
 #pragma once
 
+#include <deque>
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "core/policies.hpp"
@@ -66,6 +68,9 @@ struct LeaderTerm {
   // refreshing (terminated VMs), so it stays bounded by the live fleet on
   // long-horizon runs.
   std::map<VmId, CompletedSubmission> completed_submissions;
+  /// Every book write as (written at, VM id), oldest first: the order in
+  /// which entries expire. prune_submission_book pops the expired ones.
+  std::deque<std::pair<sim::Time, VmId>> book_writes;
   std::set<VmId> inflight_submissions;
   std::map<VmId, std::vector<net::Responder>> submit_waiters;
 

@@ -289,13 +289,18 @@ class GroupManager final : public sim::Actor {
   /// incumbent: if it still reports the VM, revoke the challenger's copy;
   /// if it dropped the VM, the challenger simply becomes the owner.
   void resolve_conflicts_for(net::Address gm);
-  /// Drop a departed GM's inventory entries and settle its conflicts.
-  void drop_gm_inventory(net::Address gm);
+  /// Drop a departed GM's inventory entries and settle its conflicts; the
+  /// ids of the VMs it took out of the inventory are appended to `dropped`.
+  void drop_gm_inventory(net::Address gm, std::vector<VmId>& dropped);
   void handle_gl_heartbeat(const GlHeartbeat& hb);
+  /// Record a completed submission in the book (and its write for pruning).
+  void book_submission(VmId vm, net::Address lc, net::Address gm);
   /// Drop submission-book entries unrefreshed for longer than the retention
   /// window whose VM the inventory no longer lists (a terminated VM whose
-  /// client is long gone). Bounds the book on long-horizon runs.
-  void prune_submission_book();
+  /// client is long gone). Bounds the book on long-horizon runs. Visits the
+  /// writes that expired since the last call and the VMs in `dropped`, the
+  /// only entries that can have become prunable since.
+  void prune_submission_book(const std::vector<VmId>& dropped);
 
   void trace_event(std::string_view kind, std::string_view detail = {});
 

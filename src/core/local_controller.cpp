@@ -317,7 +317,7 @@ void LocalController::handle_start_vm(const StartVmRequest& req,
   spec.memory_mb = req.vm.memory_mb;
   spec.dirty_rate_mbps = req.vm.dirty_rate_mbps;
   hypervisor::Vm& vm = host_.place(spec, make_trace(req.vm.trace));
-  vm.set_state(hypervisor::VmState::kBooting);
+  host_.set_state(vm, hypervisor::VmState::kBooting);
   VmMeta meta;
   meta.descriptor = req.vm;
   vm_meta_[req.vm.id] = meta;
@@ -329,7 +329,7 @@ void LocalController::handle_start_vm(const StartVmRequest& req,
       telemetry::end_span(tel(), span, "evicted");
       return;
     }
-    booted->set_state(hypervisor::VmState::kRunning);
+    host_.set_state(*booted, hypervisor::VmState::kRunning);
     set_running_vms(running_vms_.current() + 1.0);
     host_.touch(now());
     auto& meta_ref = vm_meta_[id];
@@ -378,7 +378,7 @@ void LocalController::handle_migrate(const MigrateVmRequest& req, net::Responder
   resp->ok = true;
   responder.respond(resp);  // acknowledged: migration accepted
 
-  vm->set_state(hypervisor::VmState::kMigrating);
+  host_.set_state(*vm, hypervisor::VmState::kMigrating);
   // The migration link carries one transfer at a time; later requests queue.
   migration_queue_.emplace_back(req.vm, req.destination);
   if (!migration_active_) start_next_migration();
@@ -459,7 +459,7 @@ void LocalController::run_migration(hypervisor::VmId id, net::Address dest) {
         trace_event("lc.migration_done");
       } else {
         // Abort: the VM keeps running here.
-        if (vm2 != nullptr) vm2->set_state(hypervisor::VmState::kRunning);
+        if (vm2 != nullptr) host_.set_state(*vm2, hypervisor::VmState::kRunning);
         bump("lc.migrations_failed");
         trace_event("lc.migration_failed");
       }
@@ -491,8 +491,7 @@ void LocalController::handle_adopt(const AdoptVmRequest& req, net::Responder res
   spec.requested = req.vm.requested;
   spec.memory_mb = req.vm.memory_mb;
   spec.dirty_rate_mbps = req.vm.dirty_rate_mbps;
-  hypervisor::Vm& vm = host_.place(spec, make_trace(req.vm.trace));
-  vm.set_state(hypervisor::VmState::kRunning);
+  host_.place(spec, make_trace(req.vm.trace));  // placed VMs start kRunning
   VmMeta meta;
   meta.descriptor = req.vm;
   if (req.remaining_lifetime_s > 0.0) {

@@ -35,6 +35,7 @@ Vm& Host::place(VmSpec spec, UtilizationFn utilization) {
   vm->set_state(VmState::kRunning);
   Vm& ref = *vm;
   vms_[spec.id] = std::move(vm);
+  ++changes_;
   return ref;
 }
 
@@ -43,7 +44,14 @@ std::unique_ptr<Vm> Host::evict(VmId id) {
   if (it == vms_.end()) return nullptr;
   std::unique_ptr<Vm> vm = std::move(it->second);
   vms_.erase(it);
+  ++changes_;
   return vm;
+}
+
+void Host::set_state(Vm& vm, VmState state) {
+  assert(find(vm.id()) == &vm);
+  vm.set_state(state);
+  ++changes_;
 }
 
 Vm* Host::find(VmId id) {

@@ -4,6 +4,7 @@
 // is equally usable from the standalone consolidation benchmarks.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -41,11 +42,21 @@ class Host {
   /// True if a VM with demand `requested` fits next to the current VMs.
   [[nodiscard]] bool can_place(const ResourceVector& requested) const;
 
-  /// Add a VM (caller checked can_place, asserts otherwise in debug).
+  /// Add a VM in kRunning (caller checked can_place, asserts otherwise in
+  /// debug).
   Vm& place(VmSpec spec, UtilizationFn utilization = nullptr);
 
   /// Remove and return the VM (nullptr if unknown).
   std::unique_ptr<Vm> evict(VmId id);
+
+  /// Move a hosted VM to `state`. A VM's state changes only here (and in
+  /// place()), so change_count() sees every move.
+  void set_state(Vm& vm, VmState state);
+
+  /// Changes so far: each place(), each evict() that removed a VM and each
+  /// set_state() adds one. An observer that saw the same count before has
+  /// nothing new to read on this host.
+  [[nodiscard]] std::uint64_t change_count() const { return changes_; }
 
   [[nodiscard]] Vm* find(VmId id);
   [[nodiscard]] const Vm* find(VmId id) const;
@@ -70,6 +81,7 @@ class Host {
   std::map<VmId, std::unique_ptr<Vm>> vms_;
   energy::EnergyMeter meter_;
   VmId next_local_id_ = 1;
+  std::uint64_t changes_ = 0;
 };
 
 }  // namespace snooze::hypervisor

@@ -43,7 +43,6 @@ class Vm {
   [[nodiscard]] VmId id() const { return spec_.id; }
   [[nodiscard]] const VmSpec& spec() const { return spec_; }
   [[nodiscard]] VmState state() const { return state_; }
-  void set_state(VmState state) { state_ = state; }
 
   /// Actual consumption at time t: requested * utilization(t).
   [[nodiscard]] ResourceVector used(double t) const;
@@ -52,6 +51,10 @@ class Vm {
   [[nodiscard]] double utilization(double t) const;
 
  private:
+  // Only the hosting Host moves the state, so its change count sees it.
+  friend class Host;
+  void set_state(VmState state) { state_ = state; }
+
   VmSpec spec_;
   VmState state_ = VmState::kPending;
   UtilizationFn utilization_;

@@ -258,6 +258,7 @@ void RpcEndpoint::note_reply(Address to, sim::Time latency) {
     // time it spent broken.
     breaker_open_s_ += engine_.now() - d.opened_at;
     d.open = false;
+    --open_streaks_;
     telemetry::count(network_.telemetry(), metrics_.breaker_closed);
     telemetry::gauge_set(network_.telemetry(), "rpc.breaker_open_s", breaker_open_s_);
   }
@@ -268,11 +269,13 @@ void RpcEndpoint::note_timeout(Address to) {
   if (++d.consecutive_timeouts >= DestStats::kBrokenStreak && !d.open) {
     d.open = true;
     d.opened_at = engine_.now();
+    ++open_streaks_;
     telemetry::count(network_.telemetry(), metrics_.breaker_opened);
   }
 }
 
 double RpcEndpoint::breaker_open_seconds() const {
+  if (open_streaks_ == 0) return breaker_open_s_;  // the sum has no other term
   double total = breaker_open_s_;
   for (const auto& [addr, d] : dest_stats_) {
     if (d.open) total += engine_.now() - d.opened_at;
@@ -303,6 +306,7 @@ void RpcEndpoint::go_down() {
     if (d.open) breaker_open_s_ += engine_.now() - d.opened_at;
   }
   dest_stats_.clear();
+  open_streaks_ = 0;
 }
 
 void RpcEndpoint::go_up() {

@@ -321,6 +321,7 @@ class RpcEndpoint final : public Endpoint {
   Slab<CallGroup> groups_;
   std::unordered_map<Address, DestStats> dest_stats_;
   double breaker_open_s_ = 0.0;
+  std::size_t open_streaks_ = 0;  ///< destinations with `open` set
   Metrics metrics_;
   MessageHandler on_oneway_;
   RequestHandler on_request_;

@@ -67,6 +67,7 @@ HealthMonitor::HealthMonitor(core::SnoozeSystem& system, std::size_t max_rows)
   col_.gray_quarantined = store_.add_column("gray.quarantined");
   col_.rpc_hedges_won = store_.add_column("rpc.hedges_won");
   col_.breaker_open_s = store_.add_column("breaker.open_s");
+  row_.resize(store_.column_count());
 }
 
 void HealthMonitor::start() {
@@ -168,15 +169,15 @@ void HealthMonitor::sample_now() {
   const double work = system_.total_work();
 
   // --- throughput counters (cumulative; rates derived over the window) -----
-  const telemetry::MetricsRegistry& metrics = system_.telemetry().metrics();
-  const auto counter = [&metrics](std::string_view name) {
-    return static_cast<double>(metrics.value(name));
+  const telemetry::Telemetry* tel = &system_.telemetry();
+  const auto counter = [tel](auto& reader) {
+    return static_cast<double>(telemetry::value(tel, reader));
   };
-  const double placements = counter("gm.placements_ok");
-  const double migrations = counter("gm.migrations_completed");
+  const double placements = counter(reads_.placements);
+  const double migrations = counter(reads_.migrations);
   // The registry counter, not the per-node fences: a GM's fence restarts
   // from zero with the GM, and a cumulative column must never fall.
-  const double fence_rejected = counter("fence.rejected");
+  const double fence_rejected = counter(reads_.fence_rejected);
 
   // --- summary protocol ----------------------------------------------------
   // Bytes per summary-sending GM per period over the trailing rate window,
@@ -187,7 +188,7 @@ void HealthMonitor::sample_now() {
   // cluster and a 200-LC production shape.
   double summary_bytes_per_gm = kNaN;
   double summary_staleness = kNaN;
-  const double total_bytes = counter("gm.summary_bytes");
+  const double total_bytes = counter(reads_.summary_bytes);
   double senders = 0.0;
   for (const auto& gm : system_.group_managers()) {
     if (gm->is_leader()) {
@@ -197,18 +198,24 @@ void HealthMonitor::sample_now() {
       ++senders;
     }
   }
-  while (!summary_bytes_window_.empty() &&
-         now - summary_bytes_window_.front().time > kRateWindow) {
-    summary_bytes_window_.erase(summary_bytes_window_.begin());
-  }
-  if (!summary_bytes_window_.empty() && senders > 0.0) {
-    const BytesSample& oldest = summary_bytes_window_.front();
+  // Samples leave the window from the front by moving the head; the live
+  // tail moves down once the dead prefix is as long as it, so the buffer
+  // keeps its capacity and each sample costs O(1) amortized.
+  auto& window = summary_bytes_window_;
+  std::size_t& head = summary_bytes_head_;
+  while (head < window.size() && now - window[head].time > kRateWindow) ++head;
+  if (head < window.size() && senders > 0.0) {
+    const BytesSample& oldest = window[head];
     if (now > oldest.time) {
       const double rate = (total_bytes - oldest.bytes) / (now - oldest.time);
       summary_bytes_per_gm = rate * system_.spec().config.gm_summary_period / senders;
     }
   }
-  summary_bytes_window_.push_back({now, total_bytes});
+  if (head > 0 && head * 2 >= window.size()) {
+    window.erase(window.begin(), window.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
+  }
+  window.push_back({now, total_bytes});
 
   // --- gray-failure detection ----------------------------------------------
   // Slow nodes = LCs held on probation or in quarantine by their GM, plus GMs
@@ -220,19 +227,19 @@ void HealthMonitor::sample_now() {
     if (gm->is_leader()) gray_slow += static_cast<double>(gm->gm_probation_count());
     breaker_open_s += gm->breaker_open_seconds();
   }
-  const double hedges_won = counter("rpc.hedges_won");
+  const double hedges_won = counter(reads_.hedges_won);
   telemetry::gauge_set(&system_.telemetry(), gauges_.slow_nodes, gray_slow);
   telemetry::gauge_set(&system_.telemetry(), gauges_.quarantined, gray_quarantined);
 
-  // --- latency percentiles --------------------------------------------------
-  double p50 = kNaN, p99 = kNaN;
-  if (const telemetry::Histogram* h = metrics.find_histogram("client.submit_latency");
-      h != nullptr && h->count() > 0) {
-    p50 = h->percentile(0.5);
-    p99 = h->percentile(0.99);
+  // --- latency percentiles (NaN until the first submission completes) -----
+  if (const telemetry::Histogram* h = reads_.submit_latency.find(tel);
+      h != nullptr && h->count() != latency_count_) {
+    latency_count_ = h->count();
+    p50_ = h->percentile(0.5);
+    p99_ = h->percentile(0.99);
   }
 
-  std::vector<double> row(store_.column_count());
+  std::vector<double>& row = row_;  // every column is set below
   row[col_.hosts_on] = on;
   row[col_.hosts_suspended] = suspended;
   row[col_.hosts_off] = off;
@@ -252,8 +259,8 @@ void HealthMonitor::sample_now() {
   row[col_.fence_rejected] = fence_rejected;
   row[col_.mttr_s] = failover_mttr();
   row[col_.failovers] = static_cast<double>(mttr_count_);
-  row[col_.submit_p50] = p50;
-  row[col_.submit_p99] = p99;
+  row[col_.submit_p50] = p50_;
+  row[col_.submit_p99] = p99_;
   row[col_.slo_firing] = static_cast<double>(slo_.firing_count());
   // Flap rate normalized to per-hour whatever the configured window.
   const double flap_window = slo_.config().flap_window_s;
@@ -310,8 +317,11 @@ void HealthMonitor::evaluate_slos(double now) {
       {"summary_staleness", store_.latest(col_.summary_staleness),
        cfg.summary_staleness_max_s},
   };
-  for (const auto& sli : slis) {
-    const auto transition = slo_.observe(sli.name, sli.value, sli.threshold, now);
+  static_assert(std::size(slis) == std::tuple_size_v<decltype(slis_)>);
+  for (std::size_t i = 0; i < slis_.size(); ++i) {
+    const auto& sli = slis[i];
+    if (slis_[i] == nullptr) slis_[i] = &slo_.track(sli.name);
+    const auto transition = slo_.observe(*slis_[i], sli.value, sli.threshold, now);
     if (!transition) continue;
     std::string detail = std::string("sli=") + sli.name +
                          " value=" + fmt6(transition->value) +

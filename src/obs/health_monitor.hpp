@@ -36,7 +36,9 @@
 //                         up to the destination's next reply
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -110,6 +112,23 @@ class HealthMonitor final : public sim::Actor {
     telemetry::GaugeRef<"slo.firing"> slo_firing;
     telemetry::GaugeRef<"slo.flaps_per_hour"> slo_flaps;
   } gauges_;
+  /// Metrics read on every sample, so looked up once they exist.
+  struct Reads {
+    telemetry::CounterReader<"gm.placements_ok"> placements;
+    telemetry::CounterReader<"gm.migrations_completed"> migrations;
+    telemetry::CounterReader<"fence.rejected"> fence_rejected;
+    telemetry::CounterReader<"gm.summary_bytes"> summary_bytes;
+    telemetry::CounterReader<"rpc.hedges_won"> hedges_won;
+    telemetry::HistogramReader<"client.submit_latency"> submit_latency;
+  } reads_;
+  /// Submit-latency percentiles as of `latency_count_` samples: a histogram's
+  /// percentiles move only when observe() bumps its count.
+  std::uint64_t latency_count_ = 0;
+  double p50_ = std::numeric_limits<double>::quiet_NaN();
+  double p99_ = std::numeric_limits<double>::quiet_NaN();
+  /// evaluate_slos' SLIs in evaluation order, tracked on its first call.
+  std::array<SloEvaluator::Sli*, 8> slis_{};
+  std::vector<double> row_;  ///< the sample being assembled, one per column
 
   // Column indices (registered once in the constructor).
   struct Cols {
@@ -129,6 +148,7 @@ class HealthMonitor final : public sim::Actor {
     double bytes;
   };
   std::vector<BytesSample> summary_bytes_window_;
+  std::size_t summary_bytes_head_ = 0;  ///< oldest sample still in the window
 
   // Incremental sim-trace scan state (survives ring-buffer trimming via the
   // dropped() offset).

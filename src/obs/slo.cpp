@@ -4,11 +4,15 @@
 
 namespace snooze::obs {
 
-std::optional<SloTransition> SloEvaluator::observe(std::string_view sli, double value,
-                                                   double threshold, double now) {
+SloEvaluator::Sli& SloEvaluator::track(std::string_view sli) {
   auto it = slis_.find(sli);
   if (it == slis_.end()) it = slis_.emplace(std::string(sli), SliStatus{}).first;
-  SliStatus& s = it->second;
+  return *it;
+}
+
+std::optional<SloTransition> SloEvaluator::observe(Sli& sli, double value, double threshold,
+                                                   double now) {
+  SliStatus& s = sli.second;
   s.value = value;
   s.threshold = threshold;
 
@@ -31,13 +35,15 @@ std::optional<SloTransition> SloEvaluator::observe(std::string_view sli, double 
       s.state = AlertState::kFiring;
       s.clear_streak = 0;
       ++s.times_fired;
-      transition = SloTransition{std::string(sli), true, value, threshold};
+      ++firing_;
+      transition = SloTransition{sli.first, true, value, threshold};
     }
   } else {
     if (s.clear_streak >= config_.clear_samples) {
       s.state = AlertState::kOk;
       s.burn_streak = 0;
-      transition = SloTransition{std::string(sli), false, value, threshold};
+      --firing_;
+      transition = SloTransition{sli.first, false, value, threshold};
     }
   }
 
@@ -59,14 +65,6 @@ void SloEvaluator::prune_transitions(double now) {
   while (!transition_times_.empty() && transition_times_.front() < horizon) {
     transition_times_.pop_front();
   }
-}
-
-std::size_t SloEvaluator::firing_count() const {
-  std::size_t n = 0;
-  for (const auto& [name, s] : slis_) {
-    if (s.firing()) ++n;
-  }
-  return n;
 }
 
 }  // namespace snooze::obs

@@ -45,18 +45,32 @@ class SloEvaluator {
     [[nodiscard]] bool firing() const { return state == AlertState::kFiring; }
   };
 
+  using StatusMap = std::map<std::string, SliStatus, std::less<>>;
+  /// One SLI: its name and status.
+  using Sli = StatusMap::value_type;
+
   explicit SloEvaluator(const core::SloConfig& config) : config_(config) {}
 
-  /// Feed one sample of an SLI; returns the transition if the alert state
-  /// changed on this sample. `now` (virtual time, seconds) timestamps any
-  /// transition for the trailing-window flap counter.
-  std::optional<SloTransition> observe(std::string_view sli, double value,
-                                       double threshold, double now = 0.0);
+  /// The SLI named `sli`, created on first use. The reference stays valid
+  /// for the evaluator's lifetime, so a caller that feeds the same SLIs on
+  /// every tick looks each one up once.
+  Sli& track(std::string_view sli);
 
-  [[nodiscard]] const std::map<std::string, SliStatus, std::less<>>& status() const {
-    return slis_;
+  /// Feed one sample of an SLI (one this evaluator's track() returned);
+  /// returns the transition if the alert state changed on this sample. `now`
+  /// (virtual time, seconds) timestamps any transition for the
+  /// trailing-window flap counter.
+  std::optional<SloTransition> observe(Sli& sli, double value, double threshold,
+                                       double now = 0.0);
+  std::optional<SloTransition> observe(std::string_view sli, double value,
+                                       double threshold, double now = 0.0) {
+    return observe(track(sli), value, threshold, now);
   }
-  [[nodiscard]] std::size_t firing_count() const;
+
+  /// Every SLI by name (sorted, for the renderers).
+  [[nodiscard]] const StatusMap& status() const { return slis_; }
+  /// SLIs firing now (kept up to date on transitions).
+  [[nodiscard]] std::size_t firing_count() const { return firing_; }
 
   /// Alert flaps: fire + clear transitions across all SLIs inside the
   /// trailing SloConfig::flap_window_s window ending at `now`. A first-class
@@ -70,7 +84,8 @@ class SloEvaluator {
   void prune_transitions(double now);
 
   core::SloConfig config_;
-  std::map<std::string, SliStatus, std::less<>> slis_;
+  StatusMap slis_;
+  std::size_t firing_ = 0;
   std::deque<double> transition_times_;  ///< pruned to the flap window
   std::uint64_t total_transitions_ = 0;
 };

@@ -4,7 +4,10 @@
 // then appends one full row per sampling tick, so every series shares the
 // same timestamps and the CSV export is a plain wide table. A bounded ring
 // keeps memory constant on soak runs; `dropped()` reports evicted rows so
-// window queries can tell "no data" from "data aged out".
+// window queries can tell "no data" from "data aged out". The ring is two
+// flat arrays, the timestamps and the rows' values, so an append into a
+// full ring overwrites the oldest row and allocates nothing, and a window
+// query walks timestamps that share cache lines.
 //
 // Determinism: the store never reads the clock, RNG or event queue itself —
 // values and timestamps come from the caller — so two same-seed runs fill
@@ -13,7 +16,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -33,14 +35,14 @@ class TimeSeriesStore {
 
   [[nodiscard]] const std::vector<std::string>& columns() const { return columns_; }
   [[nodiscard]] std::size_t column_count() const { return columns_.size(); }
-  [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
+  [[nodiscard]] std::size_t row_count() const { return rows_; }
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
   [[nodiscard]] std::size_t max_rows() const { return max_rows_; }
 
   /// Timestamp / value of a retained row (0 = oldest retained).
-  [[nodiscard]] double time_at(std::size_t row) const { return rows_[row].time; }
+  [[nodiscard]] double time_at(std::size_t row) const { return times_[slot(row)]; }
   [[nodiscard]] double value_at(std::size_t row, std::size_t col) const {
-    return rows_[row].values[col];
+    return values_[slot(row) * columns_.size() + col];
   }
 
   /// Newest value of a column; NaN when the store is empty.
@@ -62,18 +64,32 @@ class TimeSeriesStore {
   [[nodiscard]] std::string csv() const;
 
  private:
-  struct Row {
-    double time;
-    std::vector<double> values;
-  };
+  /// The ring slot of retained row `row`.
+  [[nodiscard]] std::size_t slot(std::size_t row) const {
+    const std::size_t at = head_ + row;
+    return at < rows_ ? at : at - rows_;  // only a full ring has head_ > 0
+  }
   /// Index of the newest row older than (latest - window); 0 when history is
   /// shorter than the window.
   [[nodiscard]] std::size_t window_base(double window) const;
 
   std::vector<std::string> columns_;
-  std::deque<Row> rows_;
+  std::vector<double> times_;   ///< per slot
+  std::vector<double> values_;  ///< per slot, one per column
+  std::size_t head_ = 0;        ///< slot of the oldest retained row
+  std::size_t rows_ = 0;        ///< retained rows
   std::size_t max_rows_;
   std::uint64_t dropped_ = 0;
+
+  /// window_base()'s last answer for one window length, as the number of
+  /// rows appended before it (dropped ones included), and the number of rows
+  /// appended when it was given.
+  struct WindowCursor {
+    double window;
+    std::uint64_t row;
+    std::uint64_t appended;
+  };
+  mutable std::vector<WindowCursor> cursors_;
 };
 
 }  // namespace snooze::obs

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <string_view>
 #include <type_traits>
 
@@ -135,6 +136,63 @@ template <MetricName Name>
 using GaugeRef = MetricRef<Gauge, Name>;
 template <MetricName Name>
 using HistogramRef = MetricRef<Histogram, Name>;
+
+/// A registry metric read once per tick: the name is looked up until the
+/// metric exists, later reads go through the kept pointer. A read never
+/// creates the metric (MetricRef, which does, is for updates): every export
+/// lists the whole registry, so a read that created one would change what a
+/// run exports. Metrics are never removed, so while no metric of this kind
+/// was created since the last miss, the name is not looked up again. Follows
+/// the Telemetry it is given, as MetricRef does.
+template <typename Metric, MetricName Name>
+class MetricReader {
+ public:
+  /// The metric in `t`'s registry; null while it does not exist or `t` is.
+  const Metric* find(const Telemetry* t) {
+    if (t != owner_) {
+      owner_ = t;
+      metric_ = nullptr;
+      missed_at_size_ = kNoMiss;
+    }
+    if (metric_ == nullptr && t != nullptr) {
+      const auto& metrics = family(t->metrics());
+      if (metrics.size() != missed_at_size_) {
+        missed_at_size_ = metrics.size();
+        const auto it = metrics.find(Name.view());
+        if (it != metrics.end()) metric_ = it->second.get();
+      }
+    }
+    return metric_;
+  }
+
+ private:
+  static constexpr std::size_t kNoMiss = static_cast<std::size_t>(-1);
+
+  static const auto& family(const MetricsRegistry& registry) {
+    if constexpr (std::is_same_v<Metric, Counter>) {
+      return registry.counters();
+    } else {
+      static_assert(std::is_same_v<Metric, Histogram>);
+      return registry.histograms();
+    }
+  }
+
+  const Telemetry* owner_ = nullptr;
+  const Metric* metric_ = nullptr;
+  std::size_t missed_at_size_ = kNoMiss;  ///< family size at the last miss
+};
+
+template <MetricName Name>
+using CounterReader = MetricReader<Counter, Name>;
+template <MetricName Name>
+using HistogramReader = MetricReader<Histogram, Name>;
+
+/// A counter's value through its reader; 0 while it was never bumped.
+template <MetricName Name>
+std::uint64_t value(const Telemetry* t, CounterReader<Name>& reader) {
+  const Counter* c = reader.find(t);
+  return c == nullptr ? 0 : c->value();
+}
 
 template <MetricName Name>
 void count(Telemetry* t, CounterRef<Name>& ref, std::uint64_t delta = 1) {

@@ -7,10 +7,13 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "chaos/invariants.hpp"
 #include "chaos/runner.hpp"
@@ -531,6 +534,281 @@ TEST(Invariants, DuplicateAcrossGmsIsResolved) {
     if (lc->host().vms().count(vm.id) > 0) ++live;
   }
   EXPECT_EQ(live, 1u) << "exactly one copy must survive resolution";
+}
+
+// --- The incremental duplicate check against a full rescan ------------------
+
+// The duplicate check as it was before hosts counted their changes: every
+// sample gathers and sorts the active ids of every live LC. Its body is kept
+// verbatim as the reference the checker's per-host views must match. Started
+// right after the checker with the same period, it samples at the same
+// instants, next to the checker's tick, so both read the same state.
+class FullScanDuplicateCheck final : public sim::Actor {
+ public:
+  FullScanDuplicateCheck(core::SnoozeSystem& system, InvariantChecker::Options options)
+      : sim::Actor(system.engine(), "full-scan"), system_(system), options_(options) {}
+
+  void start() {
+    every(options_.sample_period, [this] {
+      check_duplicates();
+      return true;
+    });
+  }
+  [[nodiscard]] const std::vector<std::string>& violations() const { return violations_; }
+
+ private:
+  void violation(const std::string& message) {
+    std::ostringstream out;
+    out << "t=" << now() << ": " << message;
+    violations_.push_back(out.str());
+  }
+
+  void check_duplicates() {
+    // A VM counts towards duplication while actively running (or booting) on a
+    // host; the migration source parked in kMigrating is the legal transient.
+    // Once the active ids are sorted, a run of equal ids is one VM active on
+    // that many hosts.
+    active_ids_.clear();
+    for (const auto& lc : system_.local_controllers()) {
+      if (!lc->alive()) continue;
+      for (const auto& [id, vm] : lc->host().vms()) {
+        const auto state = vm->state();
+        if (state == hypervisor::VmState::kBooting ||
+            state == hypervisor::VmState::kRunning) {
+          active_ids_.push_back(id);
+        }
+      }
+    }
+    std::sort(active_ids_.begin(), active_ids_.end());
+    std::vector<std::pair<core::VmId, std::size_t>> duplicates;  // ascending ids
+    for (auto run = active_ids_.begin(); run != active_ids_.end();) {
+      const auto end = std::find_if(run, active_ids_.end(),
+                                    [id = *run](core::VmId other) { return other != id; });
+      const auto count = static_cast<std::size_t>(end - run);
+      if (count >= 2) duplicates.emplace_back(*run, count);
+      run = end;
+    }
+    for (auto it = duplicate_since_.begin(); it != duplicate_since_.end();) {
+      const auto found = std::lower_bound(
+          duplicates.begin(), duplicates.end(), it->first,
+          [](const auto& duplicate, core::VmId id) { return duplicate.first < id; });
+      if (found == duplicates.end() || found->first != it->first) {
+        it = duplicate_since_.erase(it);  // resolved
+      } else {
+        ++it;
+      }
+    }
+    for (const auto& [id, count] : duplicates) {
+      const auto [it, inserted] = duplicate_since_.emplace(id, now());
+      if (inserted) continue;
+      if (now() - it->second > options_.duplicate_grace) {
+        violation("duplicate VM " + std::to_string(id) + " active on " +
+                  std::to_string(count) + " hosts past the grace window");
+        it->second = now();  // one report per exceeded window
+      }
+    }
+  }
+
+  core::SnoozeSystem& system_;
+  InvariantChecker::Options options_;
+  std::map<core::VmId, sim::Time> duplicate_since_;
+  std::vector<core::VmId> active_ids_;
+  std::vector<std::string> violations_;
+};
+
+struct DuplicateChecks {
+  std::vector<std::string> incremental;  ///< the checker's duplicate violations
+  std::vector<std::string> full_scan;
+};
+
+/// Run `stage` on a 3-GM/6-LC system watched by the checker and the full
+/// scan. `stage` gets the system and an endpoint outside the hierarchy to
+/// send commands from.
+template <typename Stage>
+DuplicateChecks run_duplicate_checks(std::uint64_t seed, sim::Time grace, Stage stage) {
+  core::SystemSpec spec;
+  spec.seed = seed;
+  spec.group_managers = 3;
+  spec.local_controllers = 6;
+  core::SnoozeSystem system(spec);
+  system.start();
+  EXPECT_TRUE(system.run_until_stable(60.0));
+
+  InvariantChecker::Options options;
+  options.duplicate_grace = grace;
+  InvariantChecker checker(system, options);
+  checker.start();
+  FullScanDuplicateCheck full_scan(system, options);
+  full_scan.start();
+  net::RpcEndpoint rogue(system.engine(), system.network(),
+                         system.network().allocate_address(), "rogue");
+  stage(system, rogue);
+
+  DuplicateChecks checks;
+  for (const std::string& v : checker.violations()) {
+    if (v.find("duplicate VM") != std::string::npos) checks.incremental.push_back(v);
+  }
+  checks.full_scan = full_scan.violations();
+  return checks;
+}
+
+void run_for(core::SnoozeSystem& system, sim::Time seconds) {
+  system.engine().run_until(system.engine().now() + seconds);
+}
+
+/// Start `vm` on `lc` behind the hierarchy's back.
+void rogue_start(net::RpcEndpoint& rogue, const core::LocalController& lc,
+                 const core::VmDescriptor& vm) {
+  auto start = std::make_shared<core::StartVmRequest>();
+  start->vm = vm;
+  rogue.call(lc.address(), start, 5.0, [](bool, const net::MsgPtr&) {});
+}
+
+void rogue_migrate(net::RpcEndpoint& rogue, const core::LocalController& lc, core::VmId vm,
+                   net::Address destination) {
+  auto migrate = std::make_shared<core::MigrateVmRequest>();
+  migrate->vm = vm;
+  migrate->destination = destination;
+  rogue.call(lc.address(), migrate, 5.0, [](bool, const net::MsgPtr&) {});
+}
+
+/// The first LC other than `lc` whose GM differs from `lc`'s.
+std::size_t other_group(core::SnoozeSystem& system, std::size_t lc) {
+  const auto& lcs = system.local_controllers();
+  for (std::size_t i = 0; i < lcs.size(); ++i) {
+    if (i != lc && lcs[i]->gm() != lcs[lc]->gm()) return i;
+  }
+  ADD_FAILURE() << "every LC shares " << lcs[lc]->name() << "'s GM";
+  return lc;
+}
+
+/// Run the system in half-second steps until `done` holds, at most `limit`
+/// seconds.
+template <typename Done>
+bool run_until(core::SnoozeSystem& system, sim::Time limit, Done done) {
+  const sim::Time end = system.engine().now() + limit;
+  while (!done()) {
+    if (system.engine().now() >= end) return false;
+    run_for(system, 0.5);
+  }
+  return true;
+}
+
+/// Submit `n` VMs through the hierarchy and let them boot.
+void submit_and_settle(core::SnoozeSystem& system, int n) {
+  std::vector<core::VmDescriptor> vms;
+  for (int i = 0; i < n; ++i) vms.push_back(system.make_vm({0.15, 0.1, 0.1}));
+  system.client().submit_all(vms, 0.2);
+  run_for(system, 15.0);
+}
+
+/// An LC hosting a running VM, and that VM as a descriptor for a second copy.
+std::pair<std::size_t, core::VmDescriptor> running_vm(core::SnoozeSystem& system) {
+  const auto& lcs = system.local_controllers();
+  for (std::size_t i = 0; i < lcs.size(); ++i) {
+    for (const auto& [id, vm] : lcs[i]->host().vms()) {
+      if (vm->state() != hypervisor::VmState::kRunning) continue;
+      core::VmDescriptor copy;
+      copy.id = id;
+      copy.requested = vm->spec().requested;
+      return {i, copy};
+    }
+  }
+  ADD_FAILURE() << "no LC hosts a running VM";
+  return {0, {}};
+}
+
+// The checker re-reads a host only when its LC's liveness or the host's
+// change count moved. Every way a VM becomes or stops being active on a host
+// is staged next to a cross-GM duplicate, and the checker must report
+// exactly what a full rescan at the same instants reports.
+TEST(Invariants, IncrementalDuplicateCheckMatchesFullScan) {
+  const auto rogue_copies = [](core::SnoozeSystem& system, net::RpcEndpoint& rogue) {
+    const auto& lcs = system.local_controllers();
+    const auto vm = system.make_vm({0.1, 0.1, 0.1});
+    rogue_start(rogue, *lcs[0], vm);
+    rogue_start(rogue, *lcs[other_group(system, 0)], vm);
+    run_for(system, 30.0);
+  };
+  const auto crash_and_recover = [](core::SnoozeSystem& system, net::RpcEndpoint& rogue) {
+    const auto& lcs = system.local_controllers();
+    submit_and_settle(system, 6);
+    const std::size_t b = other_group(system, 0);
+    const auto vm = system.make_vm({0.1, 0.1, 0.1});
+    rogue_start(rogue, *lcs[0], vm);
+    rogue_start(rogue, *lcs[b], vm);
+    run_for(system, 5.0);
+    system.fail_lc(b);  // its VMs, the copy among them, die with it
+    run_for(system, 10.0);
+    lcs[b]->restart();
+    ASSERT_TRUE(system.run_until_stable(system.engine().now() + 200.0));
+    submit_and_settle(system, 6);
+    const auto again = system.make_vm({0.1, 0.1, 0.1});
+    rogue_start(rogue, *lcs[b], again);
+    rogue_start(rogue, *lcs[other_group(system, b)], again);
+    run_for(system, 30.0);
+  };
+  const auto migration_aborts = [](core::SnoozeSystem& system, net::RpcEndpoint& rogue) {
+    const auto& lcs = system.local_controllers();
+    submit_and_settle(system, 6);
+    const auto [source, vm] = running_vm(system);
+    const std::size_t b = other_group(system, source);
+    // The rogue endpoint is the migration's destination. When the adopt
+    // arrives (the pre-copy is over, the source's copy still kMigrating), a
+    // second copy starts on `b`; the adopt is refused 0.6 s later, inside
+    // the 1 s RPC timeout, so the source's copy goes back to kRunning.
+    bool adopt_seen = false;
+    rogue.set_request_handler([&](const net::Envelope& env, net::Responder responder) {
+      if (net::msg_cast<core::AdoptVmRequest>(env.payload) == nullptr || adopt_seen) return;
+      adopt_seen = true;
+      rogue_start(rogue, *lcs[b], vm);
+      system.engine().schedule(0.6, [responder] {
+        responder.respond(std::make_shared<core::AdoptVmResponse>());  // ok = false
+      });
+    });
+    rogue_migrate(rogue, *lcs[source], vm.id, rogue.address());
+    run_for(system, 90.0);
+    EXPECT_TRUE(adopt_seen);
+  };
+  const auto migration_completes = [](core::SnoozeSystem& system, net::RpcEndpoint& rogue) {
+    const auto& lcs = system.local_controllers();
+    submit_and_settle(system, 6);
+    const auto [source, vm] = running_vm(system);
+    std::size_t dest = source;
+    for (std::size_t i = 0; i < lcs.size(); ++i) {
+      if (i != source && lcs[i]->host().can_place(vm.requested)) {
+        dest = i;
+        break;
+      }
+    }
+    ASSERT_NE(dest, source);
+    rogue_migrate(rogue, *lcs[source], vm.id, lcs[dest]->address());
+    // Once the source released its copy, start another one elsewhere.
+    ASSERT_TRUE(run_until(system, 90.0, [&, id = vm.id, source = source] {
+      return lcs[source]->host().find(id) == nullptr;
+    }));
+    ASSERT_NE(lcs[dest]->host().find(vm.id), nullptr);  // the migration committed
+    rogue_start(rogue, *lcs[other_group(system, dest)], vm);
+    run_for(system, 30.0);
+  };
+
+  // The GL revokes a cross-GM copy within a few seconds, so the aborted
+  // migration's duplicate lasts about two: a shorter grace reports it.
+  const struct {
+    const char* name;
+    sim::Time grace;
+    std::function<void(core::SnoozeSystem&, net::RpcEndpoint&)> stage;
+  } scenarios[] = {{"rogue copies", 2.0, rogue_copies},
+                   {"crash and recover", 2.0, crash_and_recover},
+                   {"migration aborts", 0.5, migration_aborts},
+                   {"migration completes", 2.0, migration_completes}};
+  for (const auto& [name, grace, stage] : scenarios) {
+    for (const std::uint64_t seed : {42, 7, 1234}) {
+      const DuplicateChecks checks = run_duplicate_checks(seed, grace, stage);
+      EXPECT_FALSE(checks.full_scan.empty()) << name << ", seed " << seed;
+      EXPECT_EQ(checks.incremental, checks.full_scan) << name << ", seed " << seed;
+    }
+  }
 }
 
 // --- End-to-end seeded chaos runs --------------------------------------------

@@ -171,6 +171,35 @@ TEST(Host, FindLocatesVm) {
   EXPECT_EQ(host.vm_ids(), (std::vector<hypervisor::VmId>{7}));
 }
 
+// Observers skip a host whose change count they have seen, so every change
+// to the hosted set or a VM's state must move it, and reads must not.
+TEST(Host, ChangeCountMovesOnPlaceEvictAndStateMove) {
+  hypervisor::Host host(host_spec());
+  EXPECT_EQ(host.change_count(), 0u);
+  hypervisor::VmSpec spec;
+  spec.id = 3;
+  spec.requested = {0.2, 0.2, 0.2};
+  hypervisor::Vm& vm = host.place(spec, [](double) { return 0.5; });
+  EXPECT_EQ(vm.state(), hypervisor::VmState::kRunning);
+  EXPECT_EQ(host.change_count(), 1u);
+
+  host.set_state(vm, hypervisor::VmState::kMigrating);
+  EXPECT_EQ(vm.state(), hypervisor::VmState::kMigrating);
+  EXPECT_EQ(host.change_count(), 2u);
+
+  // Reads and the energy meter's refresh change nothing hosted.
+  EXPECT_NE(host.find(3), nullptr);
+  EXPECT_EQ(host.vms().size(), 1u);
+  EXPECT_DOUBLE_EQ(host.used(1.0).cpu(), 0.1);
+  host.touch(1.0);
+  EXPECT_EQ(host.change_count(), 2u);
+
+  EXPECT_EQ(host.evict(99), nullptr);  // nothing hosted under that id
+  EXPECT_EQ(host.change_count(), 2u);
+  EXPECT_NE(host.evict(3), nullptr);
+  EXPECT_EQ(host.change_count(), 3u);
+}
+
 // --- Migration model -------------------------------------------------------------
 
 TEST(Migration, ZeroDirtyRateIsSinglePass) {

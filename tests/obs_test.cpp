@@ -5,9 +5,14 @@
 // alert records across same-seed runs.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <deque>
 #include <limits>
 #include <numeric>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -59,6 +64,87 @@ TEST(TimeSeriesStore, DeltaOverWindowAndShortHistoryFallback) {
   // Window longer than history: falls back to the oldest row.
   EXPECT_DOUBLE_EQ(store.delta_over(c, 100.0), 20.0);
   EXPECT_DOUBLE_EQ(store.span_over(100.0), 10.0);
+}
+
+// The window query as it was before the store kept a cursor per window: a
+// backward scan from the newest row, over a copy of the retained rows with
+// the same ring. Kept verbatim as the reference the cursor must match.
+class BackwardScanStore {
+ public:
+  explicit BackwardScanStore(std::size_t max_rows) : max_rows_(max_rows) {}
+
+  void append_row(double t, const std::vector<double>& values) {
+    rows_.push_back(Row{t, values});
+    if (max_rows_ != 0 && rows_.size() > max_rows_) rows_.pop_front();
+  }
+
+  [[nodiscard]] double delta_over(std::size_t col, double window) const {
+    if (rows_.size() < 2) return kNaN;
+    const std::size_t base = window_base(window);
+    return rows_.back().values[col] - rows_[base].values[col];
+  }
+
+  [[nodiscard]] double span_over(double window) const {
+    if (rows_.size() < 2) return kNaN;
+    return rows_.back().time - rows_[window_base(window)].time;
+  }
+
+ private:
+  struct Row {
+    double time;
+    std::vector<double> values;
+  };
+
+  [[nodiscard]] std::size_t window_base(double window) const {
+    const double cutoff = rows_.back().time - window;
+    // Rows are few thousand at most; a backwards linear scan beats binary
+    // search bookkeeping for the short windows the SLIs use.
+    std::size_t i = rows_.size() - 1;
+    while (i > 0 && rows_[i - 1].time > cutoff) --i;
+    return i > 0 ? i - 1 : 0;
+  }
+
+  std::deque<Row> rows_;
+  std::size_t max_rows_;
+};
+
+// Window queries resume from their last answer per window; across ring drops
+// and any interleaving of windows they must answer exactly what the backward
+// scan answers, bit for bit (NaN values and the NaN of a short store too).
+TEST(TimeSeriesStore, WindowQueriesMatchLinearScan) {
+  constexpr std::size_t kRows = 64;
+  obs::TimeSeriesStore store(kRows);
+  BackwardScanStore reference(kRows);
+  const std::size_t cols = 3;
+  for (const char* name : {"a", "b", "c"}) store.add_column(name);
+  const double windows[] = {0.5, 1.0, 59.5, 60.0, 1e9};
+  const auto same = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+
+  std::mt19937_64 rng(7);
+  double t = 0.0;
+  std::vector<double> row(cols);
+  for (int step = 0; step < 1000; ++step) {
+    // Steps of 0.25 to 3 s, so a window's base moves by zero, one or many
+    // rows between two queries; a column of NaNs now and then.
+    t += 0.25 * static_cast<double>(1 + rng() % 12);
+    for (std::size_t c = 0; c < cols; ++c) {
+      row[c] = rng() % 9 == 0 ? kNaN : static_cast<double>(step) * (1.0 + static_cast<double>(c));
+    }
+    store.append_row(t, row);
+    reference.append_row(t, row);
+    for (const double window : windows) {
+      if (rng() % 3 == 0) continue;  // leave this window idle for a while
+      const std::size_t col = rng() % cols;
+      ASSERT_TRUE(same(store.span_over(window), reference.span_over(window)))
+          << "step " << step << " window " << window;
+      ASSERT_TRUE(same(store.delta_over(col, window), reference.delta_over(col, window)))
+          << "step " << step << " window " << window << " col " << col;
+    }
+  }
+  EXPECT_EQ(store.row_count(), kRows);
+  EXPECT_EQ(store.dropped(), 1000u - kRows);
 }
 
 TEST(TimeSeriesStore, CsvIsWideTableWithHeader) {
@@ -389,6 +475,67 @@ TEST(ObsDeterminism, SameSeedRunsProduceIdenticalSeriesAndAlerts) {
     return out;
   };
   EXPECT_EQ(alerts(a), alerts(b));
+}
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// The monitor's outputs pinned across builds, not just across two runs of
+// one build: the series CSV and every slo.alert/slo.clear record of three
+// seeded chaos runs hash to constants. A change to how the monitor computes
+// its windows, percentiles or SLO states that moves a single byte fails here.
+TEST(ObsDeterminism, SeriesAndAlertsArePinned) {
+  struct Pin {
+    std::uint64_t seed;
+    std::uint64_t csv;
+    std::uint64_t alerts;
+    std::size_t alert_records;
+  };
+  const Pin pins[] = {
+      {1, 12996126989809185300ull, 13467697349927945392ull, 15},
+      {2, 13504576138221760943ull, 7875022655091406524ull, 23},
+      {3, 17289623124983542728ull, 3858573007906621152ull, 15},
+  };
+  for (const Pin& pin : pins) {
+    chaos::ChaosRunConfig cfg;
+    cfg.seed = pin.seed;
+    cfg.topology = {3, 9, 2};
+    cfg.vms = 24;
+    cfg.capture_trace = true;
+    cfg.capture_timeseries = true;
+    cfg.spec.duration = 300.0;
+    cfg.spec.fault_rate = 0.1;
+    cfg.spec.weight_slow = 1.0;
+    cfg.spec.weight_flaky = 1.0;
+    // Tight SLOs so every seed fires and clears alerts.
+    cfg.config.slo.burn_samples = 2;
+    cfg.config.slo.clear_samples = 3;
+    cfg.config.slo.heartbeat_staleness_max_s = 1.5;
+    cfg.config.slo.summary_staleness_max_s = 3.0;
+    cfg.config.slo.submit_p99_max_s = 2.0;
+    const auto r = chaos::run_chaos(cfg);
+
+    std::string alerts;
+    std::size_t alert_records = 0;
+    for (const auto& rec : r.trace_records) {
+      if (rec.actor != "health" || (rec.kind != "slo.alert" && rec.kind != "slo.clear")) {
+        continue;
+      }
+      char time[32];
+      std::snprintf(time, sizeof(time), "%.17g ", rec.time);
+      alerts.append(time).append(rec.kind).append(" ").append(rec.detail).append("\n");
+      ++alert_records;
+    }
+    EXPECT_EQ(fnv1a(r.timeseries_csv), pin.csv) << "seed " << pin.seed;
+    EXPECT_EQ(fnv1a(alerts), pin.alerts) << "seed " << pin.seed;
+    EXPECT_EQ(alert_records, pin.alert_records) << "seed " << pin.seed;
+  }
 }
 
 // The monitor must be passive: the same run with the monitor disabled keeps

@@ -365,4 +365,48 @@ TEST(SubmissionBook, PrunesTerminatedEntries) {
   EXPECT_EQ(system.leader()->vm_inventory().count(vms[1].id), 1u);
 }
 
+// An entry the inventory kept alive past the retention goes as soon as its
+// VM leaves the inventory without a removal report: here a GM dies with its
+// LCs, so nothing reports their VMs gone, and the GL drops the GM's
+// inventory when its summaries stop. The same liveness tick must prune those
+// entries, leaving a book that holds exactly the VMs the inventory lists.
+TEST(SubmissionBook, PrunesExemptEntriesOnceTheirGmIsDropped) {
+  SystemSpec spec = spec_of(3, 6);
+  spec.config.submission_book_retention = 20.0;
+  SnoozeSystem system(spec);
+  system.start();
+  ASSERT_TRUE(system.run_until_stable(60.0));
+
+  std::vector<VmDescriptor> vms;
+  for (int i = 0; i < 6; ++i) {
+    vms.push_back(system.make_vm({0.15, 0.1, 0.1}, 0.0, constant_trace(0.5)));
+  }
+  system.client().submit_all(vms, 0.2);
+  // Past the retention every entry is expired; the inventory keeps them.
+  system.engine().run_until(system.engine().now() + 60.0);
+  const GroupManager* gl = system.leader();
+  ASSERT_NE(gl, nullptr);
+  ASSERT_EQ(gl->vm_inventory().size(), vms.size());
+  EXPECT_EQ(gl->submission_book_size(), vms.size());
+
+  // A non-leader GM that manages VMs dies, then every LC it managed.
+  const auto& lcs = system.local_controllers();
+  net::Address victim = net::kNullAddress;
+  for (const auto& lc : lcs) {
+    if (lc->vm_count() > 0 && lc->gm() != gl->address()) victim = lc->gm();
+  }
+  ASSERT_NE(victim, net::kNullAddress);
+  for (std::size_t i = 0; i < system.group_managers().size(); ++i) {
+    if (system.group_managers()[i]->address() == victim) system.fail_gm(i);
+  }
+  for (std::size_t i = 0; i < lcs.size(); ++i) {
+    if (lcs[i]->gm() == victim) system.fail_lc(i);
+  }
+  system.engine().run_until(system.engine().now() + 30.0);
+
+  ASSERT_EQ(system.leader(), gl);
+  EXPECT_LT(gl->vm_inventory().size(), vms.size());  // the GM's VMs are dropped
+  EXPECT_EQ(gl->submission_book_size(), gl->vm_inventory().size());
+}
+
 }  // namespace

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Window-only CPU split of a sigprof dump (tools/sampler/sigprof.c).
 
-    python3 tools/sampler/window_split.py <dump>
+    python3 tools/sampler/window_split.py <dump> [--max-share PCT NAME...]
 
 Keeps the samples whose stack passes through snooze::sim::Engine::run_until
 (e2ebench's measured window), so set-up and the probes after the window are
@@ -19,7 +19,13 @@ Symbols come from `nm` on the main program and each mapped library; only
 functions with a symbol appear (inlined code counts for its caller). Exits
 non-zero when no sample falls in the window: the dump is then not of a
 window run, or the symbols no longer name the window's root.
+
+--max-share PCT NAME... prints the share of window samples with a frame
+under the root whose name contains any NAME (a substring, so a check inlined
+into a std::function handler still counts through the handler's name) and
+exits 1 when that share is above PCT percent.
 """
+import argparse
 import bisect
 import collections
 import struct
@@ -159,15 +165,31 @@ def read_dump(path):
 
 
 def main():
-    if len(sys.argv) != 2:
-        sys.exit("usage: window_split.py <dump>")
-    dump = sys.argv[1]
+    parser = argparse.ArgumentParser(
+        usage="window_split.py <dump> [--max-share PCT NAME...]",
+        description="Window-only CPU split of a sigprof dump.")
+    parser.add_argument("dump")
+    parser.add_argument("--max-share", nargs="+", metavar="ARG",
+                        help="PCT NAME...: exit 1 when more than PCT%% of the window's "
+                             "samples have a frame whose name contains any NAME")
+    args = parser.parse_args()
+    limit, needles = None, []
+    if args.max_share is not None:
+        if len(args.max_share) < 2:
+            parser.error("--max-share takes a percentage and at least one NAME")
+        try:
+            limit = float(args.max_share[0])
+        except ValueError:
+            parser.error("--max-share: %r is not a percentage" % args.max_share[0])
+        needles = args.max_share[1:]
+    dump = args.dump
     maps_lines, header, stacks = read_dump(dump)
     symbolizer = Symbolizer(maps_lines)
     self_count = collections.Counter()
     self_bin = collections.Counter()
     inclusive = collections.Counter()
     window = 0
+    matched = 0
     for stack in stacks:
         # Frames past the first are return addresses: look up the call.
         frames = [symbolizer.lookup(pc if k == 0 else pc - 1) for k, pc in enumerate(stack)]
@@ -178,8 +200,11 @@ def main():
         self_count[names[0]] += 1
         in_binary = next((name for path, name in frames if path == symbolizer.main), names[0])
         self_bin[in_binary] += 1
-        for name in set(names[:names.index(ROOT) + 1]):
+        in_window = set(names[:names.index(ROOT) + 1])
+        for name in in_window:
             inclusive[name] += 1
+        if any(needle in name for name in in_window for needle in needles):
+            matched += 1
 
     print("%s: %s, %d in the window (under %s)" % (dump, header, window, ROOT))
     if window == 0:
@@ -189,6 +214,13 @@ def main():
         print("\n%-10s %7s  function" % (title, "share"))
         for name, count in counter.most_common(TOP):
             print("%10d %6.1f%%  %s" % (count, 100.0 * count / window, name))
+
+    if limit is not None:
+        share = 100.0 * matched / window
+        print("\nmax-share: %d of %d window samples (%.1f%%) have a frame containing %s; "
+              "limit %g%%" % (matched, window, share, " or ".join(needles), limit))
+        if share > limit:
+            sys.exit("window_split.py: %.1f%% is above the %g%% limit" % (share, limit))
 
 
 if __name__ == "__main__":
