@@ -6,7 +6,9 @@
 namespace snooze::net {
 
 Network::Network(sim::Engine& engine, LatencyModel latency)
-    : engine_(engine), latency_(latency) {}
+    : engine_(engine),
+      latency_(latency),
+      delivery_target_(engine.add_target(this, &Network::deliver_due)) {}
 
 Network::NodeState& Network::node(Address addr) {
   if (addr >= nodes_.size()) nodes_.resize(std::size_t{addr} + 1);
@@ -61,21 +63,27 @@ void Network::deliver_after(sim::Time delay, Envelope env) {
   std::uint32_t index;
   if (delivery_free_ != kNoDelivery) {
     index = delivery_free_;
-    delivery_free_ = deliveries_[index].next_free;
-    deliveries_[index].env = std::move(env);
+    Envelope& free = deliveries_[index].env;
+    delivery_free_ = static_cast<std::uint32_t>(free.rpc_id);
+    free = std::move(env);
   } else {
     index = static_cast<std::uint32_t>(deliveries_.size());
-    deliveries_.push_back(PendingDelivery{std::move(env), kNoDelivery});
+    deliveries_.push_back(PendingDelivery{std::move(env)});
   }
-  engine_.schedule(delay, [this, index] { complete_delivery(index); });
+  engine_.schedule_call(delay, delivery_target_, index);
+}
+
+void Network::deliver_due(void* self, std::uint32_t index) {
+  static_cast<Network*>(self)->complete_delivery(index);
 }
 
 void Network::complete_delivery(std::uint32_t index) {
   // Take the envelope and recycle the slab entry up front: on_message may
-  // send (and thus park) new deliveries.
-  Envelope env = std::move(deliveries_[index].env);
-  deliveries_[index].env = Envelope{};
-  deliveries_[index].next_free = delivery_free_;
+  // send (and thus park) new deliveries. The move empties the payload; the
+  // record's other fields are dead until deliver_after overwrites them.
+  Envelope& parked = deliveries_[index].env;
+  Envelope env = std::move(parked);
+  parked.rpc_id = delivery_free_;
   delivery_free_ = index;
 
   // Re-check at delivery time: the receiver may have crashed or detached

@@ -69,7 +69,12 @@ struct LinkFaults {
 
 class Network {
  public:
+  /// Registers itself as a typed-event target of `engine`, which must
+  /// outlive it.
   Network(sim::Engine& engine, LatencyModel latency = {});
+
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
   // --- topology -----------------------------------------------------------
   /// Register `endpoint` to receive messages addressed to `addr`.
@@ -143,13 +148,14 @@ class Network {
   static constexpr std::uint32_t kNoDelivery = 0xFFFFFFFFu;
 
   /// In-flight message parked in the delivery slab until its engine event
-  /// fires. Pooling the envelope here keeps the scheduled closure down to
-  /// (this, index) — small and trivially copyable, so std::function stores
-  /// it inline instead of heap-allocating per delivery.
-  struct PendingDelivery {
+  /// fires. The event is a typed engine call, (delivery target, slab index),
+  /// so no closure is stored per delivery. A record is one aligned cache
+  /// line: a free record keeps its free-list link in env.rpc_id, which a
+  /// moved-from envelope does not use.
+  struct alignas(64) PendingDelivery {
     Envelope env;
-    std::uint32_t next_free = kNoDelivery;
   };
+  static_assert(sizeof(PendingDelivery) == 64, "one delivery record per cache line");
 
   /// Per-address state. Addresses are small dense integers handed out by
   /// allocate_address(), so one vector indexed by Address serves the
@@ -163,6 +169,8 @@ class Network {
   /// Combined fault view for one message (global + link).
   [[nodiscard]] LinkFaults effective_faults(Address from, Address to) const;
   void deliver_after(sim::Time delay, Envelope env);
+  /// The engine's entry point for a due delivery (an Engine::TargetFn).
+  static void deliver_due(void* self, std::uint32_t index);
   void complete_delivery(std::uint32_t index);
   void update_fault_flag();
   /// The record of `addr`, growing the table to cover it if needed.
@@ -189,6 +197,7 @@ class Network {
   bool any_faults_ = false;
   std::vector<PendingDelivery> deliveries_;
   std::uint32_t delivery_free_ = kNoDelivery;
+  sim::Engine::TargetId delivery_target_;
   /// Reused multicast membership snapshot (one allocation, not one per send).
   std::vector<Address> multicast_scratch_;
   TrafficStats stats_;

@@ -1,6 +1,7 @@
 #include "obs/health_monitor.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -144,10 +145,22 @@ void HealthMonitor::sample_now() {
 
   scan_trace();
 
-  // --- host / VM / hierarchy state ----------------------------------------
+  // --- host / VM / hierarchy state, energy / work --------------------------
+  // One walk over the LCs. The energy and work sums add the same per-LC
+  // terms in the same LC order as SnoozeSystem::total_energy_by_state(),
+  // total_energy() and total_work(), so each is bit for bit what that
+  // function returns; the total is Σ energy_joules, not the split summed in
+  // another order.
   double on = 0.0, suspended = 0.0, off = 0.0, assigned = 0.0;
   double staleness = 0.0;
+  std::array<double, energy::kNumPowerClasses> energy_split{};
+  double energy_total = 0.0;
+  double work = 0.0;
   for (const auto& lc : system_.local_controllers()) {
+    const auto lc_split = lc->host().meter().joules_by_class(now);
+    for (std::size_t i = 0; i < energy_split.size(); ++i) energy_split[i] += lc_split[i];
+    energy_total += lc->energy_joules(now);
+    work += lc->total_work(now);
     if (!lc->alive()) {
       off += 1.0;
       continue;
@@ -162,11 +175,6 @@ void HealthMonitor::sample_now() {
       if (!lc->suspended()) staleness = std::max(staleness, lc->gm_heartbeat_age(now));
     }
   }
-
-  // --- energy / work --------------------------------------------------------
-  const auto energy_split = system_.total_energy_by_state();
-  const double energy_total = system_.total_energy();
-  const double work = system_.total_work();
 
   // --- throughput counters (cumulative; rates derived over the window) -----
   const telemetry::Telemetry* tel = &system_.telemetry();

@@ -26,10 +26,9 @@ EventId Actor::after(Time delay, std::function<void()> fn) {
 
 void Actor::every(Time period, std::function<bool()> fn) {
   if (!*alive_) return;
-  // fn may crash the actor: the token is checked on both sides of the call.
-  engine_.every(period, [token = alive_, fn = std::move(fn)] {
-    return *token && fn() && *token;
-  });
+  // The engine's timer table holds the token beside fn and reads it on both
+  // sides of each call (fn may crash the actor).
+  engine_.every(period, std::move(fn), alive_);
 }
 
 void Actor::cancel(EventId id) { engine_.cancel(id); }

@@ -2,6 +2,12 @@
 //
 // Actors own their pending timers; a crashed/destroyed actor's callbacks are
 // guarded so late events never touch dead state (the lifetime token pattern).
+// The token is a shared bool: after() wraps each one-shot in a closure that
+// holds it, and every() hands it to the engine's timer table, which reads it
+// before and after each tick. crash() and the destructor clear it; recover()
+// makes a fresh one, so no old timer comes back, and the table's copy
+// outlives a destroyed actor, so its timers end at their next due tick
+// without touching it.
 #pragma once
 
 #include <functional>

@@ -32,7 +32,9 @@ std::uint32_t Engine::alloc_slot() {
 
 void Engine::free_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
-  fns_[slot] = nullptr;  // release the closure eagerly (it may pin shared state)
+  // Release a closure eagerly (it may pin shared state); typed events have
+  // none, and never touch the cold array.
+  if (s.kind == EventKind::kClosure) fns_[slot] = nullptr;
   s.state = SlotState::kFree;
   ++s.generation;  // outstanding handles to this event become stale
   s.next_free = free_head_;
@@ -117,10 +119,37 @@ void Engine::clear_occupied(std::uint64_t abs_bucket) {
 
 EventId Engine::schedule_at(Time t, std::function<void()> fn) {
   assert(t >= now_);
-  const std::uint64_t seq = next_seq_++;
+  const std::uint32_t slot = alloc_slot();
+  fns_[slot] = std::move(fn);
+  slots_[slot].kind = EventKind::kClosure;
+  return enqueue(slot, t);
+}
+
+Engine::TargetId Engine::add_target(void* self, TargetFn fn) {
+  assert(targets_.size() <= std::numeric_limits<TargetId>::max());
+  targets_.push_back(Target{self, fn});
+  return static_cast<TargetId>(targets_.size() - 1);
+}
+
+EventId Engine::schedule_call(Time delay, TargetId target, std::uint32_t arg) {
+  assert(target < targets_.size());
+  return schedule_typed(delay, EventKind::kCall, target, arg);
+}
+
+EventId Engine::schedule_typed(Time delay, EventKind kind, TargetId target,
+                               std::uint32_t arg) {
+  assert(delay >= 0.0);
   const std::uint32_t slot = alloc_slot();
   Slot& s = slots_[slot];
-  fns_[slot] = std::move(fn);
+  s.kind = kind;
+  s.target = target;
+  s.arg = arg;
+  return enqueue(slot, now_ + delay);
+}
+
+EventId Engine::enqueue(std::uint32_t slot, Time t) {
+  const std::uint64_t seq = next_seq_++;
+  Slot& s = slots_[slot];
   s.time = t;
   s.seq = seq;
 
@@ -178,32 +207,39 @@ bool Engine::cancel(EventId id) {
   return true;
 }
 
-void Engine::every(Time period, std::function<bool()> fn) {
+void Engine::every(Time period, std::function<bool()> fn,
+                   std::shared_ptr<const bool> token) {
   assert(period >= 0.0);
   std::uint32_t index;
   if (free_timers_.empty()) {
     index = static_cast<std::uint32_t>(timers_.size());
-    timers_.push_back(Timer{period, std::move(fn)});
+    timers_.push_back(Timer{period, std::move(fn), std::move(token)});
   } else {
     index = free_timers_.back();
     free_timers_.pop_back();
-    timers_[index] = Timer{period, std::move(fn)};
+    timers_[index] = Timer{period, std::move(fn), std::move(token)};
   }
-  schedule(period, [this, index] { fire_timer(index); });
+  schedule_typed(period, EventKind::kTick, 0, index);
 }
 
 void Engine::fire_timer(std::uint32_t index) {
   // The reference survives timers registered by the callback (deque growth
   // never moves elements), and nothing else can retire this entry.
   Timer& timer = timers_[index];
-  if (!timer.fn()) {
-    timer.fn = nullptr;  // release captured state now, as a one-shot would
-    free_timers_.push_back(index);
+  const bool* alive = timer.token.get();
+  // The token is read on both sides of fn: fn may crash its own owner.
+  if ((alive == nullptr || *alive) && timer.fn() && (alive == nullptr || *alive)) {
+    // Scheduled after fn's own events: same (time, seq) as a
+    // self-rescheduling closure, so pop order and every trace are unchanged
+    // by the table.
+    schedule_typed(timer.period, EventKind::kTick, 0, index);
     return;
   }
-  // Scheduled after fn's own events: same (time, seq) as a self-rescheduling
-  // closure, so pop order and every trace are unchanged by the table.
-  schedule(timer.period, [this, index] { fire_timer(index); });
+  // Release captured state now, as a one-shot would. A destroyed owner's
+  // token outlives it here, so this tick read no freed memory.
+  timer.fn = nullptr;
+  timer.token.reset();
+  free_timers_.push_back(index);
 }
 
 void Engine::promote_far() {
@@ -290,6 +326,86 @@ void Engine::resize_buckets(std::size_t new_count) {
   ++stats_.resizes;
 }
 
+void Engine::sort_bag(Bucket& bucket) {
+  Entry* const first = bucket.v.data() + bucket.head;
+  const std::size_t n = bucket.size();
+  if (n < kRadixMinEntries) {
+    // Keys are unique, so the result is the (time, seq) order whatever the
+    // sort. Bags filled in order (un-jittered timers, single entries) skip it.
+    if (!std::is_sorted(first, first + n, entry_before)) {
+      std::sort(first, first + n, entry_before);
+    }
+    return;
+  }
+  // One scan: is the bag in (time, seq) order already, are its keys in seq
+  // order, and in which bits do its times differ.
+  const std::uint64_t base = time_bits(first[0].time);
+  std::uint64_t prev = base;
+  std::uint64_t differ = 0;
+  bool sorted = true;
+  bool keys_ascend = true;
+  for (std::size_t i = 1; i < n; ++i) {
+    const std::uint64_t bits = time_bits(first[i].time);
+    const bool key_up = first[i - 1].key < first[i].key;
+    differ |= bits ^ base;
+    keys_ascend &= key_up;
+    sorted &= (prev < bits) | ((prev == bits) & key_up);
+    prev = bits;
+  }
+  if (sorted) return;
+  radix_sort(first, n, differ, [](const Entry& e) { return time_bits(e.time); });
+  // The radix is stable: each equal-time run is in bag order, which is seq
+  // order unless the bag's keys were not (a cancel's swap-remove moves the
+  // bag's last entry forward). Repair exactly the runs that need it.
+  if (keys_ascend) return;
+  for (std::size_t i = 0; i < n;) {
+    std::size_t j = i + 1;
+    std::uint64_t run_differ = 0;
+    bool run_ascends = true;
+    while (j < n && first[j].time == first[i].time) {
+      run_differ |= first[j].key ^ first[i].key;
+      run_ascends &= first[j - 1].key < first[j].key;
+      ++j;
+    }
+    if (!run_ascends) {
+      if (j - i < kRadixMinEntries) {
+        std::sort(first + i, first + j, entry_before);
+      } else {
+        // Seqs are unique, so the slot bits below them never decide.
+        radix_sort(first + i, j - i, run_differ & ~kSlotMask,
+                   [](const Entry& e) { return e.key; });
+      }
+    }
+    i = j;
+  }
+}
+
+template <typename KeyOf>
+void Engine::radix_sort(Entry* first, std::size_t n, std::uint64_t differ, KeyOf key_of) {
+  constexpr std::size_t kRadix = std::size_t{1} << kRadixBits;
+  if (differ == 0) return;
+  if (radix_scratch_.size() < n) radix_scratch_.resize(n);
+  Entry* src = first;
+  Entry* dst = radix_scratch_.data();
+  const int hi = 64 - std::countl_zero(differ);
+  for (int shift = std::countr_zero(differ); shift < hi; shift += kRadixBits) {
+    if (((differ >> shift) & (kRadix - 1)) == 0) continue;  // no entry differs here
+    std::uint32_t count[kRadix] = {};
+    for (std::size_t i = 0; i < n; ++i) ++count[(key_of(src[i]) >> shift) & (kRadix - 1)];
+    std::uint32_t offset = 0;
+    for (std::uint32_t& c : count) {
+      const std::uint32_t here = c;
+      c = offset;
+      offset += here;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      dst[count[(key_of(src[i]) >> shift) & (kRadix - 1)]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  if (src != first) std::copy(src, src + n, first);
+}
+
 bool Engine::peek(Time& time, std::uint64_t& abs_bucket) {
   if (near_count_ > 0) {
     // A near event always precedes every far event (far buckets lie beyond
@@ -308,13 +424,8 @@ bool Engine::peek(Time& time, std::uint64_t& abs_bucket) {
     scan_hint_ = b;
     Bucket& bucket = buckets_[b & bucket_mask_];
     if (!bucket.sorted) {
-      // First time the cursor reaches this bucket: order it once. Keys are
-      // unique, so the result is the (time, seq) order whatever the sort.
-      // Bags filled in order (un-jittered timers, single entries) skip it.
-      const auto live = bucket.v.begin() + bucket.head;
-      if (!std::is_sorted(live, bucket.v.end(), entry_before)) {
-        std::sort(live, bucket.v.end(), entry_before);
-      }
+      // First time the cursor reaches this bucket: order it once.
+      sort_bag(bucket);
       bucket.sorted = true;
     }
     time = bucket.front().time;
@@ -357,9 +468,24 @@ std::size_t Engine::run_until(Time until) {
     now_ = t;
     if (far_min_bucket_ < cursor_ + num_buckets_) promote_far();
 
-    auto fn = std::move(fns_[slot]);
-    free_slot(slot);
-    fn();
+    const Slot& s = slots_[slot];
+    if (s.kind == EventKind::kClosure) {
+      auto fn = std::move(fns_[slot]);
+      free_slot(slot);
+      fn();
+    } else {
+      // Read before free_slot() reuses the argument's word.
+      const EventKind kind = s.kind;
+      const std::uint32_t arg = s.arg;
+      const TargetId target = s.target;
+      free_slot(slot);
+      if (kind == EventKind::kTick) {
+        fire_timer(arg);
+      } else {
+        const Target& call = targets_[target];
+        call.fn(call.self, arg);
+      }
+    }
     ++fired;
     ++processed_;
     ++stats_.fired;

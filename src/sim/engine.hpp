@@ -19,6 +19,13 @@
 //     thousands of deliveries with random link jitter in a few buckets, in
 //     no particular (time, seq) order, and a bucket kept sorted on insert
 //     would shift half its entries for each of them;
+//   - a bag of kRadixMinEntries or more is sorted by an LSD radix over the
+//     bits in which its times differ (non-negative doubles order as their
+//     bit patterns, −0.0 folded onto 0.0), smaller bags by std::sort. The
+//     radix is stable, so equal times keep bag order, which is seq order
+//     unless a swap-remove moved an entry forward; a scan then finds the
+//     equal-time runs whose keys are out of order and radix-sorts each by
+//     seq — linear passes even for a 30k-entry run of synchronized ticks;
 //   - the bucket geometry is population-adaptive: the 64 s window is carved
 //     into more (narrower) buckets as the pending-event count grows, keeping
 //     per-bucket occupancy — and thus sort and insert cost — roughly
@@ -28,27 +35,34 @@
 //   - far events overflow into an ordered map and are promoted in bulk as
 //     the cursor advances; the far map's minimum time is cached so the
 //     per-pop promotion check is a float compare, not a tree walk;
-//   - callbacks are stored once in a slab of pooled slots, split hot/cold:
-//     the queue paths touch only the 32-byte bookkeeping records, never the
-//     std::function cold array. EventId encodes (slot, generation), making
-//     cancel() a true removal — through the bag index kept in the slot, or,
-//     in a bucket already being drained, a binary search by (time, seq) and
-//     a shorter-side shift — so no tombstone ever reaches the hot pop path;
+//   - events live in a slab of pooled slots, split hot/cold: the queue paths
+//     touch only the 32-byte bookkeeping records. A slot's kind byte says
+//     what firing it runs: a closure from the cold std::function array
+//     (schedule()), a periodic timer's tick, or a registered target called
+//     with a 32-bit argument (schedule_call(); a Network delivery is its
+//     (target, slab index)). Ticks and calls store no closure and never
+//     touch the cold array. EventId encodes (slot, generation), making
+//     cancel() a true removal of any kind — through the bag index kept in
+//     the slot, or, in a bucket already being drained, a binary search by
+//     (time, seq) and a shorter-side shift — so no tombstone ever reaches
+//     the hot pop path;
 //   - periodic timers (every()) are stored once, in a table whose entries
-//     never move; each tick is an ordinary event whose closure is just
-//     (engine, index), so the steady-state control loop re-arms its
-//     heartbeat and monitoring timers without allocating.
+//     never move, together with the owner's liveness token; each tick is a
+//     typed event carrying the table index, so the steady-state control
+//     loop re-arms its heartbeat and monitoring timers without allocating.
 //
 // Determinism contract: events pop in exactly (time ascending, scheduling
 // sequence ascending) order — byte-identical to the original binary-heap
 // engine, which the golden-trace suite (tests/golden_trace_test.cpp) pins.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <limits>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -81,21 +95,39 @@ class Engine {
   /// Schedule `fn` at absolute virtual time `t` (t >= now()).
   EventId schedule_at(Time t, std::function<void()> fn);
 
+  /// Receiver of typed events: fn(self, arg) runs when one fires.
+  using TargetFn = void (*)(void* self, std::uint32_t arg);
+  using TargetId = std::uint16_t;
+
+  /// Register a receiver for schedule_call(). The engine keeps (self, fn)
+  /// for its whole life and has no way to forget them, so it must outlive
+  /// `self`, as it must outlive every endpoint: a Network registers itself
+  /// once and is destroyed before its engine.
+  TargetId add_target(void* self, TargetFn fn);
+
+  /// Schedule a typed event: `target`'s fn(self, arg), `delay` seconds from
+  /// now (delay >= 0). The same (time, seq), stats and cancel() as
+  /// schedule(), but no closure is stored or called.
+  EventId schedule_call(Time delay, TargetId target, std::uint32_t arg);
+
   /// Cancel a pending event: the entry is physically removed from the queue
   /// and its slot recycled. Returns false if it already fired or was
   /// cancelled (stale handles are detected via the generation counter).
   bool cancel(EventId id);
 
   /// Periodic timer: run `fn` every `period` seconds, the first tick one
-  /// period from now, until it returns false. The engine stores `fn` once in
-  /// its timer table; each tick is an ordinary event whose closure is just
-  /// (engine, table index), so a steady-state tick allocates nothing. After
-  /// `fn` returns true the next tick is scheduled at now() + period, with a
-  /// sequence number taken after every event `fn` itself scheduled — the
-  /// same (time, seq) a closure rescheduling itself at the end of each tick
-  /// would get. Ticks cannot be cancelled; `fn` ends the timer by returning
-  /// false (Actor::every does so once its actor has crashed).
-  void every(Time period, std::function<bool()> fn);
+  /// period from now, until it returns false or `token` (the owner's
+  /// liveness flag; null for a timer no owner can end) reads false. The
+  /// engine stores `fn` and `token` once in its timer table; each tick is a
+  /// typed event carrying the table index, so a steady-state tick allocates
+  /// nothing. A tick runs `fn` only while `*token` holds and ends the timer
+  /// when `fn` returns false or `*token` no longer holds after it (`fn` may
+  /// crash its own owner). Otherwise the next tick is scheduled at now() +
+  /// period, with a sequence number taken after every event `fn` itself
+  /// scheduled — the same (time, seq) a closure rescheduling itself at the
+  /// end of each tick would get. Ticks cannot be cancelled. An ended timer
+  /// releases `fn` and `token` and gives its table entry back.
+  void every(Time period, std::function<bool()> fn, std::shared_ptr<const bool> token);
 
   /// Timers registered with every() that have not ended yet.
   [[nodiscard]] std::size_t live_timers() const {
@@ -179,6 +211,17 @@ class Engine {
   /// >=4x mismatch so the geometry never thrashes around a boundary.
   static constexpr std::size_t kBucketsPerEvent = 16;
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+  /// Bags this large or larger are radix-sorted; smaller ones std::sort-ed.
+  /// On one jittered bucket the radix overtakes std::sort between 64 and
+  /// 128 entries and is 2.5x faster at 256 (4-vCPU Xeon VM, gcc 12 -O2).
+  /// At 256, every chaos_day bag (86 entries at most) keeps std::sort, and
+  /// e3_paper's large bags (up to 1.3k) and fleet_10k's (up to 40k) take
+  /// the radix: the benchmark runs both sides of the choice.
+  static constexpr std::size_t kRadixMinEntries = 256;
+  /// Digit width of a radix pass: 2^11 counters (8 KiB) fit in L1, and the
+  /// times in a 61 us bucket at t ~ 100 s differ in about 32 bits, so three
+  /// passes.
+  static constexpr unsigned kRadixBits = 11;
 
   /// Bucket element, packed to 16 bytes (4 per cache line): the slot index
   /// shares a word with the sequence number. Slots are bounded far below
@@ -223,20 +266,40 @@ class Engine {
 
   enum class SlotState : std::uint8_t { kFree, kNear, kFar };
 
+  /// What firing an event runs.
+  enum class EventKind : std::uint8_t {
+    kClosure,  ///< fns_[slot] (schedule(), schedule_at())
+    kTick,     ///< fire_timer(arg) (every())
+    kCall,     ///< targets_[target].fn(self, arg) (schedule_call())
+  };
+
   /// Hot per-event bookkeeping (32 bytes): everything the queue paths touch.
-  /// The callback itself lives in the parallel cold array fns_ and is only
-  /// accessed on schedule and fire. A near entry in a bag is found by its
-  /// bag_index (in the padding after `state`); in a sorted bucket (time,
-  /// seq) re-locates it by binary search, so sorting never has to rewrite
-  /// indices.
+  /// A closure lives in the parallel cold array fns_ and is only accessed on
+  /// schedule and fire; a typed event is all here — its kind and target in
+  /// the padding after `state`, its argument in the word a free slot uses
+  /// for its free-list link. A near entry in a bag is found by its
+  /// bag_index; in a sorted bucket (time, seq) re-locates it by binary
+  /// search, so sorting never has to rewrite indices.
   struct Slot {
     Time time = 0.0;
     std::uint64_t seq = 0;
     std::uint32_t generation = 1;
-    std::uint32_t next_free = kNoSlot;
+    union {
+      std::uint32_t next_free = kNoSlot;  ///< kFree: the next free slot
+      std::uint32_t arg;                  ///< kTick, kCall: the argument
+    };
     SlotState state = SlotState::kFree;
+    EventKind kind = EventKind::kClosure;
+    TargetId target = 0;          ///< kCall: index into targets_
     std::uint32_t bag_index = 0;  ///< position in its bucket's bag (kNear, unsorted)
   };
+
+  /// A near entry's time as an integer that orders like it: the bits of a
+  /// non-negative double, sign cleared so −0.0 (which t >= now() admits at
+  /// t = 0) keys as 0.0.
+  [[nodiscard]] static std::uint64_t time_bits(Time t) {
+    return std::bit_cast<std::uint64_t>(t) & ~(std::uint64_t{1} << 63);
+  }
 
   [[nodiscard]] std::uint64_t bucket_of(Time t) const {
     const double scaled = t * inv_width_;
@@ -247,6 +310,10 @@ class Engine {
   }
 
   std::uint32_t alloc_slot();
+  /// Give `slot` a sequence number and queue it at `t`; returns its handle.
+  EventId enqueue(std::uint32_t slot, Time t);
+  /// Queue a typed event `delay` seconds from now.
+  EventId schedule_typed(Time delay, EventKind kind, TargetId target, std::uint32_t arg);
   void free_slot(std::uint32_t slot);
   void mark_occupied(std::uint64_t abs_bucket);
   void clear_occupied(std::uint64_t abs_bucket);
@@ -264,6 +331,13 @@ class Engine {
   void maybe_retune();
   /// Rebuild the near buckets under a new bucket count (same 64 s window).
   void resize_buckets(std::size_t new_count);
+  /// Order a bag by (time, seq): std::sort below kRadixMinEntries, else a
+  /// radix by time and, if a swap-remove broke seq order, a tie repair.
+  void sort_bag(Bucket& bucket);
+  /// Stable LSD radix sort of [first, first + n) by key_of(entry), over the
+  /// bits set in `differ` (those in which the entries' keys differ).
+  template <typename KeyOf>
+  void radix_sort(Entry* first, std::size_t n, std::uint64_t differ, KeyOf key_of);
   /// Locate the next pending event without consuming it, sorting the first
   /// occupied bucket if it is still a bag. Returns true for a near winner
   /// (then the front of buckets_[abs_bucket]) and false for a far one.
@@ -281,6 +355,13 @@ class Engine {
   std::vector<Slot> slots_;
   std::vector<std::function<void()>> fns_;  ///< cold callback array (|| slots_)
   std::uint32_t free_head_ = kNoSlot;
+
+  struct Target {
+    void* self;
+    TargetFn fn;
+  };
+  std::vector<Target> targets_;  ///< receivers of kCall events (add_target())
+  std::vector<Entry> radix_scratch_;  ///< radix_sort's second buffer, reused
 
   /// Drain cursor: absolute index of the bucket of the last popped event.
   /// Every pending near event lives in [cursor_, cursor_ + num_buckets_).
@@ -310,6 +391,7 @@ class Engine {
   struct Timer {
     Time period = 0.0;
     std::function<bool()> fn;
+    std::shared_ptr<const bool> token;  ///< the owner's liveness; null: none
   };
   std::deque<Timer> timers_;
   std::vector<std::uint32_t> free_timers_;

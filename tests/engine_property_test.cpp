@@ -6,7 +6,9 @@
 // drive randomized schedule/cancel/run/periodic-timer sequences against a
 // trivially correct reference model (an ordered map keyed by (time,
 // insertion sequence), whose timers reschedule themselves at the end of
-// each tick) and compare the full firing order. A failing sequence is
+// each tick) and compare the full firing order. Typed events
+// (Engine::schedule_call) go through a test target, and the model replays
+// them as closures. A failing sequence is
 // shrunk by repeatedly deleting chunks (halving) before being reported, so
 // the output is a near-minimal reproduction, not 400 opaque operations.
 //
@@ -17,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <map>
 #include <memory>
@@ -52,6 +55,9 @@ struct Op {
     kRun,          // run_until(now + value)
     kBurst,        // jittered fan-out into one or two buckets, then cancels
     kEvery,        // periodic timer (Engine::every); pick seeds its behaviour
+    kTyped,        // schedule_call through the test target (delay < 2 s)
+    kRadixBurst,   // a bag past the radix threshold: a same-instant run of
+                   // 1k+ entries among jittered ones, then swap-remove cancels
   };
   Kind kind;
   double value = 0.0;    // delay / horizon increment
@@ -70,6 +76,8 @@ const char* kind_name(Op::Kind k) {
     case Op::Kind::kRun: return "run";
     case Op::Kind::kBurst: return "burst";
     case Op::Kind::kEvery: return "every";
+    case Op::Kind::kTyped: return "typed";
+    case Op::Kind::kRadixBurst: return "radix-burst";
   }
   return "?";
 }
@@ -83,8 +91,10 @@ std::vector<Op> generate_ops(std::uint64_t seed, std::size_t count) {
     Op op{};
     if (roll < 5) {
       op = {Op::Kind::kEvery, 0.0, rng.uniform_int<std::size_t>(1, 1u << 30)};
-    } else if (roll < 35) {
+    } else if (roll < 30) {
       op = {Op::Kind::kNear, rng.uniform(0.0, 2.0), 0};
+    } else if (roll < 35) {
+      op = {Op::Kind::kTyped, rng.uniform(0.0, 2.0), 0};
     } else if (roll < 45) {
       op = {Op::Kind::kTie, 0.0, rng.uniform_int<std::size_t>(0, 1u << 16)};
     } else if (roll < 50) {
@@ -97,6 +107,9 @@ std::vector<Op> generate_ops(std::uint64_t seed, std::size_t count) {
       op = {Op::Kind::kCancel, 0.0, rng.uniform_int<std::size_t>(0, 1u << 16)};
     } else if (roll < 85) {
       op = {Op::Kind::kCancelStale, 0.0, rng.uniform_int<std::size_t>(0, 1u << 16)};
+    } else if (roll < 87) {
+      op = {Op::Kind::kRadixBurst, rng.uniform(0.5, 40.0),
+            rng.uniform_int<std::size_t>(1, 1u << 30)};
     } else if (roll < 90) {
       // A storm of fan-outs back to back, like one monitoring period across
       // several GMs: the population climbs through a geometry threshold
@@ -261,7 +274,7 @@ std::optional<std::string> run_ops(const std::vector<Op>& ops) {
       }
       if (plan.spawn) engine_every(plan.child);
       return tick < engine_timers[id].spec.ticks;
-    });
+    }, nullptr);
   };
   auto model_every = [&](Time now, const TimerSpec& spec) {
     model.emplace(Key{now + spec.period, model_seq++},
@@ -309,6 +322,19 @@ std::optional<std::string> run_ops(const std::vector<Op>& ops) {
     model.emplace(key, ModelEvent{token, chain});
     tracked.push_back({id, key});
   };
+  // A typed event records its argument, the token, as a closure would. The
+  // engine takes a delay, so the model keys it at now() + delay, the sum the
+  // engine forms.
+  const sim::Engine::TargetId target = engine.add_target(&fired, [](void* log, std::uint32_t arg) {
+    static_cast<std::vector<int>*>(log)->push_back(static_cast<int>(arg));
+  });
+  auto schedule_typed_both = [&](Time delay) {
+    const int token = next_token++;
+    const EventId id = engine.schedule_call(delay, target, static_cast<std::uint32_t>(token));
+    const Key key{engine.now() + delay, model_seq++};
+    model.emplace(key, ModelEvent{token, false});
+    tracked.push_back({id, key});
+  };
 
   auto fail = [&](const std::string& what) -> std::optional<std::string> {
     std::ostringstream out;
@@ -333,6 +359,9 @@ std::optional<std::string> run_ops(const std::vector<Op>& ops) {
         break;
       case Op::Kind::kZero:
         schedule_both(engine.now(), false);
+        break;
+      case Op::Kind::kTyped:
+        schedule_typed_both(op.value);
         break;
       case Op::Kind::kFar:
         schedule_both(engine.now() + op.value, false);
@@ -424,6 +453,49 @@ std::optional<std::string> run_ops(const std::vector<Op>& ops) {
         }
         if (engine.queued_entries() != engine.pending_events()) {
           return fail("queued_entries() != pending_events() after a burst");
+        }
+        break;
+      }
+      case Op::Kind::kRadixBurst: {
+        // Synchronized ticks landing on one instant among jittered
+        // deliveries, all op.value ahead in a bucket no run has sorted yet:
+        // its bag passes the radix threshold. A quarter go through the typed
+        // path. Cancels then hit random entries, so most are swap-removes
+        // that move the bag's last entry — often one of the run — ahead of
+        // its seq, the order the radix's tie repair must restore.
+        util::Rng burst(op.pick);
+        const int run = burst.uniform_int(1000, 2000);
+        const int jittered = burst.uniform_int(50, 400);
+        const double jitter = burst.uniform(0.1, 0.99) * engine.bucket_width();
+        const std::size_t first = tracked.size();
+        int run_left = run;
+        int jittered_left = jittered;
+        while (run_left + jittered_left > 0) {
+          const bool tick = burst.uniform_int(1, run_left + jittered_left) <= run_left;
+          const Time delay = tick ? op.value : op.value + burst.uniform(0.0, jitter);
+          if (tick) --run_left; else --jittered_left;
+          if (burst.chance(0.25)) {
+            schedule_typed_both(delay);
+          } else {
+            schedule_both(engine.now() + delay, false);
+          }
+        }
+        std::vector<Tracked> mine(tracked.begin() + static_cast<long>(first),
+                                  tracked.end());
+        tracked.resize(first);
+        burst.shuffle(mine);
+        const std::size_t cancels = burst.uniform_int<std::size_t>(1, mine.size() / 3);
+        for (std::size_t i = 0; i < mine.size(); ++i) {
+          if (i < cancels) {
+            if (!engine.cancel(mine[i].id)) {
+              return fail("cancel of a radix-burst event returned false");
+            }
+            model.erase(mine[i].key);
+            ++cancels_issued;
+            dead.push_back(mine[i].id);
+          } else {
+            tracked.push_back(mine[i]);
+          }
         }
         break;
       }
@@ -603,6 +675,113 @@ TEST(EngineOrdering, SlotReuseInvalidatesOldHandles) {
   EXPECT_FALSE(engine.cancel(a));
   EXPECT_EQ(engine.pending_events(), 1u);
   EXPECT_TRUE(engine.cancel(b));
+}
+
+// --- radix-sorted bags --------------------------------------------------------
+//
+// A bag of 256 entries or more is sorted by a radix over its times' bits and,
+// where a cancel's swap-remove broke seq order among equal times, a tie
+// repair. Each case schedules such bags, cancels some entries in random
+// order (swap-removes), runs the engine dry and compares the firing order
+// with a std::sort of the survivors by (time, scheduling order).
+
+/// Schedules one event per entry of `times` (index = token), cancels the
+/// entries marked in `cancel` in shuffled order, and runs the engine dry.
+/// Returns the tokens in firing order.
+std::vector<int> fire_bag(sim::Engine& engine, const std::vector<Time>& times,
+                          const std::vector<bool>& cancel, std::uint64_t seed) {
+  std::vector<int> fired;
+  std::vector<EventId> ids;
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    const int token = static_cast<int>(i);
+    ids.push_back(engine.schedule_at(times[i], [&fired, token] { fired.push_back(token); }));
+  }
+  std::vector<std::size_t> victims;
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    if (cancel[i]) victims.push_back(i);
+  }
+  util::Rng rng(seed);
+  rng.shuffle(victims);
+  for (const std::size_t i : victims) EXPECT_TRUE(engine.cancel(ids[i]));
+  engine.run();
+  EXPECT_EQ(engine.queued_entries(), 0u);
+  return fired;
+}
+
+/// The survivors' tokens by (time, scheduling order); −0.0 == 0.0 here.
+std::vector<int> sorted_reference(const std::vector<Time>& times,
+                                  const std::vector<bool>& cancel) {
+  std::vector<int> order;
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    if (!cancel[i]) order.push_back(static_cast<int>(i));
+  }
+  std::sort(order.begin(), order.end(), [&times](int a, int b) {
+    const Time ta = times[static_cast<std::size_t>(a)];
+    const Time tb = times[static_cast<std::size_t>(b)];
+    return ta < tb || (ta == tb && a < b);
+  });
+  return order;
+}
+
+// Bucket edges are multiples of a power-of-two width, so around t = 64 s the
+// exponent changes exactly at an edge: two radix-sorted bags meet there, one
+// all below 64, one from 64.0 up. Exact ties at 64.0 and at the largest
+// double below it, and cancels, in both.
+TEST(EngineOrdering, RadixBagsAroundAPowerOfTwoMatchSortReference) {
+  sim::Engine engine;
+  engine.schedule_at(8.0, [] {});  // move the cursor: 64 s is then a near time
+  engine.run();
+  const double w = engine.bucket_width();
+  util::Rng rng(64);
+  std::vector<Time> times;
+  std::vector<bool> cancel;
+  for (int i = 0; i < 1500; ++i) {
+    Time t = 64.0 + rng.uniform(-2.0 * w, 2.0 * w);
+    if (rng.chance(0.2)) t = 64.0;
+    if (rng.chance(0.1)) t = std::nextafter(64.0, 0.0);
+    times.push_back(t);
+    cancel.push_back(rng.chance(0.2));
+  }
+  EXPECT_EQ(fire_bag(engine, times, cancel, 1), sorted_reference(times, cancel));
+}
+
+// The first bucket, [0, w), is the one whose times span many exponents. It
+// also holds t = 0 and t = −0.0 (schedule_at admits −0.0 at now() = 0): both
+// are the same instant and fire in scheduling order, before any later time.
+TEST(EngineOrdering, NegativeZeroSortsAsZeroInARadixBag) {
+  sim::Engine engine;
+  const double w = engine.bucket_width();
+  util::Rng rng(0);
+  std::vector<Time> times;
+  std::vector<bool> cancel;
+  for (int i = 0; i < 600; ++i) {
+    Time t;
+    switch (rng.uniform_int(0, 3)) {
+      case 0: t = -0.0; break;
+      case 1: t = 0.0; break;
+      case 2: t = std::ldexp(w, -rng.uniform_int(1, 60)); break;  // exponents far apart
+      default: t = rng.uniform(0.0, w); break;
+    }
+    times.push_back(t);
+    cancel.push_back(rng.chance(0.15));
+  }
+  EXPECT_EQ(fire_bag(engine, times, cancel, 2), sorted_reference(times, cancel));
+}
+
+// 20k synchronized ticks on one instant among jittered entries. Cancels of
+// random jittered entries move the bag's last entry — usually a tick —
+// ahead of its seq; the equal-time run must still fire in scheduling order.
+TEST(EngineOrdering, SameInstantRunOf20kWithSwapRemovesMatchesSortReference) {
+  sim::Engine engine;
+  util::Rng rng(20000);
+  std::vector<Time> times;
+  std::vector<bool> cancel;
+  for (int i = 0; i < 22000; ++i) {
+    const bool tick = rng.uniform_int(0, 10) != 0;
+    times.push_back(tick ? 5.0 : 5.0 + rng.uniform(0.0, 1e-5));
+    cancel.push_back(rng.chance(tick ? 0.02 : 0.5));
+  }
+  EXPECT_EQ(fire_bag(engine, times, cancel, 3), sorted_reference(times, cancel));
 }
 
 // --- rescale / retune property tests -----------------------------------------

@@ -2,6 +2,7 @@
 // cancellation, run horizons, actor lifetime guarding, periodic timers.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "sim/actor.hpp"
@@ -146,6 +147,14 @@ class TestActor final : public sim::Actor {
   sim::EventId arm_cancellable(double delay) {
     return after(delay, [this] { ++fired; });
   }
+  /// A periodic timer whose tick number `crash_at` crashes the actor and
+  /// still returns true.
+  void arm_periodic_crashing(double period, int crash_at) {
+    every(period, [this, crash_at] {
+      if (++fired == crash_at) crash();
+      return true;
+    });
+  }
   void cancel_event(sim::EventId id) { cancel(id); }
 };
 
@@ -190,6 +199,56 @@ TEST(Actor, PeriodicTimerStopsOnCrash) {
   engine.schedule(3.5, [&] { actor.crash(); });
   engine.run_until(50.0);
   EXPECT_EQ(actor.fired, 3);  // ticks at 1, 2, 3
+}
+
+// The three clauses of a periodic tick's guard, `*token && fn() && *token`,
+// one case each.
+
+TEST(Actor, PeriodicTimerEndsWhenItsTickCrashesTheActor) {
+  sim::Engine engine;
+  TestActor actor(engine, "a");
+  actor.arm_periodic_crashing(1.0, 3);
+  engine.run_until(2.5);  // ticks at 1 and 2
+  EXPECT_EQ(actor.fired, 2);
+  EXPECT_EQ(engine.live_timers(), 1u);
+  engine.run_until(3.0);  // the tick at 3 crashes the actor and returns true
+  EXPECT_EQ(actor.fired, 3);
+  EXPECT_EQ(engine.live_timers(), 0u) << "the timer must end at the crashing tick";
+  EXPECT_EQ(engine.pending_events(), 0u) << "an ended timer schedules no next tick";
+  engine.run_until(50.0);
+  EXPECT_EQ(actor.fired, 3);
+}
+
+TEST(Actor, RecoveredActorDoesNotReviveOldTimers) {
+  sim::Engine engine;
+  TestActor actor(engine, "a");
+  actor.arm_periodic(1.0, 1000000);
+  engine.run_until(2.5);  // ticks at 1 and 2
+  ASSERT_EQ(actor.fired, 2);
+  actor.crash();
+  actor.recover();  // a fresh token: the old timer's stays false
+  ASSERT_TRUE(actor.alive());
+  engine.run_until(3.0);  // the old timer's next due tick ends it
+  EXPECT_EQ(actor.fired, 2);
+  EXPECT_EQ(engine.live_timers(), 0u);
+  EXPECT_EQ(engine.pending_events(), 0u);
+  engine.run_until(50.0);
+  EXPECT_EQ(actor.fired, 2);
+}
+
+TEST(Actor, DestructionEndsPeriodicTimers) {
+  sim::Engine engine;
+  auto actor = std::make_unique<TestActor>(engine, "a");
+  actor->arm_periodic(1.0, 1000000);
+  engine.run_until(1.5);
+  ASSERT_EQ(actor->fired, 1);
+  actor.reset();  // its timer is still in the table, due at 2
+  EXPECT_EQ(engine.live_timers(), 1u);
+  // The tick must read the token, which outlives the actor, and not call fn
+  // (which would write to the freed actor: a sanitizer build reports it).
+  engine.run_until(2.0);
+  EXPECT_EQ(engine.live_timers(), 0u);
+  EXPECT_EQ(engine.pending_events(), 0u);
 }
 
 TEST(Actor, RecoverAllowsNewTimers) {
