@@ -1,6 +1,7 @@
 // Shared helpers for the paper-reproduction benchmark binaries.
 #pragma once
 
+#include <charconv>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -20,6 +21,13 @@ inline consolidation::Instance make_instance(std::size_t n_vms, std::uint64_t se
   demands.reserve(n_vms);
   for (std::size_t i = 0; i < n_vms; ++i) demands.push_back(gen.next().requested);
   return consolidation::Instance::homogeneous(std::move(demands), n_vms);
+}
+
+/// `value` in its shortest round-trip form, so a committed artifact pins the
+/// exact double rather than six significant digits of it.
+inline std::string json_number(double value) {
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
 }
 
 inline void print_header(const std::string& title, const std::string& paper_claim) {

@@ -16,9 +16,15 @@
 // registry. The "ready" column is checked against the heartbeat-derived
 // bound: coordination session timeout + one GL heartbeat period of
 // detection slack + the reconciliation window.
+//
+// Artifact: --json=<path> writes the bound and every run's deterministic
+// numbers (the table's columns plus whether the hierarchy reconverged).
 
 #include <cstdio>
+#include <fstream>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "bench_common.hpp"
 #include "core/snooze.hpp"
@@ -105,22 +111,21 @@ FailoverSample run_one(std::uint64_t seed, bool isolate) {
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
   const auto seeds = static_cast<std::uint64_t>(args.get_int("seeds", 10));
+  const std::string json_path = args.get("json", "");
 
   bench::print_header(
       "E13: GL failover latency and epoch-fenced safety",
       "GL failure is transparent; a deposed leader is fenced, never obeyed");
 
-  SystemSpec probe_spec;  // only for reading config defaults
-  const double bound = kSessionTimeout + probe_spec.config.gl_heartbeat_period +
-                       probe_spec.config.gl_reconcile_window;
+  const double bound = kSessionTimeout + kHeartbeatPeriod + kGlReconcileWindow;
   std::printf("ready bound = session timeout %.1fs + heartbeat %.1fs + "
               "reconcile window %.1fs = %.1fs\n",
-              kSessionTimeout, probe_spec.config.gl_heartbeat_period,
-              probe_spec.config.gl_reconcile_window, bound);
+              kSessionTimeout, kHeartbeatPeriod, kGlReconcileWindow, bound);
 
   util::Table table({"mode", "seed", "election s", "ready s", "1st accept s",
                      "fenced", "stepdowns", "ok"});
   bool all_ok = true;
+  std::ostringstream json_runs;  // one JSON row per run
   for (const bool isolate : {false, true}) {
     double sum_ready = 0.0;
     std::uint64_t n_ready = 0;
@@ -140,6 +145,15 @@ int main(int argc, char** argv) {
                      util::Table::num(s.election, 2), util::Table::num(s.ready, 2),
                      util::Table::num(s.first_accept, 2), std::to_string(s.fenced),
                      std::to_string(s.stepdowns), ok ? "yes" : "NO"});
+      if (json_runs.tellp() > 0) json_runs << ",\n";
+      json_runs << "    {\"mode\": \"" << (isolate ? "isolate" : "crash")
+                << "\", \"seed\": " << seed
+                << ", \"election_s\": " << bench::json_number(s.election)
+                << ", \"ready_s\": " << bench::json_number(s.ready)
+                << ", \"first_accept_s\": " << bench::json_number(s.first_accept)
+                << ", \"fenced\": " << s.fenced << ", \"stepdowns\": " << s.stepdowns
+                << ", \"converged\": " << (s.converged ? "true" : "false")
+                << ", \"ok\": " << (ok ? "true" : "false") << "}";
     }
     std::printf("%s: mean ready %.2fs over %llu seeds (bound %.1fs)\n",
                 isolate ? "isolate" : "crash",
@@ -152,5 +166,17 @@ int main(int argc, char** argv) {
               "within the heartbeat-derived bound; isolation rows additionally\n"
               "show the deposed GL stepping down (stepdowns >= 1) instead of\n"
               "split-braining, with any stale command fenced.\n");
+
+  if (!json_path.empty()) {
+    std::ofstream out(json_path);
+    if (!out) {
+      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
+      return 1;
+    }
+    out << "{\n  \"benchmark\": \"failover\",\n  \"seeds\": " << seeds
+        << ",\n  \"ready_bound_s\": " << bench::json_number(bound)
+        << ",\n  \"runs\": [\n" << json_runs.str() << "\n  ]\n}\n";
+    std::printf("wrote %s\n", json_path.c_str());
+  }
   return all_ok ? 0 : 1;
 }

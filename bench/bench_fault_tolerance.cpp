@@ -13,9 +13,15 @@
 // --sweep switches to a chaos fault-density sweep: seeded random fault
 // schedules at increasing fault rates on a 3-GM/9-LC cluster, reporting
 // whether the safety invariants held and the hierarchy reconverged.
+//
+// Artifact: --json=<path> writes the default table's deterministic numbers
+// (every phase's throughput and recovery time, the recovery counters).
 
 #include <cstdio>
+#include <fstream>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "chaos/runner.hpp"
 #include "core/snooze.hpp"
@@ -27,6 +33,16 @@ using namespace snooze;
 using namespace snooze::core;
 
 namespace {
+
+/// One row of the default table, as the artifact records it. `recovery_s` is
+/// the time to the GL election (GL crash) or to the first LC rejoin (GM
+/// crash); -1 in the other phases and when none came.
+struct Phase {
+  std::string name;
+  double throughput = 0.0;
+  std::size_t running = 0;
+  double recovery_s = -1.0;
+};
 
 int run_density_sweep(const util::Args& args) {
   bench::print_header(
@@ -80,6 +96,7 @@ int main(int argc, char** argv) {
   const util::Args args(argc, argv);
   if (args.get_bool("sweep", false)) return run_density_sweep(args);
   const bool reschedule = args.get_bool("reschedule", false);
+  const std::string json_path = args.get("json", "");
 
   bench::print_header(
       "E4: application performance under GL / GM / LC failures",
@@ -128,7 +145,9 @@ int main(int argc, char** argv) {
   };
 
   util::Table table({"phase", "throughput VM/s", "running VMs", "note"});
+  std::vector<Phase> phases;
   const double baseline = throughput_over(60.0);
+  phases.push_back({"baseline", baseline, system.running_vm_count()});
   table.add_row({"baseline", util::Table::num(baseline, 2),
                  std::to_string(system.running_vm_count()), ""});
 
@@ -141,6 +160,8 @@ int main(int argc, char** argv) {
   // (recorded in the simulation trace).
   const double election = system.trace().first_time("gm.elected_gl", gl_fail_time);
   const double gl_recovery = election >= 0.0 ? election - gl_fail_time : -1.0;
+  phases.push_back({"gl_crash", during_gl, system.running_vm_count(),
+                    recovered_gl ? gl_recovery : -1.0});
   table.add_row({"GL crash", util::Table::num(during_gl, 2),
                  std::to_string(system.running_vm_count()),
                  recovered_gl && gl_recovery >= 0.0
@@ -162,6 +183,8 @@ int main(int argc, char** argv) {
   const bool recovered_gm = system.run_until_stable(system.engine().now() + 120.0);
   // Rejoin latency: first LC rejoin event after the crash.
   const double rejoin = system.trace().first_time("lc.joined", gm_fail_time);
+  phases.push_back({"gm_crash", during_gm, system.running_vm_count(),
+                    recovered_gm && rejoin >= 0.0 ? rejoin - gm_fail_time : -1.0});
   table.add_row({"GM crash", util::Table::num(during_gm, 2),
                  std::to_string(system.running_vm_count()),
                  recovered_gm && rejoin >= 0.0
@@ -187,6 +210,7 @@ int main(int argc, char** argv) {
   // GM that adopted the victim's VMs from monitoring reports holds no
   // descriptors to reschedule them from.
   const auto rescheduled = metrics.counter("gm.vms_rescheduled").value();
+  phases.push_back({"lc_crash", during_lc, system.running_vm_count()});
   table.add_row({"LC crash", util::Table::num(during_lc, 2),
                  std::to_string(system.running_vm_count()),
                  std::to_string(lost) + " VMs on the node" +
@@ -194,6 +218,7 @@ int main(int argc, char** argv) {
                                       : " (lost, per paper)")});
 
   const double after = throughput_over(60.0);
+  phases.push_back({"steady_state", after, system.running_vm_count()});
   table.add_row({"steady state", util::Table::num(after, 2),
                  std::to_string(system.running_vm_count()), ""});
   table.print();
@@ -213,5 +238,31 @@ int main(int argc, char** argv) {
               "%zu VMs that lived on the crashed node. --reschedule turns on the\n"
               "snapshot-recovery feature; the LC row's note counts what it restored.\n",
               lost);
+
+  if (!json_path.empty()) {
+    std::ofstream out(json_path);
+    if (!out) {
+      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
+      return 1;
+    }
+    out << "{\n  \"benchmark\": \"fault_tolerance\",\n  \"seed\": " << spec.seed
+        << ",\n  \"reschedule\": " << (reschedule ? "true" : "false")
+        << ",\n  \"vms\": " << n_vms << ",\n  \"phases\": [\n";
+    for (std::size_t i = 0; i < phases.size(); ++i) {
+      const Phase& p = phases[i];
+      out << "    {\"phase\": \"" << p.name
+          << "\", \"throughput_vm_s\": " << bench::json_number(p.throughput)
+          << ", \"running_vms\": " << p.running
+          << ", \"recovery_s\": " << bench::json_number(p.recovery_s) << "}"
+          << (i + 1 < phases.size() ? ",\n" : "\n");
+    }
+    out << "  ],\n  \"lc_crash_vms_on_node\": " << lost
+        << ",\n  \"elections_won\": " << reg("gm.elections_won")
+        << ",\n  \"lc_failures_detected\": " << reg("gm.lc_failures_detected")
+        << ",\n  \"vms_rescheduled\": " << reg("gm.vms_rescheduled")
+        << ",\n  \"rpc_timeouts\": " << reg("rpc.timeouts")
+        << ",\n  \"messages_dropped\": " << reg("net.messages_dropped") << "\n}\n";
+    std::printf("wrote %s\n", json_path.c_str());
+  }
   return 0;
 }

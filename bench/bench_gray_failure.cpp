@@ -112,7 +112,7 @@ AbResult run_side(bool detection, std::uint64_t seed) {
   spec.group_managers = 3;
   spec.local_controllers = 12;
   spec.seed = seed;
-  spec.config.gray.detection = detection;
+  spec.config.gray_detection = detection;
   core::SnoozeSystem system(spec);
   system.start();
   if (!system.run_until_stable(60.0)) {
@@ -244,7 +244,7 @@ int main(int argc, char** argv) {
       ok = false;
     }
   }
-  // Cap: max_quarantined_fraction (0.2) of a 4-LC group floors at 1, so at
+  // Cap: kMaxQuarantinedFraction (0.2) of a 4-LC group floors at 1, so at
   // most 1 quarantined LC per GM group — and the two slow nodes can land in
   // the same group, so 2 total is the ceiling.
   if (aware.suspended_lcs > 2) {

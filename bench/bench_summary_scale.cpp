@@ -1,7 +1,7 @@
 // Summary-protocol scaling benchmark: the batched delta stream vs full
 // per-period summaries on a 3 GM / 200 LC deployment.
 //
-// A full summary re-lists every VM location each gm_summary_period, so the
+// A full summary re-lists every VM location each kGmSummaryPeriod, so the
 // GM -> GL byte rate grows with the VM population even when nothing changes.
 // The delta stream's steady state is a near-empty acknowledged header per GM
 // per period — O(churn), not O(VMs). The acceptance bar for the protocol:
@@ -81,7 +81,7 @@ Measurement measure(std::uint64_t seed, double window) {
   const telemetry::MetricsRegistry& metrics = system.telemetry().metrics();
   const std::uint64_t bytes0 = metrics.value("gm.summary_bytes");
   const double t0 = system.engine().now();
-  const double period = spec.config.gm_summary_period;
+  const double period = kGmSummaryPeriod;
   const double periods = window / period;
   double full_bytes = 0.0;
   for (double k = 1.0; k <= periods; k += 1.0) {

@@ -7,6 +7,12 @@
 
 namespace snooze::chaos {
 
+namespace {
+/// How long two mutually reachable leaders may coexist before it counts as
+/// split-brain (covers the legitimate post-heal abdication delay).
+constexpr sim::Time kMultiLeaderGrace = 20.0;
+}  // namespace
+
 InvariantChecker::InvariantChecker(core::SnoozeSystem& system)
     : InvariantChecker(system, Options{}) {}
 
@@ -112,7 +118,7 @@ void InvariantChecker::check_leaders() {
     multi_leader_since_ = now();
     return;
   }
-  if (now() - multi_leader_since_ > options_.multi_leader_grace) {
+  if (now() - multi_leader_since_ > kMultiLeaderGrace) {
     violation("split-brain: " + std::to_string(leaders.size()) +
               " mutually reachable group leaders persisted past the grace window");
     multi_leader_since_ = now();  // re-arm so one incident reports once per window

@@ -38,9 +38,6 @@ class InvariantChecker final : public sim::Actor {
  public:
   struct Options {
     sim::Time sample_period = 0.5;
-    /// How long two mutually reachable leaders may coexist before it counts
-    /// as split-brain (covers the legitimate post-heal abdication delay).
-    sim::Time multi_leader_grace = 20.0;
     /// How long one VM id may run on two hosts before it counts as a
     /// duplicate (covers the migration adopt/ack window).
     sim::Time duplicate_grace = 15.0;

@@ -11,6 +11,20 @@
 
 namespace snooze::chaos {
 
+namespace {
+constexpr sim::Time kVmInterArrival = 1.5;  ///< workload submission spacing
+constexpr sim::Time kStabilizeBound = 30.0;  ///< initial hierarchy formation bound
+/// Post-heal reconvergence bound. A node recovered right at the horizon still
+/// needs a full boot (90 s with the default power model) before it can even
+/// start rejoining, so the bound covers boot + election + assignment.
+constexpr sim::Time kConvergeBound = 150.0;
+/// sim::Trace ring cap (see Trace::set_max_records). Chaos runs use ring mode
+/// so long-horizon schedules hold memory flat; the cap is far above what any
+/// short scenario records, so goldens never trim.
+constexpr std::size_t kMaxTraceRecords = 65536;
+constexpr sim::Time kBurstInterArrival = 0.25;  ///< flash-crowd submission spacing
+}  // namespace
+
 ChaosRunResult run_chaos(const ChaosRunConfig& cfg) {
   return run_chaos_schedule(cfg,
                             generate_schedule(cfg.spec, cfg.topology, cfg.seed));
@@ -25,7 +39,7 @@ ChaosRunResult run_chaos_schedule(const ChaosRunConfig& cfg,
   spec.config = cfg.config;
   spec.seed = cfg.seed;
   core::SnoozeSystem system(spec);
-  system.trace().set_max_records(cfg.max_trace_records);
+  system.trace().set_max_records(kMaxTraceRecords);
   if (cfg.incidents) {
     // Retain exemplars so the incident report can link the worst submit
     // bucket to its span tree. Passive: no events, no RNG, no trace records.
@@ -35,9 +49,9 @@ ChaosRunResult run_chaos_schedule(const ChaosRunConfig& cfg,
         .enable_exemplars();
   }
   system.start();
-  system.run_until_stable(cfg.stabilize_bound);
+  system.run_until_stable(kStabilizeBound);
 
-  InvariantChecker checker(system, cfg.invariants);
+  InvariantChecker checker(system);
   checker.start();
   ChaosInjector injector(system, schedule, &checker);
   const sim::Time chaos_start = system.engine().now();
@@ -67,7 +81,7 @@ ChaosRunResult run_chaos_schedule(const ChaosRunConfig& cfg,
   // the final check unless its host was deliberately crashed.
   for (std::size_t i = 0; i < cfg.vms; ++i) {
     system.engine().schedule(
-        cfg.vm_inter_arrival * static_cast<double>(i + 1),
+        kVmInterArrival * static_cast<double>(i + 1),
         [&system, &checker] {
       const core::VmDescriptor vm = system.make_vm({0.15, 0.15, 0.15});
       const core::VmId id = vm.id;
@@ -83,7 +97,7 @@ ChaosRunResult run_chaos_schedule(const ChaosRunConfig& cfg,
   if (cfg.burst_at >= 0.0) {
     for (std::size_t i = 0; i < cfg.burst_vms; ++i) {
       system.engine().schedule(
-          cfg.burst_at + cfg.burst_inter_arrival * static_cast<double>(i),
+          cfg.burst_at + kBurstInterArrival * static_cast<double>(i),
           [&system, &cfg] {
             system.client().submit(
                 system.make_vm({0.15, 0.15, 0.15}, cfg.burst_lifetime),
@@ -96,7 +110,7 @@ ChaosRunResult run_chaos_schedule(const ChaosRunConfig& cfg,
   injector.heal_all_remaining();
 
   ChaosRunResult result;
-  result.converged = checker.final_check(cfg.converge_bound);
+  result.converged = checker.final_check(kConvergeBound);
   result.invariants_ok = checker.ok();
   result.violations = checker.violations();
   result.faults_injected = injector.faults_injected();
@@ -171,8 +185,7 @@ ChaosRunResult run_chaos_schedule(const ChaosRunConfig& cfg,
     const double run_end = system.engine().now();
     result.incidents =
         obs::analyze_incidents(system.trace().records(),
-                               &system.telemetry().spans(), run_end, names,
-                               cfg.incident_config);
+                               &system.telemetry().spans(), run_end, names);
     const std::vector<InjectedFault>& faults = injector.faults();
     const AttributionScore score = score_attribution(result.incidents, faults);
     result.injected_faults_labeled = faults.size();

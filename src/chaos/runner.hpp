@@ -26,22 +26,14 @@ struct ChaosRunConfig {
   ChaosSpec spec{};
   core::SnoozeConfig config{};
 
-  std::size_t vms = 12;                 ///< workload size
-  sim::Time vm_inter_arrival = 1.5;     ///< submission spacing
-  sim::Time stabilize_bound = 30.0;  ///< initial hierarchy formation bound
-  /// Post-heal reconvergence bound. A node recovered right at the horizon
-  /// still needs a full boot (90 s with the default power model) before it
-  /// can even start rejoining, so the bound must cover boot + election +
-  /// assignment.
-  sim::Time converge_bound = 150.0;
-  InvariantChecker::Options invariants{};
+  std::size_t vms = 12;  ///< workload size (one submission every 1.5 s)
   /// Copy the full event trace into ChaosRunResult::trace_records (the
   /// golden-trace suite diffs individual records, not just the hash).
   bool capture_trace = false;
   /// Run a HealthMonitor alongside the chaos schedule: cluster state is
-  /// sampled every SloConfig::sample_period and SLO alert transitions are
-  /// recorded in the sim trace (so goldens pin them). The monitor is
-  /// read-only; runs without alert transitions keep their trace hash.
+  /// sampled every second and SLO alert transitions are recorded in the sim
+  /// trace (so goldens pin them). The monitor is read-only; runs without
+  /// alert transitions keep their trace hash.
   bool health_monitor = true;
   /// Copy the monitor's time-series CSV into ChaosRunResult::timeseries_csv.
   bool capture_timeseries = false;
@@ -52,12 +44,6 @@ struct ChaosRunConfig {
   /// change the trace hash (exemplars are additionally retained on the
   /// submit-latency histogram to link reports to span trees).
   bool incidents = false;
-  obs::IncidentConfig incident_config{};
-  /// sim::Trace ring cap (see Trace::set_max_records). Chaos runs default to
-  /// ring mode so long-horizon schedules hold memory flat; the cap is far
-  /// above what any short scenario records, so goldens never trim and their
-  /// hashes are unchanged. 0 = unbounded.
-  std::size_t max_trace_records = 65536;
 
   // --- long-horizon operations (all off by default — adding an actor would
   // perturb event order and every golden hash) ------------------------------
@@ -76,8 +62,7 @@ struct ChaosRunConfig {
   /// demand recedes again — one full autoscale cycle (wake on the spike,
   /// suspend on the trough) fits in a single scenario.
   sim::Time burst_at = -1.0;
-  std::size_t burst_vms = 0;
-  sim::Time burst_inter_arrival = 0.25;
+  std::size_t burst_vms = 0;  ///< submitted 0.25 s apart
   sim::Time burst_lifetime = 60.0;
 };
 

@@ -17,6 +17,22 @@
 
 namespace snooze::chaos {
 
+namespace {
+// Every crash/isolation/link window heals at least kMinHealTime after it
+// opens, plus an exponential extra with mean kMeanExtraHeal (clamped to the
+// schedule horizon so the system always gets a chance to reconverge).
+constexpr sim::Time kMinHealTime = 5.0;
+constexpr sim::Time kMeanExtraHeal = 10.0;
+
+// Upper bounds of randomly drawn link, global-loss and flaky-burst knobs.
+constexpr double kMaxLinkDrop = 0.5;
+constexpr double kMaxDuplicate = 0.3;
+constexpr double kMaxReorder = 0.3;
+constexpr sim::Time kMaxExtraLatency = 0.2;
+constexpr double kMaxGlobalDrop = 0.05;
+constexpr sim::Time kMaxFlakyLatency = 0.5;  ///< burst latency in [0.05, this]
+}  // namespace
+
 const char* to_string(ActionKind kind) {
   switch (kind) {
     case ActionKind::kCrash: return "crash";
@@ -174,9 +190,9 @@ FaultSchedule generate_schedule(const ChaosSpec& spec, const Topology& topo,
     std::size_t down = 0;
   };
   std::map<NodeRole, Pool> pools{
-      {NodeRole::kGm, {topo.group_managers, spec.min_live_gms}},
-      {NodeRole::kLc, {topo.local_controllers, spec.min_live_lcs}},
-      {NodeRole::kEp, {topo.entry_points, spec.min_live_eps}}};
+      {NodeRole::kGm, {topo.group_managers, kMinLiveNodes}},
+      {NodeRole::kLc, {topo.local_controllers, kMinLiveNodes}},
+      {NodeRole::kEp, {topo.entry_points, kMinLiveNodes}}};
   auto exhausted = [&](NodeRole role) {
     const Pool& p = pools.at(role);
     return p.size - p.down <= p.floor;
@@ -198,10 +214,8 @@ FaultSchedule generate_schedule(const ChaosSpec& spec, const Topology& topo,
   };
 
   auto heal_time = [&](sim::Time at) {
-    sim::Time t = at + spec.min_heal_time;
-    if (spec.mean_extra_heal > 0.0) {
-      t += rng.exponential(1.0 / spec.mean_extra_heal);
-    }
+    sim::Time t = at + kMinHealTime;
+    t += rng.exponential(1.0 / kMeanExtraHeal);
     return std::min(t, spec.duration);
   };
 
@@ -288,16 +302,16 @@ FaultSchedule generate_schedule(const ChaosSpec& spec, const Topology& topo,
         std::tie(inject.role, inject.index) = a;
         std::tie(inject.role2, inject.index2) = b;
         if (flaky) {
-          inject.faults.flaky_latency = rng.uniform(0.05, spec.max_flaky_latency);
+          inject.faults.flaky_latency = rng.uniform(0.05, kMaxFlakyLatency);
         } else {
-          inject.faults.drop = rng.uniform(0.05, spec.max_link_drop);
-          if (rng.chance(0.4)) inject.faults.duplicate = rng.uniform(0.0, spec.max_duplicate);
+          inject.faults.drop = rng.uniform(0.05, kMaxLinkDrop);
+          if (rng.chance(0.4)) inject.faults.duplicate = rng.uniform(0.0, kMaxDuplicate);
           if (rng.chance(0.4)) {
-            inject.faults.reorder = rng.uniform(0.0, spec.max_reorder);
+            inject.faults.reorder = rng.uniform(0.0, kMaxReorder);
             inject.faults.reorder_delay = rng.uniform(0.01, 0.2);
           }
           if (rng.chance(0.3)) {
-            inject.faults.extra_latency = rng.uniform(0.0, spec.max_extra_latency);
+            inject.faults.extra_latency = rng.uniform(0.0, kMaxExtraLatency);
           }
         }
         FaultAction close;
@@ -316,8 +330,8 @@ FaultSchedule generate_schedule(const ChaosSpec& spec, const Topology& topo,
         const Node n = steal ? Node{NodeRole::kLc, rng.uniform_int<int>(0, lcs - 1)}
                              : random_node();
         if (busy.count(n) > 0 || gray.count(n) > 0) continue;
-        inject.severity = steal ? rng.uniform(0.1, spec.max_steal_frac)
-                                : rng.uniform(1.5, spec.max_slow_factor);
+        inject.severity = steal ? rng.uniform(0.1, kMaxStealFrac)
+                                : rng.uniform(1.5, kMaxSlowFactor);
         open_window(steal ? ActionKind::kSteal : ActionKind::kSlow,
                     steal ? ActionKind::kUnsteal : ActionKind::kUnslow, n.first, n.second);
         gray.insert(n);
@@ -327,7 +341,7 @@ FaultSchedule generate_schedule(const ChaosSpec& spec, const Topology& topo,
       case kDrop:
       default: {
         inject.kind = ActionKind::kGlobalDrop;
-        inject.drop = rng.uniform(0.005, spec.max_global_drop);
+        inject.drop = rng.uniform(0.005, kMaxGlobalDrop);
         FaultAction close;
         close.kind = ActionKind::kGlobalDrop;
         push_window(close);

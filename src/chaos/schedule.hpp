@@ -77,12 +77,6 @@ struct ChaosSpec {
   sim::Time duration = 120.0;
   double fault_rate = 0.05;  ///< expected fault injections per virtual second
 
-  // Every crash/isolation/link window heals at least min_heal_time after it
-  // opens, plus an exponential extra with the given mean (all clamped to the
-  // schedule horizon so the system always gets a chance to reconverge).
-  sim::Time min_heal_time = 5.0;
-  sim::Time mean_extra_heal = 10.0;
-
   // Relative weights of the fault kinds.
   double weight_crash_gl = 1.0;
   double weight_crash_gm = 1.0;
@@ -96,26 +90,16 @@ struct ChaosSpec {
   double weight_slow = 0.0;
   double weight_steal = 0.0;
   double weight_flaky = 0.0;
-
-  // Upper bounds for randomly drawn link/global knobs.
-  double max_link_drop = 0.5;
-  double max_duplicate = 0.3;
-  double max_reorder = 0.3;
-  sim::Time max_extra_latency = 0.2;
-  double max_global_drop = 0.05;
-  // Drawn ranges for gray faults: slow factor in [1.5, max_slow_factor],
-  // steal fraction in [0.1, max_steal_frac], burst latency in
-  // [0.05, max_flaky_latency].
-  double max_slow_factor = 4.0;
-  double max_steal_frac = 0.6;
-  sim::Time max_flaky_latency = 0.5;
-
-  // Targeting floors: never crash/isolate below this many live nodes of a
-  // role (keeps a quorum path so reconvergence stays possible).
-  std::size_t min_live_gms = 1;
-  std::size_t min_live_lcs = 1;
-  std::size_t min_live_eps = 1;
 };
+
+/// Upper bound of a drawn slow factor (drawn in [1.5, kMaxSlowFactor]).
+inline constexpr double kMaxSlowFactor = 4.0;
+/// Upper bound of a drawn CPU-steal fraction (drawn in [0.1, kMaxStealFrac]).
+inline constexpr double kMaxStealFrac = 0.6;
+/// Targeting floor: the generator never crashes or isolates a GM, LC or EP
+/// below this many live nodes of its role (keeps a quorum path so
+/// reconvergence stays possible).
+inline constexpr std::size_t kMinLiveNodes = 1;
 
 /// Cluster shape the schedule targets (indices are validated against it).
 struct Topology {

@@ -60,7 +60,6 @@ class LeaderElection final : public sim::Actor {
   /// fault injector can partition the whole node, election traffic included).
   [[nodiscard]] net::Address client_address() const { return client_.address(); }
   [[nodiscard]] bool started() const { return started_; }
-  [[nodiscard]] const std::string& my_node() const { return my_node_; }
 
   void crash() override;
   void recover() override;

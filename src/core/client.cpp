@@ -4,13 +4,21 @@
 
 namespace snooze::core {
 
+namespace {
+/// Deadline of one submit attempt against the GL. Deliberately much tighter
+/// than the GL's own worst-case dispatch: when it trips, the client
+/// re-discovers and re-submits, and the GL's idempotent submission book
+/// (keyed by VM id) turns the re-send into a replay, never a second
+/// instance. Bounds client-visible failover latency to roughly one round.
+constexpr sim::Time kSubmitRpcTimeout = 10.0;
+}  // namespace
+
 Client::Client(sim::Engine& engine, net::Network& network,
-               std::vector<net::Address> entry_points, SnoozeConfig config,
-               std::string name, sim::Trace* trace)
+               std::vector<net::Address> entry_points, std::string name,
+               sim::Trace* trace)
     : sim::Actor(engine, std::move(name)),
       endpoint_(engine, network, network.allocate_address(), Actor::name()),
       entry_points_(std::move(entry_points)),
-      config_(config),
       trace_(trace) {}
 
 void Client::discover_gl(std::size_t ep_index, telemetry::SpanContext root,
@@ -22,7 +30,7 @@ void Client::discover_gl(std::size_t ep_index, telemetry::SpanContext root,
   const net::Address ep = entry_points_[(next_ep_ + ep_index) % entry_points_.size()];
   auto query = std::make_shared<GlQueryRequest>();
   query->ctx = root;
-  endpoint_.call(ep, std::move(query), config_.rpc_timeout,
+  endpoint_.call(ep, std::move(query), kRpcTimeout,
                  [this, ep_index, root,
                   cb = std::move(cb)](bool ok, const net::MsgPtr& reply) {
     const auto* resp = ok ? net::msg_cast<GlQueryResponse>(reply) : nullptr;
@@ -79,7 +87,7 @@ void Client::attempt(VmDescriptor vm, sim::Time started, int attempts_left,
     // Transient loss against a live GL is absorbed here (the GL dedups by VM
     // id); only after retries exhaust do we fall back to re-discovery.
     endpoint_.call_with_retries(
-        gl, req, config_.submit_rpc_timeout, submit_policy_,
+        gl, req, kSubmitRpcTimeout, submit_policy_,
         [this, vm, started, attempts_left, root,
          cb](bool ok, const net::MsgPtr& reply) mutable {
       const auto* resp = ok ? net::msg_cast<SubmitVmResponse>(reply) : nullptr;

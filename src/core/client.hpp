@@ -21,7 +21,7 @@ class Client final : public sim::Actor {
   using SubmitCb = std::function<void(bool ok, net::Address lc, sim::Time latency)>;
 
   Client(sim::Engine& engine, net::Network& network, std::vector<net::Address> entry_points,
-         SnoozeConfig config, std::string name = "client", sim::Trace* trace = nullptr);
+         std::string name = "client", sim::Trace* trace = nullptr);
 
   /// Submit one VM; retries (EP rotation + GL re-discovery) up to
   /// `max_attempts` before reporting failure.
@@ -61,7 +61,6 @@ class Client final : public sim::Actor {
 
   net::RpcEndpoint endpoint_;
   std::vector<net::Address> entry_points_;
-  SnoozeConfig config_;
   sim::Trace* trace_;
   net::Address cached_gl_ = net::kNullAddress;
   std::size_t next_ep_ = 0;
@@ -73,8 +72,8 @@ class Client final : public sim::Actor {
   net::RetryPolicy submit_policy_{.max_attempts = 2, .base_backoff = 0.5,
                                   .max_total = 25.0};
   /// Backoff schedule between whole discovery+submit rounds.
-  net::RetryPolicy round_policy_{.max_attempts = 4, .base_backoff = 0.5,
-                                 .multiplier = 2.0, .max_backoff = 8.0};
+  net::RetryPolicy round_policy_{.base_backoff = 0.5, .multiplier = 2.0,
+                                 .max_backoff = 8.0};
 
   util::Percentiles latencies_;
   /// The statistics' registry reads (a cache, so the const readers fill it).

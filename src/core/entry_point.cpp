@@ -28,8 +28,7 @@ EntryPoint::EntryPoint(sim::Engine& engine, net::Network& network,
     const auto span = telemetry::begin_span(tel, env.ctx, "ep.gl_query", this->name());
     auto resp = std::make_shared<GlQueryResponse>();
     // Only vouch for a GL we have heard from recently.
-    const sim::Time window =
-        config_.gl_heartbeat_period * config_.heartbeat_timeout_factor;
+    const sim::Time window = kHeartbeatPeriod * kHeartbeatTimeoutFactor;
     resp->ok = gl_ != net::kNullAddress && now() - last_gl_heartbeat_ <= window;
     resp->gl = gl_;
     telemetry::end_span(tel, span, resp->ok ? "ok" : "unknown_gl");

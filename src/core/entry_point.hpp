@@ -36,7 +36,6 @@ class EntryPoint final : public sim::Actor {
   net::Address gl_ = net::kNullAddress;
   std::uint64_t epoch_ = 0;
   sim::Time last_gl_heartbeat_ = -1.0;
-  SnoozeConfig config_;
 };
 
 }  // namespace snooze::core

@@ -8,6 +8,14 @@
 
 namespace snooze::core {
 
+namespace {
+/// Deadline of one placement attempt at a GM; covers waking a suspended LC
+/// (its resume latency) before the VM boots.
+constexpr sim::Time kPlacementRpcTimeout = 20.0;
+/// GMs a dispatch tries, in the policy's order, before it fails.
+constexpr std::size_t kMaxDispatchCandidates = 4;
+}  // namespace
+
 const LeaderTerm& GroupManager::term() const {
   static const LeaderTerm kNoTerm;
   return term_ ? *term_ : kNoTerm;
@@ -59,13 +67,13 @@ void GroupManager::become_leader(std::uint64_t epoch) {
     term_->reconcile_span = t->spans().begin(t->spans().new_trace(), 0, "gl.reconcile",
                                              name(), "epoch=" + std::to_string(epoch));
   }
-  after(config_.gl_reconcile_window, [this, epoch] { finish_reconcile(epoch); });
+  after(kGlReconcileWindow, [this, epoch] { finish_reconcile(epoch); });
 
-  every(config_.gl_heartbeat_period, [this] {
+  every(kHeartbeatPeriod, [this] {
     gl_tick_heartbeat();
     return is_leader();
   });
-  every(config_.gm_summary_period, [this] {
+  every(kGmSummaryPeriod, [this] {
     gl_check_gm_liveness();
     return is_leader();
   });
@@ -122,8 +130,7 @@ void GroupManager::handle_gl_heartbeat(const GlHeartbeat& hb) {
 
 void GroupManager::gl_check_gm_liveness() {
   if (!term_) return;
-  const sim::Time window =
-      config_.gm_summary_period * config_.heartbeat_timeout_factor;
+  const sim::Time window = kGmSummaryPeriod * kHeartbeatTimeoutFactor;
   std::vector<VmId> dropped;
   for (auto it = term_->gms.begin(); it != term_->gms.end();) {
     if (now() - it->second.last_summary > window) {
@@ -223,7 +230,7 @@ void GroupManager::handle_summary_delta(const GmSummaryDelta& delta,
   // down or partitioned) belong to the liveness machinery, not the scorer.
   const sim::Time gap = now() - record.last_summary;
   if (record.last_summary > 0.0 &&
-      gap < config_.gm_summary_period * config_.heartbeat_timeout_factor) {
+      gap < kGmSummaryPeriod * kHeartbeatTimeoutFactor) {
     scorer_.add_sample(delta.gm, obs::SlownessMetric::kSummary, gap);
   }
   record.last_summary = now();
@@ -459,7 +466,7 @@ void GroupManager::handle_submit(const SubmitVmRequest& req, telemetry::SpanCont
   const auto span = telemetry::begin_span(tel(), ctx, "gl.dispatch", name(),
                                           "vm=" + std::to_string(req.vm.id));
   std::vector<net::Address> candidates = dispatch_policy_->candidates(
-      req.vm, work_candidates(), config_.max_dispatch_candidates);
+      req.vm, work_candidates(), kMaxDispatchCandidates);
   if (candidates.empty()) {
     bump("gl.dispatch_failures");
     telemetry::end_span(tel(), span, "no_candidates");
@@ -502,7 +509,7 @@ void GroupManager::dispatch_linear_search(VmDescriptor vm,
   policy.max_attempts = 2;
   policy.base_backoff = 0.25;
   endpoint_.call_with_retries(
-      gm, place, config_.placement_rpc_timeout, policy,
+      gm, place, kPlacementRpcTimeout, policy,
       [this, vm, candidates = std::move(candidates), index, gm, span,
        responder](bool ok, const net::MsgPtr& reply) mutable {
     if (ok && net::msg_cast<StaleEpochError>(reply) != nullptr) {

@@ -82,7 +82,7 @@ struct LeaderTerm {
   std::map<VmId, VmOwnership> vm_inventory;
   std::map<VmId, PendingConflict> vm_conflicts;
 
-  /// Reconciliation window (see SnoozeConfig::gl_reconcile_window).
+  /// Reconciliation window (see kGlReconcileWindow).
   bool reconciling = false;
   sim::Time reconcile_started = 0.0;
   telemetry::SpanContext reconcile_span;

@@ -10,6 +10,20 @@
 namespace snooze::core {
 
 namespace {
+constexpr sim::Time kEnergyCheckPeriod = 5.0;
+
+// Gray-failure probing and containment (SnoozeConfig::gray_detection).
+constexpr sim::Time kProbePeriod = 5.0;  ///< GM->LC and GL->GM latency probe cadence
+constexpr sim::Time kProbeTimeout = 1.0;
+/// Probation -> quarantine escalation: still flagged after this long on
+/// probation, the node is evacuated and suspended.
+constexpr sim::Time kQuarantineAfter = 20.0;
+/// Capacity guard: never hold more than this fraction of a group's LCs in
+/// quarantine at once (escalation is deferred, probation remains).
+constexpr double kMaxQuarantinedFraction = 0.2;
+constexpr sim::Time kReinstateAfter = 30.0;  ///< quarantine dwell before re-probing
+constexpr int kReinstateCleanProbes = 3;     ///< consecutive clean evals to reinstate
+
 /// Roll a VM's requested capacity back out of an LC's reserved total,
 /// clamped at zero (the LC's next monitoring report is the ground truth).
 void release(ResourceVector& reserved, const ResourceVector& requested) {
@@ -32,9 +46,6 @@ GroupManager::GroupManager(sim::Engine& engine, net::Network& network,
       trace_(trace) {
   dispatch_policy_ = make_dispatch_policy(config_.dispatch_policy);
   placement_policy_ = make_placement_policy(config_.placement_policy);
-  scorer_ = obs::SlownessScorer(obs::SlownessConfig{
-      config_.gray.ewma_alpha, config_.gray.z_flag, config_.gray.z_clear,
-      config_.gray.slow_flag_sustain_s});
   endpoint_.set_message_handler([this](const net::Envelope& env) { handle_oneway(env); });
   endpoint_.set_request_handler(
       [this](const net::Envelope& env, net::Responder r) { handle_request(env, r); });
@@ -57,20 +68,20 @@ void GroupManager::start() {
   election_.start(std::to_string(endpoint_.address()),
                   [this](std::uint64_t epoch) { become_leader(epoch); });
 
-  every(config_.gm_heartbeat_period, [this] {
+  every(kHeartbeatPeriod, [this] {
     gm_tick_heartbeat();
     return true;
   });
-  every(config_.gm_summary_period, [this] {
+  every(kGmSummaryPeriod, [this] {
     gm_tick_summary();
     return true;
   });
-  every(config_.lc_heartbeat_period, [this] {
+  every(kHeartbeatPeriod, [this] {
     gm_check_lc_liveness();
     return true;
   });
   if (config_.energy_savings) {
-    every(config_.energy_check_period, [this] {
+    every(kEnergyCheckPeriod, [this] {
       gm_energy_check();
       return true;
     });
@@ -82,8 +93,8 @@ void GroupManager::start() {
       return true;
     });
   }
-  if (config_.gray.detection) {
-    every(config_.gray.probe_period, [this] {
+  if (config_.gray_detection) {
+    every(kProbePeriod, [this] {
       gm_probe_peers();
       return true;
     });
@@ -159,7 +170,7 @@ void GroupManager::handle_request(const net::Envelope& env, net::Responder respo
   } else if (net::msg_cast<ProbeRequest>(env.payload) != nullptr) {
     // Gray-failure latency probe from the GL: answer after this GM's
     // effective service time so the GL's scorer sees a slow GM as slow.
-    after(config_.gray.probe_service_time * service_stretch_, [responder] {
+    after(kProbeServiceTime * service_stretch_, [responder] {
       responder.respond(std::make_shared<ProbeResponse>());
     });
   } else if (const auto* place = net::msg_cast<PlacementRequest>(env.payload)) {
@@ -243,7 +254,7 @@ void GroupManager::gm_emit_summary() {
   }
   telemetry::count(tel(), hot_.summary_bytes, msg->wire_size());
   const std::uint64_t seq = update.seq;
-  endpoint_.call(current_gl_, msg, config_.rpc_timeout,
+  endpoint_.call(current_gl_, msg, kRpcTimeout,
                  [this, seq](bool ok, const net::MsgPtr& reply) {
     const auto* ack = ok ? net::msg_cast<GmSummaryAck>(reply) : nullptr;
     if (ack != nullptr && ack->ok) {
@@ -349,15 +360,12 @@ void GroupManager::handle_monitor(const LcMonitorData& data) {
     }
     reported.push_back(usage.vm);
     auto [vm_it, inserted] = record.vms.try_emplace(usage.vm);
-    if (inserted) {
-      vm_it->second.estimator = ResourceEstimator(config_.estimator_window);
-      if (usage.migrating) {
-        // Failover reconciliation: the previous GM commanded this migration;
-        // we inherit it in flight and let the idempotent MigrationDone /
-        // adopt / StopVm paths resolve it rather than interfering.
-        bump("gm.migrations_inherited");
-        trace_event("gm.migration_inherited", "vm=" + std::to_string(usage.vm));
-      }
+    if (inserted && usage.migrating) {
+      // Failover reconciliation: the previous GM commanded this migration;
+      // we inherit it in flight and let the idempotent MigrationDone /
+      // adopt / StopVm paths resolve it rather than interfering.
+      bump("gm.migrations_inherited");
+      trace_event("gm.migration_inherited", "vm=" + std::to_string(usage.vm));
     }
     vm_it->second.requested = usage.requested;
     vm_it->second.migrating = usage.migrating;
@@ -374,8 +382,7 @@ void GroupManager::handle_monitor(const LcMonitorData& data) {
 }
 
 void GroupManager::gm_check_lc_liveness() {
-  const sim::Time window =
-      config_.lc_heartbeat_period * config_.heartbeat_timeout_factor;
+  const sim::Time window = kHeartbeatPeriod * kHeartbeatTimeoutFactor;
   std::vector<net::Address> failed;
   for (const auto& [addr, lc] : lcs_) {
     if (lc.power != LcPower::kOn) continue;  // suspended nodes are silent
@@ -456,7 +463,7 @@ void GroupManager::gm_probe_peers() {
       if (lc.health == LcHealth::kQuarantined) {
         // Quarantine rests the node for the dwell window. Past it, wake the
         // node back up — reinstatement needs fresh probe evidence.
-        if (now() - lc.quarantined_at < config_.gray.reinstate_after_s) continue;
+        if (now() - lc.quarantined_at < kReinstateAfter) continue;
         if (lc.power == LcPower::kSuspended) {
           gm_wake_lc(addr);
           continue;
@@ -470,7 +477,7 @@ void GroupManager::gm_probe_peers() {
     telemetry::count(tel(), hot_.probes);
     const sim::Time sent = now();
     endpoint_.call_with_hedging(
-        target, std::make_shared<ProbeRequest>(), config_.gray.probe_timeout,
+        target, std::make_shared<ProbeRequest>(), kProbeTimeout,
         net::HedgePolicy{}, [this, target, sent](bool ok, const net::MsgPtr& reply) {
       (void)reply;
       // A timeout carries no latency information; hard failures belong to
@@ -512,13 +519,13 @@ void GroupManager::apply_containment() {
           lc.health = LcHealth::kHealthy;
           bump("gm.lc_probation_cleared");
           trace_event("gm.lc_probation_cleared", "lc=" + std::to_string(addr));
-        } else if (now() - lc.probation_since >= config_.gray.quarantine_after_s) {
+        } else if (now() - lc.probation_since >= kQuarantineAfter) {
           // Sustained degradation escalates — but containment must never
           // amplify an outage: cap the quarantined fraction of the group.
           // Floor of one so small groups can still quarantine their one bad
           // node; the guard exists to stop avalanches, not singletons.
           const auto cap = std::max<std::size_t>(
-              1, static_cast<std::size_t>(config_.gray.max_quarantined_fraction *
+              1, static_cast<std::size_t>(kMaxQuarantinedFraction *
                                           static_cast<double>(lcs_.size())));
           if (quarantined + 1 > cap) {
             bump("gm.quarantines_deferred");
@@ -536,7 +543,7 @@ void GroupManager::apply_containment() {
         }
         break;
       case LcHealth::kQuarantined:
-        if (now() - lc.quarantined_at < config_.gray.reinstate_after_s) {
+        if (now() - lc.quarantined_at < kReinstateAfter) {
           // Emptying-out phase: re-try the evacuation for VMs that had no
           // headroom earlier, then park the node in low power.
           if (lc.power == LcPower::kOn) {
@@ -552,7 +559,7 @@ void GroupManager::apply_containment() {
           // enough consecutive clean evaluations.
           if (slow) {
             lc.clean_evals = 0;
-          } else if (++lc.clean_evals >= config_.gray.reinstate_clean_probes) {
+          } else if (++lc.clean_evals >= kReinstateCleanProbes) {
             lc.health = LcHealth::kHealthy;
             lc.quarantined_at = 0.0;
             bump("gm.lc_reinstatements");
@@ -671,7 +678,7 @@ void GroupManager::place_on(net::Address lc, const VmDescriptor& vm,
   start->vm = vm;
   start->ctx = span;
   stamp_lease(*start, lc);
-  const sim::Time timeout = config_.vm_boot_time + config_.rpc_timeout;
+  const sim::Time timeout = kVmBootTime + kRpcTimeout;
   const sim::Time sent = now();
   inflight_placements_.insert({lc, vm.id});
   endpoint_.call(lc, start, timeout,
@@ -691,7 +698,6 @@ void GroupManager::place_on(net::Address lc, const VmDescriptor& vm,
       if (it != lcs_.end()) {
         VmRecord record;
         record.requested = vm.requested;
-        record.estimator = ResourceEstimator(config_.estimator_window);
         record.has_descriptor = true;
         record.descriptor = vm;
         it->second.vms[vm.id] = std::move(record);
@@ -795,7 +801,7 @@ void GroupManager::execute_moves(const std::vector<RelocationMove>& moves) {
     req->destination = move.to;
     stamp_lease(*req, move.from);
     const net::Address source = move.from;
-    endpoint_.call(source, req, config_.rpc_timeout,
+    endpoint_.call(source, req, kRpcTimeout,
                    [this, source](bool ok, const net::MsgPtr& reply) {
       // The ack only confirms the migration started; completion arrives
       // as a MigrationDone one-way message.
@@ -940,7 +946,7 @@ void GroupManager::gm_suspend_lc(net::Address target) {
   trace_event("gm.suspend");
   auto req = std::make_shared<SuspendRequest>();
   stamp_lease(*req, target);
-  endpoint_.call(target, req, config_.rpc_timeout,
+  endpoint_.call(target, req, kRpcTimeout,
                  [this, target](bool ok, const net::MsgPtr& reply) {
     if (ok && handle_stale_lc_reply(reply, target)) return;
     const auto* resp = ok ? net::msg_cast<SuspendResponse>(reply) : nullptr;
@@ -965,7 +971,7 @@ void GroupManager::gm_wake_lc(net::Address target, telemetry::SpanContext span,
   auto wake = std::make_shared<WakeupRequest>();
   wake->ctx = span;
   stamp_lease(*wake, target);
-  const sim::Time timeout = 30.0 + config_.rpc_timeout;  // covers resume latency
+  const sim::Time timeout = 30.0 + kRpcTimeout;  // covers resume latency
   endpoint_.call(target, wake, timeout,
                  [this, target, then = std::move(then)](bool ok, const net::MsgPtr& reply) {
     if (ok && handle_stale_lc_reply(reply, target)) {

@@ -141,7 +141,6 @@ class GroupManager final : public sim::Actor {
   /// Service-time stretch > 1 delays this GM's summary assembly and probe
   /// turnaround (heartbeats keep flowing). Injector-owned, like the LC knob.
   void set_service_stretch(double factor) { service_stretch_ = factor; }
-  [[nodiscard]] double service_stretch() const { return service_stretch_; }
 
  private:
   // Per-VM knowledge within a GM.

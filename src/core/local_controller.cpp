@@ -8,6 +8,11 @@ namespace snooze::core {
 
 using energy::PowerState;
 
+namespace {
+constexpr sim::Time kMonitorPeriod = 2.0;        ///< LC -> GM resource monitoring
+constexpr sim::Time kAnomalyCheckPeriod = 5.0;  ///< LC-local overload/underload scan
+}  // namespace
+
 LocalController::LocalController(sim::Engine& engine, net::Network& network,
                                  hypervisor::HostSpec host_spec, SnoozeConfig config,
                                  net::GroupId gl_heartbeat_group, sim::Trace* trace)
@@ -18,7 +23,6 @@ LocalController::LocalController(sim::Engine& engine, net::Network& network,
       gl_group_(gl_heartbeat_group),
       trace_(trace),
       running_vms_(engine.now(), 0.0) {
-  migration_model_.bandwidth_mbps = config_.migration_bandwidth_mbps;
   endpoint_.set_message_handler([this](const net::Envelope& env) { handle_oneway(env); });
   endpoint_.set_request_handler(
       [this](const net::Envelope& env, net::Responder r) { handle_request(env, r); });
@@ -37,19 +41,19 @@ void LocalController::start() {
 }
 
 void LocalController::start_timers() {
-  every(config_.lc_heartbeat_period, [this] {
+  every(kHeartbeatPeriod, [this] {
     send_heartbeat();
     return true;
   });
-  every(config_.lc_monitor_period, [this] {
+  every(kMonitorPeriod, [this] {
     send_monitor_data();
     return true;
   });
-  every(config_.anomaly_check_period, [this] {
+  every(kAnomalyCheckPeriod, [this] {
     check_anomalies();
     return true;
   });
-  every(config_.lc_heartbeat_period, [this] {
+  every(kHeartbeatPeriod, [this] {
     check_gm_liveness();
     return true;
   });
@@ -101,7 +105,7 @@ void LocalController::request_assignment() {
   auto req = std::make_shared<AssignLcRequest>();
   req->lc = endpoint_.address();
   req->capacity = host_.capacity();
-  endpoint_.call(gl_, req, config_.rpc_timeout,
+  endpoint_.call(gl_, req, kRpcTimeout,
                  [this](bool ok, const net::MsgPtr& reply) {
     const auto* resp = ok ? net::msg_cast<AssignLcResponse>(reply) : nullptr;
     if (resp == nullptr || !resp->ok) {
@@ -122,7 +126,7 @@ void LocalController::join_gm(net::Address gm) {
   // response is lost in transit.
   req->lease_epoch = ++lease_counter_;
   gm_fence_.high_water = lease_counter_;
-  endpoint_.call(gm, req, config_.rpc_timeout,
+  endpoint_.call(gm, req, kRpcTimeout,
                  [this, gm](bool ok, const net::MsgPtr& reply) {
     const auto* resp = ok ? net::msg_cast<LcJoinResponse>(reply) : nullptr;
     if (resp == nullptr || !resp->ok) {
@@ -176,8 +180,7 @@ void LocalController::cancel_drain() {
 
 void LocalController::check_gm_liveness() {
   if (state_ != State::kAssigned || !serving()) return;
-  const sim::Time window =
-      config_.gm_heartbeat_period * config_.heartbeat_timeout_factor;
+  const sim::Time window = kHeartbeatPeriod * kHeartbeatTimeoutFactor;
   if (now() - last_gm_heartbeat_ > window) {
     become_discovering("gm heartbeat timeout");
   }
@@ -219,7 +222,7 @@ void LocalController::check_anomalies() {
   if (state_ != State::kAssigned || !serving()) return;
   const double utilization = host_.utilization(now());
   // Rate-limit anomaly reports: one per two check periods.
-  if (now() - last_anomaly_ < 2.0 * config_.anomaly_check_period) return;
+  if (now() - last_anomaly_ < 2.0 * kAnomalyCheckPeriod) return;
   AnomalyEvent::Kind kind;
   if (utilization > config_.overload_threshold) {
     kind = AnomalyEvent::Kind::kOverload;
@@ -283,7 +286,7 @@ void LocalController::handle_request(const net::Envelope& env, net::Responder re
     // Gray-failure latency probe: answer after this node's *effective*
     // service time, so the GM's peer-relative scorer observes the real
     // slowdown a gray node imposes on every operation.
-    after(config_.gray.probe_service_time * effective_slowdown(), [responder] {
+    after(kProbeServiceTime * effective_slowdown(), [responder] {
       responder.respond(std::make_shared<ProbeResponse>());
     });
   }
@@ -323,7 +326,7 @@ void LocalController::handle_start_vm(const StartVmRequest& req,
   vm_meta_[req.vm.id] = meta;
 
   const VmId id = req.vm.id;
-  after(config_.vm_boot_time * effective_slowdown(), [this, id, span, responder] {
+  after(kVmBootTime * effective_slowdown(), [this, id, span, responder] {
     hypervisor::Vm* booted = host_.find(id);
     if (booted == nullptr) {  // evicted meanwhile
       telemetry::end_span(tel(), span, "evicted");
@@ -432,7 +435,7 @@ void LocalController::run_migration(hypervisor::VmId id, net::Address dest) {
     net::RetryPolicy adopt_policy;
     adopt_policy.max_attempts = 3;
     adopt_policy.base_backoff = 0.25;
-    endpoint_.call_with_retries(dest, adopt, config_.rpc_timeout, adopt_policy,
+    endpoint_.call_with_retries(dest, adopt, kRpcTimeout, adopt_policy,
                    [this, id, dest, cost, actual_s](bool ok, const net::MsgPtr& reply) {
       const auto* resp2 = ok ? net::msg_cast<AdoptVmResponse>(reply) : nullptr;
       const bool adopted = resp2 != nullptr && resp2->ok;

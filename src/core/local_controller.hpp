@@ -99,12 +99,10 @@ class LocalController final : public sim::Actor {
   /// heartbeats keep flowing — the classic fail-slow signature. Not reset by
   /// restart(): the chaos injector owns the window and heals it explicitly.
   void set_service_stretch(double factor) { service_stretch_ = factor; }
-  [[nodiscard]] double service_stretch() const { return service_stretch_; }
   /// CPU steal in [0,1): the fraction of cycles a noisy co-tenant (or a
   /// failing hypervisor) takes. Delivered usage shrinks by (1-steal) and VM
   /// runtimes stretch by 1/(1-steal).
   void set_cpu_steal(double frac) { cpu_steal_ = frac; }
-  [[nodiscard]] double cpu_steal() const { return cpu_steal_; }
   /// Combined slowdown applied to service latencies.
   [[nodiscard]] double effective_slowdown() const {
     return service_stretch_ / std::max(1e-6, 1.0 - cpu_steal_);

@@ -33,8 +33,8 @@ SnoozeSystem::SnoozeSystem(SystemSpec spec)
   }
   std::vector<net::Address> ep_addresses;
   for (const auto& ep : eps_) ep_addresses.push_back(ep->address());
-  client_ = std::make_unique<Client>(engine_, network_, std::move(ep_addresses),
-                                     spec_.config, "client", &trace_);
+  client_ = std::make_unique<Client>(engine_, network_, std::move(ep_addresses), "client",
+                                     &trace_);
 }
 
 void SnoozeSystem::start() {

@@ -2,15 +2,6 @@
 
 namespace snooze::energy {
 
-const char* to_string(PowerClass cls) {
-  switch (cls) {
-    case PowerClass::kOn: return "on";
-    case PowerClass::kSuspended: return "suspended";
-    case PowerClass::kOff: return "off";
-  }
-  return "?";
-}
-
 EnergyMeter::EnergyMeter(PowerModel model, double start_time)
     : model_(model), power_(start_time, model.p_idle_w) {}
 
@@ -23,14 +14,6 @@ void EnergyMeter::update(double t, PowerState state, double cpu_utilization) {
   }
   state_ = state;
   power_.set(t, model_.power(state, cpu_utilization));
-}
-
-double EnergyMeter::joules_in(PowerClass cls, double t) const {
-  double total = class_joules_[static_cast<std::size_t>(cls)];
-  if (cls == power_class(state_) && t > power_.last_update()) {
-    total += power_.current() * (t - power_.last_update());
-  }
-  return total;
 }
 
 std::array<double, kNumPowerClasses> EnergyMeter::joules_by_class(double t) const {

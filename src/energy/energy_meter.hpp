@@ -28,8 +28,6 @@ constexpr std::size_t kNumPowerClasses = 3;
   }
 }
 
-const char* to_string(PowerClass cls);
-
 class EnergyMeter {
  public:
   EnergyMeter(PowerModel model, double start_time = 0.0);
@@ -40,12 +38,9 @@ class EnergyMeter {
   /// Total energy consumed up to time `t`, in joules.
   [[nodiscard]] double joules(double t) const { return power_.integral(t); }
 
-  /// Energy consumed while in the given power-state class up to time `t`.
-  /// The classes partition the metered interval: the three values sum to
-  /// joules(t) (up to floating-point rounding).
-  [[nodiscard]] double joules_in(PowerClass cls, double t) const;
-
-  /// All three class totals at once, indexed by PowerClass.
+  /// Energy consumed in each power-state class up to time `t`, indexed by
+  /// PowerClass. The classes partition the metered interval: the three
+  /// values sum to joules(t) (up to floating-point rounding).
   [[nodiscard]] std::array<double, kNumPowerClasses> joules_by_class(double t) const;
 
   /// Average power draw over the metered interval, in watts.
@@ -60,7 +55,7 @@ class EnergyMeter {
   util::TimeWeighted power_;
   /// Joules accumulated per class for fully elapsed segments; the segment
   /// since the last update() belongs to the current state and is folded in
-  /// on read (joules_in) so the split stays exact at any query time.
+  /// on read (joules_by_class) so the split stays exact at any query time.
   std::array<double, kNumPowerClasses> class_joules_{};
 };
 

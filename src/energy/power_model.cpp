@@ -4,18 +4,6 @@
 
 namespace snooze::energy {
 
-const char* to_string(PowerState state) {
-  switch (state) {
-    case PowerState::kOn: return "ON";
-    case PowerState::kSuspended: return "SUSPENDED";
-    case PowerState::kOff: return "OFF";
-    case PowerState::kSuspending: return "SUSPENDING";
-    case PowerState::kResuming: return "RESUMING";
-    case PowerState::kBooting: return "BOOTING";
-  }
-  return "?";
-}
-
 double PowerModel::power_on(double cpu_utilization) const {
   const double u = std::clamp(cpu_utilization, 0.0, 1.0);
   return p_idle_w + (p_max_w - p_idle_w) * u;

@@ -13,8 +13,6 @@ namespace snooze::energy {
 /// Power state of a physical server.
 enum class PowerState { kOn, kSuspended, kOff, kSuspending, kResuming, kBooting };
 
-const char* to_string(PowerState state);
-
 struct PowerModel {
   double p_idle_w = 171.0;     ///< on, 0% CPU (typical 2009-era 1U server)
   double p_max_w = 218.0;      ///< on, 100% CPU

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace snooze::hypervisor {
 
@@ -68,13 +67,6 @@ double ResourceVector::max_utilization(const ResourceVector& capacity) const {
     if (capacity.v_[d] > kEps) worst = std::max(worst, v_[d] / capacity.v_[d]);
   }
   return worst;
-}
-
-std::string ResourceVector::to_string() const {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "(cpu=%.3f mem=%.3f net=%.3f)", v_[kCpu], v_[kMemory],
-                v_[kNetwork]);
-  return buf;
 }
 
 }  // namespace snooze::hypervisor

@@ -8,7 +8,6 @@
 
 #include <array>
 #include <cstddef>
-#include <string>
 
 namespace snooze::hypervisor {
 
@@ -51,8 +50,6 @@ class ResourceVector {
   /// Component-wise ratio against a capacity, returning the largest ratio
   /// (i.e. the bottleneck dimension's utilization).
   [[nodiscard]] double max_utilization(const ResourceVector& capacity) const;
-
-  [[nodiscard]] std::string to_string() const;
 
  private:
   std::array<double, kDims> v_;

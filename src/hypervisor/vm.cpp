@@ -4,18 +4,6 @@
 
 namespace snooze::hypervisor {
 
-const char* to_string(VmState state) {
-  switch (state) {
-    case VmState::kPending: return "PENDING";
-    case VmState::kBooting: return "BOOTING";
-    case VmState::kRunning: return "RUNNING";
-    case VmState::kMigrating: return "MIGRATING";
-    case VmState::kStopped: return "STOPPED";
-    case VmState::kFailed: return "FAILED";
-  }
-  return "?";
-}
-
 Vm::Vm(VmSpec spec, UtilizationFn utilization)
     : spec_(spec), utilization_(std::move(utilization)) {}
 

@@ -27,8 +27,6 @@ using UtilizationFn = std::function<double(double t)>;
 
 enum class VmState { kPending, kBooting, kRunning, kMigrating, kStopped, kFailed };
 
-const char* to_string(VmState state);
-
 struct VmSpec {
   VmId id = kNullVm;
   ResourceVector requested;    ///< reserved capacity (packing input)

@@ -213,8 +213,6 @@ void Network::set_node_up(Address addr, bool up) {
   }
 }
 
-bool Network::node_up(Address addr) const { return down_.count(addr) == 0; }
-
 void Network::set_partitions(std::vector<std::set<Address>> partitions) {
   partitions_ = std::move(partitions);
 }
@@ -241,11 +239,6 @@ void Network::clear_link_faults(Address from, Address to) {
   link_faults_.erase({from, to});
   flaky_bursting_.erase({from, to});
   update_fault_flag();
-}
-
-LinkFaults Network::link_faults(Address from, Address to) const {
-  const auto it = link_faults_.find({from, to});
-  return it == link_faults_.end() ? LinkFaults{} : it->second;
 }
 
 void Network::clear_all_faults() {

@@ -104,7 +104,6 @@ class Network {
   // --- fault injection ----------------------------------------------------
   /// A down node neither sends nor receives (traffic is blackholed).
   void set_node_up(Address addr, bool up);
-  [[nodiscard]] bool node_up(Address addr) const;
 
   /// Probability in [0,1] that any given message is silently lost.
   void set_drop_probability(double p) {
@@ -116,7 +115,6 @@ class Network {
   /// setting for that link; a clear LinkFaults value removes the entry.
   void set_link_faults(Address from, Address to, LinkFaults faults);
   void clear_link_faults(Address from, Address to);
-  [[nodiscard]] LinkFaults link_faults(Address from, Address to) const;
 
   /// Remove every per-link fault entry (global drop and partitions are
   /// separate knobs and stay untouched).

@@ -16,6 +16,18 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr double kRateWindow = 60.0;  ///< trailing window for per-minute rates
+constexpr sim::Time kSamplePeriod = 1.0;  ///< sampling cadence (DES clock)
+
+// SLO thresholds no deployment sets (the configurable ones are in
+// core::SloConfig).
+constexpr double kSubmitP50MaxS = 5.0;  ///< submit→running latency median
+constexpr double kEnergyPerVmHourMaxJ = 2.0e6;  ///< cluster joules per VM-hour
+/// Minimum accumulated VM-hours before the energy SLI is defined — the ratio
+/// is dominated by idle baseline power until real work accumulates (a cold
+/// cluster burns joules before any VM-hour exists), so the SLI warms up
+/// rather than alerting on start-up transients.
+constexpr double kEnergyMinVmHours = 0.05;
+constexpr double kFenceRejectedPerMinMax = 30.0;  ///< stale-command rejection rate
 
 std::string fmt6(double value) {
   char buf[48];
@@ -75,7 +87,7 @@ void HealthMonitor::start() {
   if (started_) return;
   started_ = true;
   sample_now();
-  every(slo_.config().sample_period, [this] {
+  every(kSamplePeriod, [this] {
     tick();
     return true;
   });
@@ -216,7 +228,7 @@ void HealthMonitor::sample_now() {
     const BytesSample& oldest = window[head];
     if (now > oldest.time) {
       const double rate = (total_bytes - oldest.bytes) / (now - oldest.time);
-      summary_bytes_per_gm = rate * system_.spec().config.gm_summary_period / senders;
+      summary_bytes_per_gm = rate * core::kGmSummaryPeriod / senders;
     }
   }
   if (head > 0 && head * 2 >= window.size()) {
@@ -297,7 +309,7 @@ void HealthMonitor::evaluate_slos(double now) {
 
   // Energy per VM-hour: undefined until enough useful work accumulated.
   const double vm_hours = store_.latest(col_.work_vm_s) / 3600.0;
-  const double energy_sli = vm_hours >= cfg.energy_min_vm_hours
+  const double energy_sli = vm_hours >= kEnergyMinVmHours
                                 ? store_.latest(col_.energy_j) / vm_hours
                                 : kNaN;
 
@@ -314,14 +326,14 @@ void HealthMonitor::evaluate_slos(double now) {
     double value;
     double threshold;
   } slis[] = {
-      {"energy_per_vm_hour", energy_sli, cfg.energy_per_vm_hour_max_j},
+      {"energy_per_vm_hour", energy_sli, kEnergyPerVmHourMaxJ},
       {"failover_mttr", failover_mttr(), cfg.failover_mttr_max_s},
-      {"fence_rejected_rate", fence_rate, cfg.fence_rejected_per_min_max},
+      {"fence_rejected_rate", fence_rate, kFenceRejectedPerMinMax},
       {"heartbeat_staleness", store_.latest(col_.hb_staleness), cfg.heartbeat_staleness_max_s},
-      {"submit_p50", store_.latest(col_.submit_p50), cfg.submit_p50_max_s},
+      {"submit_p50", store_.latest(col_.submit_p50), kSubmitP50MaxS},
       {"submit_p99", store_.latest(col_.submit_p99), cfg.submit_p99_max_s},
       {"summary_bytes_per_gm", store_.latest(col_.summary_bytes_per_gm),
-       cfg.summary_bytes_per_gm_period_max},
+       kSummaryBytesPerGmPeriodMax},
       {"summary_staleness", store_.latest(col_.summary_staleness),
        cfg.summary_staleness_max_s},
   };
@@ -354,7 +366,7 @@ std::string HealthMonitor::dashboard() const {
   if (store_.row_count() == 0) return "no samples yet\n";
   out << "health @ t=" << util::Table::num(store_.latest_time(), 2) << " s ("
       << store_.row_count() << " samples, cadence "
-      << util::Table::num(slo_.config().sample_period, 2) << " s)\n";
+      << util::Table::num(kSamplePeriod, 2) << " s)\n";
   util::Table table({"series", "latest", "delta/60s"});
   for (std::size_t c = 0; c < store_.column_count(); ++c) {
     const double delta = store_.delta_over(c, kRateWindow);

@@ -1,7 +1,7 @@
 // HealthMonitor: the always-on observability head of a SnoozeSystem.
 //
 // A periodic actor samples cluster state on the DES clock into a
-// TimeSeriesStore (fixed cadence = SloConfig::sample_period), derives SLIs
+// TimeSeriesStore (fixed 1 s cadence, kSamplePeriod), derives SLIs
 // from the samples / metrics registry / sim trace, feeds them through the
 // SloEvaluator, and records every alert transition in the sim trace
 // (actor "health", kinds "slo.alert" / "slo.clear") so golden traces and
@@ -16,7 +16,7 @@
 //   failover_mttr         mean of gm.fail(acting GL) -> gl.reconciled episode
 //                         durations observed in the sim trace (s)
 //   energy_per_vm_hour    total joules / VM-hours of useful work; undefined
-//                         (NaN) until energy_min_vm_hours accumulated
+//                         (NaN) until kEnergyMinVmHours accumulated
 //   fence_rejected_rate   stale-command rejections per minute over a trailing
 //                         60 s window of the series
 //   heartbeat_staleness   max age of the newest GM heartbeat across assigned,
@@ -51,12 +51,20 @@
 
 namespace snooze::obs {
 
+/// SLO threshold of summary-stream health. The delta stream's steady state is
+/// one near-empty header (~100 bytes) per sending GM per period *regardless
+/// of fleet shape*, while re-snapshotting adds ~16 bytes per hosted VM — so
+/// bytes per sending GM per period separates a converged stream from a stuck
+/// one at any topology (per-LC normalization does not: a healthy 4-LC cluster
+/// reads higher per LC than a re-snapshotting 200-LC one).
+inline constexpr double kSummaryBytesPerGmPeriodMax = 256.0;
+
 class HealthMonitor final : public sim::Actor {
  public:
   /// `max_rows` bounds the time-series ring (0 = unbounded).
   explicit HealthMonitor(core::SnoozeSystem& system, std::size_t max_rows = 4096);
 
-  /// Begin periodic sampling at SloConfig::sample_period.
+  /// Begin periodic sampling, once per kSamplePeriod (1 s).
   void start();
 
   /// Take one sample at the current virtual time. Idempotent per timestamp:

@@ -14,6 +14,14 @@ namespace snooze::obs {
 
 namespace {
 
+/// An episode closes once no signal has arrived for this long; the close
+/// timestamp is the last signal, not the end of the quiet window.
+constexpr double kQuietClose = 30.0;
+/// Minimum vote mass for a node-blaming hypothesis to be reported. 2.0 = at
+/// least one ladder action or two corroborating weak signals; a single death
+/// log (3.0) clears it alone.
+constexpr double kMinVoteMass = 2.0;
+
 std::string fmt2(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.2f", v);
@@ -45,7 +53,7 @@ std::string parse_vm(std::string_view detail) {
 }
 
 /// Build the ranked hypothesis list for one episode's evidence.
-void rank_hypotheses(IncidentEpisode& ep, const IncidentConfig& cfg) {
+void rank_hypotheses(IncidentEpisode& ep) {
   struct Tally {
     double mass = 0.0;
     double first = 0.0;
@@ -84,7 +92,7 @@ void rank_hypotheses(IncidentEpisode& ep, const IncidentConfig& cfg) {
   // does, fall back to the single strongest candidate (possibly anonymous)
   // so an episode is never silently unexplained.
   for (auto& h : all) {
-    if (!h.target.empty() && h.vote_mass >= cfg.min_vote_mass) {
+    if (!h.target.empty() && h.vote_mass >= kMinVoteMass) {
       ep.hypotheses.push_back(std::move(h));
     }
   }
@@ -139,8 +147,7 @@ void measure_blast(IncidentEpisode& ep,
 
 IncidentReport analyze_incidents(const std::vector<sim::TraceRecord>& records,
                                  const telemetry::SpanCollector* spans,
-                                 double run_end, const AddressNames& names,
-                                 const IncidentConfig& cfg) {
+                                 double run_end, const AddressNames& names) {
   IncidentReport report;
   report.run_end = run_end;
   const std::vector<Evidence> stream = collect_evidence(records, names);
@@ -151,8 +158,8 @@ IncidentReport analyze_incidents(const std::vector<sim::TraceRecord>& records,
   auto finalize = [&](bool at_end) {
     current.id = static_cast<int>(report.episodes.size()) + 1;
     current.closed = last_signal;
-    current.open_at_end = at_end && run_end - last_signal < cfg.quiet_close_s;
-    rank_hypotheses(current, cfg);
+    current.open_at_end = at_end && run_end - last_signal < kQuietClose;
+    rank_hypotheses(current);
     measure_blast(current, records, spans, run_end);
     report.episodes.push_back(std::move(current));
     current = IncidentEpisode{};
@@ -160,7 +167,7 @@ IncidentReport analyze_incidents(const std::vector<sim::TraceRecord>& records,
   };
 
   for (const auto& e : stream) {
-    if (open && e.time - last_signal > cfg.quiet_close_s) finalize(false);
+    if (open && e.time - last_signal > kQuietClose) finalize(false);
     if (!open) {
       if (!e.opener) continue;  // clears/recoveries never open an episode
       current.opened = e.time;

@@ -4,9 +4,9 @@
 // into *incident episodes*: an episode opens at the first strong signal (a
 // death log, an SLO burn alert, a failover detection, a containment-ladder
 // action, an invariant breach) and closes hysteretically — it absorbs every
-// further signal that arrives within `quiet_close_s` of the last one, and is
-// considered closed at the time of its final signal once the trace has been
-// quiet that long. Within each episode the engine tallies vote mass per
+// further signal that arrives within 30 s of the last one, and is considered
+// closed at the time of its final signal once the trace has been quiet that
+// long. Within each episode the engine tallies vote mass per
 // (fault class, blamed node) pair and emits ranked hypotheses; blast radius
 // comes from the `client.submit` span trees overlapping the window.
 //
@@ -30,16 +30,6 @@
 #include "telemetry/span.hpp"
 
 namespace snooze::obs {
-
-struct IncidentConfig {
-  /// An episode closes once no signal has arrived for this long; the close
-  /// timestamp is the last signal, not the end of the quiet window.
-  double quiet_close_s = 30.0;
-  /// Minimum vote mass for a node-blaming hypothesis to be reported. 2.0 =
-  /// at least one ladder action or two corroborating weak signals; a single
-  /// death log (3.0) clears it alone.
-  double min_vote_mass = 2.0;
-};
 
 /// One ranked root-cause candidate for an episode.
 struct Hypothesis {
@@ -94,7 +84,7 @@ struct IncidentReport {
 [[nodiscard]] IncidentReport analyze_incidents(
     const std::vector<sim::TraceRecord>& records,
     const telemetry::SpanCollector* spans, double run_end,
-    const AddressNames& names, const IncidentConfig& cfg = {});
+    const AddressNames& names);
 
 /// Splice incident windows ("X" duration events) and weighted evidence
 /// ("i" instants) into a chrome://tracing JSON export, following the same

@@ -4,6 +4,12 @@
 
 namespace snooze::obs {
 
+namespace {
+/// A sample counts toward clearing an alert when the SLI is below this
+/// fraction of its threshold.
+constexpr double kClearFraction = 0.8;
+}  // namespace
+
 SloEvaluator::Sli& SloEvaluator::track(std::string_view sli) {
   auto it = slis_.find(sli);
   if (it == slis_.end()) it = slis_.emplace(std::string(sli), SliStatus{}).first;
@@ -24,7 +30,7 @@ std::optional<SloTransition> SloEvaluator::observe(Sli& sli, double value, doubl
   }
 
   const bool breached = value > threshold;
-  const bool clearly_good = value < config_.clear_fraction * threshold;
+  const bool clearly_good = value < kClearFraction * threshold;
 
   s.burn_streak = breached ? s.burn_streak + 1 : 0;
   s.clear_streak = clearly_good ? s.clear_streak + 1 : 0;

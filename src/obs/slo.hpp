@@ -4,8 +4,8 @@
 // to its threshold (all SLOs are maxima: "stay below"). An alert FIRES after
 // `burn_samples` consecutive breaching ticks — a single bad sample is noise,
 // a streak is an error-budget burn — and CLEARS only after `clear_samples`
-// consecutive ticks below `clear_fraction * threshold`, so an SLI oscillating
-// around its threshold cannot flap the alert. NaN means "no data": it resets
+// consecutive ticks below 0.8 × threshold (kClearFraction), so an SLI
+// oscillating around its threshold cannot flap the alert. NaN means "no data": it resets
 // the burn streak but does not advance the clear streak (absence of evidence
 // neither fires nor clears).
 //

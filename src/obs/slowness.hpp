@@ -6,9 +6,9 @@
 // legitimately slower than an idle one), but a *peer-relative* baseline is
 // self-calibrating: track a latency EWMA per peer per operation kind, then
 // score each peer against the robust fleet baseline (median / MAD across
-// peers). A node whose robust z-score stays above `z_flag` for a sustained
-// window is flagged slow; hysteresis (`z_clear` < `z_flag`) keeps a node
-// near the threshold from flapping.
+// peers). A node whose robust z-score stays above kSlownessZFlag for
+// kSlownessSustain is flagged slow; hysteresis (kSlownessZClear <
+// kSlownessZFlag) keeps a node near the threshold from flapping.
 //
 // Header-only and engine-free: callers feed samples and periodically call
 // evaluate(now). Used by the GM to score its LCs (probe RTT, StartVm ack,
@@ -36,20 +36,16 @@ enum class SlownessMetric : std::uint8_t {
 };
 inline constexpr std::size_t kSlownessMetricCount = 4;
 
-struct SlownessConfig {
-  double ewma_alpha = 0.3;  ///< per-peer per-metric EWMA smoothing
-  double z_flag = 4.0;      ///< robust z-score that marks a peer slow
-  double z_clear = 2.0;     ///< hysteretic clear threshold
-  sim::Time sustain_s = 10.0;  ///< score must stay above z_flag this long
-};
+inline constexpr double kSlownessEwmaAlpha = 0.3;  ///< per-peer per-metric EWMA smoothing
+inline constexpr double kSlownessZFlag = 4.0;   ///< robust z-score that marks a peer slow
+inline constexpr double kSlownessZClear = 2.0;  ///< hysteretic clear threshold
+/// The score must stay above kSlownessZFlag this long to flag the peer.
+inline constexpr sim::Time kSlownessSustain = 10.0;
 
 /// Tracks per-peer operation latencies and flags sustained outliers.
 /// Peers are keyed by an opaque id (a net::Address in practice).
 class SlownessScorer {
  public:
-  SlownessScorer() = default;
-  explicit SlownessScorer(SlownessConfig config) : config_(config) {}
-
   /// Feed one latency/ratio observation for a peer.
   void add_sample(std::uint64_t peer, SlownessMetric metric, double value) {
     auto& state = peers_[peer];
@@ -57,7 +53,7 @@ class SlownessScorer {
     if (m.count == 0) {
       m.ewma = value;
     } else {
-      m.ewma += config_.ewma_alpha * (value - m.ewma);
+      m.ewma += kSlownessEwmaAlpha * (value - m.ewma);
     }
     ++m.count;
   }
@@ -105,13 +101,13 @@ class SlownessScorer {
       }
       state.score = score;
       if (state.flagged) {
-        if (score < config_.z_clear) {
+        if (score < kSlownessZClear) {
           state.flagged = false;
           state.above_since = -1.0;
         }
-      } else if (score > config_.z_flag) {
+      } else if (score > kSlownessZFlag) {
         if (state.above_since < 0.0) state.above_since = now;
-        if (now - state.above_since >= config_.sustain_s) state.flagged = true;
+        if (now - state.above_since >= kSlownessSustain) state.flagged = true;
       } else {
         state.above_since = -1.0;
       }
@@ -148,7 +144,7 @@ class SlownessScorer {
     double z[kSlownessMetricCount] = {};
     double score = 0.0;
     bool flagged = false;
-    sim::Time above_since = -1.0;  ///< when score first exceeded z_flag
+    sim::Time above_since = -1.0;  ///< when score first exceeded kSlownessZFlag
   };
 
   /// Median via nth_element (mutates the scratch vector).
@@ -163,7 +159,6 @@ class SlownessScorer {
     return hi;
   }
 
-  SlownessConfig config_;
   std::unordered_map<std::uint64_t, PeerState> peers_;
   std::vector<double> scratch_;  ///< reused across evaluate() calls
 };

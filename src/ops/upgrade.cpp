@@ -7,6 +7,12 @@
 
 namespace snooze::ops {
 
+namespace {
+constexpr sim::Time kEvacuateRetry = 5.0;    ///< re-plan evacuation (monitor lag is 2 s)
+constexpr sim::Time kRejoinTimeout = 150.0;  ///< boot (~90 s) + discovery + join
+constexpr sim::Time kGmRestartGrace = 2.0;   ///< let resign / step-down propagate
+}  // namespace
+
 RollingUpgrade::RollingUpgrade(core::SnoozeSystem& system, obs::HealthMonitor* monitor,
                                UpgradeConfig config)
     : sim::Actor(system.engine(), "upgrade"), system_(system), monitor_(monitor),
@@ -153,7 +159,7 @@ void RollingUpgrade::begin_wave() {
     // that can pick another draining wave node as a migration target — a
     // doomed transfer that occupies the source's migration link for its full
     // pre-copy. step_draining() issues the first evacuation one
-    // evacuate_retry after the flags have propagated.
+    // kEvacuateRetry after the flags have propagated.
   }
   phase_ = Phase::kDraining;
 }
@@ -186,7 +192,7 @@ void RollingUpgrade::restart_lc(std::size_t index, std::uint32_t to_version) {
 void RollingUpgrade::step_draining() {
   const Wave& wave = waves_[wave_index_];
   if (wave.gm_wave) {
-    if (now() - drain_started_ < config_.gm_restart_grace) return;
+    if (now() - drain_started_ < kGmRestartGrace) return;
     auto& gm = *system_.group_managers()[wave.nodes[0]];
     if (gm.alive()) gm.fail();
     gm.restart();
@@ -209,7 +215,7 @@ void RollingUpgrade::step_draining() {
   if (!all_drained && !forced) {
     // Re-plan the evacuation once the monitoring lag has caught up — a VM
     // whose first migration target refused (or died) gets a fresh slot.
-    if (now() - last_evacuate_ >= config_.evacuate_retry) evacuate_wave();
+    if (now() - last_evacuate_ >= kEvacuateRetry) evacuate_wave();
     return;
   }
   for (std::size_t j = 0; j < wave.nodes.size(); ++j) {
@@ -241,7 +247,7 @@ void RollingUpgrade::step_rejoining() {
       if (!system_.local_controllers()[node]->assigned()) rejoined = false;
     }
   }
-  if (!rejoined && now() - rejoin_started_ < config_.rejoin_timeout) return;
+  if (!rejoined && now() - rejoin_started_ < kRejoinTimeout) return;
   if (!rejoined) {
     trace_event("ops.rejoin_timeout", "wave=" + std::to_string(wave_index_ + 1));
   }

@@ -39,14 +39,11 @@ struct UpgradeConfig {
   std::uint32_t target_version = 2;
   std::size_t wave_size = 2;         ///< LCs per wave (GM waves are single-node)
   sim::Time check_period = 1.0;      ///< state-machine poll cadence
-  sim::Time evacuate_retry = 5.0;    ///< re-plan evacuation (monitor lag is 2 s)
   /// Force-restart an LC that will not empty. Live migrations serialize on
   /// the node's migration link at ~35 s per default-sized VM, so the default
   /// budget covers a handful of queued evacuations before giving up.
   sim::Time drain_timeout = 180.0;
-  sim::Time rejoin_timeout = 150.0;  ///< boot (~90 s) + discovery + join
   sim::Time settle_time = 15.0;      ///< soak after a wave before gating the next
-  sim::Time gm_restart_grace = 2.0;  ///< let resign / step-down propagate
   sim::Time rollback_after = 60.0;   ///< SLO-paused this long → roll back
 };
 

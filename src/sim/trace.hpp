@@ -34,7 +34,6 @@ class Trace {
   /// covers only retained records; determinism comparisons must use the same
   /// capacity on both runs.
   void set_max_records(std::size_t n);
-  [[nodiscard]] std::size_t max_records() const { return max_records_; }
 
   /// Records discarded so far by the ring-buffer cap.
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }

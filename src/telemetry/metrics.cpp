@@ -51,12 +51,6 @@ void Histogram::enable_exemplars() {
   }
 }
 
-const Histogram::Exemplar* Histogram::exemplar(int i) const {
-  if (exemplars_ == nullptr) return nullptr;
-  const Exemplar& slot = (*exemplars_)[static_cast<std::size_t>(i)];
-  return slot.span_id != 0 ? &slot : nullptr;
-}
-
 const Histogram::Exemplar* Histogram::worst_exemplar() const {
   if (exemplars_ == nullptr) return nullptr;
   for (int i = kNumBuckets - 1; i >= 0; --i) {

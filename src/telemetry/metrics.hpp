@@ -96,9 +96,6 @@ class Histogram {
   /// span-carrying observe() overload behaves exactly like observe(value)
   /// and exports are byte-identical.
   void enable_exemplars();
-  [[nodiscard]] bool exemplars_enabled() const { return exemplars_ != nullptr; }
-  /// Exemplar of bucket i; nullptr when disabled or the bucket has none.
-  [[nodiscard]] const Exemplar* exemplar(int i) const;
   /// The exemplar of the highest occupied bucket (the worst retained
   /// sample); nullptr when disabled or none retained.
   [[nodiscard]] const Exemplar* worst_exemplar() const;

@@ -124,12 +124,12 @@ TEST(ScheduleGenerator, GrayWindowsPairAndHealToo) {
     for (const auto& a : schedule.actions) {
       if (a.kind == ActionKind::kSlow) {
         EXPECT_GT(a.severity, 1.0) << "seed " << seed;
-        EXPECT_LE(a.severity, spec.max_slow_factor) << "seed " << seed;
+        EXPECT_LE(a.severity, kMaxSlowFactor) << "seed " << seed;
         saw_gray = true;
       } else if (a.kind == ActionKind::kSteal) {
         EXPECT_EQ(a.role, NodeRole::kLc) << "seed " << seed;
         EXPECT_GT(a.severity, 0.0) << "seed " << seed;
-        EXPECT_LE(a.severity, spec.max_steal_frac) << "seed " << seed;
+        EXPECT_LE(a.severity, kMaxStealFrac) << "seed " << seed;
         saw_gray = true;
       } else if (a.kind == ActionKind::kFlaky) {
         EXPECT_GT(a.faults.flaky_latency, 0.0) << "seed " << seed;
@@ -155,11 +155,11 @@ TEST(ScheduleGenerator, RespectsCrashFloors) {
       ++open_crashes[action.role];
       if (action.role == NodeRole::kGm || action.role == NodeRole::kGl) {
         EXPECT_LE(open_crashes[NodeRole::kGm] + open_crashes[NodeRole::kGl],
-                  static_cast<int>(topo.group_managers - spec.min_live_gms));
+                  static_cast<int>(topo.group_managers - kMinLiveNodes));
       }
       if (action.role == NodeRole::kLc) {
         EXPECT_LE(open_crashes[NodeRole::kLc],
-                  static_cast<int>(topo.local_controllers - spec.min_live_lcs));
+                  static_cast<int>(topo.local_controllers - kMinLiveNodes));
       }
     } else if (action.kind == ActionKind::kRecover || action.kind == ActionKind::kHeal) {
       const auto it = open_by_pair.find(action.pair);

@@ -163,7 +163,6 @@ TEST(Energy, EnergySavingsDisabledMeansNoSuspends) {
 TEST(Anomaly, OverloadEventsAreRateLimited) {
   SystemSpec spec = spec_of(2, 2);
   spec.config.overload_threshold = 0.5;
-  spec.config.anomaly_check_period = 5.0;
   SnoozeSystem system(spec);
   system.start();
   ASSERT_TRUE(system.run_until_stable(60.0));

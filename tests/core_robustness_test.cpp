@@ -219,6 +219,51 @@ TEST(EntryPoints, RestartedEpLearnsTheGlAgain) {
   EXPECT_EQ(system.entry_points()[0]->known_gl(), system.gl_address());
 }
 
+// An EP vouches for the GL it last heard only within kHeartbeatTimeoutFactor
+// heartbeat periods (3.5 s) of that heartbeat. One GM, so no successor is
+// elected and only the window decides the answer.
+TEST(EntryPoints, VouchOnlyForARecentlyHeardGl) {
+  SystemSpec spec = base_spec(1, 1);
+  spec.entry_points = 1;
+  SnoozeSystem system(spec);
+  system.start();
+  system.engine().run_until(30.0);
+  const net::Address gl = system.gl_address();
+  ASSERT_NE(gl, net::kNullAddress);
+  ASSERT_EQ(system.entry_points()[0]->known_gl(), gl);
+
+  // Crash the GL just after the EP heard it, so the window runs from the crash.
+  const auto& metrics = system.telemetry().metrics();
+  const std::uint64_t heard = metrics.value("ep.gl_heartbeats");
+  for (sim::Time t = system.engine().now(); metrics.value("ep.gl_heartbeats") == heard;) {
+    t += 1e-3;
+    system.engine().run_until(t);
+  }
+  system.fail_gl();
+
+  net::RpcEndpoint asker(system.engine(), system.network(),
+                         system.network().allocate_address(), "asker");
+  std::vector<GlQueryResponse> answers;
+  const auto ask_at = [&](sim::Time delay) {
+    system.engine().schedule(delay, [&] {
+      asker.call(system.entry_points()[0]->address(), std::make_shared<GlQueryRequest>(),
+                 1.0, [&](bool ok, const net::MsgPtr& reply) {
+        const auto* resp = ok ? net::msg_cast<GlQueryResponse>(reply) : nullptr;
+        ASSERT_NE(resp, nullptr);
+        answers.push_back(*resp);
+      });
+    });
+  };
+  ask_at(2.0);  // 1.5 s inside the window
+  ask_at(4.6);  // 1.1 s past it
+  system.engine().run_until(system.engine().now() + 10.0);
+
+  ASSERT_EQ(answers.size(), 2u);
+  EXPECT_TRUE(answers[0].ok);
+  EXPECT_EQ(answers[0].gl, gl);
+  EXPECT_FALSE(answers[1].ok);
+}
+
 // --- Degraded operation ------------------------------------------------------------
 
 TEST(Degraded, AllGmFailuresLeaveOnlyGl) {

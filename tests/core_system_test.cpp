@@ -131,7 +131,7 @@ TEST_F(SubmissionTest, SubmissionLatencyIncludesBoot) {
   submit_and_run(4);
   ASSERT_GT(system->client().latencies().count(), 0u);
   // End-to-end latency must at least cover the 2 s VM boot time.
-  EXPECT_GE(system->client().latencies().min(), system->spec().config.vm_boot_time);
+  EXPECT_GE(system->client().latencies().min(), kVmBootTime);
   EXPECT_LT(system->client().latencies().max(), 10.0);
 }
 

@@ -157,9 +157,9 @@ TEST(Reconcile, NewGlFinishesReconciliationWithinWindow) {
       system.telemetry().metrics().find_histogram("reconcile.duration");
   ASSERT_NE(hist, nullptr);
   // Initial election + failover: at least two completed reconcile windows,
-  // each exactly one gl_reconcile_window long on the virtual clock.
+  // each exactly one kGlReconcileWindow long on the virtual clock.
   EXPECT_GE(hist->count(), 2u);
-  EXPECT_LE(hist->max(), system.spec().config.gl_reconcile_window + 1e-9);
+  EXPECT_LE(hist->max(), kGlReconcileWindow + 1e-9);
   const auto* gauge = system.telemetry().metrics().find_gauge("failover.epoch");
   ASSERT_NE(gauge, nullptr);
   EXPECT_EQ(gauge->current(), static_cast<double>(new_gl->epoch()));

@@ -120,7 +120,7 @@ TEST(GrayFailure, CpuStealIsDetectedAsSlowness) {
 
 TEST(GrayFailure, QuarantineCapStopsAvalanches) {
   // Three of eight LCs under the single working GM turn slow; the cap
-  // (max_quarantined_fraction 0.2 of 8, floored at 1) lets exactly one
+  // (kMaxQuarantinedFraction 0.2 of 8, floored at 1) lets exactly one
   // through and defers the rest — containment must not amplify the outage.
   core::SnoozeSystem system(gray_spec(2, 8));
   system.start();
@@ -181,7 +181,7 @@ TEST(GrayFailure, SlowGmIsFlaggedByGlButNeverKilled) {
 
 TEST(GrayFailure, DetectionOffMeansNoProbesNoFlags) {
   core::SystemSpec spec = gray_spec(2, 6);
-  spec.config.gray.detection = false;
+  spec.config.gray_detection = false;
   core::SnoozeSystem system(spec);
   system.start();
   ASSERT_TRUE(system.run_until_stable(60.0));

@@ -98,7 +98,7 @@ TEST(Incident, QuietWindowSplitsEpisodesAndClearsNeverOpen) {
   const std::vector<sim::TraceRecord> records = {
       rec(5.0, "lc-001", "lc.fail"),
       rec(10.0, "gm-0", "gm.lc_failed"),
-      // 50 s of silence > quiet_close_s 30: next signal opens episode 2.
+      // 50 s of silence > kQuietClose 30 s: next signal opens episode 2.
       rec(60.0, "lc-002", "lc.fail"),
       // A bare recovery marker after another quiet window must NOT open
       // a third episode.

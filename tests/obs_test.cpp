@@ -164,7 +164,6 @@ core::SloConfig test_slo_config() {
   core::SloConfig cfg;
   cfg.burn_samples = 3;
   cfg.clear_samples = 2;
-  cfg.clear_fraction = 0.8;
   return cfg;
 }
 
@@ -195,7 +194,7 @@ TEST(SloEvaluator, ClearsOnlyWellBelowThreshold) {
   for (int i = 0; i < 3; ++i) slo.observe("sli", 20.0, 10.0);
   ASSERT_EQ(slo.firing_count(), 1u);
 
-  // 9.0 is below the threshold but above clear_fraction * threshold (8.0):
+  // 9.0 is below the threshold but above 0.8 * threshold (8.0):
   // not "clearly good", the alert must not clear (no flapping).
   EXPECT_FALSE(slo.observe("sli", 9.0, 10.0).has_value());
   EXPECT_FALSE(slo.observe("sli", 9.0, 10.0).has_value());
@@ -389,7 +388,7 @@ TEST(HealthMonitor, SummarySlisAreLive) {
   // Per sending GM the figure is topology-invariant (one near-empty delta
   // header per period), so the SLO threshold itself is the healthy bound
   // even in this dense test shape.
-  EXPECT_LT(bytes, test_slo_config().summary_bytes_per_gm_period_max);
+  EXPECT_LT(bytes, obs::kSummaryBytesPerGmPeriodMax);
   EXPECT_GE(staleness, 0.0);
   EXPECT_LT(staleness, test_slo_config().summary_staleness_max_s);
 }
@@ -398,7 +397,7 @@ TEST(HealthMonitor, SummarySlisAreLive) {
 
 // The golden gl_crash scenario: the GL crashes at t=5 and a successor must
 // reconcile within the E13 bound (session timeout 6 s + one heartbeat period
-// + gl_reconcile_window 2.5 s = 9.5 s). The monitor's MTTR SLI is derived
+// + kGlReconcileWindow 2.5 s = 9.5 s). The monitor's MTTR SLI is derived
 // from the same trace events the bound is stated over.
 TEST(FailoverMttrSli, ChaosGlCrashWithinE13Bound) {
   chaos::ChaosRunConfig cfg;
@@ -637,7 +636,7 @@ TEST(SlownessScorer, MadZeroUniformBaselineFlagsOnlyTheOutlier) {
 
   scorer.evaluate(0.0);
   EXPECT_FALSE(scorer.flagged(6));  // sustain window not elapsed yet
-  EXPECT_GT(scorer.score(6), 4.0);  // but the score is already over z_flag
+  EXPECT_GT(scorer.score(6), 4.0);  // but the score is already over kSlownessZFlag
   scorer.evaluate(10.0);
   EXPECT_TRUE(scorer.flagged(6));
   EXPECT_EQ(scorer.flagged_count(), 1u);
