@@ -9,6 +9,7 @@
 
 #include "core/snooze.hpp"
 #include "util/args.hpp"
+#include "util/stats.hpp"
 
 using namespace snooze;
 
@@ -45,19 +46,22 @@ int main(int argc, char** argv) {
     trace.a = 0.7;
     vms.push_back(system.make_vm(request.requested, /*lifetime_s=*/0.0, trace));
   }
-  bool all_done = false;
-  system.client().submit_all(vms, /*inter_arrival=*/0.25, [&] { all_done = true; });
+  std::size_t replies = 0;
+  util::Percentiles latencies;  // of the accepted submissions
+  system.client().submit_all(vms, /*inter_arrival=*/0.25,
+                             [&](bool ok, net::Address, sim::Time latency) {
+    ++replies;
+    if (ok) latencies.add(latency);
+  });
   system.engine().run_until(system.engine().now() + 120.0);
 
   std::printf("submissions: %llu ok, %llu failed (done=%s)\n",
               static_cast<unsigned long long>(system.client().succeeded()),
               static_cast<unsigned long long>(system.client().failed()),
-              all_done ? "yes" : "no");
-  if (system.client().latencies().count() > 0) {
+              replies == n_vms ? "yes" : "no");
+  if (latencies.count() > 0) {
     std::printf("submission latency: mean=%.3fs p50=%.3fs max=%.3fs\n",
-                system.client().latencies().mean(),
-                system.client().latencies().median(),
-                system.client().latencies().max());
+                latencies.mean(), latencies.median(), latencies.max());
   }
   std::printf("\n== final state ==\n%s", system.hierarchy_dump().c_str());
   std::printf("running VMs: %zu\n", system.running_vm_count());

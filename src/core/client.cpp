@@ -11,6 +11,12 @@ namespace {
 /// (keyed by VM id) turns the re-send into a replay, never a second
 /// instance. Bounds client-visible failover latency to roughly one round.
 constexpr sim::Time kSubmitRpcTimeout = 10.0;
+
+/// The pause between whole discovery+submit rounds (round_backoff()).
+constexpr sim::Time kRoundBackoff = 0.5;
+constexpr double kRoundBackoffGrowth = 2.0;
+constexpr sim::Time kMaxRoundBackoff = 8.0;
+constexpr double kRoundJitter = 0.5;
 }  // namespace
 
 Client::Client(sim::Engine& engine, net::Network& network,
@@ -42,11 +48,11 @@ void Client::discover_gl(std::size_t ep_index, telemetry::SpanContext root,
   });
 }
 
-sim::Time Client::rediscover_backoff(int attempts_left) {
-  // attempts_left counts down from max_attempts_, so the round number grows
-  // as retries accumulate and the backoff stretches exponentially.
-  const int round = std::max(1, max_attempts_ - attempts_left + 1);
-  return round_policy_.backoff(round, engine().rng());
+sim::Time Client::round_backoff(int round, util::Rng& rng) {
+  sim::Time delay = kRoundBackoff;
+  for (int i = 1; i < round; ++i) delay *= kRoundBackoffGrowth;
+  delay = std::min(delay, kMaxRoundBackoff);
+  return delay + rng.uniform(0.0, kRoundJitter * delay);
 }
 
 void Client::submit(const VmDescriptor& vm, SubmitCb cb) {
@@ -74,7 +80,7 @@ void Client::attempt(VmDescriptor vm, sim::Time started, int attempts_left,
   auto go = [this, vm, started, attempts_left, root, cb](net::Address gl) mutable {
     if (gl == net::kNullAddress) {
       // No GL known anywhere yet: back off and retry.
-      after(rediscover_backoff(attempts_left),
+      after(round_backoff(max_attempts_ - attempts_left + 1, engine().rng()),
             [this, vm, started, attempts_left, root, cb]() mutable {
         attempt(std::move(vm), started, attempts_left - 1, root, std::move(cb));
       });
@@ -93,7 +99,6 @@ void Client::attempt(VmDescriptor vm, sim::Time started, int attempts_left,
       const auto* resp = ok ? net::msg_cast<SubmitVmResponse>(reply) : nullptr;
       if (resp != nullptr && resp->ok) {
         const sim::Time latency = now() - started;
-        latencies_.add(latency);
         telemetry::count(tel(), "client.successes");
         telemetry::observe(tel(), "client.submit_latency", latency, root,
                            now());
@@ -104,7 +109,7 @@ void Client::attempt(VmDescriptor vm, sim::Time started, int attempts_left,
       // Submission failed (GL gone, no capacity, ...): re-discover + retry.
       cached_gl_ = net::kNullAddress;
       ++next_ep_;
-      after(rediscover_backoff(attempts_left),
+      after(round_backoff(max_attempts_ - attempts_left + 1, engine().rng()),
             [this, vm, started, attempts_left, root, cb]() mutable {
         attempt(std::move(vm), started, attempts_left - 1, root, std::move(cb));
       });
@@ -118,18 +123,10 @@ void Client::attempt(VmDescriptor vm, sim::Time started, int attempts_left,
 }
 
 void Client::submit_all(std::vector<VmDescriptor> vms, sim::Time inter_arrival,
-                        std::function<void()> done) {
-  auto outstanding = std::make_shared<std::size_t>(vms.size());
-  if (vms.empty()) {
-    if (done) done();
-    return;
-  }
-  auto on_reply = [outstanding, done = std::move(done)](bool, net::Address, sim::Time) {
-    if (--*outstanding == 0 && done) done();
-  };
+                        SubmitCb cb) {
   for (std::size_t i = 0; i < vms.size(); ++i) {
     after(inter_arrival * static_cast<double>(i),
-          [this, vm = vms[i], on_reply] { submit(vm, on_reply); });
+          [this, vm = vms[i], cb] { submit(vm, cb); });
   }
 }
 

@@ -1,6 +1,7 @@
 // Cloud client: discovers the current GL through the Entry Points and
-// submits VMs to it, with retries across GL failovers. Records end-to-end
-// submission latency (the scalability metric of experiment E3).
+// submits VMs to it, with retries across GL failovers. Observes end-to-end
+// submission latency (the scalability metric of experiment E3) into the
+// client.submit_latency histogram.
 #pragma once
 
 #include <functional>
@@ -11,7 +12,6 @@
 #include "net/rpc.hpp"
 #include "sim/trace.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/stats.hpp"
 
 namespace snooze::core {
 
@@ -27,10 +27,16 @@ class Client final : public sim::Actor {
   /// `max_attempts` before reporting failure.
   void submit(const VmDescriptor& vm, SubmitCb cb = nullptr);
 
-  /// Submit `vms` with a fixed inter-arrival gap; `done` fires after the
-  /// last response (success or failure) arrives.
+  /// Submit `vms` with a fixed inter-arrival gap; `cb` reports each
+  /// submission's outcome, as submit() does.
   void submit_all(std::vector<VmDescriptor> vms, sim::Time inter_arrival,
-                  std::function<void()> done = nullptr);
+                  SubmitCb cb = nullptr);
+
+  /// Pause after failed discovery+submit round `round` (1-based; a
+  /// submission's attempts_left counts down as its round counts up): 0.5 s
+  /// doubled per round, clamped at 8 s, plus uniform jitter of up to half
+  /// of it.
+  [[nodiscard]] static sim::Time round_backoff(int round, util::Rng& rng);
 
   [[nodiscard]] net::Address address() const { return endpoint_.address(); }
 
@@ -44,7 +50,6 @@ class Client final : public sim::Actor {
     return telemetry::value(tel(), reads_.succeeded);
   }
   [[nodiscard]] std::uint64_t failed() const { return telemetry::value(tel(), reads_.failed); }
-  [[nodiscard]] util::Percentiles& latencies() { return latencies_; }
 
  private:
   void attempt(VmDescriptor vm, sim::Time started, int attempts_left,
@@ -55,9 +60,6 @@ class Client final : public sim::Actor {
   [[nodiscard]] telemetry::Telemetry* tel() const {
     return endpoint_.network().telemetry();
   }
-
-  /// Backoff before the next discovery round, per RetryPolicy semantics.
-  [[nodiscard]] sim::Time rediscover_backoff(int attempts_left);
 
   net::RpcEndpoint endpoint_;
   std::vector<net::Address> entry_points_;
@@ -71,11 +73,7 @@ class Client final : public sim::Actor {
   /// the successor) is reached quickly during a failover.
   net::RetryPolicy submit_policy_{.max_attempts = 2, .base_backoff = 0.5,
                                   .max_total = 25.0};
-  /// Backoff schedule between whole discovery+submit rounds.
-  net::RetryPolicy round_policy_{.base_backoff = 0.5, .multiplier = 2.0,
-                                 .max_backoff = 8.0};
 
-  util::Percentiles latencies_;
   /// The statistics' registry reads (a cache, so the const readers fill it).
   mutable struct {
     telemetry::CounterReader<"client.submissions"> submitted;

@@ -14,12 +14,13 @@ constexpr sim::Time kAnomalyCheckPeriod = 5.0;  ///< LC-local overload/underload
 }  // namespace
 
 LocalController::LocalController(sim::Engine& engine, net::Network& network,
-                                 hypervisor::HostSpec host_spec, SnoozeConfig config,
+                                 hypervisor::HostSpec host_spec, const SnoozeConfig& config,
                                  net::GroupId gl_heartbeat_group, sim::Trace* trace)
     : sim::Actor(engine, host_spec.name),
       endpoint_(engine, network, network.allocate_address(), host_spec.name),
       host_(std::move(host_spec), engine.now()),
-      config_(config),
+      overload_threshold_(config.overload_threshold),
+      underload_threshold_(config.underload_threshold),
       gl_group_(gl_heartbeat_group),
       trace_(trace),
       running_vms_(engine.now(), 0.0) {
@@ -224,9 +225,9 @@ void LocalController::check_anomalies() {
   // Rate-limit anomaly reports: one per two check periods.
   if (now() - last_anomaly_ < 2.0 * kAnomalyCheckPeriod) return;
   AnomalyEvent::Kind kind;
-  if (utilization > config_.overload_threshold) {
+  if (utilization > overload_threshold_) {
     kind = AnomalyEvent::Kind::kOverload;
-  } else if (utilization < config_.underload_threshold && host_.vm_count() > 0) {
+  } else if (utilization < underload_threshold_ && host_.vm_count() > 0) {
     kind = AnomalyEvent::Kind::kUnderload;
   } else {
     return;
@@ -390,7 +391,7 @@ void LocalController::handle_migrate(const MigrateVmRequest& req, net::Responder
 void LocalController::start_next_migration() {
   while (!migration_queue_.empty()) {
     const auto [vm, dest] = migration_queue_.front();
-    migration_queue_.pop_front();
+    migration_queue_.erase(migration_queue_.begin());
     if (host_.find(vm) == nullptr) continue;  // terminated while queued
     migration_active_ = true;
     run_migration(vm, dest);

@@ -8,10 +8,10 @@
 #pragma once
 
 #include <algorithm>
-#include <deque>
 #include <map>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "core/config.hpp"
 #include "core/fence.hpp"
@@ -29,7 +29,7 @@ namespace snooze::core {
 class LocalController final : public sim::Actor {
  public:
   LocalController(sim::Engine& engine, net::Network& network,
-                  hypervisor::HostSpec host_spec, SnoozeConfig config,
+                  hypervisor::HostSpec host_spec, const SnoozeConfig& config,
                   net::GroupId gl_heartbeat_group, sim::Trace* trace = nullptr);
 
   /// Begin hierarchy discovery (listen for GL heartbeats).
@@ -160,7 +160,10 @@ class LocalController final : public sim::Actor {
   telemetry::CounterRef<"lc.heartbeats"> heartbeats_;
   telemetry::CounterRef<"lc.monitor_reports"> monitor_reports_;
   hypervisor::Host host_;
-  SnoozeConfig config_;
+  /// The anomaly thresholds of the deployment's config, the only part of
+  /// it an LC reads.
+  double overload_threshold_;
+  double underload_threshold_;
   net::GroupId gl_group_;
   sim::Trace* trace_;
 
@@ -192,9 +195,9 @@ class LocalController final : public sim::Actor {
 
   // Outbound live migrations share the node's migration link: one transfer
   // at a time, later requests queue (accepted immediately, started when the
-  // link frees up).
+  // link frees up). A FIFO that is empty except during an evacuation.
   bool migration_active_ = false;
-  std::deque<std::pair<hypervisor::VmId, net::Address>> migration_queue_;
+  std::vector<std::pair<hypervisor::VmId, net::Address>> migration_queue_;
 };
 
 }  // namespace snooze::core

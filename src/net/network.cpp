@@ -10,23 +10,19 @@ Network::Network(sim::Engine& engine, LatencyModel latency)
       latency_(latency),
       delivery_target_(engine.add_target(this, &Network::deliver_due)) {}
 
-Network::NodeState& Network::node(Address addr) {
-  if (addr >= nodes_.size()) nodes_.resize(std::size_t{addr} + 1);
-  return nodes_[addr];
-}
-
 void Network::attach(Address addr, Endpoint* endpoint) {
   assert(addr != kNullAddress && endpoint != nullptr);
-  node(addr).endpoint = endpoint;
+  if (addr >= endpoints_.size()) endpoints_.resize(std::size_t{addr} + 1);
+  endpoints_[addr] = endpoint;
   next_address_ = std::max(next_address_, addr + 1);
 }
 
 void Network::detach(Address addr) {
-  if (addr < nodes_.size()) nodes_[addr].endpoint = nullptr;
+  if (addr < endpoints_.size()) endpoints_[addr] = nullptr;
 }
 
 bool Network::attached(Address addr) const {
-  return addr < nodes_.size() && nodes_[addr].endpoint != nullptr;
+  return addr < endpoints_.size() && endpoints_[addr] != nullptr;
 }
 
 Address Network::allocate_address() { return next_address_++; }
@@ -88,21 +84,14 @@ void Network::complete_delivery(std::uint32_t index) {
 
   // Re-check at delivery time: the receiver may have crashed or detached
   // while the message was in flight.
-  if (down_.count(env.to)) {
+  if (down_.count(env.to) || !attached(env.to)) {
     ++stats_.messages_dropped;
     if (counters_.dropped != nullptr) counters_.dropped->inc();
     return;
   }
-  if (!attached(env.to)) {
-    ++stats_.messages_dropped;
-    if (counters_.dropped != nullptr) counters_.dropped->inc();
-    return;
-  }
-  NodeState& receiver = nodes_[env.to];
   ++stats_.messages_delivered;
-  ++receiver.stats.messages_delivered;
   if (counters_.delivered != nullptr) counters_.delivered->inc();
-  receiver.endpoint->on_message(env);
+  endpoints_[env.to]->on_message(env);
 }
 
 bool Network::send(Address from, Address to, MsgPtr msg) {
@@ -120,9 +109,6 @@ bool Network::send(Envelope env) {
   const std::size_t size = env.wire_size();
   ++stats_.messages_sent;
   stats_.bytes_sent += size;
-  TrafficStats& sender = node(from).stats;
-  ++sender.messages_sent;
-  sender.bytes_sent += size;
   if (counters_.sent != nullptr) {
     counters_.sent->inc();
     counters_.bytes->inc(size);
@@ -138,7 +124,6 @@ bool Network::send(Envelope env) {
   if (down_.count(to) || blocked(from, to) ||
       (faults.drop > 0.0 && engine_.rng().chance(faults.drop))) {
     ++stats_.messages_dropped;
-    ++sender.messages_dropped;
     if (counters_.dropped != nullptr) counters_.dropped->inc();
     return true;  // sent but lost in transit
   }
@@ -245,15 +230,6 @@ void Network::clear_all_faults() {
   link_faults_.clear();
   flaky_bursting_.clear();
   update_fault_flag();
-}
-
-TrafficStats Network::node_stats(Address addr) const {
-  return addr < nodes_.size() ? nodes_[addr].stats : TrafficStats{};
-}
-
-void Network::reset_stats() {
-  stats_ = TrafficStats{};
-  for (NodeState& n : nodes_) n.stats = TrafficStats{};
 }
 
 void Network::set_telemetry(telemetry::Telemetry* telemetry) {

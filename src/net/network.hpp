@@ -34,7 +34,7 @@ struct LatencyModel {
   }
 };
 
-/// Aggregate traffic counters (global and per node).
+/// Aggregate traffic counters of one network.
 struct TrafficStats {
   std::uint64_t messages_sent = 0;
   std::uint64_t messages_delivered = 0;
@@ -130,9 +130,6 @@ class Network {
 
   // --- accounting ---------------------------------------------------------
   [[nodiscard]] const TrafficStats& stats() const { return stats_; }
-  /// Per-node counters; zero for an address that never sent or received.
-  [[nodiscard]] TrafficStats node_stats(Address addr) const;
-  void reset_stats();
 
   /// Attach the telemetry sink all endpoints on this network report through.
   /// The global traffic counters are mirrored into its MetricsRegistry from
@@ -155,14 +152,6 @@ class Network {
   };
   static_assert(sizeof(PendingDelivery) == 64, "one delivery record per cache line");
 
-  /// Per-address state. Addresses are small dense integers handed out by
-  /// allocate_address(), so one vector indexed by Address serves the
-  /// per-message lookups that hash maps used to.
-  struct NodeState {
-    Endpoint* endpoint = nullptr;  ///< null while nothing is attached
-    TrafficStats stats;
-  };
-
   [[nodiscard]] bool blocked(Address from, Address to) const;
   /// Combined fault view for one message (global + link).
   [[nodiscard]] LinkFaults effective_faults(Address from, Address to) const;
@@ -171,13 +160,14 @@ class Network {
   static void deliver_due(void* self, std::uint32_t index);
   void complete_delivery(std::uint32_t index);
   void update_fault_flag();
-  /// The record of `addr`, growing the table to cover it if needed.
-  NodeState& node(Address addr);
 
   sim::Engine& engine_;
   LatencyModel latency_;
   Address next_address_ = 1;
-  std::vector<NodeState> nodes_;  ///< indexed by Address
+  /// The endpoint attached at each address (null while none is). Addresses
+  /// are small dense integers handed out by allocate_address(), so a vector
+  /// indexed by Address serves the per-delivery lookup.
+  std::vector<Endpoint*> endpoints_;
   std::set<Address> down_;
   /// Multicast groups; members sorted ascending and unique, so delivery
   /// order is by address and a join is idempotent.

@@ -7,14 +7,6 @@
 
 namespace snooze::net {
 
-sim::Time RetryPolicy::backoff(int attempt, util::Rng& rng) const {
-  sim::Time delay = base_backoff;
-  for (int i = 1; i < attempt; ++i) delay *= multiplier;
-  delay = std::min(delay, max_backoff);
-  if (jitter > 0.0) delay += rng.uniform(0.0, jitter * delay);
-  return delay;
-}
-
 sim::Time RetryPolicy::next_backoff(sim::Time prev, util::Rng& rng) const {
   // AWS-style decorrelated jitter: sleep = min(cap, uniform(base, prev * 3)).
   // The upper bound grows from the *previous actual sleep*, so consecutive
@@ -260,7 +252,6 @@ void RpcEndpoint::note_reply(Address to, sim::Time latency) {
     d.open = false;
     --open_streaks_;
     telemetry::count(network_.telemetry(), metrics_.breaker_closed);
-    telemetry::gauge_set(network_.telemetry(), "rpc.breaker_open_s", breaker_open_s_);
   }
 }
 

@@ -59,30 +59,22 @@ class Responder {
   telemetry::SpanContext ctx_;
 };
 
-/// Backoff schedule for call_with_retries().
+/// Attempt budget and backoff schedule for call_with_retries().
 ///
 /// Retries use *decorrelated jitter* (next delay drawn uniformly from
 /// [base_backoff, prev * 3], clamped to max_backoff): after a partition
 /// heals, callers that timed out together fan out across the whole delay
 /// range instead of re-sending in lockstep, so the recovering node is not
-/// hit by a synchronized retry storm. The legacy exponential schedule
-/// (backoff()) remains for round-based pacing outside the RPC layer.
+/// hit by a synchronized retry storm.
 struct RetryPolicy {
   int max_attempts = 3;
   sim::Time base_backoff = 0.5;
-  double multiplier = 2.0;
   sim::Time max_backoff = 30.0;
-  double jitter = 0.5;
   /// Overall deadline for the whole call_with_retries() sequence, measured
   /// from the first attempt: no retry is *started* at or past this budget
   /// (an attempt already in flight still runs to its own timeout).
   /// 0 = unbounded (attempts alone limit the sequence).
   sim::Time max_total = 0.0;
-
-  /// Exponential schedule: delay before the attempt following failed attempt
-  /// `attempt` (1-based), base * multiplier^(n-1) plus uniform jitter of up
-  /// to `jitter` times that backoff.
-  [[nodiscard]] sim::Time backoff(int attempt, util::Rng& rng) const;
 
   /// Decorrelated-jitter schedule: delay after a failed attempt whose own
   /// backoff was `prev` (pass 0 for the first failure).

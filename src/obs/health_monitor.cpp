@@ -435,16 +435,7 @@ std::string HealthMonitor::top(std::size_t n) const {
 
 std::string chrome_trace_with_counters(const telemetry::SpanCollector& spans,
                                        sim::Time now, const TimeSeriesStore& store) {
-  std::string base = telemetry::chrome_trace_json(spans, now);
-  // base ends with "]}" closing traceEvents and the object; splice counter
-  // events in before the "]".
-  if (base.size() < 2 || base.compare(base.size() - 2, 2, "]}") != 0) return base;
-  const bool have_events = base.size() >= 3 && base[base.size() - 3] != '[';
-  base.resize(base.size() - 2);
-
-  std::ostringstream out;
-  out << base;
-  bool first = !have_events;
+  std::string events;
   char buf[160];
   for (std::size_t row = 0; row < store.row_count(); ++row) {
     const double ts_us = store.time_at(row) * 1e6;
@@ -454,13 +445,11 @@ std::string chrome_trace_with_counters(const telemetry::SpanCollector& spans,
       std::snprintf(buf, sizeof(buf),
                     "%s{\"ph\":\"C\",\"pid\":1,\"name\":\"%s\",\"ts\":%.3f,"
                     "\"args\":{\"value\":%.10g}}",
-                    first ? "" : ",", store.columns()[col].c_str(), ts_us, value);
-      first = false;
-      out << buf;
+                    events.empty() ? "" : ",", store.columns()[col].c_str(), ts_us, value);
+      events += buf;
     }
   }
-  out << "]}";
-  return out.str();
+  return telemetry::append_trace_events(telemetry::chrome_trace_json(spans, now), events);
 }
 
 }  // namespace snooze::obs

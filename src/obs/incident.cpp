@@ -7,6 +7,7 @@
 #include <sstream>
 #include <string_view>
 
+#include "telemetry/export.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
@@ -310,15 +311,7 @@ std::string IncidentReport::show(int id,
 
 std::string chrome_trace_with_incidents(std::string base,
                                         const IncidentReport& report) {
-  if (base.size() < 2 || base.compare(base.size() - 2, 2, "]}") != 0) {
-    return base;
-  }
-  const bool have_events = base.size() >= 3 && base[base.size() - 3] != '[';
-  base.resize(base.size() - 2);
-
-  std::ostringstream out;
-  out << base;
-  bool first = !have_events;
+  std::string events;
   char buf[256];
   for (const auto& ep : report.episodes) {
     const char* cause = ep.hypotheses.empty()
@@ -329,22 +322,20 @@ std::string chrome_trace_with_incidents(std::string base,
     std::snprintf(buf, sizeof(buf),
                   "%s{\"ph\":\"X\",\"pid\":1,\"tid\":9990,\"cat\":\"incident\","
                   "\"name\":\"incident#%d %s %s\",\"ts\":%.3f,\"dur\":%.3f}",
-                  first ? "" : ",", ep.id, cause, target.c_str(),
+                  events.empty() ? "" : ",", ep.id, cause, target.c_str(),
                   ep.opened * 1e6,
                   std::max(ep.mttr_s(), 1e-6) * 1e6);
-    first = false;
-    out << buf;
+    events += buf;
     for (const auto& e : ep.evidence) {
       if (e.weight <= 0.0) continue;
       std::snprintf(buf, sizeof(buf),
                     ",{\"ph\":\"i\",\"pid\":1,\"tid\":9990,\"s\":\"g\","
                     "\"cat\":\"incident\",\"name\":\"%s %s\",\"ts\":%.3f}",
                     e.kind.c_str(), e.target.c_str(), e.time * 1e6);
-      out << buf;
+      events += buf;
     }
   }
-  out << "]}";
-  return out.str();
+  return telemetry::append_trace_events(std::move(base), events);
 }
 
 }  // namespace snooze::obs

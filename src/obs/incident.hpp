@@ -87,8 +87,8 @@ struct IncidentReport {
     const AddressNames& names);
 
 /// Splice incident windows ("X" duration events) and weighted evidence
-/// ("i" instants) into a chrome://tracing JSON export, following the same
-/// in-place append as `chrome_trace_with_counters`.
+/// ("i" instants) into a chrome://tracing JSON export
+/// (telemetry::append_trace_events).
 [[nodiscard]] std::string chrome_trace_with_incidents(
     std::string base, const IncidentReport& report);
 

@@ -80,6 +80,16 @@ std::string chrome_trace_json(const SpanCollector& spans, sim::Time now) {
   return out.str();
 }
 
+std::string append_trace_events(std::string trace, std::string_view events) {
+  if (events.empty() || !trace.ends_with("]}")) return trace;
+  const bool have_events = trace.size() >= 3 && trace[trace.size() - 3] != '[';
+  trace.resize(trace.size() - 2);
+  if (have_events) trace += ',';
+  trace += events;
+  trace += "]}";
+  return trace;
+}
+
 std::string spans_csv(const SpanCollector& spans) {
   std::string out = util::csv_row(
       {"trace_id", "span_id", "parent_id", "name", "actor", "start", "end",

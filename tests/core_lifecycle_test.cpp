@@ -212,8 +212,9 @@ TEST(Client, LatencyStatisticsAccumulate) {
   system.client().submit_all(vms, 0.5);
   system.engine().run_until(system.engine().now() + 60.0);
   EXPECT_EQ(system.client().submitted(), 3u);
-  EXPECT_EQ(system.client().latencies().count(), 3u);
-  EXPECT_GT(system.client().latencies().mean(), 0.0);
+  const auto& latency = system.telemetry().metrics().histogram("client.submit_latency");
+  EXPECT_EQ(latency.count(), 3u);
+  EXPECT_GT(latency.mean(), 0.0);
 }
 
 TEST(Client, CallbackCarriesHostingLc) {
@@ -233,6 +234,22 @@ TEST(Client, CallbackCarriesHostingLc) {
   }
   ASSERT_NE(host, nullptr);
   EXPECT_EQ(host->vm_count(), 1u);
+}
+
+TEST(Client, RoundBackoffGrowsExponentiallyAndClamps) {
+  // The pause after failed round n: 0.5 s doubled per round, clamped at 8 s,
+  // plus uniform jitter of up to half of it, drawn once per pause (the twin
+  // generator replays the draws).
+  util::Rng rng(1);
+  util::Rng twin(1);
+  const double unjittered[] = {0.5, 1.0, 2.0, 4.0, 8.0, 8.0, 8.0};
+  for (int round = 1; round <= 7; ++round) {
+    const double base = unjittered[round - 1];
+    const double backoff = Client::round_backoff(round, rng);
+    EXPECT_GE(backoff, base) << "round " << round;
+    EXPECT_LE(backoff, 1.5 * base) << "round " << round;
+    EXPECT_EQ(backoff, base + twin.uniform(0.0, 0.5 * base)) << "round " << round;
+  }
 }
 
 // --- Migration link ----------------------------------------------------------------

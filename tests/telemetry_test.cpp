@@ -450,6 +450,42 @@ TEST(TelemetrySystem, SubmissionSpanTreeLinksAllLayersAcrossRetry) {
       static_cast<double>(system.running_vm_count()));
 }
 
+// The network keeps one traffic tally, and the registry's net.* counters
+// mirror it event for event: after a run that loses and duplicates messages,
+// all five agree and none is zero.
+TEST(TelemetrySystem, RegistryMirrorsEveryTrafficTally) {
+  core::SystemSpec spec;
+  spec.entry_points = 1;
+  spec.group_managers = 2;
+  spec.local_controllers = 4;
+  spec.seed = 11;
+  core::SnoozeSystem system(spec);
+  system.start();
+  ASSERT_TRUE(system.run_until_stable(300.0));
+
+  system.network().set_drop_probability(0.05);
+  for (const auto& lc : system.local_controllers()) {
+    ASSERT_TRUE(lc->assigned());
+    system.network().set_link_faults(lc->address(), lc->gm(),
+                                     net::LinkFaults{.duplicate = 0.2});
+  }
+  system.engine().run_until(system.engine().now() + 60.0);
+
+  const auto& metrics = system.telemetry().metrics();
+  const net::TrafficStats& stats = system.network().stats();
+  const std::pair<const char*, std::uint64_t> tallies[] = {
+      {"net.messages_sent", stats.messages_sent},
+      {"net.messages_delivered", stats.messages_delivered},
+      {"net.messages_dropped", stats.messages_dropped},
+      {"net.messages_duplicated", stats.messages_duplicated},
+      {"net.bytes_sent", stats.bytes_sent},
+  };
+  for (const auto& [name, tally] : tallies) {
+    EXPECT_GT(tally, 0u) << name;
+    EXPECT_EQ(metrics.value(name), tally) << name;
+  }
+}
+
 // --- determinism -------------------------------------------------------------------
 
 // Telemetry is always on and must stay passive: two chaos runs with the same
